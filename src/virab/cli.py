@@ -162,9 +162,9 @@ def _cmd_classify(args) -> tuple[int, str]:
         )
     if args.format == "json":
         return 1, json.dumps(out.to_dict(), indent=2)
-    m, n = out.indices
+    at = ", ".join(str(i) for i in out.indices)
     return 1, (
-        f"infeasible: {out.constraint} at ({m}, {n}), residue {out.residue_text}"
+        f"infeasible: {out.constraint} at ({at}), residue {out.residue_text}"
     )
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from time import perf_counter
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraParams,
@@ -105,6 +106,42 @@ def h_of_n(seq: HSeq, n: int) -> UniPoly:
     return out
 
 
+class Mults(NamedTuple):
+    """The action of L_m and W_m at one index m, for any window data:
+
+        L_m . u = u(s - shift, t) * l + d/dt u(s - shift, t) * d
+        W_m . u = u(s - w_shift, t) * w
+
+    with shift = m and w_shift = a + m.  A phi module has
+    l = lambda^m * (s + h_m), d = b * m * lambda^m * w_m and
+    w = lambda^m * w_m; a GenericFamily has l = g_m, d = (a + b*m) * a_m
+    and w = a_m.
+    """
+
+    shift: Scalar
+    l: BiPoly
+    d: BiPoly
+    w_shift: Scalar
+    w: BiPoly
+
+
+def _image_L(mu: Mults, shifted: BiPoly) -> BiPoly:
+    """L_m . u, given u(s - m, t)."""
+    out = shifted * mu.l
+    if mu.d:
+        out = out + shifted.partial_t() * mu.d
+    return out
+
+
+def _image_W(mu: Mults, u: BiPoly, shifted: BiPoly | None = None) -> BiPoly:
+    """W_m . u; ``shifted``, when given, is u(s - m, t), reused if a = 0."""
+    if not mu.w:
+        return BiPoly.zero()
+    if shifted is None or mu.w_shift != mu.shift:
+        shifted = u.shift_s(mu.w_shift)
+    return shifted * mu.w
+
+
 class ModuleSpec:
     """Full parameter set for one module, with cached per-index pieces.
 
@@ -112,8 +149,7 @@ class ModuleSpec:
     of the parameters.
     """
 
-    __slots__ = ("family", "algebra", "lam", "alpha", "seq",
-                 "_h", "_wmul", "_lmul", "_lpow")
+    __slots__ = ("family", "algebra", "lam", "alpha", "seq", "_h", "_mults")
 
     def __init__(
         self,
@@ -140,9 +176,7 @@ class ModuleSpec:
         self.alpha = alpha
         self.seq = seq
         self._h: dict[int, UniPoly] = {}
-        self._wmul: dict[int, BiPoly] = {}
-        self._lmul: dict[int, BiPoly] = {}
-        self._lpow: dict[int, Scalar] = {0: ONE, 1: lam}
+        self._mults: dict[int, Mults] = {}
 
     @property
     def b(self) -> Scalar:
@@ -168,32 +202,37 @@ class ModuleSpec:
         return out
 
     def lam_pow(self, m: int) -> Scalar:
-        out = self._lpow.get(m)
-        if out is None:
-            out = intpow(self.lam, m)
-            self._lpow[m] = out
-        return out
+        return intpow(self.lam, m)
 
     def w_mult(self, m: int) -> BiPoly:
         """The twist factor w_m(t), embedded in (s, t)."""
-        out = self._wmul.get(m)
-        if out is None:
-            b = self.seq.b
-            shift = ZERO
-            if b == MINUS_ONE:
-                shift = self.alpha.mul_int(m)
-            elif b == ONE and m != 0:
-                shift = self.alpha
-            out = BiPoly({(0, 1): ONE, (0, 0): -shift})
-            self._wmul[m] = out
-        return out
+        b = self.seq.b
+        shift = ZERO
+        if b == MINUS_ONE:
+            shift = self.alpha.mul_int(m)
+        elif b == ONE and m != 0:
+            shift = self.alpha
+        return BiPoly({(0, 1): ONE, (0, 0): -shift})
 
     def l_mult(self, m: int) -> BiPoly:
         """The multiplier s + h_m(t), embedded in (s, t)."""
-        out = self._lmul.get(m)
+        return BiPoly.s_var() + self.h(m).embed()
+
+    def mults(self, m: int) -> Mults:
+        """The action of L_m and W_m as per-index multipliers, lambda^m
+        folded in (see :class:`Mults`)."""
+        out = self._mults.get(m)
         if out is None:
-            out = BiPoly.s_var() + self.h(m).embed()
-            self._lmul[m] = out
+            lp = self.lam_pow(m)
+            shift = Scalar.from_int(m)
+            if self.family is Family.THETA:
+                d = BiPoly.zero()
+                w = BiPoly.t_var() if m == 0 else BiPoly.zero()
+            else:
+                w = self.w_mult(m).scale(lp)
+                d = w.scale(self.b.mul_int(m))
+            out = Mults(shift, self.l_mult(m).scale(lp), d, shift, w)
+            self._mults[m] = out
         return out
 
     def to_dict(self) -> dict:
@@ -223,41 +262,36 @@ class ModuleSpec:
         b = _scalar_field(doc, "b")
         lam = _scalar_field(doc, "lambda")
         alpha = _scalar_field(doc, "alpha")
-        coeffs = tuple(
-            parse_scalar(c) if isinstance(c, str) else Scalar(c)
-            for c in doc["coeffs"]
-        )
+        if not isinstance(doc["coeffs"], list):
+            raise ValueError("field 'coeffs' must be a list of scalars")
+        coeffs = tuple(_scalar_value(c, "coeffs entry") for c in doc["coeffs"])
         if not isinstance(doc["extension"], bool):
             raise ValueError("extension must be a boolean")
         return cls(family, b, lam, alpha, coeffs, doc["extension"])
 
 
 def _scalar_field(doc: dict, key: str) -> Scalar:
-    v = doc[key]
+    return _scalar_value(doc[key], f"field {key!r}")
+
+
+def _scalar_value(v, what: str) -> Scalar:
+    """A spec scalar: a string in the scalar grammar or an integer.  JSON
+    floats are inexact and booleans are not numbers, so both are refused."""
     if isinstance(v, str):
         return parse_scalar(v)
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Scalar.from_int(v)
-    raise ValueError(f"field {key!r} must be a scalar string")
+    raise ValueError(
+        f"{what} must be a scalar string or an integer, got {v!r}"
+    )
 
 
 def act_L(spec: ModuleSpec, m: int, f: BiPoly) -> BiPoly:
-    shifted = f.shift_s(Scalar.from_int(m))
-    out = spec.l_mult(m) * shifted
-    if spec.family is Family.PHI:
-        bm = spec.b.mul_int(m)
-        if bm:
-            out = out + (spec.w_mult(m) * shifted.partial_t()).scale(bm)
-    return out.scale(spec.lam_pow(m))
+    return _image_L(spec.mults(m), f.shift_s(Scalar.from_int(m)))
 
 
 def act_W(spec: ModuleSpec, m: int, f: BiPoly) -> BiPoly:
-    if spec.family is Family.THETA:
-        if m != 0:
-            return BiPoly.zero()
-        return BiPoly.t_var() * f
-    shifted = f.shift_s(Scalar.from_int(m))
-    return (spec.w_mult(m) * shifted).scale(spec.lam_pow(m))
+    return _image_W(spec.mults(m), f)
 
 
 def act_C(spec: ModuleSpec, i: int, f: BiPoly) -> BiPoly:
@@ -337,25 +371,23 @@ class GenericFamily:
             g_m[m] = act_L(spec, m, one)
         return cls(ZERO, spec.b, window, a_m, g_m)
 
-
-def _require_window(fam: GenericFamily, m: int) -> None:
-    if abs(m) > fam.window:
-        raise ValueError(f"index {m} outside family window {fam.window}")
+    def mults(self, m: int) -> Mults:
+        """The action of L_m and W_m as per-index multipliers (see
+        :class:`Mults`); raises outside the stored window."""
+        if abs(m) > self.window:
+            raise ValueError(f"index {m} outside family window {self.window}")
+        a_m = self.a_m[m].embed()
+        return Mults(Scalar.from_int(m), self.g_m[m],
+                     a_m.scale(self.a + self.b.mul_int(m)),
+                     self.a.add_int(m), a_m)
 
 
 def generic_act_L(fam: GenericFamily, m: int, u: BiPoly) -> BiPoly:
-    _require_window(fam, m)
-    shifted = u.shift_s(Scalar.from_int(m))
-    out = shifted * fam.g_m[m]
-    c = fam.a + fam.b.mul_int(m)
-    if c:
-        out = out + (shifted.partial_t() * fam.a_m[m].embed()).scale(c)
-    return out
+    return _image_L(fam.mults(m), u.shift_s(Scalar.from_int(m)))
 
 
 def generic_act_W(fam: GenericFamily, m: int, u: BiPoly) -> BiPoly:
-    _require_window(fam, m)
-    return u.shift_s(fam.a.add_int(m)) * fam.a_m[m].embed()
+    return _image_W(fam.mults(m), u)
 
 
 def _monomial_window(degree: int) -> list[BiPoly]:
@@ -372,104 +404,89 @@ def verify_module(
     """Replay [x, y] . f = x . (y . f) - y . (x . f) for every ordered pair
     of basis symbols with indices in [-window, window] (central symbols
     included when available) and every monomial f with total degree at most
-    ``degree``.  Exact equality; failures carry the witness triple."""
-    if isinstance(target, GenericFamily):
-        return _verify_generic(target, window, degree)
-    return _verify_spec(target, window, degree)
+    ``degree``.  Exact equality; failures carry the witness triple.
 
-
-def _verify_spec(spec: ModuleSpec, window: int, degree: int) -> Report:
+    A GenericFamily is swept over W(a,b), skipping the pairs whose bracket
+    leaves the window.  Images are memoised for the sweep, and L_m and W_m
+    share one shift of their argument whenever a = 0."""
+    if window < 0 or degree < 0:
+        raise ValueError(
+            f"window and degree must be nonnegative, got {window} and {degree}"
+        )
     t0 = perf_counter()
+    bounded = isinstance(target, GenericFamily)
+    if bounded:
+        if window > target.window:
+            raise ValueError("sweep window exceeds family window")
+        algebra = classify_case(target.a, target.b, want_extension=False)
+        params = {
+            "target": "generic-family",
+            "a": format_scalar(target.a),
+            "b": format_scalar(target.b),
+            "family_window": str(target.window),
+        }
+    else:
+        algebra = target.algebra
+        params = {k: str(v) for k, v in target.to_dict().items()}
+    params.update(window=str(window), degree=str(degree))
     syms = [BasisSymbol("L", n) for n in range(-window, window + 1)]
     syms += [BasisSymbol("W", n) for n in range(-window, window + 1)]
-    syms += [BasisSymbol("C", i) for i in spec.algebra.central_indices]
+    syms += [BasisSymbol("C", i) for i in algebra.central_indices]
     monos = _monomial_window(degree)
+    zero = BiPoly.zero()
 
-    img_cache: dict[tuple[BasisSymbol, int], BiPoly] = {}
+    table: dict[int, Mults] = {}
+
+    def both(m: int, u: BiPoly) -> tuple[BiPoly, BiPoly]:
+        """(L_m . u, W_m . u) from one shift of u when a = 0."""
+        mu = table.get(m)
+        if mu is None:
+            mu = table[m] = target.mults(m)
+        shifted = u.shift_s(mu.shift)
+        return _image_L(mu, shifted), _image_W(mu, u, shifted)
+
+    # (m, fi) -> images of monos[fi]; (m, y, fi) -> images of y . monos[fi]
+    firsts: dict[tuple[int, int], tuple[BiPoly, BiPoly]] = {}
+    seconds: dict[tuple[int, BasisSymbol, int], tuple[BiPoly, BiPoly]] = {}
 
     def img(sym: BasisSymbol, fi: int) -> BiPoly:
-        key = (sym, fi)
-        out = img_cache.get(key)
-        if out is None:
-            out = act_sym(spec, sym, monos[fi])
-            img_cache[key] = out
-        return out
-
-    act2: dict[tuple[BasisSymbol, BasisSymbol, int], BiPoly] = {}
+        if sym.kind == "C":
+            return zero
+        key = (sym.index, fi)
+        pair = firsts.get(key)
+        if pair is None:
+            pair = firsts[key] = both(sym.index, monos[fi])
+        return pair[sym.kind == "W"]
 
     def img2(x: BasisSymbol, y: BasisSymbol, fi: int) -> BiPoly:
-        key = (x, y, fi)
-        out = act2.get(key)
-        if out is None:
-            out = act_sym(spec, x, img(y, fi))
-            act2[key] = out
-        return out
+        if x.kind == "C":
+            return zero
+        key = (x.index, y, fi)
+        pair = seconds.get(key)
+        if pair is None:
+            pair = seconds[key] = both(x.index, img(y, fi))
+        return pair[x.kind == "W"]
 
-    params = {k: str(v) for k, v in spec.to_dict().items()}
-    params.update(window=str(window), degree=str(degree))
     report = Report(suite="verify-module", params=params)
     checks = 0
     nf = len(monos)
     for x in syms:
         for y in syms:
-            br = bracket(x, y, spec.algebra)
+            if bounded and abs(x.index + y.index) > window:
+                continue  # bracket falls outside the data window
+            terms = [(sym, c) for sym, c in bracket(x, y, algebra).terms.items()
+                     if sym.kind != "C"]  # central symbols act by zero
             for fi in range(nf):
                 checks += 1
-                res = img2(x, y, fi) - img2(y, x, fi)
-                for sym, c in br.terms.items():
-                    res = res - img(sym, fi).scale(c)
-                if res:
+                lhs = img2(x, y, fi)
+                rhs = img2(y, x, fi)
+                for sym, c in terms:
+                    rhs = rhs + img(sym, fi).scale(c)
+                if lhs != rhs:
                     report.fail(
                         "module-axiom",
                         (str(x), str(y), format_bipoly(monos[fi])),
-                        format_bipoly(res),
-                    )
-    report.checks = checks
-    report.elapsed = perf_counter() - t0
-    return report
-
-
-def _verify_generic(fam: GenericFamily, window: int, degree: int) -> Report:
-    if window > fam.window:
-        raise ValueError("sweep window exceeds family window")
-    t0 = perf_counter()
-    p = classify_case(fam.a, fam.b, want_extension=False)
-    syms = [BasisSymbol("L", n) for n in range(-window, window + 1)]
-    syms += [BasisSymbol("W", n) for n in range(-window, window + 1)]
-    monos = _monomial_window(degree)
-
-    def act(sym: BasisSymbol, u: BiPoly) -> BiPoly:
-        if sym.kind == "L":
-            return generic_act_L(fam, sym.index, u)
-        return generic_act_W(fam, sym.index, u)
-
-    report = Report(
-        suite="verify-module",
-        params={
-            "target": "generic-family",
-            "a": format_scalar(fam.a),
-            "b": format_scalar(fam.b),
-            "family_window": str(fam.window),
-            "window": str(window),
-            "degree": str(degree),
-        },
-    )
-    checks = 0
-    for x in syms:
-        for y in syms:
-            if abs(x.index + y.index) > window:
-                continue  # bracket falls outside the data window
-            br = bracket(x, y, p)
-            for f in monos:
-                checks += 1
-                res = act(x, act(y, f)) - act(y, act(x, f))
-                for sym, c in br.terms.items():
-                    res = res - act(sym, f).scale(c)
-                if res:
-                    report.fail(
-                        "module-axiom",
-                        (str(x), str(y), format_bipoly(f)),
-                        format_bipoly(res),
+                        format_bipoly(lhs - rhs),
                     )
     report.checks = checks
     report.elapsed = perf_counter() - t0

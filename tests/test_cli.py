@@ -102,6 +102,26 @@ def test_verify_module_json_round_trips(capsys, phi_spec_path):
     assert json.loads(again) == doc
 
 
+@pytest.mark.parametrize("window, deg", [("-1", "2"), ("2", "-1")])
+def test_verify_module_rejects_negative_sizes(capsys, phi_spec_path, window, deg):
+    assert main(["verify-module", "--spec", phi_spec_path,
+                 "--window", window, "--deg", deg]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("coeffs", [0.1]), ("lambda", 2.0), ("b", True),
+])
+def test_spec_with_inexact_scalar_is_usage_error(capsys, tmp_path, field, value):
+    doc = ModuleSpec.phi(b=sc(1), lam=sc(2), alpha=sc(1), coeffs=()).to_dict()
+    doc[field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-module", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "must be a scalar string or an integer" in err
+
+
 def test_classify_feasible(capsys, tmp_path):
     spec = ModuleSpec.phi(b=sc(3), lam=sc(2), alpha=ZERO, coeffs=(ONE, ZERO, sc(2)))
     path = write_candidate(tmp_path, spec)
@@ -120,6 +140,22 @@ def test_classify_infeasible_exit_code(capsys, tmp_path):
     assert doc["infeasible"]["constraint"] == "lw-compat"
     assert main(["classify", "--candidate", path]) == 1
     assert "infeasible" in capsys.readouterr().out
+
+
+def test_classify_text_renders_certificates_of_any_arity(capsys, tmp_path):
+    spec = ModuleSpec.phi(b=sc(2), lam=ONE, alpha=ZERO, coeffs=())
+    path = write_candidate(tmp_path, spec, a="1")
+    assert main(["classify", "--candidate", path]) == 1
+    assert capsys.readouterr().out == (
+        "infeasible: lw-compat at (0, 1), residue -t\n")
+    # an s^2 term in g_1 breaks the degree bound: a one-index certificate
+    spec = ModuleSpec.phi(b=sc(3), lam=sc(2), alpha=ZERO, coeffs=(ONE,))
+    path = write_candidate(tmp_path, spec)
+    doc = json.loads((tmp_path / "candidate.json").read_text())
+    doc["g_m"]["1"] += " + s^2"
+    (tmp_path / "candidate.json").write_text(json.dumps(doc))
+    assert main(["classify", "--candidate", path]) == 1
+    assert capsys.readouterr().out == "infeasible: deg-g at (1), residue s^2\n"
 
 
 def test_classify_rejects_bad_document(capsys, tmp_path):

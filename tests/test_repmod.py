@@ -1,8 +1,8 @@
 import pytest
 
 from conftest import sc, sci
-from virab.algebra import C, L, W
-from virab.polynomials import BiPoly, UniPoly
+from virab.algebra import C, L, W, bracket, classify_case
+from virab.polynomials import BiPoly, UniPoly, format_bipoly
 from virab.repmod import (
     Family,
     GenericFamily,
@@ -196,3 +196,95 @@ def test_spec_from_dict_validation():
     ):
         with pytest.raises(ValueError):
             ModuleSpec.from_dict(corrupt)
+
+
+@pytest.mark.parametrize("window, degree", [(-1, 2), (2, -1)])
+def test_verify_module_rejects_negative_window_and_degree(window, degree):
+    spec = ModuleSpec.phi(b=sc(0), lam=sc(2), alpha=ZERO, coeffs=())
+    fam = GenericFamily.from_spec(spec, window=2)
+    for target in (spec, fam):
+        with pytest.raises(ValueError):
+            verify_module(target, window=window, degree=degree)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("coeffs", [0.1]),
+    ("lambda", 0.5),
+    ("b", True),
+])
+def test_spec_from_dict_rejects_inexact_scalars(field, value):
+    doc = ModuleSpec.phi(b=sc(0), lam=sc(2), alpha=ZERO, coeffs=(ONE,)).to_dict()
+    doc[field] = value
+    with pytest.raises(ValueError, match="scalar string or an integer"):
+        ModuleSpec.from_dict(doc)
+
+
+def _naive_sweep(target, window, degree):
+    """verify_module without memoisation or shared shifts: every check
+    recomputes x.(y.f) - y.(x.f) - sum c.(sym.f) from the public actions."""
+    if isinstance(target, GenericFamily):
+        algebra = classify_case(target.a, target.b, want_extension=False)
+
+        def act(sym, u):
+            op = generic_act_L if sym.kind == "L" else generic_act_W
+            return op(target, sym.index, u)
+    else:
+        algebra = target.algebra
+
+        def act(sym, u):
+            return act_sym(target, sym, u)
+    syms = [L(n) for n in range(-window, window + 1)]
+    syms += [W(n) for n in range(-window, window + 1)]
+    syms += [C(i) for i in algebra.central_indices]
+    monos = [BiPoly.monomial(i, d - i)
+             for d in range(degree + 1) for i in range(d + 1)]
+    checks, failures = 0, []
+    for x in syms:
+        for y in syms:
+            if isinstance(target, GenericFamily) and abs(x.index + y.index) > window:
+                continue
+            br = bracket(x, y, algebra)
+            for f in monos:
+                checks += 1
+                res = act(x, act(y, f)) - act(y, act(x, f))
+                for sym, c in br.terms.items():
+                    res = res - act(sym, f).scale(c)
+                if res:
+                    failures.append(
+                        ((str(x), str(y), format_bipoly(f)), format_bipoly(res)))
+    return checks, failures
+
+
+def _perturbed_family():
+    spec = ModuleSpec.phi(b=sc(2), lam=sc(-1), alpha=sc(1), coeffs=(ONE, MINUS_ONE))
+    fam = GenericFamily.from_spec(spec, window=2)
+    g_m = dict(fam.g_m)
+    g_m[-1] = g_m[-1] + BiPoly.monomial(1, 1, sc("1/2"))
+    return GenericFamily(fam.a, fam.b, fam.window, fam.a_m, g_m)
+
+
+def _family_with_a():
+    # a != 0: W_m shifts by a + m, not by m
+    a_m = {m: UniPoly({1: ONE, 0: sc(m)}) if m else UniPoly.monomial(1)
+           for m in range(-2, 3)}
+    g_m = {m: S + T.scale(sc(m)) for m in range(-2, 3)}
+    return GenericFamily(sc("1/2"), sc(3), 2, a_m, g_m)
+
+
+@pytest.mark.parametrize("make, fails", [
+    (lambda: ModuleSpec.phi(b=MINUS_ONE, lam=sc(2), alpha=sc(1),
+                            coeffs=(ONE, MINUS_ONE)), False),
+    (lambda: ModuleSpec.theta(lam=sc("-1/2"), coeffs=(ZERO, ONE, ONE)), False),
+    (lambda: GenericFamily.from_spec(
+        ModuleSpec.phi(b=sc("1/2"), lam=I, alpha=sc(3), coeffs=(ONE,)), 2),
+     False),
+    (_perturbed_family, True),
+    (_family_with_a, True),
+], ids=["phi-b-1", "theta", "generic", "generic-perturbed", "generic-a"])
+def test_verify_module_matches_naive_replay(make, fails):
+    target = make()
+    report = verify_module(target, window=2, degree=2)
+    checks, failures = _naive_sweep(target, window=2, degree=2)
+    assert report.checks == checks
+    assert [(f.indices, f.residue) for f in report.failures] == failures
+    assert bool(failures) == fails
