@@ -31,6 +31,7 @@ from fractions import Fraction
 from time import perf_counter
 from typing import NamedTuple
 
+from .polynomials import Terms, _join_terms, _term_text
 from .report import Report
 from .scalars import MINUS_ONE, ONE, ZERO, HALF, Scalar, format_scalar
 
@@ -110,66 +111,14 @@ def C(i: int) -> BasisSymbol:
     return BasisSymbol("C", i)
 
 
-class AlgElement:
+class AlgElement(Terms):
     """A finite linear combination of basis symbols."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[BasisSymbol, Scalar] = (
-            {k: c for k, c in terms.items() if c} if terms else {}
-        )
-
-    @classmethod
-    def _raw(cls, terms: dict[BasisSymbol, Scalar]) -> AlgElement:
-        e = object.__new__(cls)
-        e.terms = terms
-        return e
-
-    @classmethod
-    def zero(cls) -> AlgElement:
-        return cls._raw({})
+    __slots__ = ()
 
     @classmethod
     def single(cls, sym: BasisSymbol, coeff: Scalar = ONE) -> AlgElement:
         return cls._raw({sym: coeff} if coeff else {})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: AlgElement) -> AlgElement:
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = c
-            else:
-                v = prev + c
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return AlgElement._raw(out)
-
-    def __sub__(self, other: AlgElement) -> AlgElement:
-        return self + (-other)
-
-    def __neg__(self) -> AlgElement:
-        return AlgElement._raw({k: -c for k, c in self.terms.items()})
-
-    def scale(self, c: Scalar) -> AlgElement:
-        if not c:
-            return AlgElement._raw({})
-        return AlgElement._raw({k: v * c for k, v in self.terms.items()})
 
     def __str__(self) -> str:
         return format_element(self)
@@ -183,8 +132,6 @@ _KIND_ORDER = {"L": 0, "W": 1, "C": 2}
 
 def format_element(e: AlgElement) -> str:
     """Canonical text: kinds in order L, W, C, indices ascending."""
-    from .polynomials import _join_terms, _term_text  # shared term renderer
-
     keys = sorted(e.terms, key=lambda s: (_KIND_ORDER[s.kind], s.index))
     return _join_terms([_term_text(e.terms[k], str(k)) for k in keys])
 
@@ -295,6 +242,8 @@ def verify_algebra(p: AlgebraParams, window: int = 5) -> Report:
     """Check antisymmetry on all symbol pairs and Jacobi on all symbol
     triples with generator indices in [-window, window], central symbols
     included.  Exact; any nonzero residue is reported with its witness."""
+    if window < 0:
+        raise ValueError(f"window must be nonnegative, got {window}")
     t0 = perf_counter()
     syms = [BasisSymbol("L", n) for n in range(-window, window + 1)]
     syms += [BasisSymbol("W", n) for n in range(-window, window + 1)]

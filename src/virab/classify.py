@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from .polynomials import BiPoly, UniPoly, format_bipoly, format_unipoly
-from .repmod import Family, GenericFamily, ModuleSpec, act_L, act_W, q_poly
+from .repmod import Family, GenericFamily, q_poly, twist_poly
 from .report import Report
 from .scalars import (
     MINUS_ONE,
@@ -128,16 +128,6 @@ class CandidateFamily:
             raise ValueError("g_0 must equal L0")
 
     @classmethod
-    def from_spec(cls, spec: ModuleSpec, window: int) -> CandidateFamily:
-        one = BiPoly.one()
-        a_m = {}
-        g_m = {}
-        for m in range(-window, window + 1):
-            a_m[m] = act_W(spec, m, one)
-            g_m[m] = act_L(spec, m, one)
-        return cls(ZERO, spec.b, window, a_m, g_m)
-
-    @classmethod
     def from_generic(cls, fam: GenericFamily) -> CandidateFamily:
         return cls(
             fam.a,
@@ -177,15 +167,6 @@ def check_W_commutation(fam: CandidateFamily) -> Report:
     report.checks = checks
     report.elapsed = perf_counter() - t0
     return report
-
-
-def _twist_poly(b: Scalar, alpha: Scalar, n: int) -> UniPoly:
-    shift = ZERO
-    if b == MINUS_ONE:
-        shift = alpha.mul_int(n)
-    elif b == ONE and n != 0:
-        shift = alpha
-    return UniPoly({1: ONE, 0: -shift})
 
 
 def check_constraints(fam: CandidateFamily) -> Report:
@@ -345,10 +326,10 @@ def check_constraints(fam: CandidateFamily) -> Report:
                 checks += 1
                 lhs = F[m + n].scale_int(n - m)
                 rhs = F[n].scale_int(n) - F[m].scale_int(m)
-                rhs = rhs - (F[m].deriv() * _twist_poly(b, alpha, n)).scale(
+                rhs = rhs - (F[m].deriv() * twist_poly(b, alpha, n)).scale(
                     b.mul_int(n)
                 )
-                rhs = rhs + (F[n].deriv() * _twist_poly(b, alpha, m)).scale(
+                rhs = rhs + (F[n].deriv() * twist_poly(b, alpha, m)).scale(
                     b.mul_int(m)
                 )
                 res = lhs - rhs
@@ -404,14 +385,6 @@ def extract_h_coeffs(
             )
     coeffs[0] = f1
     return tuple(coeffs)
-
-
-def _as_w_poly(p: BiPoly | UniPoly) -> UniPoly | None:
-    if isinstance(p, UniPoly):
-        return p
-    if p.deg_s > 0:
-        return None
-    return p.to_unipoly_t()
 
 
 def _propagate_seq(
@@ -482,8 +455,8 @@ def _instance_certificate(
 def solve_from_generators(
     b: Scalar,
     window: int,
-    a_pos: BiPoly | UniPoly,
-    a_neg: BiPoly | UniPoly,
+    a_pos: BiPoly,
+    a_neg: BiPoly,
     g_pos: BiPoly,
     g_neg: BiPoly,
     a: Scalar = ZERO,
@@ -503,21 +476,18 @@ def solve_from_generators(
 
     # a = 0 is forced by [L_0, W_n] . 1 replayed at n = 0 (or a seed index)
     if a:
-        da = a_pos.partial_t() if isinstance(a_pos, BiPoly) else a_pos.deriv().embed()
-        res = (da * t_var).scale(-a)
+        res = (a_pos.partial_t() * t_var).scale(-a)
         if res:
             return InfeasibilityCertificate("lw-compat", (0, 1), res)
         return InfeasibilityCertificate(
             "lw-compat", (0, 0), t_var.scale(-a)
         )
 
-    w_pos = _as_w_poly(a_pos)
-    w_neg = _as_w_poly(a_neg)
-    if w_pos is None or w_neg is None:
-        ap = a_pos if isinstance(a_pos, BiPoly) else a_pos.embed()
-        an = a_neg if isinstance(a_neg, BiPoly) else a_neg.embed()
-        res = _commutation_residue(ZERO, 1, -1, ap, an)
+    if a_pos.deg_s > 0 or a_neg.deg_s > 0:
+        res = _commutation_residue(ZERO, 1, -1, a_pos, a_neg)
         return InfeasibilityCertificate("W-commutation", (1, -1), res)
+    w_pos = a_pos.to_unipoly_t()
+    w_neg = a_neg.to_unipoly_t()
 
     # g seeds: affine in L0, constant leading coefficient, b_1 b_{-1} = 1
     for idx, g in ((1, g_pos), (-1, g_neg)):

@@ -25,7 +25,7 @@ from .grammar import (
 )
 from .orbit import check_invariant_subspace, orbit_closure
 from .report import Report
-from .repmod import ModuleSpec, act_sym, q_poly, verify_module
+from .repmod import ModuleSpec, _scalar_field, act_sym, q_poly, verify_module
 from .scalars import format_scalar
 
 _FIXED_CASES = {
@@ -71,12 +71,14 @@ def _candidate_from_doc(doc: dict) -> CandidateFamily:
     unknown = doc.keys() - required
     if unknown:
         raise ValueError(f"candidate document has unknown fields: {sorted(unknown)}")
-    window = int(doc["N"])
+    window = doc["N"]
+    if not isinstance(window, int) or isinstance(window, bool):
+        raise ValueError(f"field 'N' must be an integer, got {window!r}")
     a_m = {int(m): parse_unipoly(p).embed() for m, p in doc["a_m"].items()}
     g_m = {int(m): parse_bipoly(p) for m, p in doc["g_m"].items()}
     return CandidateFamily(
-        a=parse_scalar(str(doc["a"])),
-        b=parse_scalar(str(doc["b"])),
+        a=_scalar_field(doc, "a"),
+        b=_scalar_field(doc, "b"),
         window=window,
         a_m=a_m,
         g_m=g_m,

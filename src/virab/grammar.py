@@ -26,6 +26,8 @@ from .scalars import (
     ONE,
     ParseError,
     Scalar,
+    _scan_nat,
+    _skip_space,
     format_scalar,
     parse_scalar,
     scan_scalar_atom,
@@ -45,21 +47,6 @@ __all__ = [
 
 _BI_VARS = {"s": "s", "t": "t", "L0": "s", "W0": "t"}
 _UNI_VARS = {"t": "t", "W0": "t"}
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _scan_nat(text: str, pos: int) -> tuple[int, int]:
-    start = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == start:
-        raise ParseError("expected a number", pos)
-    return int(text[start:pos]), pos
 
 
 def _scan_var(text: str, pos: int, names: dict[str, str]) -> tuple[str, int] | None:
@@ -83,9 +70,9 @@ def _scan_paren_scalar(text: str, pos: int) -> tuple[Scalar, int]:
 
 
 def _scan_power(text: str, pos: int) -> tuple[int, int]:
-    pos = _skip_ws(text, pos)
+    pos = _skip_space(text, pos)
     if pos < len(text) and text[pos] == "^":
-        return _scan_nat(text, _skip_ws(text, pos + 1))
+        return _scan_nat(text, _skip_space(text, pos + 1))
     return 1, pos
 
 
@@ -94,7 +81,7 @@ def _scan_term(text: str, pos: int, names: dict[str, str]):
     coeff = ONE
     powers: dict[str, int] = {}
     while True:
-        pos = _skip_ws(text, pos)
+        pos = _skip_space(text, pos)
         var = _scan_var(text, pos, names)
         if var is not None:
             name, pos = var
@@ -106,7 +93,7 @@ def _scan_term(text: str, pos: int, names: dict[str, str]):
         else:
             value, pos = scan_scalar_atom(text, pos)
             coeff = coeff * value
-        pos = _skip_ws(text, pos)
+        pos = _skip_space(text, pos)
         if pos < len(text) and text[pos] == "*":
             pos += 1
             continue
@@ -114,7 +101,7 @@ def _scan_term(text: str, pos: int, names: dict[str, str]):
 
 
 def _parse_terms(text: str, names: dict[str, str]):
-    pos = _skip_ws(text, 0)
+    pos = _skip_space(text, 0)
     if pos == len(text):
         raise ParseError("empty input", pos)
     terms = []
@@ -126,7 +113,7 @@ def _parse_terms(text: str, names: dict[str, str]):
     while True:
         coeff, powers, pos = _scan_term(text, pos, names)
         terms.append((sign * coeff, powers))
-        pos = _skip_ws(text, pos)
+        pos = _skip_space(text, pos)
         if pos == len(text):
             return terms
         if text[pos] == "+":
@@ -180,8 +167,8 @@ def _scan_symbol(text: str, pos: int) -> tuple[BasisSymbol, int]:
 
 
 def parse_element(text: str) -> AlgElement:
-    pos = _skip_ws(text, 0)
-    if text[pos : pos + 1] == "0" and _skip_ws(text, pos + 1) == len(text):
+    pos = _skip_space(text, 0)
+    if text[pos : pos + 1] == "0" and _skip_space(text, pos + 1) == len(text):
         return AlgElement.zero()
     if pos == len(text):
         raise ParseError("empty input", pos)
@@ -192,7 +179,7 @@ def parse_element(text: str) -> AlgElement:
             sign = MINUS_ONE
         pos += 1
     while True:
-        pos = _skip_ws(text, pos)
+        pos = _skip_space(text, pos)
         coeff = sign
         # optional coefficient factors before the symbol
         while pos < len(text) and text[pos] not in "LWC":
@@ -201,14 +188,14 @@ def parse_element(text: str) -> AlgElement:
             else:
                 value, pos = scan_scalar_atom(text, pos)
             coeff = coeff * value
-            pos = _skip_ws(text, pos)
+            pos = _skip_space(text, pos)
             if pos < len(text) and text[pos] == "*":
-                pos = _skip_ws(text, pos + 1)
+                pos = _skip_space(text, pos + 1)
             else:
                 raise ParseError("expected '*' before basis symbol", pos)
         sym, pos = _scan_symbol(text, pos)
         out = out + AlgElement.single(sym, coeff)
-        pos = _skip_ws(text, pos)
+        pos = _skip_space(text, pos)
         if pos == len(text):
             return out
         if text[pos] == "+":

@@ -25,17 +25,21 @@ from .repmod import ModuleSpec, act_L, act_W
 from .scalars import ONE, ZERO, Scalar
 
 
+def _box(bounds: tuple[int, int]) -> tuple[int, int]:
+    ds, dt = bounds
+    if ds < 0 or dt < 0:
+        raise ValueError("bounds must be non-negative")
+    return ds, dt
+
+
 class SubspaceBasis:
     """Exact reduced-row-echelon basis over the monomial box."""
 
     def __init__(self, bounds: tuple[int, int]):
-        ds, dt = bounds
-        if ds < 0 or dt < 0:
-            raise ValueError("bounds must be non-negative")
+        ds, dt = _box(bounds)
         self.bounds = (ds, dt)
         self.ncols = (ds + 1) * (dt + 1)
         self.rows: list[list[Scalar]] = []
-        self.pivot_of_row: list[int] = []
         self.row_of_pivot: dict[int, int] = {}
 
     @property
@@ -102,12 +106,13 @@ class SubspaceBasis:
                     if vc:
                         row[col] = row[col] - c * vc
         self.row_of_pivot[pivot] = len(self.rows)
-        self.pivot_of_row.append(pivot)
         self.rows.append(vec)
         return self.to_poly(vec)
 
 
 def _operators(spec: ModuleSpec, window: int):
+    if window < 0:
+        raise ValueError(f"window must be nonnegative, got {window}")
     ops = []
     for m in range(-window, window + 1):
         ops.append(("L", m, lambda f, m=m: act_L(spec, m, f)))
@@ -194,7 +199,7 @@ def check_invariant_subspace(
     L_m, W_m with |m| <= window?  Images are computed exactly, with no
     truncation: a monomial image escaping the predicate anywhere (inside
     the box or not) refutes invariance."""
-    ds, dt = bounds
+    ds, dt = _box(bounds)
     ops = _operators(spec, window)
     for i in range(ds + 1):
         for j in range(dt + 1):

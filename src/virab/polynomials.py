@@ -7,6 +7,9 @@ Two shapes cover everything downstream:
 * :class:`BiPoly`: polynomials in s and t (the L0 and W0 weight variables),
   stored as ``{(s_exp, t_exp): Scalar}``.
 
+Both, and :class:`virab.algebra.AlgElement` over basis symbols, share the
+:class:`Terms` core for construction, equality, addition, subtraction,
+negation and scaling, and add only what depends on their keys.
 Zero coefficients are never stored, so equality is plain dict equality.
 Instances are immutable by convention: every operation returns a fresh
 object and nothing ever mutates ``terms`` after construction.  The degree
@@ -20,40 +23,36 @@ parsers are in :mod:`virab.grammar`.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator, Mapping
+from typing import Mapping, TypeVar
 
-from .scalars import MINUS_ONE, ONE, ZERO, Scalar, format_scalar, intpow
+from .scalars import ONE, ZERO, Scalar, format_scalar, intpow
 
 NEG_INF = float("-inf")
 
+_T = TypeVar("_T", bound="Terms")
 
-class UniPoly:
+
+class Terms:
+    """A finite linear combination: ``terms`` maps keys to nonzero Scalars.
+
+    Subclasses fix what the keys are and add the operations that depend on
+    them; values of different subclasses never compare equal.
+    """
+
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        self.terms: dict[int, Scalar] = (
-            {k: c for k, c in terms.items() if c} if terms else {}
-        )
+    def __init__(self, terms: Mapping | None = None):
+        self.terms: dict = {k: c for k, c in terms.items() if c} if terms else {}
 
     @classmethod
-    def _raw(cls, terms: dict[int, Scalar]) -> UniPoly:
+    def _raw(cls: type[_T], terms: dict) -> _T:
         p = object.__new__(cls)
         p.terms = terms
         return p
 
     @classmethod
-    def zero(cls) -> UniPoly:
+    def zero(cls: type[_T]) -> _T:
         return cls._raw({})
-
-    @classmethod
-    def const(cls, c: Scalar) -> UniPoly:
-        return cls._raw({0: c} if c else {})
-
-    @classmethod
-    def monomial(cls, k: int, c: Scalar = ONE) -> UniPoly:
-        if k < 0:
-            raise ValueError("negative exponent")
-        return cls._raw({k: c} if c else {})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -62,19 +61,12 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def degree(self) -> int | float:
-        return max(self.terms) if self.terms else NEG_INF
-
-    def coeff(self, k: int) -> Scalar:
-        return self.terms.get(k, ZERO)
-
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UniPoly):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
-    def __add__(self, other: UniPoly) -> UniPoly:
+    def __add__(self: _T, other: _T) -> _T:
         out = dict(self.terms)
         for k, c in other.terms.items():
             prev = out.get(k)
@@ -86,9 +78,9 @@ class UniPoly:
                     out[k] = v
                 else:
                     del out[k]
-        return UniPoly._raw(out)
+        return self._raw(out)
 
-    def __sub__(self, other: UniPoly) -> UniPoly:
+    def __sub__(self: _T, other: _T) -> _T:
         out = dict(self.terms)
         for k, c in other.terms.items():
             prev = out.get(k)
@@ -100,10 +92,36 @@ class UniPoly:
                     out[k] = v
                 else:
                     del out[k]
-        return UniPoly._raw(out)
+        return self._raw(out)
 
-    def __neg__(self) -> UniPoly:
-        return UniPoly._raw({k: -c for k, c in self.terms.items()})
+    def __neg__(self: _T) -> _T:
+        return self._raw({k: -c for k, c in self.terms.items()})
+
+    def scale(self: _T, c: Scalar) -> _T:
+        if not c:
+            return self._raw({})
+        return self._raw({k: v * c for k, v in self.terms.items()})
+
+
+class UniPoly(Terms):
+    __slots__ = ()
+
+    @classmethod
+    def const(cls, c: Scalar) -> UniPoly:
+        return cls._raw({0: c} if c else {})
+
+    @classmethod
+    def monomial(cls, k: int, c: Scalar = ONE) -> UniPoly:
+        if k < 0:
+            raise ValueError("negative exponent")
+        return cls._raw({k: c} if c else {})
+
+    @property
+    def degree(self) -> int | float:
+        return max(self.terms) if self.terms else NEG_INF
+
+    def coeff(self, k: int) -> Scalar:
+        return self.terms.get(k, ZERO)
 
     def __mul__(self, other: UniPoly) -> UniPoly:
         if not (self.terms and other.terms):
@@ -115,11 +133,6 @@ class UniPoly:
                 prev = acc.get(k)
                 acc[k] = c1 * c2 if prev is None else prev + c1 * c2
         return UniPoly._raw({k: c for k, c in acc.items() if c})
-
-    def scale(self, c: Scalar) -> UniPoly:
-        if not c:
-            return UniPoly._raw({})
-        return UniPoly._raw({k: v * c for k, v in self.terms.items()})
 
     def scale_int(self, n: int) -> UniPoly:
         if n == 0:
@@ -148,23 +161,8 @@ class UniPoly:
         return f"UniPoly({format_unipoly(self)!r})"
 
 
-class BiPoly:
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        self.terms: dict[tuple[int, int], Scalar] = (
-            {k: c for k, c in terms.items() if c} if terms else {}
-        )
-
-    @classmethod
-    def _raw(cls, terms: dict[tuple[int, int], Scalar]) -> BiPoly:
-        p = object.__new__(cls)
-        p.terms = terms
-        return p
-
-    @classmethod
-    def zero(cls) -> BiPoly:
-        return cls._raw({})
+class BiPoly(Terms):
+    __slots__ = ()
 
     @classmethod
     def const(cls, c: Scalar) -> BiPoly:
@@ -188,13 +186,6 @@ class BiPoly:
     def t_var(cls) -> BiPoly:
         return cls._raw({(0, 1): ONE})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     @property
     def deg_s(self) -> int | float:
         return max(i for i, _ in self.terms) if self.terms else NEG_INF
@@ -207,42 +198,6 @@ class BiPoly:
     def total_degree(self) -> int | float:
         return max(i + j for i, j in self.terms) if self.terms else NEG_INF
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: BiPoly) -> BiPoly:
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = c
-            else:
-                v = prev + c
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return BiPoly._raw(out)
-
-    def __sub__(self, other: BiPoly) -> BiPoly:
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = -c
-            else:
-                v = prev - c
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return BiPoly._raw(out)
-
-    def __neg__(self) -> BiPoly:
-        return BiPoly._raw({k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other: BiPoly) -> BiPoly:
         if not (self.terms and other.terms):
             return BiPoly._raw({})
@@ -253,11 +208,6 @@ class BiPoly:
                 prev = acc.get(k)
                 acc[k] = c1 * c2 if prev is None else prev + c1 * c2
         return BiPoly._raw({k: c for k, c in acc.items() if c})
-
-    def scale(self, c: Scalar) -> BiPoly:
-        if not c:
-            return BiPoly._raw({})
-        return BiPoly._raw({k: v * c for k, v in self.terms.items()})
 
     def partial_t(self) -> BiPoly:
         return BiPoly._raw(
@@ -293,9 +243,6 @@ class BiPoly:
     def coeff(self, i: int, j: int) -> Scalar:
         return self.terms.get((i, j), ZERO)
 
-    def constant(self) -> Scalar:
-        return self.terms.get((0, 0), ZERO)
-
     def subs_s(self, x: Scalar) -> UniPoly:
         """Substitute s = x, leaving a polynomial in t."""
         out: dict[int, Scalar] = {}
@@ -319,9 +266,6 @@ class BiPoly:
         if any(i for i, _ in self.terms):
             raise ValueError("polynomial depends on s")
         return UniPoly._raw({j: c for (_, j), c in self.terms.items()})
-
-    def monomials(self) -> Iterator[tuple[int, int]]:
-        return iter(self.terms)
 
     def __str__(self) -> str:
         return format_bipoly(self)

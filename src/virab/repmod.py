@@ -88,6 +88,17 @@ def q_poly(n: int, k: int, alpha: Scalar, b: Scalar) -> UniPoly:
     return out
 
 
+def twist_poly(b: Scalar, alpha: Scalar, m: int) -> UniPoly:
+    """The twist factor w_m(t) = t - shift: alpha*m at b = -1, alpha at
+    b = 1 with m != 0, and 0 otherwise."""
+    shift = ZERO
+    if b == MINUS_ONE:
+        shift = alpha.mul_int(m)
+    elif b == ONE and m != 0:
+        shift = alpha
+    return UniPoly({1: ONE, 0: -shift})
+
+
 @dataclass(frozen=True)
 class HSeq:
     """A finite coefficient sequence in the (b, alpha) sequence space."""
@@ -206,13 +217,7 @@ class ModuleSpec:
 
     def w_mult(self, m: int) -> BiPoly:
         """The twist factor w_m(t), embedded in (s, t)."""
-        b = self.seq.b
-        shift = ZERO
-        if b == MINUS_ONE:
-            shift = self.alpha.mul_int(m)
-        elif b == ONE and m != 0:
-            shift = self.alpha
-        return BiPoly({(0, 1): ONE, (0, 0): -shift})
+        return twist_poly(self.seq.b, self.alpha, m).embed()
 
     def l_mult(self, m: int) -> BiPoly:
         """The multiplier s + h_m(t), embedded in (s, t)."""

@@ -125,6 +125,11 @@ def test_antisymmetry_and_jacobi_sweep():
         assert report.checks > 0
 
 
+def test_verify_algebra_rejects_negative_window():
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_algebra(VIR00, window=-1)
+
+
 def test_format_element_zero_and_order():
     assert format_element(AlgElement.zero()) == "0"
     e = AlgElement({W(-1): ONE, L(2): MINUS_ONE, C(1): sc("1/3")})

@@ -122,6 +122,17 @@ def test_spec_with_inexact_scalar_is_usage_error(capsys, tmp_path, field, value)
     assert "must be a scalar string or an integer" in err
 
 
+@pytest.mark.parametrize("field, value", [("N", 4.7), ("N", True), ("b", 2.0)])
+def test_candidate_with_inexact_field_is_usage_error(capsys, tmp_path, field, value):
+    spec = ModuleSpec.phi(b=sc(2), lam=sc(2), alpha=ZERO, coeffs=())
+    path = write_candidate(tmp_path, spec)
+    doc = json.loads((tmp_path / "candidate.json").read_text())
+    doc[field] = value
+    (tmp_path / "candidate.json").write_text(json.dumps(doc))
+    assert main(["classify", "--candidate", path]) == 2
+    assert f"field {field!r} must be" in capsys.readouterr().err
+
+
 def test_classify_feasible(capsys, tmp_path):
     spec = ModuleSpec.phi(b=sc(3), lam=sc(2), alpha=ZERO, coeffs=(ONE, ZERO, sc(2)))
     path = write_candidate(tmp_path, spec)
@@ -204,6 +215,18 @@ def test_orbit_invariant_mode(capsys, phi_spec_path):
         "--window", "2", "--bounds", "4,4",
     ]) == 0
     assert capsys.readouterr().out.strip() == "false"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-algebra", "--case", "vir00", "--window", "-1"],
+    ["orbit", "--window", "-2", "--seed", "t"],
+    ["orbit", "--bounds=-1,-1", "--invariant", "t>=1"],
+])
+def test_negative_window_or_bounds_is_usage_error(capsys, phi_spec_path, argv):
+    if argv[0] == "orbit":
+        argv = argv + ["--spec", phi_spec_path]
+    assert main(argv) == 2
+    assert "negative" in capsys.readouterr().err
 
 
 def test_orbit_needs_seeds(capsys, phi_spec_path):

@@ -52,6 +52,9 @@ def test_parse_errors_have_positions():
         parse_bipoly("s t")
     except ParseError as err:
         assert err.pos == 2
+    with pytest.raises(ParseError) as err:
+        parse_bipoly("t^")
+    assert err.value.pos == 2 and err.value.message == "expected digits"
 
 
 def test_round_trip_random_bipolys(rng):

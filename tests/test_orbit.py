@@ -96,3 +96,13 @@ def test_orbit_seed_validation():
 def test_bounds_validation():
     with pytest.raises(ValueError):
         SubspaceBasis((-1, 3))
+
+
+def test_negative_window_or_bounds_never_pass_vacuously():
+    spec = ModuleSpec.phi(b=ONE, lam=sc(2), alpha=ONE, coeffs=())
+    with pytest.raises(ValueError, match="nonnegative"):
+        orbit_closure(spec, [T], window=-2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_invariant_subspace(spec, lambda i, j: j >= 1, window=-2)
+    with pytest.raises(ValueError, match="bounds must be non-negative"):
+        check_invariant_subspace(spec, lambda i, j: j >= 1, bounds=(-1, -1))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import sc, sci
+from virab.algebra import AlgElement, L, W
 from virab.polynomials import (
     BiPoly,
     UniPoly,
@@ -35,6 +36,28 @@ def test_zero_coefficients_never_stored():
     assert p.is_zero and not p.terms
     q = BiPoly({(1, 1): ONE}) - BiPoly({(1, 1): ONE})
     assert q.is_zero and not q.terms
+
+
+@pytest.mark.parametrize("x", [
+    UniPoly({3: sc(2), 0: sci(1, -1)}),
+    BiPoly({(1, 2): sc("1/2"), (0, 0): I}),
+    AlgElement({L(2): sc(-3), W(-1): sc("2/5")}),
+])
+def test_shared_sparse_core(x):
+    cls = type(x)
+    assert (x - x).is_zero and not (x - x)
+    assert (x + (-x)) == cls.zero()
+    assert x.scale(ZERO).is_zero and type(x.scale(ZERO)) is cls
+    assert type(x + x) is cls and type(-x) is cls and type(x - x) is cls
+    key = next(iter(x.terms))
+    dropped = cls({**x.terms, key: ZERO})
+    assert key not in dropped.terms and len(dropped.terms) == len(x.terms) - 1
+    # no cross-type equality, not even on the same terms
+    for other in {UniPoly, BiPoly, AlgElement} - {cls}:
+        assert x != other._raw(dict(x.terms)) and cls.zero() != other.zero()
+    assert UniPoly.const(ONE) != BiPoly.const(ONE)
+    with pytest.raises(TypeError):
+        hash(x)
 
 
 def test_unipoly_arithmetic_and_eval():
