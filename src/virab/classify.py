@@ -29,7 +29,15 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from .polynomials import BiPoly, UniPoly, format_bipoly, format_unipoly
-from .repmod import Family, GenericFamily, q_poly, twist_poly
+from .repmod import (
+    Family,
+    GenericFamily,
+    _require_fields,
+    _scalar_field,
+    _scalar_value,
+    q_poly,
+    twist_poly,
+)
 from .report import Report
 from .scalars import (
     MINUS_ONE,
@@ -38,7 +46,6 @@ from .scalars import (
     Scalar,
     format_scalar,
     intpow,
-    parse_scalar,
 )
 
 
@@ -68,11 +75,15 @@ class CanonicalParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> CanonicalParams:
+        _require_fields(doc, {"family", "lambda", "alpha", "coeffs"},
+                        "canonical parameters")
+        if not isinstance(doc["coeffs"], list):
+            raise ValueError("field 'coeffs' must be a list of scalars")
         return cls(
             family=Family(doc["family"]),
-            lam=parse_scalar(doc["lambda"]),
-            alpha=parse_scalar(doc["alpha"]),
-            coeffs=tuple(parse_scalar(c) for c in doc["coeffs"]),
+            lam=_scalar_field(doc, "lambda"),
+            alpha=_scalar_field(doc, "alpha"),
+            coeffs=tuple(_scalar_value(c, "coeffs entry") for c in doc["coeffs"]),
         )
 
 

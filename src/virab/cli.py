@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .algebra import AlgebraParams, Case, bracket, classify_case, verify_algebra
@@ -25,7 +26,14 @@ from .grammar import (
 )
 from .orbit import check_invariant_subspace, orbit_closure
 from .report import Report
-from .repmod import ModuleSpec, _scalar_field, act_sym, q_poly, verify_module
+from .repmod import (
+    ModuleSpec,
+    _require_fields,
+    _scalar_field,
+    act_sym,
+    q_poly,
+    verify_module,
+)
 from .scalars import format_scalar
 
 _FIXED_CASES = {
@@ -64,25 +72,32 @@ def _algebra_params(args) -> AlgebraParams:
 
 
 def _candidate_from_doc(doc: dict) -> CandidateFamily:
-    required = {"a", "b", "N", "a_m", "g_m"}
-    missing = required - doc.keys()
-    if missing:
-        raise ValueError(f"candidate document missing fields: {sorted(missing)}")
-    unknown = doc.keys() - required
-    if unknown:
-        raise ValueError(f"candidate document has unknown fields: {sorted(unknown)}")
+    _require_fields(doc, {"a", "b", "N", "a_m", "g_m"}, "candidate document")
     window = doc["N"]
     if not isinstance(window, int) or isinstance(window, bool):
         raise ValueError(f"field 'N' must be an integer, got {window!r}")
-    a_m = {int(m): parse_unipoly(p).embed() for m, p in doc["a_m"].items()}
-    g_m = {int(m): parse_bipoly(p) for m, p in doc["g_m"].items()}
+    a_m = _index_table(doc, "a_m")
+    g_m = _index_table(doc, "g_m")
     return CandidateFamily(
         a=_scalar_field(doc, "a"),
         b=_scalar_field(doc, "b"),
         window=window,
-        a_m=a_m,
-        g_m=g_m,
+        a_m={m: parse_unipoly(p).embed() for m, p in a_m.items()},
+        g_m={m: parse_bipoly(p) for m, p in g_m.items()},
     )
+
+
+def _index_table(doc: dict, key: str) -> dict[int, str]:
+    """Field ``key`` of a candidate document: a JSON object from integers,
+    written in canonical form, to polynomial strings."""
+    table = doc[key]
+    if not isinstance(table, dict):
+        raise ValueError(f"field {key!r} must be an object, got {table!r}")
+    for m, p in table.items():
+        if not (re.fullmatch("0|-?[1-9][0-9]*", m) and isinstance(p, str)):
+            raise ValueError(f"field {key!r} must map integer strings to "
+                             f"polynomial strings, got {m!r}: {p!r}")
+    return {int(m): p for m, p in table.items()}
 
 
 def _parse_bounds(text: str) -> tuple[int, int]:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -188,6 +189,71 @@ def test_isom(capsys, tmp_path):
     assert main(["isom", "--p", str(p), "--q", str(q), "--b", "3",
                  "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"isomorphic": True}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"lambda": 2.0}, "field 'lambda' must be a scalar string or an integer"),
+    ({"alpha": True}, "field 'alpha' must be a scalar string or an integer"),
+    ({"coeffs": "12"}, "field 'coeffs' must be a list of scalars"),
+    ({"coeffs": [0.5]}, "coeffs entry must be a scalar string or an integer"),
+    ({"extra": "1"}, "has unknown fields: ['extra']"),
+    ({"alpha": None}, "missing fields: ['alpha']"),
+], ids=["float-lambda", "bool-alpha", "string-coeffs", "float-coeff",
+        "unknown-field", "missing-field"])
+def test_isom_rejects_bad_canonical_document(capsys, tmp_path, change, message):
+    good = {"family": "phi", "lambda": "2", "alpha": "0", "coeffs": ["1"]}
+    bad = {k: v for k, v in {**good, **change}.items() if v is not None}
+    p, q = tmp_path / "p.json", tmp_path / "q.json"
+    p.write_text(json.dumps(bad))
+    q.write_text(json.dumps(good))
+    assert main(["isom", "--p", str(p), "--q", str(q), "--b", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a_m", {"1": 5}),
+    ("a_m", ["t"]),
+    ("g_m", {"x": "s"}),
+    ("g_m", {"01": "s"}),
+], ids=["int-value", "list", "bad-key", "noncanonical-key"])
+def test_candidate_with_malformed_table_is_usage_error(capsys, tmp_path, field, value):
+    spec = ModuleSpec.phi(b=sc(2), lam=sc(2), alpha=ZERO, coeffs=())
+    path = write_candidate(tmp_path, spec)
+    doc = json.loads((tmp_path / "candidate.json").read_text())
+    doc[field] = value
+    (tmp_path / "candidate.json").write_text(json.dumps(doc))
+    assert main(["classify", "--candidate", path]) == 2
+    assert f"field {field!r} must" in capsys.readouterr().err
+
+
+def test_verify_module_readme_example_golden(capsys, tmp_path):
+    path = tmp_path / "phi.json"
+    path.write_text('{"family": "phi", "a": "0", "b": "1", "lambda": "2",\n'
+                    ' "alpha": "1", "coeffs": [], "extension": true}\n')
+    assert main(["verify-module", "--spec", str(path), "--window", "4",
+                 "--deg", "4", "--format", "json"]) == 0
+    out = re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": 0',
+                 capsys.readouterr().out)
+    assert out == """{
+  "suite": "verify-module",
+  "params": {
+    "family": "phi",
+    "a": "0",
+    "b": "1",
+    "lambda": "2",
+    "alpha": "1",
+    "coeffs": "[]",
+    "extension": "True",
+    "window": "4",
+    "degree": "4"
+  },
+  "checks": 6615,
+  "failures": [],
+  "status": "pass",
+  "elapsed_s": 0,
+  "data": {}
+}
+"""
 
 
 def test_isom_family_mismatch_is_usage_error(capsys, tmp_path):

@@ -7,6 +7,7 @@ from virab.repmod import (
     Family,
     GenericFamily,
     ModuleSpec,
+    Mults,
     act_C,
     act_L,
     act_W,
@@ -19,7 +20,7 @@ from virab.repmod import (
     q_poly,
     verify_module,
 )
-from virab.scalars import I, MINUS_ONE, ONE, ZERO
+from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
 
 
 S = BiPoly.s_var()
@@ -271,20 +272,59 @@ def _family_with_a():
     return GenericFamily(sc("1/2"), sc(3), 2, a_m, g_m)
 
 
-@pytest.mark.parametrize("make, fails", [
-    (lambda: ModuleSpec.phi(b=MINUS_ONE, lam=sc(2), alpha=sc(1),
-                            coeffs=(ONE, MINUS_ONE)), False),
-    (lambda: ModuleSpec.theta(lam=sc("-1/2"), coeffs=(ZERO, ONE, ONE)), False),
-    (lambda: GenericFamily.from_spec(
+def _perturbed_a_family():
+    spec = ModuleSpec.phi(b=MINUS_ONE, lam=sc(2), alpha=sc(1), coeffs=(ONE,))
+    fam = GenericFamily.from_spec(spec, window=2)
+    a_m = dict(fam.a_m)
+    a_m[1] = a_m[1] + UniPoly.const(sc(-3))
+    return GenericFamily(fam.a, fam.b, fam.window, a_m, fam.g_m)
+
+
+class _DerivativeOnly(ModuleSpec):
+    """L_m . f = s*f(s - m, t) + m^2*s*t^2 * d/dt f(s - m, t) and W_m . f = 0.
+
+    With g_m = s and W acting by zero every pair's symbol has dA = 0, so
+    each degree-0 check passes, while dB and dC do not vanish and show from
+    degree 1 and 2 on.  GenericFamily data cannot fail this way, since
+    W_0 . f = t*f ties each d_m to a_m, so the action is built here."""
+
+    __slots__ = ()
+
+    def mults(self, m):
+        shift = Scalar.from_int(m)
+        d = BiPoly.monomial(1, 2, sc(m * m))
+        return Mults(shift, S, d, shift, BiPoly.zero())
+
+
+# (id, target, lowest degree at which the sweep fails or None); the
+# degree-2 case keeps the bare id
+_REPLAY_TARGETS = [
+    ("phi-b-1", lambda: ModuleSpec.phi(b=MINUS_ONE, lam=sc(2), alpha=sc(1),
+                                       coeffs=(ONE, MINUS_ONE)), None),
+    ("theta", lambda: ModuleSpec.theta(lam=sc("-1/2"), coeffs=(ZERO, ONE, ONE)),
+     None),
+    ("generic", lambda: GenericFamily.from_spec(
         ModuleSpec.phi(b=sc("1/2"), lam=I, alpha=sc(3), coeffs=(ONE,)), 2),
-     False),
-    (_perturbed_family, True),
-    (_family_with_a, True),
-], ids=["phi-b-1", "theta", "generic", "generic-perturbed", "generic-a"])
-def test_verify_module_matches_naive_replay(make, fails):
+     None),
+    ("generic-perturbed", _perturbed_family, 0),
+    ("generic-a", _family_with_a, 0),
+    ("generic-perturbed-a", _perturbed_a_family, 0),
+    ("phi-b0", lambda: ModuleSpec.phi(b=ZERO, lam=sc(3), alpha=ZERO,
+                                      coeffs=(ONE, sc(2))), None),
+    ("derivative-only", lambda: _DerivativeOnly(Family.PHI, ZERO, ONE,
+                                                extension=False), 1),
+]
+
+
+@pytest.mark.parametrize("make, degree, fails", [
+    pytest.param(make, degree, low is not None and degree >= low,
+                 id=name if degree == 2 else f"{name}-deg{degree}")
+    for name, make, low in _REPLAY_TARGETS for degree in (0, 1, 2)
+])
+def test_verify_module_matches_naive_replay(make, degree, fails):
     target = make()
-    report = verify_module(target, window=2, degree=2)
-    checks, failures = _naive_sweep(target, window=2, degree=2)
+    report = verify_module(target, window=2, degree=degree)
+    checks, failures = _naive_sweep(target, window=2, degree=degree)
     assert report.checks == checks
     assert [(f.indices, f.residue) for f in report.failures] == failures
     assert bool(failures) == fails
