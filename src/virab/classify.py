@@ -156,6 +156,11 @@ def _commutation_residue(
     return an.shift_s(fam_a.add_int(m)) * am - am.shift_s(fam_a.add_int(n)) * an
 
 
+def _s_terms_above(p: BiPoly, k: int) -> BiPoly:
+    """The terms of p whose power of s (L0) exceeds k."""
+    return BiPoly({(i, j): c for (i, j), c in p.terms.items() if i > k})
+
+
 def check_W_commutation(fam: CandidateFamily) -> Report:
     """[W_m, W_n] must act by zero; any L0 dependence inside a_m shows up
     here as a nonzero commutator residue."""
@@ -211,9 +216,7 @@ def check_constraints(fam: CandidateFamily) -> Report:
     for m in window:
         checks += 1
         gm = fam.g_m[m]
-        excess = BiPoly(
-            {(i, j): c for (i, j), c in gm.terms.items() if i > 1}
-        )
+        excess = _s_terms_above(gm, 1)
         if excess:
             report.fail("deg-g", (m,), format_bipoly(excess))
             shapes_ok = False
@@ -229,10 +232,7 @@ def check_constraints(fam: CandidateFamily) -> Report:
         checks += 1
         am = fam.a_m[m]
         if am.deg_s > 0:
-            sdep = BiPoly(
-                {(i, j): c for (i, j), c in am.terms.items() if i > 0}
-            )
-            report.fail("a-in-W0", (m,), format_bipoly(sdep))
+            report.fail("a-in-W0", (m,), format_bipoly(_s_terms_above(am, 0)))
             shapes_ok = False
             continue
         a_uni[m] = am.to_unipoly_t()
@@ -272,8 +272,8 @@ def check_constraints(fam: CandidateFamily) -> Report:
             report.fail("b-power", (m,), format_scalar(res))
 
     # [L_m, L_n] . 1 with b_m constant:
-    # (n-m)(b_{m+n} L0 + d_{m+n}) =
-    #   (n-m) b_m b_n L0 + n b_m d_n - m b_n d_m - n b d_m' a_n + m b d_n' a_m
+    # (n-m)(b_{m+n} L0 + d_{m+n}) = (n-m) b_m b_n L0 + n b_m d_n - m b_n d_m
+    #   - (a + b*n) d_m' a_n + (a + b*m) d_n' a_m
     s_var = BiPoly.s_var()
     for m in window:
         for n in window:
@@ -288,8 +288,10 @@ def check_constraints(fam: CandidateFamily) -> Report:
                 d_m[n].scale(b_m[m].mul_int(n))
                 - d_m[m].scale(b_m[n].mul_int(m))
             ).embed()
-            rhs = rhs - (d_m[m].deriv() * a_uni[n]).scale(b.mul_int(n)).embed()
-            rhs = rhs + (d_m[n].deriv() * a_uni[m]).scale(b.mul_int(m)).embed()
+            rhs = rhs - (d_m[m].deriv() * a_uni[n]).scale(
+                a + b.mul_int(n)).embed()
+            rhs = rhs + (d_m[n].deriv() * a_uni[m]).scale(
+                a + b.mul_int(m)).embed()
             res = lhs - rhs
             if res:
                 report.fail("ll-compat", (m, n), format_bipoly(res))
@@ -496,13 +498,18 @@ def solve_from_generators(
 
     if a_pos.deg_s > 0 or a_neg.deg_s > 0:
         res = _commutation_residue(ZERO, 1, -1, a_pos, a_neg)
-        return InfeasibilityCertificate("W-commutation", (1, -1), res)
+        if res:
+            return InfeasibilityCertificate("W-commutation", (1, -1), res)
+        # the commutator vanishes when the other seed is zero (theta)
+        idx, am = (1, a_pos) if a_pos.deg_s > 0 else (-1, a_neg)
+        return InfeasibilityCertificate("a-in-W0", (idx,),
+                                        _s_terms_above(am, 0))
     w_pos = a_pos.to_unipoly_t()
     w_neg = a_neg.to_unipoly_t()
 
     # g seeds: affine in L0, constant leading coefficient, b_1 b_{-1} = 1
     for idx, g in ((1, g_pos), (-1, g_neg)):
-        excess = BiPoly({(i, j): c for (i, j), c in g.terms.items() if i > 1})
+        excess = _s_terms_above(g, 1)
         if excess:
             return InfeasibilityCertificate("deg-g", (idx,), excess)
         lead = g.coeff_s_power(1)

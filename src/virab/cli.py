@@ -13,7 +13,14 @@ import json
 import re
 import sys
 
-from .algebra import AlgebraParams, Case, bracket, classify_case, verify_algebra
+from .algebra import (
+    _SPECIAL,
+    AlgebraParams,
+    Case,
+    bracket,
+    classify_case,
+    verify_algebra,
+)
 from .classify import CandidateFamily, CanonicalParams, solve_candidate, isom_decide
 from .grammar import (
     format_bipoly,
@@ -25,6 +32,7 @@ from .grammar import (
     parse_unipoly,
 )
 from .orbit import check_invariant_subspace, orbit_closure
+from .polynomials import BiPoly
 from .report import Report
 from .repmod import (
     ModuleSpec,
@@ -36,12 +44,7 @@ from .repmod import (
 )
 from .scalars import format_scalar
 
-_FIXED_CASES = {
-    Case.VIR_00: ("0", "0"),
-    Case.VIR_0_MINUS_1: ("0", "-1"),
-    Case.VIR_HALF_0: ("1/2", "0"),
-    Case.VIR_01: ("0", "1"),
-}
+_FIXED_CASES = {case: ab for ab, case in _SPECIAL.items()}
 
 
 def _load_json(path: str) -> dict:
@@ -57,7 +60,7 @@ def _algebra_params(args) -> AlgebraParams:
     if case in _FIXED_CASES:
         if args.a is not None or args.b is not None:
             raise ValueError(f"--a/--b are implied by case {case.value}")
-        a, b = (parse_scalar(x) for x in _FIXED_CASES[case])
+        a, b = _FIXED_CASES[case]
     else:
         if args.a is None or args.b is None:
             raise ValueError(f"case {case.value} needs explicit --a and --b")
@@ -76,28 +79,33 @@ def _candidate_from_doc(doc: dict) -> CandidateFamily:
     window = doc["N"]
     if not isinstance(window, int) or isinstance(window, bool):
         raise ValueError(f"field 'N' must be an integer, got {window!r}")
-    a_m = _index_table(doc, "a_m")
-    g_m = _index_table(doc, "g_m")
     return CandidateFamily(
         a=_scalar_field(doc, "a"),
         b=_scalar_field(doc, "b"),
         window=window,
-        a_m={m: parse_unipoly(p).embed() for m, p in a_m.items()},
-        g_m={m: parse_bipoly(p) for m, p in g_m.items()},
+        a_m=_index_table(doc, "a_m", lambda p: parse_unipoly(p).embed()),
+        g_m=_index_table(doc, "g_m", parse_bipoly),
     )
 
 
-def _index_table(doc: dict, key: str) -> dict[int, str]:
+def _index_table(doc: dict, key: str, parse) -> dict[int, BiPoly]:
     """Field ``key`` of a candidate document: a JSON object from integers,
-    written in canonical form, to polynomial strings."""
+    written in canonical form, to polynomial strings, each read by
+    ``parse``."""
     table = doc[key]
     if not isinstance(table, dict):
         raise ValueError(f"field {key!r} must be an object, got {table!r}")
+    out = {}
     for m, p in table.items():
         if not (re.fullmatch("0|-?[1-9][0-9]*", m) and isinstance(p, str)):
             raise ValueError(f"field {key!r} must map integer strings to "
                              f"polynomial strings, got {m!r}: {p!r}")
-    return {int(m): p for m, p in table.items()}
+        try:
+            out[int(m)] = parse(p)
+        except ValueError as exc:
+            raise ValueError(f"field {key!r} must hold a polynomial at "
+                             f"index {m}: {exc}") from None
+    return out
 
 
 def _parse_bounds(text: str) -> tuple[int, int]:

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from time import perf_counter
 
+from .algebra import L, W
 from .polynomials import BiPoly, format_bipoly
 from .report import Report
-from .repmod import ModuleSpec, act_L, act_W
+from .repmod import ModuleSpec
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -113,11 +114,8 @@ class SubspaceBasis:
 def _operators(spec: ModuleSpec, window: int):
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
-    ops = []
-    for m in range(-window, window + 1):
-        ops.append(("L", m, lambda f, m=m: act_L(spec, m, f)))
-        ops.append(("W", m, lambda f, m=m: act_W(spec, m, f)))
-    return ops
+    return [spec.op(sym(m)).apply
+            for m in range(-window, window + 1) for sym in (L, W)]
 
 
 def orbit_closure(
@@ -151,7 +149,7 @@ def orbit_closure(
         rounds += 1
         new_frontier = []
         for f in frontier:
-            for _kind, _m, op in ops:
+            for op in ops:
                 img = op(f)
                 if img.is_zero:
                     continue
@@ -206,7 +204,7 @@ def check_invariant_subspace(
             if not predicate(i, j):
                 continue
             f = BiPoly.monomial(i, j)
-            for _kind, _m, op in ops:
+            for op in ops:
                 img = op(f)
                 for (p, q) in img.terms:
                     if not predicate(p, q):

@@ -36,7 +36,8 @@ class Terms:
     """A finite linear combination: ``terms`` maps keys to nonzero Scalars.
 
     Subclasses fix what the keys are and add the operations that depend on
-    them; values of different subclasses never compare equal.
+    them; values of different subclasses never compare equal and cannot be
+    added or subtracted.
     """
 
     __slots__ = ("terms",)
@@ -67,6 +68,8 @@ class Terms:
         return self.terms == other.terms
 
     def __add__(self: _T, other: _T) -> _T:
+        if type(other) is not type(self):
+            return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
             prev = out.get(k)
@@ -81,6 +84,8 @@ class Terms:
         return self._raw(out)
 
     def __sub__(self: _T, other: _T) -> _T:
+        if type(other) is not type(self):
+            return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
             prev = out.get(k)

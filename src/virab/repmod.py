@@ -1,31 +1,33 @@
 """Rank-one free-on-L0 modules over Vir(a,b) on the polynomial space C[s, t].
 
-Two families act on BiPoly values (s tracks the L0 weight, t the W0 weight):
+A module free on the generator 1 over {L0, W0} is fixed by its window
+data W_m . 1 = a_m(t) and L_m . 1 = g_m(s, t) (s tracks the L0 weight, t
+the W0 weight).  Every basis symbol then acts through one :class:`Op`
+(shift sigma, multipliers p and q),
+
+    x . f = f(s - sigma, t) * p + d/dt f(s - sigma, t) * q,
+
+built by the one data formula :func:`_op` over W(a,b):
+
+    L_m -> (m, g_m, (a + b*m) * a_m),    W_m -> (a + m, a_m, 0),
+
+while C_i . f = 0.  Two families supply the data, both with a = 0:
 
 * ``phi``: parameters (lambda != 0, alpha, h) with h a finite coefficient
-  sequence.  Writing w_m(t) for the twist factor
+  sequence; a_m = lambda^m * w_m and g_m = lambda^m * (s + h_m), where
 
-      w_m = t - [b == -1] * m * alpha - [b == 1] * (1 - [m == 0]) * alpha,
+      w_m = t - [b == -1] * m * alpha - [b == 1] * (1 - [m == 0]) * alpha
 
-  the action is
-
-      L_m . f = lambda^m * (s + h_m(t)) * f(s - m, t)
-                + b * m * lambda^m * w_m(t) * d/dt f(s - m, t)
-      W_m . f = lambda^m * w_m(t) * f(s - m, t)
-      C_i . f = 0,
-
-  where h_m = sum_k h[k] * q(m, k) and q is the generating family from
-  :func:`q_poly`.
+  is the twist factor, h_m = sum_k h[k] * q(m, k) and q is the generating
+  family from :func:`q_poly`.
 
 * ``theta``: only over (a, b) = (0, 1); parameters (lambda != 0, r):
+  a_m = [m == 0] * t and g_m = lambda^m * (s + r_m) with r_m = sum_k
+  r[k] * m * t^k (the alpha = 0 coefficient space).  (a + b*m) * a_m is
+  zero at every m, so no L_m has a derivative term.
 
-      L_m . f = lambda^m * (s + r_m(t)) * f(s - m, t)
-      W_m . f = [m == 0] * t * f
-      C_i . f = 0,
-
-  with r_m = sum_k r[k] * m * t^k (the alpha = 0 coefficient space).
-
-Both are W(a,b)-modules too: drop the central symbols via extension=False.
+:class:`GenericFamily` holds such data as an explicit window.  All are
+W(a,b)-modules too: drop the central symbols via extension=False.
 :func:`verify_module` replays every bracket relation against the action on
 a monomial window, exactly.
 """
@@ -34,14 +36,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from time import perf_counter
 from typing import NamedTuple
 
 from .algebra import (
-    AlgebraParams,
     AlgElement,
     BasisSymbol,
+    C,
     Case,
+    L,
+    W,
     bracket,
     classify_case,
 )
@@ -117,48 +122,55 @@ def h_of_n(seq: HSeq, n: int) -> UniPoly:
     return out
 
 
-class Mults(NamedTuple):
-    """The action of L_m and W_m at one index m, for any window data:
+class Op(NamedTuple):
+    """The action of one basis symbol on u(s, t):
 
-        L_m . u = u(s - shift, t) * l + d/dt u(s - shift, t) * d
-        W_m . u = u(s - w_shift, t) * w
+        u -> U * p + d/dt U * q,   U = u(s - shift, t).
 
-    with shift = m and w_shift = a + m.  A phi module has
-    l = lambda^m * (s + h_m), d = b * m * lambda^m * w_m and
-    w = lambda^m * w_m; a GenericFamily has l = g_m, d = (a + b*m) * a_m
-    and w = a_m.
+    Every L_m and W_m of every module here has this shape; :func:`_op`
+    builds it from the window data a_m = W_m . 1 and g_m = L_m . 1.
     """
 
     shift: Scalar
-    l: BiPoly
-    d: BiPoly
-    w_shift: Scalar
-    w: BiPoly
+    p: BiPoly
+    q: BiPoly
+
+    def apply(self, u: BiPoly) -> BiPoly:
+        if not (self.p or self.q):
+            return BiPoly.zero()
+        shifted = u.shift_s(self.shift)
+        out = shifted * self.p
+        if self.q:
+            out = out + shifted.partial_t() * self.q
+        return out
 
 
-def _image_L(mu: Mults, shifted: BiPoly) -> BiPoly:
-    """L_m . u, given u(s - m, t)."""
-    out = shifted * mu.l
-    if mu.d:
-        out = out + shifted.partial_t() * mu.d
-    return out
+def _op(a: Scalar, b: Scalar, a_m: UniPoly, g_m: BiPoly,
+        sym: BasisSymbol) -> Op:
+    """The operator of L_m or W_m over W(a, b), given W_m . 1 = a_m and
+    L_m . 1 = g_m:
 
-
-def _image_W(mu: Mults, u: BiPoly) -> BiPoly:
-    """W_m . u."""
-    if not mu.w:
-        return BiPoly.zero()
-    return u.shift_s(mu.w_shift) * mu.w
+        L_m -> (m, g_m, (a + b*m) * a_m)
+        W_m -> (a + m, a_m, 0)
+    """
+    m = sym.index
+    if sym.kind == "L":
+        return Op(Scalar.from_int(m), g_m,
+                  a_m.embed().scale(a + b.mul_int(m)))
+    if sym.kind == "W":
+        return Op(a.add_int(m), a_m.embed(), BiPoly.zero())
+    raise ValueError(f"no action data for symbol {sym}")
 
 
 class ModuleSpec:
-    """Full parameter set for one module, with cached per-index pieces.
+    """Full parameter set for one module, with its operators cached per
+    basis symbol.
 
-    Treat instances as immutable; the caches only memoize pure functions
+    Treat instances as immutable; the cache only memoizes pure functions
     of the parameters.
     """
 
-    __slots__ = ("family", "algebra", "lam", "alpha", "seq", "_h", "_mults")
+    __slots__ = ("family", "algebra", "lam", "alpha", "seq", "_ops")
 
     def __init__(
         self,
@@ -184,8 +196,7 @@ class ModuleSpec:
         self.lam = lam
         self.alpha = alpha
         self.seq = seq
-        self._h: dict[int, UniPoly] = {}
-        self._mults: dict[int, Mults] = {}
+        self._ops: dict[BasisSymbol, Op] = {}
 
     @property
     def b(self) -> Scalar:
@@ -204,38 +215,26 @@ class ModuleSpec:
         return cls(Family.THETA, ONE, lam, ZERO, tuple(coeffs), extension)
 
     def h(self, m: int) -> UniPoly:
-        out = self._h.get(m)
-        if out is None:
-            out = h_of_n(self.seq, m)
-            self._h[m] = out
-        return out
-
-    def lam_pow(self, m: int) -> Scalar:
-        return intpow(self.lam, m)
+        return h_of_n(self.seq, m)
 
     def w_mult(self, m: int) -> BiPoly:
         """The twist factor w_m(t), embedded in (s, t)."""
         return twist_poly(self.seq.b, self.alpha, m).embed()
 
-    def l_mult(self, m: int) -> BiPoly:
-        """The multiplier s + h_m(t), embedded in (s, t)."""
-        return BiPoly.s_var() + self.h(m).embed()
-
-    def mults(self, m: int) -> Mults:
-        """The action of L_m and W_m as per-index multipliers, lambda^m
-        folded in (see :class:`Mults`)."""
-        out = self._mults.get(m)
+    def op(self, sym: BasisSymbol) -> Op:
+        """The operator of L_m or W_m, from a_m = lambda^m * w_m (theta:
+        t at m = 0, else 0) and g_m = lambda^m * (s + h_m)."""
+        out = self._ops.get(sym)
         if out is None:
-            lp = self.lam_pow(m)
-            shift = Scalar.from_int(m)
+            m = sym.index
+            lp = intpow(self.lam, m)
             if self.family is Family.THETA:
-                d = BiPoly.zero()
-                w = BiPoly.t_var() if m == 0 else BiPoly.zero()
+                a_m = UniPoly.monomial(1) if m == 0 else UniPoly.zero()
             else:
-                w = self.w_mult(m).scale(lp)
-                d = w.scale(self.b.mul_int(m))
-            out = Mults(shift, self.l_mult(m).scale(lp), d, shift, w)
-            self._mults[m] = out
+                a_m = twist_poly(self.seq.b, self.alpha, m).scale(lp)
+            g_m = (BiPoly.s_var() + self.h(m).embed()).scale(lp)
+            out = _op(ZERO, self.b, a_m, g_m, sym)
+            self._ops[sym] = out
         return out
 
     def to_dict(self) -> dict:
@@ -293,11 +292,11 @@ def _scalar_value(v, what: str) -> Scalar:
 
 
 def act_L(spec: ModuleSpec, m: int, f: BiPoly) -> BiPoly:
-    return _image_L(spec.mults(m), f.shift_s(Scalar.from_int(m)))
+    return spec.op(L(m)).apply(f)
 
 
 def act_W(spec: ModuleSpec, m: int, f: BiPoly) -> BiPoly:
-    return _image_W(spec.mults(m), f)
+    return spec.op(W(m)).apply(f)
 
 
 def act_C(spec: ModuleSpec, i: int, f: BiPoly) -> BiPoly:
@@ -309,13 +308,9 @@ def act_C(spec: ModuleSpec, i: int, f: BiPoly) -> BiPoly:
 
 
 def act_sym(spec: ModuleSpec, sym: BasisSymbol, f: BiPoly) -> BiPoly:
-    if sym.kind == "L":
-        return act_L(spec, sym.index, f)
-    if sym.kind == "W":
-        return act_W(spec, sym.index, f)
     if sym.kind == "C":
         return act_C(spec, sym.index, f)
-    raise ValueError(f"unknown symbol kind {sym.kind!r}")
+    return spec.op(sym).apply(f)
 
 
 def act_element(spec: ModuleSpec, e: AlgElement, f: BiPoly) -> BiPoly:
@@ -342,13 +337,8 @@ def apply_enveloping(spec: ModuleSpec, u: BiPoly, f: BiPoly) -> BiPoly:
 @dataclass(frozen=True)
 class GenericFamily:
     """Window of action data over W(a,b): per index m, the W-multiplier
-    a_m (a polynomial in W0 alone) and the L-multiplier g_m (in L0, W0).
-
-    The actions it induces on u(L0, W0) are
-
-        L_m . u = u(L0 - m, W0) * g_m + (a + b*m) * d/dW0 u(L0 - m, W0) * a_m
-        W_m . u = u(L0 - a - m, W0) * a_m.
-    """
+    a_m (a polynomial in W0 alone) and the L-multiplier g_m (in L0, W0),
+    acting through :func:`_op`."""
 
     a: Scalar
     b: Scalar
@@ -369,31 +359,26 @@ class GenericFamily:
     def from_spec(cls, spec: ModuleSpec, window: int) -> GenericFamily:
         """The canonical data realized by a module: a_m and g_m are just
         W_m . 1 and L_m . 1."""
-        one = BiPoly.one()
-        a_m = {}
-        g_m = {}
-        for m in range(-window, window + 1):
-            a_m[m] = act_W(spec, m, one).to_unipoly_t()
-            g_m[m] = act_L(spec, m, one)
+        idx = range(-window, window + 1)
+        a_m = {m: spec.op(W(m)).p.to_unipoly_t() for m in idx}
+        g_m = {m: spec.op(L(m)).p for m in idx}
         return cls(ZERO, spec.b, window, a_m, g_m)
 
-    def mults(self, m: int) -> Mults:
-        """The action of L_m and W_m as per-index multipliers (see
-        :class:`Mults`); raises outside the stored window."""
+    def op(self, sym: BasisSymbol) -> Op:
+        """The operator of L_m or W_m (see :func:`_op`); raises outside
+        the stored window."""
+        m = sym.index
         if abs(m) > self.window:
             raise ValueError(f"index {m} outside family window {self.window}")
-        a_m = self.a_m[m].embed()
-        return Mults(Scalar.from_int(m), self.g_m[m],
-                     a_m.scale(self.a + self.b.mul_int(m)),
-                     self.a.add_int(m), a_m)
+        return _op(self.a, self.b, self.a_m[m], self.g_m[m], sym)
 
 
 def generic_act_L(fam: GenericFamily, m: int, u: BiPoly) -> BiPoly:
-    return _image_L(fam.mults(m), u.shift_s(Scalar.from_int(m)))
+    return fam.op(L(m)).apply(u)
 
 
 def generic_act_W(fam: GenericFamily, m: int, u: BiPoly) -> BiPoly:
-    return _image_W(fam.mults(m), u)
+    return fam.op(W(m)).apply(u)
 
 
 def _monomial_window(degree: int) -> list[BiPoly]:
@@ -414,7 +399,7 @@ def verify_module(
 
     A GenericFamily is swept over W(a,b), skipping the pairs whose bracket
     leaves the window.  Every action is f -> F*p + F'*q with F = f(s -
-    sigma, t) (see :class:`Mults`), so a pair's residue on f is F*dA +
+    sigma, t) (see :class:`Op`), so a pair's residue on f is F*dA +
     F'*dB + F''*dC with F = f(s - sigma_x - sigma_y, t).  A pair whose
     symbol (dA, dB, dC) vanishes is proved on every monomial at once, and
     only the others are replayed per monomial; ``checks`` counts both."""
@@ -438,23 +423,15 @@ def verify_module(
         algebra = target.algebra
         params = {k: str(v) for k, v in target.to_dict().items()}
     params.update(window=str(window), degree=str(degree))
-    syms = [BasisSymbol("L", n) for n in range(-window, window + 1)]
-    syms += [BasisSymbol("W", n) for n in range(-window, window + 1)]
-    syms += [BasisSymbol("C", i) for i in algebra.central_indices]
+    syms = [L(n) for n in range(-window, window + 1)]
+    syms += [W(n) for n in range(-window, window + 1)]
+    syms += [C(i) for i in algebra.central_indices]
     monos = _monomial_window(degree)
-    ops: dict[BasisSymbol, tuple[Scalar, BiPoly, BiPoly]] = {}
+    op = cache(target.op)  # a GenericFamily builds each Op afresh
     # (sigma_x, y) -> p_y and q_y shifted by sigma_x, and their d/dt
     shifted: dict[tuple[Scalar, BasisSymbol], tuple[BiPoly, ...]] = {}
     # (x, y) -> the symbol (A, B, C) of x . (y . -)
     composed: dict[tuple[BasisSymbol, BasisSymbol], tuple[BiPoly, ...]] = {}
-
-    def op(sym: BasisSymbol) -> tuple[Scalar, BiPoly, BiPoly]:
-        """(sigma, p, q) of a non-central symbol."""
-        if sym not in ops:
-            mu = target.mults(sym.index)
-            ops[sym] = ((mu.shift, mu.l, mu.d) if sym.kind == "L"
-                        else (mu.w_shift, mu.w, BiPoly.zero()))
-        return ops[sym]
 
     def compose(x: BasisSymbol, y: BasisSymbol) -> tuple[BiPoly, ...]:
         if (x, y) not in composed:
@@ -476,7 +453,7 @@ def verify_module(
             checks += len(monos)
             if "C" in (x.kind, y.kind):
                 continue  # central symbols act by zero and bracket to zero
-            total = op(x)[0] + op(y)[0]
+            total = op(x).shift + op(y).shift
             da, db, dc = (u - v for u, v in zip(compose(x, y), compose(y, x)))
             for sym, c in bracket(x, y, algebra).terms.items():
                 if sym.kind != "C":  # central symbols act by zero

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import sc, sci
+from test_repmod import _family_with_a
 from virab.classify import (
     CandidateFamily,
     CanonicalParams,
@@ -13,8 +14,8 @@ from virab.classify import (
     solve_from_generators,
 )
 from virab.grammar import parse_bipoly
-from virab.polynomials import BiPoly, UniPoly
-from virab.repmod import Family, GenericFamily, ModuleSpec
+from virab.polynomials import BiPoly, UniPoly, format_bipoly
+from virab.repmod import Family, GenericFamily, ModuleSpec, generic_act_L
 from virab.scalars import I, MINUS_ONE, ONE, ZERO
 
 
@@ -159,6 +160,67 @@ def test_w_commutation_failure_is_witnessed():
     f = report.failures[0]
     assert f.constraint == "W-commutation"
     assert not parse_bipoly(f.residue).is_zero
+
+
+@pytest.mark.parametrize("family, idx", [
+    (Family.THETA, 1), (Family.THETA, -1), (Family.PHI, 1)])
+def test_l0_term_in_seed_a_m_is_certified(family, idx):
+    if family is Family.THETA:
+        spec = ModuleSpec.theta(lam=sc(2), coeffs=(ONE,))
+    else:
+        spec = ModuleSpec.phi(b=sc(3), lam=sc(2), alpha=ZERO, coeffs=(ONE,))
+    base = candidate_for(spec)
+    a_m = dict(base.a_m)
+    a_m[idx] = a_m[idx] + BiPoly.monomial(1, 1, sc(2))
+    fam = CandidateFamily(base.a, base.b, base.window, a_m, base.g_m)
+    out = solve_candidate(fam)
+    assert isinstance(out, InfeasibilityCertificate)
+    if family is Family.PHI:
+        # the other seed is nonzero, so [W_1, W_-1] . 1 shows the L0 term
+        assert out.constraint == "W-commutation" and out.indices == (1, -1)
+        return
+    # theta's other seed is zero and the commutator with it vanishes
+    assert out.constraint == "a-in-W0" and out.indices == (idx,)
+    assert out.residue_text == "2*s*t"
+    shapes = [(f.indices, f.residue) for f in check_constraints(fam).failures]
+    assert shapes == [((idx,), "2*s*t")]
+
+
+def _family_with_a_candidate():
+    return CandidateFamily.from_generic(_family_with_a())
+
+
+def _perturbed_g_candidate():
+    base = candidate_for(
+        ModuleSpec.phi(b=MINUS_ONE, lam=sc(2), alpha=ONE, coeffs=(ONE,)), 3)
+    g_m = dict(base.g_m)
+    g_m[2] = g_m[2] + BiPoly.monomial(0, 2, sc(5))
+    return CandidateFamily(base.a, base.b, base.window, base.a_m, g_m)
+
+
+@pytest.mark.parametrize("make", [_family_with_a_candidate,
+                                  _perturbed_g_candidate],
+                         ids=["a-nonzero", "g-perturbed"])
+def test_ll_compat_replays_the_action(make):
+    # each ll-compat residue is -([L_m, L_n] . 1) replayed on the data:
+    # -(L_m . g_n - L_n . g_m - (n - m) * g_{m+n})
+    fam = make()
+    data = GenericFamily(fam.a, fam.b, fam.window,
+                         {m: p.to_unipoly_t() for m, p in fam.a_m.items()},
+                         fam.g_m)
+    want = []
+    for m in range(-fam.window, fam.window + 1):
+        for n in range(m + 1, fam.window + 1):
+            if abs(m + n) > fam.window:
+                continue
+            res = (generic_act_L(data, m, fam.g_m[n])
+                   - generic_act_L(data, n, fam.g_m[m])
+                   - fam.g_m[m + n].scale(sc(n - m)))
+            if res:
+                want.append(((m, n), format_bipoly(-res)))
+    got = [(f.indices, f.residue) for f in check_constraints(fam).failures
+           if f.constraint == "ll-compat"]
+    assert want and got == want
 
 
 def test_check_constraints_passes_on_genuine_family():

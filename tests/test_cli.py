@@ -215,7 +215,8 @@ def test_isom_rejects_bad_canonical_document(capsys, tmp_path, change, message):
     ("a_m", ["t"]),
     ("g_m", {"x": "s"}),
     ("g_m", {"01": "s"}),
-], ids=["int-value", "list", "bad-key", "noncanonical-key"])
+    ("a_m", {"1": "t^"}),
+], ids=["int-value", "list", "bad-key", "noncanonical-key", "unparsable"])
 def test_candidate_with_malformed_table_is_usage_error(capsys, tmp_path, field, value):
     spec = ModuleSpec.phi(b=sc(2), lam=sc(2), alpha=ZERO, coeffs=())
     path = write_candidate(tmp_path, spec)

@@ -55,6 +55,12 @@ def test_shared_sparse_core(x):
     # no cross-type equality, not even on the same terms
     for other in {UniPoly, BiPoly, AlgElement} - {cls}:
         assert x != other._raw(dict(x.terms)) and cls.zero() != other.zero()
+        # nor mixed sums, which would hold keys of two shapes
+        for y in (other.zero(), other._raw(dict(x.terms))):
+            with pytest.raises(TypeError):
+                x + y
+            with pytest.raises(TypeError):
+                x - y
     assert UniPoly.const(ONE) != BiPoly.const(ONE)
     with pytest.raises(TypeError):
         hash(x)

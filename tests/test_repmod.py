@@ -7,7 +7,7 @@ from virab.repmod import (
     Family,
     GenericFamily,
     ModuleSpec,
-    Mults,
+    Op,
     act_C,
     act_L,
     act_W,
@@ -290,10 +290,11 @@ class _DerivativeOnly(ModuleSpec):
 
     __slots__ = ()
 
-    def mults(self, m):
-        shift = Scalar.from_int(m)
-        d = BiPoly.monomial(1, 2, sc(m * m))
-        return Mults(shift, S, d, shift, BiPoly.zero())
+    def op(self, sym):
+        m = sym.index
+        if sym.kind == "W":
+            return Op(Scalar.from_int(m), BiPoly.zero(), BiPoly.zero())
+        return Op(Scalar.from_int(m), S, BiPoly.monomial(1, 2, sc(m * m)))
 
 
 # (id, target, lowest degree at which the sweep fails or None); the
