@@ -21,6 +21,8 @@ The constraint identifiers used by certificates and failure entries:
     deg-g/deg-a        degree bounds (g affine in L0, a affine in W0)
     a-in-W0/b-scalar   shape preconditions for the displayed identities
     b-power            b_m must be lambda^m
+    window-mismatch    the window differs from the data the solved
+                       parameters generate (first mismatch, a_m before g_m)
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from time import perf_counter
 
+from .algebra import L, W
 from .polynomials import BiPoly, UniPoly, format_bipoly, format_unipoly
 from .repmod import (
     Family,
     GenericFamily,
+    ModuleSpec,
     _require_fields,
     _scalar_field,
     _scalar_value,
@@ -634,8 +638,12 @@ def solve_from_generators(
 def solve_candidate(
     fam: CandidateFamily,
 ) -> CanonicalParams | InfeasibilityCertificate:
-    """Solve from a candidate window's generator seeds."""
-    return solve_from_generators(
+    """Solve from a candidate window's generator seeds, then compare the
+    whole window with the data the solved parameters generate, in the
+    order m = -N..N with a_m before g_m at each m.  The first mismatch is
+    a window-mismatch certificate at (m,) with residue candidate - rebuilt.
+    """
+    out = solve_from_generators(
         fam.b,
         fam.window,
         fam.a_m[1],
@@ -644,6 +652,15 @@ def solve_candidate(
         fam.g_m[-1],
         fam.a,
     )
+    if isinstance(out, InfeasibilityCertificate):
+        return out
+    spec = ModuleSpec(out.family, fam.b, out.lam, out.alpha, out.coeffs)
+    for m in range(-fam.window, fam.window + 1):
+        for given, sym in ((fam.a_m[m], W(m)), (fam.g_m[m], L(m))):
+            res = given - spec.op(sym).p
+            if res:
+                return InfeasibilityCertificate("window-mismatch", (m,), res)
+    return out
 
 
 def isom_decide(p: CanonicalParams, q: CanonicalParams, b: Scalar) -> bool:

@@ -2,11 +2,13 @@
 
 The ambient space is spanned by the monomials s^i t^j with i <= bounds[0]
 and j <= bounds[1].  :class:`SubspaceBasis` keeps an exact reduced row
-echelon basis of a subspace of that box; :func:`orbit_closure` grows a
-seed set by repeatedly applying the in-window operators L_m and W_m,
-recording the dimension after each round.  Images that leave the box are
-never silently dropped: they are counted as overflow, so "stabilized with
-zero overflow" is a genuine invariant-subspace statement for the box.
+echelon basis of a subspace of that box: each row is a sparse
+:class:`BiPoly` whose pivot is its least monomial (i, j), with coefficient
+1 there and no other row holding that monomial.  :func:`orbit_closure`
+grows a seed set by repeatedly applying the in-window operators L_m and
+W_m, recording the dimension after each round.  Images that leave the box
+are never silently dropped: they are counted as overflow, so "stabilized
+with zero overflow" is a genuine invariant-subspace statement for the box.
 
 :func:`check_invariant_subspace` is the complementary exact test: for the
 span of all in-box monomials selected by a predicate on (i, j), it applies
@@ -23,7 +25,6 @@ from .algebra import L, W
 from .polynomials import BiPoly, format_bipoly
 from .report import Report
 from .repmod import ModuleSpec
-from .scalars import ONE, ZERO, Scalar
 
 
 def _box(bounds: tuple[int, int]) -> tuple[int, int]:
@@ -34,81 +35,49 @@ def _box(bounds: tuple[int, int]) -> tuple[int, int]:
 
 
 class SubspaceBasis:
-    """Exact reduced-row-echelon basis over the monomial box."""
+    """Exact reduced-row-echelon basis over the monomial box: ``rows`` maps
+    each pivot monomial to the row that has coefficient 1 there."""
 
     def __init__(self, bounds: tuple[int, int]):
-        ds, dt = _box(bounds)
-        self.bounds = (ds, dt)
-        self.ncols = (ds + 1) * (dt + 1)
-        self.rows: list[list[Scalar]] = []
-        self.row_of_pivot: dict[int, int] = {}
+        self.bounds = _box(bounds)
+        self.rows: dict[tuple[int, int], BiPoly] = {}
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _col(self, i: int, j: int) -> int:
-        return i * (self.bounds[1] + 1) + j
-
     def fits(self, f: BiPoly) -> bool:
         ds, dt = self.bounds
         return all(i <= ds and j <= dt for i, j in f.terms)
 
-    def vectorize(self, f: BiPoly) -> list[Scalar]:
-        if not self.fits(f):
-            raise ValueError("polynomial exceeds the monomial box")
-        vec = [ZERO] * self.ncols
-        for (i, j), c in f.terms.items():
-            vec[self._col(i, j)] = c
-        return vec
-
-    def to_poly(self, vec: list[Scalar]) -> BiPoly:
-        dt = self.bounds[1]
-        return BiPoly(
-            {
-                divmod(col, dt + 1): c
-                for col, c in enumerate(vec)
-                if c
-            }
-        )
-
-    def _eliminate(self, vec: list[Scalar]) -> list[Scalar]:
-        for pivot, row_idx in self.row_of_pivot.items():
-            c = vec[pivot]
-            if c:
-                row = self.rows[row_idx]
-                for col in range(pivot, self.ncols):
-                    rc = row[col]
-                    if rc:
-                        vec[col] = vec[col] - c * rc
-        return vec
+    def _reduce(self, f: BiPoly) -> BiPoly:
+        # rows hold no pivot but their own, so f's own coefficients decide
+        for pivot, c in f.terms.items():
+            row = self.rows.get(pivot)
+            if row is not None:
+                f = f - row.scale(c)
+        return f
 
     def contains(self, f: BiPoly) -> bool:
-        if not self.fits(f):
-            return False
-        vec = self._eliminate(self.vectorize(f))
-        return not any(vec)
+        return self.fits(f) and not self._reduce(f)
 
     def insert(self, f: BiPoly) -> BiPoly | None:
         """Reduce f against the basis; if independent, add the normalized
-        reduced row and return it as a polynomial, else return None."""
-        vec = self._eliminate(self.vectorize(f))
-        pivot = next((c for c, v in enumerate(vec) if v), None)
-        if pivot is None:
+        reduced row and return it, else return None."""
+        if not self.fits(f):
+            raise ValueError("polynomial exceeds the monomial box")
+        f = self._reduce(f)
+        if not f:
             return None
-        inv = vec[pivot].inv()
-        vec = [v * inv if v else ZERO for v in vec]
+        pivot = min(f.terms)
+        f = f.scale(f.terms[pivot].inv())
         # keep reduced form: clear the new pivot from existing rows
-        for row in self.rows:
-            c = row[pivot]
-            if c:
-                for col in range(pivot, self.ncols):
-                    vc = vec[col]
-                    if vc:
-                        row[col] = row[col] - c * vc
-        self.row_of_pivot[pivot] = len(self.rows)
-        self.rows.append(vec)
-        return self.to_poly(vec)
+        for key, row in self.rows.items():
+            c = row.terms.get(pivot)
+            if c is not None:
+                self.rows[key] = row - f.scale(c)
+        self.rows[pivot] = f
+        return f
 
 
 def _operators(spec: ModuleSpec, window: int):
@@ -131,6 +100,8 @@ def orbit_closure(
     and whether the closure stabilized (a round produced nothing new) with
     zero overflow."""
     t0 = perf_counter()
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
     basis = SubspaceBasis(bounds)
     for f in seeds:
         if f.is_zero:

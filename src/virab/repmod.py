@@ -164,7 +164,7 @@ def _op(a: Scalar, b: Scalar, a_m: UniPoly, g_m: BiPoly,
 
 class ModuleSpec:
     """Full parameter set for one module, with its operators cached per
-    basis symbol.
+    basis symbol (L_m and W_m are built together from the data at m).
 
     Treat instances as immutable; the cache only memoizes pure functions
     of the parameters.
@@ -233,8 +233,10 @@ class ModuleSpec:
             else:
                 a_m = twist_poly(self.seq.b, self.alpha, m).scale(lp)
             g_m = (BiPoly.s_var() + self.h(m).embed()).scale(lp)
-            out = _op(ZERO, self.b, a_m, g_m, sym)
-            self._ops[sym] = out
+            out = self._ops[sym] = _op(ZERO, self.b, a_m, g_m, sym)
+            # the same data give the other symbol at this index
+            twin = W(m) if sym.kind == "L" else L(m)
+            self._ops[twin] = _op(ZERO, self.b, a_m, g_m, twin)
         return out
 
     def to_dict(self) -> dict:

@@ -186,6 +186,44 @@ def test_l0_term_in_seed_a_m_is_certified(family, idx):
     assert shapes == [((idx,), "2*s*t")]
 
 
+def perturbed(base: CandidateFamily, a_m=None, g_m=None) -> CandidateFamily:
+    """base with the given entries added to its a_m and g_m."""
+    a = {m: p + (a_m or {}).get(m, BiPoly.zero()) for m, p in base.a_m.items()}
+    g = {m: p + (g_m or {}).get(m, BiPoly.zero()) for m, p in base.g_m.items()}
+    return CandidateFamily(base.a, base.b, base.window, a, g)
+
+
+def test_window_mismatch_beyond_the_seeds():
+    # the seeds at m = +-1 are untouched, so only the window check sees it
+    base = candidate_for(
+        ModuleSpec.phi(b=sc(2), lam=sc(2), alpha=ZERO, coeffs=(ONE,)))
+    fam = perturbed(base, a_m={-4: BiPoly.monomial(0, 3)},
+                    g_m={3: BiPoly.t_var()})
+    assert not check_constraints(fam).passed
+    out = solve_candidate(fam)
+    assert isinstance(out, InfeasibilityCertificate)
+    # m = -4 comes first in the order m = -N..N
+    assert out.constraint == "window-mismatch" and out.indices == (-4,)
+    assert out.residue == BiPoly.monomial(0, 3)
+
+
+@pytest.mark.parametrize("entry", ["a", "g"])
+@pytest.mark.parametrize("m", [-4, -3, -2, 2, 3, 4])
+def test_window_mismatch_at_every_non_seed_index(entry, m):
+    spec = ModuleSpec.phi(b=ONE, lam=I, alpha=sc("3/2"),
+                          coeffs=(ONE, sc("-1/3"), sc(2)))
+    base = candidate_for(spec)
+    assert solve_candidate(base) == CanonicalParams(
+        Family.PHI, I, sc("3/2"), (ONE, sc("-1/3"), sc(2)))
+    delta = {m: BiPoly({(0, 1): sc("1/2"), (0, 0): I})}
+    fam = perturbed(base, **{f"{entry}_m": delta})
+    assert not check_constraints(fam).passed
+    out = solve_candidate(fam)
+    assert isinstance(out, InfeasibilityCertificate)
+    assert out.constraint == "window-mismatch" and out.indices == (m,)
+    assert out.residue == delta[m]
+
+
 def _family_with_a_candidate():
     return CandidateFamily.from_generic(_family_with_a())
 

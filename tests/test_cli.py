@@ -170,6 +170,24 @@ def test_classify_text_renders_certificates_of_any_arity(capsys, tmp_path):
     assert capsys.readouterr().out == "infeasible: deg-g at (1), residue s^2\n"
 
 
+def test_classify_checks_the_whole_window(capsys, tmp_path):
+    # phi at b = 2, lambda = 2 with g_3 += t and a_-4 += t^3: the seeds at
+    # m = +-1 are untouched
+    spec = ModuleSpec.phi(b=sc(2), lam=sc(2), alpha=ZERO, coeffs=(ONE,))
+    path = write_candidate(tmp_path, spec)
+    doc = json.loads((tmp_path / "candidate.json").read_text())
+    doc["g_m"]["3"] += " + t"
+    doc["a_m"]["-4"] += " + t^3"
+    (tmp_path / "candidate.json").write_text(json.dumps(doc))
+    assert main(["classify", "--candidate", path]) == 1
+    assert capsys.readouterr().out == (
+        "infeasible: window-mismatch at (-4), residue t^3\n")
+    assert main(["classify", "--candidate", path, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"infeasible": {
+        "constraint": "window-mismatch",
+        "witness": {"indices": [-4], "residue": "t^3"}}}
+
+
 def test_classify_rejects_bad_document(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"a": "0", "b": "1"}))
@@ -288,6 +306,7 @@ def test_orbit_invariant_mode(capsys, phi_spec_path):
     ["verify-algebra", "--case", "vir00", "--window", "-1"],
     ["orbit", "--window", "-2", "--seed", "t"],
     ["orbit", "--bounds=-1,-1", "--invariant", "t>=1"],
+    ["orbit", "--seed", "t", "--max-rounds", "-3"],
 ])
 def test_negative_window_or_bounds_is_usage_error(capsys, phi_spec_path, argv):
     if argv[0] == "orbit":

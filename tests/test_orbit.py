@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
-from conftest import sc
+from conftest import sc, sci
 from virab.orbit import SubspaceBasis, check_invariant_subspace, orbit_closure
 from virab.polynomials import BiPoly
 from virab.repmod import ModuleSpec
-from virab.scalars import MINUS_ONE, ONE, ZERO
+from virab.scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 
 S = BiPoly.s_var()
@@ -31,14 +33,67 @@ def test_subspace_basis_stays_reduced(rng):
     ]
     for p in polys:
         basis.insert(p)
-    # every pivot column is zero in all other rows and 1 on its own row
-    for pivot, row_idx in basis.row_of_pivot.items():
-        for k, row in enumerate(basis.rows):
-            expected = ONE if k == row_idx else ZERO
-            assert row[pivot] == expected
+    # every pivot monomial is absent from all other rows and 1 on its own row
+    for pivot in basis.rows:
+        for key, row in basis.rows.items():
+            expected = ONE if key == pivot else ZERO
+            assert row.coeff(*pivot) == expected
     for p in polys:
         assert basis.contains(p)
     assert basis.dim <= 16
+
+
+def test_subspace_basis_matches_sympy_rref():
+    # sympy is the test-only reference: the same inputs as rows of a matrix
+    # over QQ_I, one column per monomial in the order (i, j) ascending
+    from sympy import I as SYMPY_I, Rational
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(20240905)
+    ds, dt = 3, 3
+    cols = [(i, j) for i in range(ds + 1) for j in range(dt + 1)]
+
+    def coeff() -> Scalar:
+        c = ZERO
+        while not c:
+            c = sci(rng.randint(-3, 3), rng.randint(-2, 2)) / sc(rng.randint(1, 3))
+        return c
+
+    inputs, combined = [], set()
+    for n in range(18):
+        if n % 3 == 2:
+            # a combination of earlier inputs, so dependent by construction
+            p, q = rng.sample(inputs, 2)
+            inputs.append(p.scale(coeff()) + q.scale(coeff()))
+            combined.add(n)
+        else:
+            keys = rng.sample(cols, rng.randint(1, 5))
+            inputs.append(BiPoly({k: coeff() for k in keys}))
+
+    basis = SubspaceBasis((ds, dt))
+    returned_none = [basis.insert(p) is None for p in inputs]
+
+    def to_qq_i(c: Scalar):
+        return QQ_I.from_sympy(Rational(c.re.numerator, c.re.denominator)
+                               + Rational(c.im.numerator, c.im.denominator)
+                               * SYMPY_I)
+
+    def matrix(polys) -> DomainMatrix:
+        return DomainMatrix([[to_qq_i(p.coeff(i, j)) for i, j in cols]
+                             for p in polys], (len(polys), len(cols)), QQ_I)
+
+    ranks = [0] + [matrix(inputs[:k]).rank() for k in range(1, len(inputs) + 1)]
+    dependent = [ranks[k + 1] == ranks[k] for k in range(len(inputs))]
+    assert returned_none == dependent
+    assert all(dependent[n] for n in combined)
+    assert 0 < basis.dim == ranks[-1] < len(cols)
+
+    rref, pivots = matrix(inputs).rref()
+    assert sorted(basis.rows) == [cols[c] for c in pivots]
+    reference = rref.to_list()
+    for r, c in enumerate(pivots):
+        assert matrix([basis.rows[cols[c]]]).to_list()[0] == reference[r]
 
 
 def test_invariant_t_multiples():
@@ -104,5 +159,7 @@ def test_negative_window_or_bounds_never_pass_vacuously():
         orbit_closure(spec, [T], window=-2)
     with pytest.raises(ValueError, match="nonnegative"):
         check_invariant_subspace(spec, lambda i, j: j >= 1, window=-2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        orbit_closure(spec, [T], max_rounds=-3)
     with pytest.raises(ValueError, match="bounds must be non-negative"):
         check_invariant_subspace(spec, lambda i, j: j >= 1, bounds=(-1, -1))
