@@ -408,16 +408,15 @@ def _propagate_seq(
     lam: Scalar,
     b: Scalar,
     window: int,
-    x0: Scalar,
     x1: Scalar,
     xm1: Scalar,
 ) -> dict[int, Scalar]:
-    """Extend {X_0, X_1, X_-1} to |m| <= window using the two recursion
+    """Extend {X_0 = 0, X_1, X_-1} to |m| <= window using the two recursion
     instances (n = 1 upward, n = -1 downward), switching sides whenever the
     primary instance's coefficient vanishes; by then the A-coefficients are
     known to be lambda^(+-1), so the alternate side is always solvable."""
     lam_inv = intpow(lam, -1)
-    X = {0: x0, 1: x1, -1: xm1}
+    X = {0: ZERO, 1: x1, -1: xm1}
     for j in range(2, window + 1):
         c = ONE + b.mul_int(j - 1)
         if c:
@@ -448,23 +447,23 @@ def _instance_certificate(
     b: Scalar,
     window: int,
     lam: Scalar,
-    A: dict[int, Scalar],
     X: dict[int, Scalar],
-    constraint: str,
 ) -> InfeasibilityCertificate | None:
-    """Check every n = +-1 instance of the scalar recursion on the window."""
+    """Check every n = +-1 instance of the w-linear-B recursion on the
+    window, where A_{+-1} = lambda^(+-1) is already established."""
     for n in (1, -1):
+        An = intpow(lam, n)
         for m in range(-window, window + 1):
             if abs(m + n) > window:
                 continue
             res = (
                 (Scalar.from_int(n) + b.mul_int(m)) * X[m + n]
                 - X[n].mul_int(n) * intpow(lam, m)
-                - b.mul_int(m) * A[n] * X[m]
+                - b.mul_int(m) * An * X[m]
             )
             if res:
                 return InfeasibilityCertificate(
-                    constraint, (m, n), BiPoly.const(res)
+                    "w-linear-B", (m, n), BiPoly.const(res)
                 )
     return None
 
@@ -614,13 +613,10 @@ def solve_from_generators(
             "scale-branch", (-1, 2), BiPoly.const(res)
         )
 
-    # window propagation and consistency of the scalar recursions
-    A = _propagate_seq(lam, b, window, ONE, A1, Am1)
-    cert = _instance_certificate(b, window, lam, A, A, "w-linear-A")
-    if cert:
-        return cert
-    B = _propagate_seq(lam, b, window, ZERO, B1, Bm1)
-    cert = _instance_certificate(b, window, lam, A, B, "w-linear-B")
+    # A_1 = lambda and A_{-1} = lambda^-1 now, so A_m = lambda^m solves
+    # its recursion; only B needs propagating and checking on the window
+    B = _propagate_seq(lam, b, window, B1, Bm1)
+    cert = _instance_certificate(b, window, lam, B)
     if cert:
         return cert
 

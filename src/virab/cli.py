@@ -206,6 +206,9 @@ def _cmd_orbit(args) -> tuple[int, str]:
     spec = ModuleSpec.from_dict(_load_json(args.spec))
     bounds = _parse_bounds(args.bounds)
     if args.invariant is not None:
+        if args.seed or args.max_rounds is not None:
+            flag = "--seed" if args.seed else "--max-rounds"
+            raise ValueError(f"--invariant cannot be combined with {flag}")
         ok = check_invariant_subspace(
             spec, _parse_predicate(args.invariant), window=args.window, bounds=bounds
         )
@@ -215,10 +218,9 @@ def _cmd_orbit(args) -> tuple[int, str]:
     if not args.seed:
         raise ValueError("orbit needs at least one --seed (or --invariant)")
     seeds = [parse_bipoly(s) for s in args.seed]
-    report = orbit_closure(
-        spec, seeds, window=args.window, bounds=bounds, max_rounds=args.max_rounds
-    )
-    return 0, _render_report(report, args.format)
+    rounds = 6 if args.max_rounds is None else args.max_rounds
+    report = orbit_closure(spec, seeds, args.window, bounds, rounds)
+    return (0 if report.passed else 1), _render_report(report, args.format)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -290,7 +292,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", action="append", default=[], help="seed polynomial")
     p.add_argument("--window", type=int, default=3)
     p.add_argument("--bounds", default="8,8", help="monomial box, e.g. 8,8")
-    p.add_argument("--max-rounds", type=int, default=6)
+    p.add_argument("--max-rounds", type=int, help="closure rounds (default 6)")
     p.add_argument(
         "--invariant",
         help="check invariance of a monomial span instead, e.g. 't>=1'",

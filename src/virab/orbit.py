@@ -98,10 +98,14 @@ def orbit_closure(
     the monomial box.  The report's data block carries the dimension trace
     per round, whether the constant 1 entered the span, the overflow count,
     and whether the closure stabilized (a round produced nothing new) with
-    zero overflow."""
+    zero overflow.  Otherwise it fails ``orbit-invariance`` at (rounds,
+    overflow); the residue is the first image that left the box, else the
+    first row of the last frontier."""
     t0 = perf_counter()
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
+    if not seeds:
+        raise ValueError("orbit_closure needs at least one seed")
     basis = SubspaceBasis(bounds)
     for f in seeds:
         if f.is_zero:
@@ -114,6 +118,7 @@ def orbit_closure(
     one = BiPoly.one()
     trace = [basis.dim]
     overflow = 0
+    escaped = None
     stabilized = False
     rounds = 0
     for _ in range(max_rounds):
@@ -126,6 +131,7 @@ def orbit_closure(
                     continue
                 if not basis.fits(img):
                     overflow += 1
+                    escaped = escaped or img
                     continue
                 reduced = basis.insert(img)
                 if reduced is not None:
@@ -154,6 +160,9 @@ def orbit_closure(
         "stabilized": stabilized,
         "invariant_in_box": stabilized and overflow == 0,
     }
+    if not report.data["invariant_in_box"]:
+        report.fail("orbit-invariance", (rounds, overflow),
+                    format_bipoly(escaped or frontier[0]))
     report.elapsed = perf_counter() - t0
     return report
 

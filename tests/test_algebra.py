@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
+import virab.algebra
 from conftest import sc, sci
 from virab.algebra import (
     AlgebraParams,
     AlgElement,
+    BasisSymbol,
     C,
     Case,
     L,
@@ -134,3 +138,133 @@ def test_format_element_zero_and_order():
     assert format_element(AlgElement.zero()) == "0"
     e = AlgElement({W(-1): ONE, L(2): MINUS_ONE, C(1): sc("1/3")})
     assert format_element(e) == "-L:2 + W:-1 + 1/3*C:1"
+
+
+# --- an oracle that shares no code with virab.algebra --------------------
+#
+# The six tables written out again with Fraction coefficients, from the
+# formulas in the module docstring and the comments above: the W
+# coefficient of [L_x, W_y] is a + y + b*x in every case, and each case
+# adds its own central terms.
+
+ORACLE_CENTRALS = {"w": (), "vir-gen": (1,), "vir00": (1, 2, 3),
+                   "vir0m1": (1, 2), "vir120": (1, 3), "vir01": (1, 2, 4)}
+
+
+def _oracle_case(a: Fraction, b: Fraction, extension: bool) -> str:
+    if not extension:
+        return "w"
+    special = {(0, 0): "vir00", (0, -1): "vir0m1", (Fraction(1, 2), 0): "vir120",
+               (0, 1): "vir01"}
+    return special.get((a, b), "vir-gen")
+
+
+def _oracle(case: str, a: Fraction, b: Fraction, x, y) -> dict:
+    (kx, i), (ky, j) = x, y
+    if "C" in (kx, ky):
+        return {}
+    if kx == "W" and ky == "L":
+        return {k: -c for k, c in _oracle(case, a, b, y, x).items()}
+    out: dict = {}
+
+    def put(key, c):
+        if c:
+            out[key] = Fraction(c)
+
+    if kx == ky == "L":
+        put(("L", i + j), j - i)
+        if case != "w" and i + j == 0:
+            put(("C", 1), Fraction(i ** 3 - i, 12))
+    elif kx == "L":
+        put(("W", i + j), a + j + b * i)
+        if i + j == 0:
+            if case == "vir00":
+                put(("C", 2), i * i + i)
+            elif case == "vir0m1":
+                put(("C", 2), Fraction(i ** 3 - i, 12))
+            elif case == "vir01":
+                put(("C", 2), i)
+                put(("C", 4), 1)
+    elif case == "vir00" and i + j == 0:
+        put(("C", 3), i)
+    elif case == "vir120" and i + j == -1:
+        put(("C", 3), 2 * i + 1)
+    return out
+
+
+ORACLE_TABLES = [
+    (Fraction(0), Fraction(0), True),
+    (Fraction(0), Fraction(-1), True),
+    (Fraction(1, 2), Fraction(0), True),
+    (Fraction(0), Fraction(1), True),
+    (Fraction(1, 3), Fraction(2), True),
+    (Fraction(-1), Fraction(3, 2), True),
+    (Fraction(1, 3), Fraction(2), False),
+    (Fraction(2), Fraction(-1), False),
+]
+
+
+@pytest.mark.parametrize("a, b, extension", ORACLE_TABLES)
+def test_bracket_matches_fraction_oracle(a, b, extension):
+    case = _oracle_case(a, b, extension)
+    p = classify_case(sc(a), sc(b), want_extension=extension)
+    assert p.case.value == case
+    syms = [(k, n) for k in ("L", "W") for n in range(-4, 5)]
+    syms += [("C", i) for i in ORACLE_CENTRALS[case]]
+    for x in syms:
+        for y in syms:
+            got = bracket(BasisSymbol(*x), BasisSymbol(*y), p)
+            assert all(not c.im for c in got.terms.values())
+            got = {(s.kind, s.index): c.re for s, c in got.terms.items()}
+            assert got == _oracle(case, a, b, x, y), (case, x, y)
+
+
+def _broken_lw(n, m, p, lw=virab.algebra._lw):
+    # one wrong W coefficient: [L_1, W_m] gains an extra W_{m+1}
+    out = lw(n, m, p)
+    return out + AlgElement({W(m + n): ONE}) if n == 1 else out
+
+
+def _broken_ll(n, m, p, ll=virab.algebra._ll):
+    # [L_1, L_m] gains C_1, so [L_1, L_-1] is no longer antisymmetric
+    out = ll(n, m, p)
+    return out + AlgElement({C(1): ONE}) if n == 1 else out
+
+
+@pytest.mark.parametrize("name, broken", [("_lw", _broken_lw),
+                                          ("_ll", _broken_ll)])
+def test_verify_algebra_matches_naive_replay_on_broken_table(
+        monkeypatch, name, broken):
+    monkeypatch.setattr(virab.algebra, name, broken)
+    p = classify_case(sc("1/3"), sc(2))
+    report = verify_algebra(p, window=2)
+
+    def ad(x, e):
+        out = AlgElement.zero()
+        for sym, c in e.terms.items():
+            out = out + bracket(x, sym, p).scale(c)
+        return out
+
+    syms = [BasisSymbol(k, n) for k in ("L", "W") for n in range(-2, 3)]
+    syms.append(C(1))
+    expected, checks = [], 0
+    for ix, x in enumerate(syms):
+        for y in syms[ix:]:
+            checks += 1
+            res = bracket(x, y, p) + bracket(y, x, p)
+            if res:
+                expected.append(("antisymmetry", (str(x), str(y)), str(res)))
+    for x in syms:
+        for y in syms:
+            for z in syms:
+                checks += 1
+                res = (ad(x, bracket(y, z, p)) + ad(y, bracket(z, x, p))
+                       + ad(z, bracket(x, y, p)))
+                if res:
+                    expected.append(
+                        ("jacobi", (str(x), str(y), str(z)), str(res)))
+    assert report.checks == checks == 11 * 12 // 2 + 11 ** 3
+    assert any(f[0] == "jacobi" for f in expected)
+    assert any(f[0] == "antisymmetry" for f in expected) == (name == "_ll")
+    got = [(f.constraint, f.indices, f.residue) for f in report.failures]
+    assert got == expected

@@ -6,9 +6,10 @@ import pytest
 from conftest import sc
 from virab.classify import CandidateFamily
 from virab.cli import main
-from virab.polynomials import format_bipoly, format_unipoly
+from virab.grammar import parse_bipoly
+from virab.polynomials import BiPoly, format_bipoly, format_unipoly
 from virab.report import Report
-from virab.repmod import GenericFamily, ModuleSpec
+from virab.repmod import GenericFamily, ModuleSpec, Op
 from virab.scalars import ONE, ZERO
 
 
@@ -289,9 +290,37 @@ def test_orbit_closure_report(capsys, phi_spec_path):
     assert main([
         "orbit", "--spec", phi_spec_path,
         "--seed", "t", "--seed", "s", "--seed", "t^2",
-    ]) == 0
+    ]) == 1
     out = capsys.readouterr().out
     assert "reaches_one: True" in out
+
+
+def test_orbit_status_follows_invariance(capsys, phi_spec_path, monkeypatch):
+    # the closure of t overflows the box: one orbit-invariance failure at
+    # (rounds, overflow), whose residue is the first image that left it
+    assert main([
+        "orbit", "--spec", phi_spec_path, "--seed", "t", "--bounds", "2,2",
+        "--max-rounds", "9", "--format", "json",
+    ]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "fail" and not doc["data"]["invariant_in_box"]
+    [failure] = doc["failures"]
+    assert failure["constraint"] == "orbit-invariance"
+    assert failure["indices"] == [doc["checks"], doc["data"]["overflow"]]
+    escaped = parse_bipoly(failure["residue"])
+    assert any(i > 2 or j > 2 for i, j in escaped.terms)
+    # no round run: the closure never stabilizes, whatever the data
+    assert main(["orbit", "--spec", phi_spec_path, "--seed", "t",
+                 "--max-rounds", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "checks: 0" in out and "FAIL orbit-invariance @ (0, 0): residue = t" in out
+    # under the trivial action every span is invariant: the closure
+    # stabilizes in one round with zero overflow and passes
+    zero = Op(ZERO, BiPoly.zero(), BiPoly.zero())
+    monkeypatch.setattr(ModuleSpec, "op", lambda self, sym: zero)
+    assert main(["orbit", "--spec", phi_spec_path, "--seed", "t"]) == 0
+    out = capsys.readouterr().out
+    assert "invariant_in_box: True" in out and "status: pass" in out
 
 
 def test_orbit_invariant_mode(capsys, phi_spec_path):
@@ -319,6 +348,17 @@ def test_orbit_needs_seeds(capsys, phi_spec_path):
     assert main(["orbit", "--spec", phi_spec_path]) == 2
 
 
+@pytest.mark.parametrize("extra, flag", [
+    (["--seed", "s"], "--seed"),
+    (["--max-rounds", "6"], "--max-rounds"),
+    (["--seed", "s", "--max-rounds", "-3"], "--seed"),
+])
+def test_invariant_refuses_closure_flags(capsys, phi_spec_path, extra, flag):
+    argv = ["orbit", "--spec", phi_spec_path, "--invariant", "t>=1"] + extra
+    assert main(argv) == 2
+    assert f"--invariant cannot be combined with {flag}" in capsys.readouterr().err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     assert main([
@@ -341,7 +381,7 @@ def test_report_text_round_trip_idempotent(capsys, phi_spec_path):
     assert main([
         "orbit", "--spec", phi_spec_path, "--seed", "t",
         "--format", "json", "--max-rounds", "2",
-    ]) == 0
+    ]) == 1
     raw = capsys.readouterr().out
     doc = json.loads(raw)
     assert json.loads(Report.from_dict(doc).to_json()) == doc

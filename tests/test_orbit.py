@@ -3,9 +3,10 @@ import random
 import pytest
 
 from conftest import sc, sci
+from virab.algebra import L, W
 from virab.orbit import SubspaceBasis, check_invariant_subspace, orbit_closure
-from virab.polynomials import BiPoly
-from virab.repmod import ModuleSpec
+from virab.polynomials import BiPoly, format_bipoly
+from virab.repmod import ModuleSpec, Op
 from virab.scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 
@@ -130,6 +131,37 @@ def test_orbit_overflow_is_counted_not_dropped():
     assert not report.data["invariant_in_box"]
 
 
+def test_orbit_fails_unless_invariant_in_box():
+    spec = ModuleSpec.phi(b=ONE, lam=sc(2), alpha=ONE, coeffs=())
+    report = orbit_closure(spec, [T], window=1, bounds=(2, 2), max_rounds=9)
+    assert report.data["stabilized"] and report.data["overflow"] > 0
+    [failure] = report.failures
+    assert failure.constraint == "orbit-invariance"
+    assert failure.indices == (report.checks, report.data["overflow"])
+    # the residue is the first image that left the box: every image of t
+    # fits, and W_-1 . t^2 is the first one of round 2 that does not
+    box = SubspaceBasis((2, 2))
+    assert all(box.fits(spec.op(x(m)).apply(T))
+               for m in (-1, 0, 1) for x in (L, W))
+    assert failure.residue == "1/2*t^3 - 1/2*t^2"
+    assert failure.residue == format_bipoly(
+        spec.op(W(-1)).apply(BiPoly.monomial(0, 2)))
+    # a closure cut off before it stabilizes fails at the last frontier
+    report = orbit_closure(spec, [T, S], max_rounds=0)
+    assert report.data["dimension_trace"] == [2]
+    assert [(f.indices, f.residue) for f in report.failures] == [((0, 0), "t")]
+
+
+def test_orbit_passes_when_the_span_is_invariant(monkeypatch):
+    # L_m = W_m = 0 is a module in which every span is invariant
+    spec = ModuleSpec.phi(b=ONE, lam=sc(2), alpha=ONE, coeffs=())
+    zero = Op(ZERO, BiPoly.zero(), BiPoly.zero())
+    monkeypatch.setattr(ModuleSpec, "op", lambda self, sym: zero)
+    report = orbit_closure(spec, [T, S])
+    assert report.data["invariant_in_box"] and report.passed
+    assert report.checks == 1 and report.data["dimension_trace"] == [2, 2]
+
+
 def test_orbit_stabilizes_cleanly_on_invariant_span():
     # for b = 2 the t-multiples stay t-multiples; a single seed t with a
     # wide box stabilizes only when nothing ever overflows
@@ -146,6 +178,8 @@ def test_orbit_seed_validation():
         orbit_closure(spec, [BiPoly.zero()])
     with pytest.raises(ValueError):
         orbit_closure(spec, [BiPoly.monomial(9, 0)], bounds=(4, 4))
+    with pytest.raises(ValueError, match="at least one seed"):
+        orbit_closure(spec, [])
 
 
 def test_bounds_validation():
