@@ -4,11 +4,14 @@ The ambient space is spanned by the monomials s^i t^j with i <= bounds[0]
 and j <= bounds[1].  :class:`SubspaceBasis` keeps an exact reduced row
 echelon basis of a subspace of that box: each row is a sparse
 :class:`BiPoly` whose pivot is its least monomial (i, j), with coefficient
-1 there and no other row holding that monomial.  :func:`orbit_closure`
-grows a seed set by repeatedly applying the in-window operators L_m and
-W_m, recording the dimension after each round.  Images that leave the box
-are never silently dropped: they are counted as overflow, so "stabilized
-with zero overflow" is a genuine invariant-subspace statement for the box.
+1 there and no other row holding that monomial; a polynomial is reduced
+against all rows in one sparse pass.  :func:`orbit_closure` grows a seed
+set by repeatedly applying the in-window operators L_m and W_m, in a fixed
+order, recording the dimension after each round; each frontier row is
+shifted once per distinct operator shift (L_m and W_m share the shift m).
+Images that leave the box are never silently dropped: they are counted as
+overflow, so "stabilized with zero overflow" is a genuine
+invariant-subspace statement for the box.
 
 :func:`check_invariant_subspace` is the complementary exact test: for the
 span of all in-box monomials selected by a predicate on (i, j), it applies
@@ -24,7 +27,7 @@ from time import perf_counter
 from .algebra import L, W
 from .polynomials import BiPoly, format_bipoly
 from .report import Report
-from .repmod import ModuleSpec
+from .repmod import ModuleSpec, apply_each
 
 
 def _box(bounds: tuple[int, int]) -> tuple[int, int]:
@@ -51,12 +54,11 @@ class SubspaceBasis:
         return all(i <= ds and j <= dt for i, j in f.terms)
 
     def _reduce(self, f: BiPoly) -> BiPoly:
-        # rows hold no pivot but their own, so f's own coefficients decide
-        for pivot, c in f.terms.items():
-            row = self.rows.get(pivot)
-            if row is not None:
-                f = f - row.scale(c)
-        return f
+        # rows hold no pivot but their own, so f's own coefficients decide,
+        # and one pass subtracts every row at once
+        rows = self.rows
+        return f.combine((row, -c) for pivot, c in f.terms.items()
+                         if (row := rows.get(pivot)) is not None)
 
     def contains(self, f: BiPoly) -> bool:
         return self.fits(f) and not self._reduce(f)
@@ -75,7 +77,7 @@ class SubspaceBasis:
         for key, row in self.rows.items():
             c = row.terms.get(pivot)
             if c is not None:
-                self.rows[key] = row - f.scale(c)
+                self.rows[key] = row.combine(((f, -c),))
         self.rows[pivot] = f
         return f
 
@@ -83,7 +85,7 @@ class SubspaceBasis:
 def _operators(spec: ModuleSpec, window: int):
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
-    return [spec.op(sym(m)).apply
+    return [spec.op(sym(m))
             for m in range(-window, window + 1) for sym in (L, W)]
 
 
@@ -125,8 +127,7 @@ def orbit_closure(
         rounds += 1
         new_frontier = []
         for f in frontier:
-            for op in ops:
-                img = op(f)
+            for img in apply_each(ops, f):
                 if img.is_zero:
                     continue
                 if not basis.fits(img):
@@ -183,9 +184,7 @@ def check_invariant_subspace(
         for j in range(dt + 1):
             if not predicate(i, j):
                 continue
-            f = BiPoly.monomial(i, j)
-            for op in ops:
-                img = op(f)
+            for img in apply_each(ops, BiPoly.monomial(i, j)):
                 for (p, q) in img.terms:
                     if not predicate(p, q):
                         return False

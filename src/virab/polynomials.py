@@ -9,7 +9,8 @@ Two shapes cover everything downstream:
 
 Both, and :class:`virab.algebra.AlgElement` over basis symbols, share the
 :class:`Terms` core for construction, equality, addition, subtraction,
-negation and scaling, and add only what depends on their keys.
+negation, scaling and linear combination, and add only what depends on
+their keys.
 Zero coefficients are never stored, so equality is plain dict equality.
 Instances are immutable by convention: every operation returns a fresh
 object and nothing ever mutates ``terms`` after construction.  The degree
@@ -23,7 +24,7 @@ parsers are in :mod:`virab.grammar`.
 from __future__ import annotations
 
 from math import comb
-from typing import Mapping, TypeVar
+from typing import Iterable, Mapping, TypeVar
 
 from .scalars import ONE, ZERO, Scalar, format_scalar, intpow
 
@@ -106,6 +107,31 @@ class Terms:
         if not c:
             return self._raw({})
         return self._raw({k: v * c for k, v in self.terms.items()})
+
+    def combine(self: _T, pairs: Iterable[tuple[_T, Scalar]]) -> _T:
+        """self + sum of c * t over the (t, c) pairs, merged into one dict
+        (the same value as chaining ``+ t.scale(c)``, without a copy per
+        pair)."""
+        cls = type(self)
+        out = dict(self.terms)
+        for t, c in pairs:
+            if type(t) is not cls:
+                raise TypeError(f"cannot combine {type(t).__name__} "
+                                f"into {cls.__name__}")
+            if not c:
+                continue
+            for k, v in t.terms.items():
+                w = v * c
+                prev = out.get(k)
+                if prev is None:
+                    out[k] = w
+                else:
+                    w = prev + w
+                    if w:
+                        out[k] = w
+                    else:
+                        del out[k]
+        return self._raw(out)
 
 
 class UniPoly(Terms):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from time import perf_counter
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import (
     AlgElement,
@@ -115,11 +115,8 @@ class HSeq:
 
 def h_of_n(seq: HSeq, n: int) -> UniPoly:
     """h_n = sum_k seq.coeffs[k] * q(n, k); always zero at n = 0."""
-    out = UniPoly.zero()
-    for k, c in enumerate(seq.coeffs):
-        if c:
-            out = out + q_poly(n, k, seq.alpha, seq.b).scale(c)
-    return out
+    return UniPoly.zero().combine((q_poly(n, k, seq.alpha, seq.b), c)
+                                  for k, c in enumerate(seq.coeffs) if c)
 
 
 class Op(NamedTuple):
@@ -138,11 +135,28 @@ class Op(NamedTuple):
     def apply(self, u: BiPoly) -> BiPoly:
         if not (self.p or self.q):
             return BiPoly.zero()
-        shifted = u.shift_s(self.shift)
+        return self.apply_shifted(u.shift_s(self.shift))
+
+    def apply_shifted(self, shifted: BiPoly) -> BiPoly:
+        """The action, given U = u(s - shift, t) already computed."""
         out = shifted * self.p
         if self.q:
             out = out + shifted.partial_t() * self.q
         return out
+
+
+def apply_each(ops: Iterable[Op], u: BiPoly) -> Iterator[BiPoly]:
+    """``op.apply(u)`` for each op in turn, shifting u once per distinct
+    shift (over a = 0, L_m and W_m share the shift m)."""
+    shifted: dict[Scalar, BiPoly] = {}
+    for op in ops:
+        if not (op.p or op.q):
+            yield BiPoly.zero()
+            continue
+        g = shifted.get(op.shift)
+        if g is None:
+            g = shifted[op.shift] = u.shift_s(op.shift)
+        yield op.apply_shifted(g)
 
 
 def _op(a: Scalar, b: Scalar, a_m: UniPoly, g_m: BiPoly,
@@ -316,24 +330,22 @@ def act_sym(spec: ModuleSpec, sym: BasisSymbol, f: BiPoly) -> BiPoly:
 
 
 def act_element(spec: ModuleSpec, e: AlgElement, f: BiPoly) -> BiPoly:
-    out = BiPoly.zero()
-    for sym, c in e.terms.items():
-        out = out + act_sym(spec, sym, f).scale(c)
-    return out
+    return BiPoly.zero().combine((act_sym(spec, sym, f), c)
+                                 for sym, c in e.terms.items())
 
 
 def apply_enveloping(spec: ModuleSpec, u: BiPoly, f: BiPoly) -> BiPoly:
     """Act by u(L0, W0): each monomial s^i t^j becomes L0^i W0^j (they
     commute here since a = 0)."""
-    out = BiPoly.zero()
+    pairs = []
     for (i, j), c in u.terms.items():
         g = f
         for _ in range(j):
             g = act_W(spec, 0, g)
         for _ in range(i):
             g = act_L(spec, 0, g)
-        out = out + g.scale(c)
-    return out
+        pairs.append((g, c))
+    return BiPoly.zero().combine(pairs)
 
 
 @dataclass(frozen=True)

@@ -231,13 +231,31 @@ def _broken_ll(n, m, p, ll=virab.algebra._ll):
     return out + AlgElement({C(1): ONE}) if n == 1 else out
 
 
-@pytest.mark.parametrize("name, broken", [("_lw", _broken_lw),
-                                          ("_ll", _broken_ll)])
+def _broken_ww(n, m, p, ww=virab.algebra._ww):
+    # [W_1, W_m] gains W_{m+1}, which [W_m, W_1] does not lose
+    out = ww(n, m, p)
+    return out + AlgElement({W(m + n): ONE}) if n == 1 else out
+
+
+# (a, b, window): vir-gen, and vir00 with three central symbols, so that
+# triples with repeated and central symbols pin the failure order; the
+# vir-gen case keeps the bare id
+BROKEN_SWEEPS = [("1/3", 2, 2), (0, 0, 1), (0, 0, 2)]
+
+
+@pytest.mark.parametrize("name, broken, a, b, window", [
+    pytest.param(name, broken, a, b, window,
+                 id=f"{name}-{broken.__name__}"
+                 + (f"-vir00-w{window}" if a == 0 else ""))
+    for name, broken in (("_lw", _broken_lw), ("_ll", _broken_ll),
+                         ("_ww", _broken_ww))
+    for a, b, window in BROKEN_SWEEPS
+])
 def test_verify_algebra_matches_naive_replay_on_broken_table(
-        monkeypatch, name, broken):
+        monkeypatch, name, broken, a, b, window):
     monkeypatch.setattr(virab.algebra, name, broken)
-    p = classify_case(sc("1/3"), sc(2))
-    report = verify_algebra(p, window=2)
+    p = classify_case(sc(a), sc(b))
+    report = verify_algebra(p, window=window)
 
     def ad(x, e):
         out = AlgElement.zero()
@@ -245,8 +263,9 @@ def test_verify_algebra_matches_naive_replay_on_broken_table(
             out = out + bracket(x, sym, p).scale(c)
         return out
 
-    syms = [BasisSymbol(k, n) for k in ("L", "W") for n in range(-2, 3)]
-    syms.append(C(1))
+    syms = [BasisSymbol(k, n) for k in ("L", "W")
+            for n in range(-window, window + 1)]
+    syms += [C(i) for i in p.central_indices]
     expected, checks = [], 0
     for ix, x in enumerate(syms):
         for y in syms[ix:]:
@@ -263,8 +282,11 @@ def test_verify_algebra_matches_naive_replay_on_broken_table(
                 if res:
                     expected.append(
                         ("jacobi", (str(x), str(y), str(z)), str(res)))
-    assert report.checks == checks == 11 * 12 // 2 + 11 ** 3
+    n = len(syms)
+    assert n == 4 * window + 2 + len(p.central_indices)
+    assert report.checks == checks == n * (n + 1) // 2 + n ** 3
     assert any(f[0] == "jacobi" for f in expected)
-    assert any(f[0] == "antisymmetry" for f in expected) == (name == "_ll")
+    assert (any(f[0] == "antisymmetry" for f in expected)
+            == (name in ("_ll", "_ww")))
     got = [(f.constraint, f.indices, f.residue) for f in report.failures]
     assert got == expected

@@ -197,3 +197,106 @@ def test_negative_window_or_bounds_never_pass_vacuously():
         orbit_closure(spec, [T], max_rounds=-3)
     with pytest.raises(ValueError, match="bounds must be non-negative"):
         check_invariant_subspace(spec, lambda i, j: j >= 1, bounds=(-1, -1))
+
+
+class _NaiveBasis:
+    """Reduced echelon rows keyed by least monomial, reduced one row at a
+    time with ``f - row.scale(c)``: the reference for SubspaceBasis."""
+
+    def __init__(self, bounds):
+        self.bounds, self.rows = bounds, {}
+
+    def fits(self, f):
+        return all(i <= self.bounds[0] and j <= self.bounds[1]
+                   for i, j in f.terms)
+
+    def reduce(self, f):
+        for pivot in sorted(self.rows):
+            c = f.coeff(*pivot)
+            if c:
+                f = f - self.rows[pivot].scale(c)
+        return f
+
+    def insert(self, f):
+        f = self.reduce(f)
+        if not f:
+            return None
+        pivot = min(f.terms)
+        f = f.scale(f.terms[pivot].inv())
+        for key, row in self.rows.items():
+            c = row.coeff(*pivot)
+            if c:
+                self.rows[key] = row - f.scale(c)
+        self.rows[pivot] = f
+        return f
+
+
+def _naive_closure(spec, seeds, window, bounds, max_rounds):
+    ops = [spec.op(x(m)) for m in range(-window, window + 1) for x in (L, W)]
+    basis = _NaiveBasis(bounds)
+    frontier = [p for f in seeds if (p := basis.insert(f)) is not None]
+    trace, overflow, escaped, stabilized = [len(basis.rows)], 0, None, False
+    for _ in range(max_rounds):
+        new_frontier = []
+        for f in frontier:
+            for op in ops:
+                img = op.apply(f)
+                if not img:
+                    continue
+                if not basis.fits(img):
+                    overflow += 1
+                    escaped = escaped or img
+                elif (reduced := basis.insert(img)) is not None:
+                    new_frontier.append(reduced)
+        trace.append(len(basis.rows))
+        frontier = new_frontier
+        if not frontier:
+            stabilized = True
+            break
+    one = BiPoly.one()
+    residue = None
+    if not (stabilized and overflow == 0):
+        residue = format_bipoly(escaped or frontier[0])
+    return {"dimension_trace": trace, "overflow": overflow,
+            "reaches_one": basis.fits(one) and not basis.reduce(one),
+            "stabilized": stabilized, "residue": residue}
+
+
+REPLAY_SPECS = [
+    ModuleSpec.phi(b=ZERO, lam=sc(2), coeffs=(ONE, sc("-1/3"))),
+    ModuleSpec.phi(b=sc("1/2"), lam=sci(0, 1), coeffs=(ZERO, ONE)),
+    ModuleSpec.phi(b=sc(2), lam=sc("-1/2"), coeffs=(ONE,)),
+    ModuleSpec.phi(b=ONE, lam=sc(2), alpha=ONE, coeffs=(ONE,)),
+    ModuleSpec.phi(b=MINUS_ONE, lam=sc(3), alpha=sc("3/2"), coeffs=(sc(2),)),
+    ModuleSpec.theta(lam=sc(2), coeffs=(ZERO, ONE, ONE)),
+]
+
+
+@pytest.mark.parametrize("spec", REPLAY_SPECS,
+                         ids=lambda s: f"{s.family.value}-b{s.b}-alpha{s.alpha}")
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_orbit_closure_matches_naive_replay(spec, window):
+    rng = random.Random(f"{spec.to_dict()}/{window}")
+    for bounds, max_rounds in (((2, 3), 6), ((3, 3), 2), ((3, 2), 12)):
+        seeds = [BiPoly({(rng.randint(0, 2), rng.randint(0, 2)): sc(1),
+                         (rng.randint(0, 2), rng.randint(1, 2)):
+                             sci(rng.randint(-2, 2), rng.randint(0, 1))})
+                 for _ in range(rng.randint(1, 3))]
+        seeds = [f for f in seeds if f]
+        report = orbit_closure(spec, seeds, window=window, bounds=bounds,
+                               max_rounds=max_rounds)
+        expected = _naive_closure(spec, seeds, window, bounds, max_rounds)
+        got = {k: report.data[k] for k in
+               ("dimension_trace", "overflow", "reaches_one", "stabilized")}
+        got["residue"] = report.failures[0].residue if report.failures else None
+        assert got == expected
+        assert report.checks == len(expected["dimension_trace"]) - 1
+    ops = [spec.op(x(m)) for m in range(-window, window + 1) for x in (L, W)]
+    for predicate in (lambda i, j: j >= 1, lambda i, j: j >= 2,
+                      lambda i, j: i >= 1, lambda i, j: i + j != 2):
+        naive = all(predicate(*key)
+                    for i in range(4) for j in range(4) if predicate(i, j)
+                    for op in ops
+                    for key in op.apply(BiPoly.monomial(i, j)).terms)
+        assert check_invariant_subspace(spec, predicate, window=window,
+                                        bounds=(3, 3)) is naive

@@ -61,9 +61,24 @@ def test_shared_sparse_core(x):
                 x + y
             with pytest.raises(TypeError):
                 x - y
+            with pytest.raises(TypeError):
+                x.combine([(x, ONE), (y, ONE)])
     assert UniPoly.const(ONE) != BiPoly.const(ONE)
     with pytest.raises(TypeError):
         hash(x)
+    # combine: one merge equal to the chained sum, dropping what cancels
+    y = cls({k: c * sc(3) for k, c in x.terms.items() if k != key})
+    pairs = [(x, sc(2)), (y, sci(0, 1)), (x, ZERO), (x, sc(-3)), (y, ONE)]
+    chained = x
+    for t, c in pairs:
+        chained = chained + t.scale(c)
+    combined = x.combine(pairs)
+    assert combined == chained and type(combined) is cls
+    assert key not in combined.terms and combined == y.scale(sci(1, 1))
+    assert type(cls.zero().combine([])) is cls and x.combine([]) == x
+    assert x.combine([(x, MINUS_ONE)]).terms == {}
+    partial = x.combine([(cls({key: x.terms[key]}), MINUS_ONE)])
+    assert key not in partial.terms and partial == dropped
 
 
 def test_unipoly_arithmetic_and_eval():

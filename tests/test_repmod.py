@@ -13,6 +13,7 @@ from virab.repmod import (
     act_W,
     act_element,
     act_sym,
+    apply_each,
     apply_enveloping,
     generic_act_L,
     generic_act_W,
@@ -329,3 +330,90 @@ def test_verify_module_matches_naive_replay(make, degree, fails):
     assert report.checks == checks
     assert [(f.indices, f.residue) for f in report.failures] == failures
     assert bool(failures) == fails
+
+
+# --- module-action oracle: sympy over QQ_I, sharing no code with repmod ---
+
+def _to_sympy(c: Scalar):
+    from sympy import I as SYMPY_I, Rational
+    return (Rational(c.re.numerator, c.re.denominator)
+            + Rational(c.im.numerator, c.im.denominator) * SYMPY_I)
+
+
+def _oracle_action(family, b, lam, alpha, coeffs, kind, m):
+    """L_m or W_m as a differential operator on C[s, t], written from the
+    README: with F = f(s - m, t), W_m . f = a_m F and L_m . f = g_m F +
+    b m a_m dF/dt, where a_m = lambda^m w_m (theta: t at m = 0, else 0),
+    g_m = lambda^m (s + h_m), w_m = t - [b = -1] m alpha - [b = 1, m != 0]
+    alpha, and h_m = sum_k h_k (m t^k - c_m alpha (t^k - alpha^k) / (t -
+    alpha)) with c_m = m (m - 1) at b = -1, m at b = 1, else 0 (theta:
+    r_m = sum_k r_k m t^k)."""
+    from sympy import Poly, cancel, expand, symbols
+    from sympy.polys.domains import QQ_I
+
+    s, t = symbols("s t")
+    lam_m = expand(lam ** m)
+    if family == "theta":
+        a_m = t if m == 0 else 0
+        h_m = sum(c * m * t ** k for k, c in enumerate(coeffs))
+    else:
+        w_m = t - (alpha * m if b == -1 else alpha if b == 1 and m else 0)
+        a_m = lam_m * w_m
+        c_m = m * (m - 1) if b == -1 else m if b == 1 else 0
+        h_m = sum(c * (m * t ** k - c_m * alpha
+                       * cancel((t ** k - alpha ** k) / (t - alpha)))
+                  for k, c in enumerate(coeffs))
+    a_m, g_m, d_m, shift = (Poly(expand(e), s, t, domain=QQ_I) for e in
+                            (a_m, lam_m * (s + h_m), b * m * a_m, s - m))
+
+    def act(f):
+        F = f.compose(shift)
+        return a_m * F if kind == "W" else g_m * F + d_m * F.diff(t)
+
+    return act
+
+
+ORACLE_MODULES = [
+    ("phi", -1, 2, "3/2", (1, "-1/3", 2)),
+    ("phi", -1, (1, 1), 0, (0, 1)),
+    ("phi", 0, "-1/2", 0, (1, "-1/3", 2)),
+    ("phi", "1/2", (0, 1), 2, (1,)),
+    ("phi", 1, 2, "3/2", (1, "-1/3", 2)),
+    ("phi", 1, "-1/2", 0, (0, 1)),
+    ("phi", 2, (1, 1), 1, (2, 0, 1)),
+    ("theta", 1, "-1/2", 0, (0, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("family, b, lam, alpha, coeffs", ORACLE_MODULES)
+def test_module_action_matches_sympy_oracle(family, b, lam, alpha, coeffs):
+    from sympy import Poly, symbols
+    from sympy.polys.domains import QQ_I
+
+    s, t = symbols("s t")
+    lam = sci(*lam) if isinstance(lam, tuple) else sc(lam)
+    coeffs = tuple(sc(c) for c in coeffs)
+    if family == "theta":
+        spec = ModuleSpec.theta(lam=lam, coeffs=coeffs)
+    else:
+        spec = ModuleSpec.phi(b=sc(b), lam=lam, alpha=sc(alpha), coeffs=coeffs)
+    window = 3
+    syms = [x(m) for m in range(-window, window + 1) for x in (L, W)]
+    ops = [spec.op(sym) for sym in syms]
+    oracle = [_oracle_action(family, _to_sympy(spec.b), _to_sympy(lam),
+                             _to_sympy(spec.alpha),
+                             [_to_sympy(c) for c in coeffs], sym.kind,
+                             sym.index) for sym in syms]
+
+    def to_poly(f: BiPoly):
+        return Poly.from_dict({k: QQ_I.from_sympy(_to_sympy(c))
+                               for k, c in f.terms.items()} or {(0, 0): 0},
+                              s, t, domain=QQ_I)
+
+    for i in range(4):
+        for j in range(4 - i):
+            f = BiPoly.monomial(i, j)
+            want = [act(Poly(s ** i * t ** j, s, t, domain=QQ_I))
+                    for act in oracle]
+            assert [to_poly(op.apply(f)) for op in ops] == want, (i, j)
+            assert [to_poly(g) for g in apply_each(ops, f)] == want, (i, j)
