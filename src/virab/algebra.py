@@ -160,29 +160,24 @@ def _ll(n: int, m: int, p: AlgebraParams) -> AlgElement:
 
 
 def _lw(n: int, m: int, p: AlgebraParams) -> AlgElement:
-    # n is the L index, m the W index
+    # n is the L index, m the W index; the W coefficient a + m + b*n is
+    # the same at every point, only the central terms depend on the case
     case = p.case
     out: dict[BasisSymbol, Scalar] = {}
     if case is Case.VIR_00:
-        cw = Scalar.from_int(m)
         if m + n == 0 and n * n + n:
             out[BasisSymbol("C", 2)] = Scalar.from_int(n * n + n)
     elif case is Case.VIR_0_MINUS_1:
-        cw = Scalar.from_int(m - n)
         if m + n == 0:
             c = n * n * n - n
             if c:
                 out[BasisSymbol("C", 2)] = Scalar(Fraction(c, 12))
-    elif case is Case.VIR_HALF_0:
-        cw = Scalar(Fraction(2 * m + 1, 2))
     elif case is Case.VIR_01:
-        cw = Scalar.from_int(m + n)
         if m + n == 0:
             if n:
                 out[BasisSymbol("C", 2)] = Scalar.from_int(n)
             out[BasisSymbol("C", 4)] = ONE
-    else:
-        cw = p.a.add_int(m) + p.b.mul_int(n)
+    cw = p.a.add_int(m) + p.b.mul_int(n)
     if cw:
         out[BasisSymbol("W", m + n)] = cw
     return AlgElement._raw(out)

@@ -23,10 +23,21 @@ The constraint identifiers used by certificates and failure entries:
     b-power            b_m must be lambda^m
     window-mismatch    the window differs from the data the solved
                        parameters generate (first mismatch, a_m before g_m)
+
+Pair indices (m, n) read as in the bracket they replay: lw-compat and
+w-linear at (m, n) come from [L_m, W_n] . 1 and run over every pair with
+|m|, |n|, |m + n| <= N; ll-compat at (m, n) is [L_m, L_n] . 1 with m < n.
+Each identity is written once (``_lw_compat``, ``_w_linear``) and read off
+the data it is given: check_constraints sweeps the window, and the solver
+evaluates the same functions on its seeds with a_0 = W0 and g_0 = L0 (so
+A_0 = 1 and B_0 = 0).  A solver certificate for either identity therefore
+re-evaluates on the input: whenever check_constraints runs that pass, it
+lists the same constraint, indices and residue value.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -160,6 +171,46 @@ def _commutation_residue(
     return an.shift_s(fam_a.add_int(m)) * am - am.shift_s(fam_a.add_int(n)) * an
 
 
+def _lw_compat(
+    a: Scalar, b: Scalar, a_m: dict[int, BiPoly], g_m: dict[int, BiPoly],
+    m: int, n: int,
+) -> BiPoly:
+    # [L_m, W_n] . 1: (a + n + b*m) a_{m+n} - a_n (g_m - g_m(L0 - a - n))
+    #   - (a + b*m) a_n' a_m
+    gm, an = g_m[m], a_m[n]
+    return (
+        a_m[m + n].scale(a.add_int(n) + b.mul_int(m))
+        - an * (gm - gm.shift_s(a.add_int(n)))
+        - (an.partial_t() * a_m[m]).scale(a + b.mul_int(m))
+    )
+
+
+def _w_linear(
+    a: Scalar, b: Scalar, lam: Scalar, X: dict[int, Scalar],
+    A: dict[int, Scalar], m: int, n: int,
+) -> Scalar:
+    # (a + n + b*m) X_{m+n} - n X_n lambda^m - b*m A_n X_m: the t (X = A)
+    # and constant (X = B) parts of lw-compat at a = 0 for a_m = A_m t + B_m
+    # and g_m = lambda^m L0 + d_m
+    return (
+        (a.add_int(n) + b.mul_int(m)) * X[m + n]
+        - X[n].mul_int(n) * intpow(lam, m)
+        - b.mul_int(m) * A[n] * X[m]
+    )
+
+
+def _first_failure(
+    constraint: str, instances: tuple[tuple[int, int], ...],
+    residue: Callable[[int, int], BiPoly],
+) -> InfeasibilityCertificate | None:
+    """The certificate at the first (m, n) whose residue is nonzero."""
+    for m, n in instances:
+        res = residue(m, n)
+        if res:
+            return InfeasibilityCertificate(constraint, (m, n), res)
+    return None
+
+
 def _s_terms_above(p: BiPoly, k: int) -> BiPoly:
     """The terms of p whose power of s (L0) exceeds k."""
     return BiPoly({(i, j): c for (i, j), c in p.terms.items() if i > k})
@@ -245,20 +296,12 @@ def check_constraints(fam: CandidateFamily) -> Report:
         report.elapsed = perf_counter() - t0
         return report
 
-    # [L_m, W_n] . 1: (a + n + b*m) a_{m+n} = a_n (g_m - g_m(L0-a-n)) + (a + b*m) a_n' a_m
     for m in window:
-        gm = fam.g_m[m]
         for n in window:
             if abs(m + n) > N:
                 continue
             checks += 1
-            coeff = a.add_int(n) + b.mul_int(m)
-            lhs = fam.a_m[m + n].scale(coeff)
-            rhs = fam.a_m[n] * (gm - gm.shift_s(a.add_int(n)))
-            rhs = rhs + (fam.a_m[n].partial_t() * fam.a_m[m]).scale(
-                a + b.mul_int(m)
-            )
-            res = lhs - rhs
+            res = _lw_compat(a, b, fam.a_m, fam.g_m, m, n)
             if res:
                 report.fail("lw-compat", (m, n), format_bipoly(res))
 
@@ -315,22 +358,11 @@ def check_constraints(fam: CandidateFamily) -> Report:
             for n in window:
                 if abs(m + n) > N:
                     continue
-                lam_m = intpow(lam, m)
                 checks += 2
-                res = (
-                    (a.add_int(n) + b.mul_int(m)) * A[m + n]
-                    - A[n].mul_int(n) * lam_m
-                    - b.mul_int(m) * A[n] * A[m]
-                )
-                if res:
-                    report.fail("w-linear-A", (m, n), format_scalar(res))
-                res = (
-                    (a.add_int(n) + b.mul_int(m)) * B[m + n]
-                    - B[n].mul_int(n) * lam_m
-                    - b.mul_int(m) * A[n] * B[m]
-                )
-                if res:
-                    report.fail("w-linear-B", (m, n), format_scalar(res))
+                for name, X in (("w-linear-A", A), ("w-linear-B", B)):
+                    res = _w_linear(a, b, lam, X, A, m, n)
+                    if res:
+                        report.fail(name, (m, n), format_scalar(res))
 
         # cocycle identity for F_m = lambda^(-m) d_m:
         # (n-m) F_{m+n} = n F_n - m F_m - n b F_m' w_n + m b F_n' w_m
@@ -404,73 +436,8 @@ def extract_h_coeffs(
     return tuple(coeffs)
 
 
-def _propagate_seq(
-    lam: Scalar,
-    b: Scalar,
-    window: int,
-    x1: Scalar,
-    xm1: Scalar,
-) -> dict[int, Scalar]:
-    """Extend {X_0 = 0, X_1, X_-1} to |m| <= window using the two recursion
-    instances (n = 1 upward, n = -1 downward), switching sides whenever the
-    primary instance's coefficient vanishes; by then the A-coefficients are
-    known to be lambda^(+-1), so the alternate side is always solvable."""
-    lam_inv = intpow(lam, -1)
-    X = {0: ZERO, 1: x1, -1: xm1}
-    for j in range(2, window + 1):
-        c = ONE + b.mul_int(j - 1)
-        if c:
-            # (1 + b(j-1)) X_j = X_1 lam^(j-1) + b(j-1) A_1 X_{j-1}
-            X[j] = (
-                x1 * intpow(lam, j - 1) + b.mul_int(j - 1) * lam * X[j - 1]
-            ) / c
-        else:
-            # (-1 + bj) X_{j-1} = -X_{-1} lam^j + bj A_{-1} X_j
-            cc = b.mul_int(j) * lam_inv
-            X[j] = ((b.mul_int(j) - ONE) * X[j - 1] + xm1 * intpow(lam, j)) / cc
-    for j in range(-2, -window - 1, -1):
-        c = b.mul_int(j + 1) - ONE
-        if c:
-            # (-1 + b(j+1)) X_j = -X_{-1} lam^(j+1) + b(j+1) A_{-1} X_{j+1}
-            X[j] = (
-                -xm1 * intpow(lam, j + 1)
-                + b.mul_int(j + 1) * lam_inv * X[j + 1]
-            ) / c
-        else:
-            # (1 + bj) X_{j+1} = X_1 lam^j + bj A_1 X_j
-            cc = b.mul_int(j) * lam
-            X[j] = ((ONE + b.mul_int(j)) * X[j + 1] - x1 * intpow(lam, j)) / cc
-    return X
-
-
-def _instance_certificate(
-    b: Scalar,
-    window: int,
-    lam: Scalar,
-    X: dict[int, Scalar],
-) -> InfeasibilityCertificate | None:
-    """Check every n = +-1 instance of the w-linear-B recursion on the
-    window, where A_{+-1} = lambda^(+-1) is already established."""
-    for n in (1, -1):
-        An = intpow(lam, n)
-        for m in range(-window, window + 1):
-            if abs(m + n) > window:
-                continue
-            res = (
-                (Scalar.from_int(n) + b.mul_int(m)) * X[m + n]
-                - X[n].mul_int(n) * intpow(lam, m)
-                - b.mul_int(m) * An * X[m]
-            )
-            if res:
-                return InfeasibilityCertificate(
-                    "w-linear-B", (m, n), BiPoly.const(res)
-                )
-    return None
-
-
 def solve_from_generators(
     b: Scalar,
-    window: int,
     a_pos: BiPoly,
     a_neg: BiPoly,
     g_pos: BiPoly,
@@ -482,22 +449,22 @@ def solve_from_generators(
 
     The stages mirror the structural facts the checks are built on: a must
     vanish; a_m must avoid L0; g_m must be affine in L0 with geometric
-    leading coefficients lambda^m; the W-multipliers are affine with
-    leading coefficients forced onto the k = 1 branch of
-    b*k^2 - k - (b-1) = 0 (the other root is rejected with an explicit
-    residue); the constant parts yield alpha; the normalized g-tails yield
-    the coefficient sequence by peeling.
+    leading coefficients lambda^m; the W-multipliers are affine, and the
+    crossed w-linear instances (-1, 1) and (1, -1) force their leading
+    coefficients onto the k = 1 branch of b*k^2 - k - (b-1) = 0 (the
+    other root is rejected with an explicit residue) and tie their
+    constant parts, which yield alpha; the normalized g-tails yield the
+    coefficient sequence by peeling.  Only the seeds are read: the other
+    window entries are solve_candidate's to check.
     """
     t_var = BiPoly.t_var()
 
-    # a = 0 is forced by [L_0, W_n] . 1 replayed at n = 0 (or a seed index)
+    # a = 0 is forced by lw-compat at (0, 1), or else at (0, 0), which
+    # reads -a*t
     if a:
-        res = (a_pos.partial_t() * t_var).scale(-a)
-        if res:
-            return InfeasibilityCertificate("lw-compat", (0, 1), res)
-        return InfeasibilityCertificate(
-            "lw-compat", (0, 0), t_var.scale(-a)
-        )
+        a_m, g_m = {0: t_var, 1: a_pos}, {0: BiPoly.s_var()}
+        return _first_failure("lw-compat", ((0, 1), (0, 0)),
+                              lambda m, n: _lw_compat(a, b, a_m, g_m, m, n))
 
     if a_pos.deg_s > 0 or a_neg.deg_s > 0:
         res = _commutation_residue(ZERO, 1, -1, a_pos, a_neg)
@@ -568,55 +535,36 @@ def solve_from_generators(
             return InfeasibilityCertificate("deg-a", (idx,), tail.embed())
     A1, B1 = w_pos.coeff(1), w_pos.coeff(0)
     Am1, Bm1 = w_neg.coeff(1), w_neg.coeff(0)
+    A = {-1: Am1, 0: ONE, 1: A1}
+    B = {-1: Bm1, 0: ZERO, 1: B1}
+    crossed = ((-1, 1), (1, -1))
 
-    # vanishing leading coefficients collapse to the degenerate branch,
-    # which contradicts the nonzero constant parts
-    if not A1 or not Am1:
-        if b != ONE:
-            res = ONE - b if not A1 else b - ONE
-            idx = (1, -1) if not A1 else (-1, 1)
-            return InfeasibilityCertificate(
-                "w-linear-A", idx, BiPoly.const(res)
-            )
-        if not A1 and Am1:
-            return InfeasibilityCertificate(
-                "w-linear-A", (1, -2), BiPoly.const(-Am1)
-            )
-        if not Am1 and A1:
-            return InfeasibilityCertificate(
-                "w-linear-A", (-1, 2), BiPoly.const(A1)
-            )
-        # both leading coefficients vanish: B_1 lambda^{-1} = 0 is forced
-        return InfeasibilityCertificate(
-            "w-linear-B", (1, -1), BiPoly.const(B1 * lam_inv)
-        )
+    # the crossed instances force A_{-1} = A_1 / lambda^2 and
+    # b*k^2 - k - (b-1) = 0 for k = A_1 / lambda
+    cert = _first_failure("w-linear-A", crossed, lambda m, n: BiPoly.const(
+        _w_linear(ZERO, b, lam, A, A, m, n)))
+    if cert:
+        return cert
 
-    # the two crossed instances pin A_1 A_{-1} against lambda
-    res = (b - ONE) - Am1 * (b * A1 - lam)
-    if res:
-        return InfeasibilityCertificate("w-linear-A", (-1, 1), BiPoly.const(res))
-    res = (ONE - b) - A1 * (lam_inv - b * Am1)
-    if res:
-        return InfeasibilityCertificate("w-linear-A", (1, -1), BiPoly.const(res))
-
-    # both roots of b*k^2 - k - (b-1) = 0 reach here; only k = 1 survives
-    k = A1 * lam_inv
-    if k != ONE:
+    # the root k = (1-b)/b fails at (2, -1) once (1, 1) has fixed
+    # (1 + b) A_2 = A_1 lambda + b A_1^2, or at (1, 1) itself when b = -1
+    if A1 and A1 != lam:
+        A[2] = ZERO
+        res = -_w_linear(ZERO, b, lam, A, A, 1, 1)
         if b == MINUS_ONE:
-            res = A1 * lam + b * A1 * A1
             return InfeasibilityCertificate(
                 "scale-branch", (1, 1), BiPoly.const(res)
             )
-        A2 = (A1 * lam + b * A1 * A1) / (ONE + b)
-        res = (b.mul_int(2) - ONE) * A1 + Am1 * lam * lam - b.mul_int(2) * Am1 * A2
-        return InfeasibilityCertificate(
-            "scale-branch", (-1, 2), BiPoly.const(res)
-        )
+        A[2] = res / (ONE + b)
+        return InfeasibilityCertificate("scale-branch", (-1, 2), BiPoly.const(
+            _w_linear(ZERO, b, lam, A, A, 2, -1)))
 
-    # A_1 = lambda and A_{-1} = lambda^-1 now, so A_m = lambda^m solves
-    # its recursion; only B needs propagating and checking on the window
-    B = _propagate_seq(lam, b, window, B1, Bm1)
-    cert = _instance_certificate(b, window, lam, B)
+    # with A_{+-1} = lambda^{+-1} the crossed instances force B_{+-1} = 0
+    # unless b = +-1, and B_1 = b * lambda^2 * B_{-1} then; the root k = 0
+    # (b = 1, A_{+-1} = 0, so B_1 != 0) fails at (-1, 1).  Every other B_m
+    # is read by solve_candidate's window check.
+    cert = _first_failure("w-linear-B", crossed, lambda m, n: BiPoly.const(
+        _w_linear(ZERO, b, lam, B, A, m, n)))
     if cert:
         return cert
 
@@ -641,7 +589,6 @@ def solve_candidate(
     """
     out = solve_from_generators(
         fam.b,
-        fam.window,
         fam.a_m[1],
         fam.a_m[-1],
         fam.g_m[1],

@@ -191,7 +191,7 @@ def test_translation_parameter_and_spurious_scale_branch_rejected():
     A1 = k * lam
     Am1 = (b - ONE) / (b * A1 - lam)
     cert = solve_from_generators(
-        b, 4,
+        b,
         UniPoly.monomial(1, A1).embed(),
         UniPoly.monomial(1, Am1).embed(),
         BiPoly.s_var().scale(lam),

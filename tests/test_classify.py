@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import sc, sci
 from test_repmod import _family_with_a
@@ -60,8 +64,8 @@ def test_round_trip_alpha_invisible_away_from_selectors():
 
 
 def test_round_trip_exceptional_recursion_index():
-    # b = -1/2 makes 1 + b(j - 1) vanish at j = 3, forcing the alternate
-    # propagation step; the solve must still land on the exact input
+    # b = -1/2 makes the weight 1 + b*m of the w-linear instance (m, 1)
+    # vanish at m = 2; the solve must still land on the exact input
     spec = ModuleSpec.phi(b=sc("-1/2"), lam=sci(1, 1), alpha=ZERO, coeffs=(ZERO, sc(2)))
     out = recover(spec, window=5)
     assert isinstance(out, CanonicalParams)
@@ -77,6 +81,69 @@ def test_round_trip_theta():
     spec = ModuleSpec.theta(lam=sc("-1/2"), coeffs=())
     out = recover(spec)
     assert isinstance(out, CanonicalParams) and out.coeffs == ()
+
+
+B_VALUES = ("-1", "-1/2", "-1/3", "0", "1/3", "1/2", "1", "2", "3")
+gaussians = st.builds(lambda re, den, im: sci(Fraction(re, den), im),
+                      st.integers(-4, 4), st.integers(1, 3),
+                      st.integers(-2, 2))
+
+
+@st.composite
+def module_specs(draw) -> ModuleSpec:
+    """phi at b values that include every b = +-1/k (k = 1, 2, 3) making
+    a w-linear weight 1 + b*m or b*m - 1 vanish inside small windows, or
+    theta; Gaussian lambda, alpha and coefficients."""
+    lam = draw(gaussians.filter(bool))
+    coeffs = draw(st.lists(gaussians, max_size=3))
+    b = draw(st.sampled_from(B_VALUES + ("theta",)))
+    if b == "theta":
+        return ModuleSpec.theta(lam=lam, coeffs=coeffs)
+    return ModuleSpec.phi(b=sc(b), lam=lam, alpha=draw(gaussians),
+                          coeffs=coeffs)
+
+
+@given(spec=module_specs(), window=st.integers(1, 6))
+def test_solve_recovers_canonical_params(spec, window):
+    out = recover(spec, window)
+    assert isinstance(out, CanonicalParams)
+    assert out.family is spec.family
+    assert isom_decide(out, CanonicalParams(
+        spec.family, spec.lam, spec.alpha, spec.seq.coeffs), spec.b)
+
+
+# check_constraints skips its w-linear pass after these failures
+_BEFORE_W_LINEAR = {"deg-g", "b-scalar", "a-in-W0", "b-power", "deg-a"}
+
+
+@given(spec=module_specs(), window=st.integers(1, 5),
+       m=st.sampled_from((1, -1)), part=st.sampled_from(("A", "B", "zero")),
+       delta=gaussians.filter(bool))
+def test_w_linear_certificates_re_evaluate_on_the_input(
+        spec, window, m, part, delta):
+    # move the t part (A) or the constant part (B) of one W-seed, or zero it
+    base = candidate_for(spec, window)
+    a_m = dict(base.a_m)
+    if part == "zero":
+        a_m[m] = BiPoly.zero()
+    else:
+        a_m[m] = a_m[m] + BiPoly.monomial(0, int(part == "A"), delta)
+    fam = CandidateFamily(base.a, base.b, window, a_m, base.g_m)
+    out = solve_candidate(fam)
+    if spec.family is Family.PHI and part != "zero" and a_m[m]:
+        # a moved part of a nonzero phi seed breaks a crossed instance
+        assert out.constraint == f"w-linear-{part}"
+    if not (isinstance(out, InfeasibilityCertificate)
+            and out.constraint.startswith("w-linear")):
+        return
+    mm, n = out.indices
+    if max(abs(mm), abs(n), abs(mm + n)) > window:
+        return
+    failures = check_constraints(fam).failures
+    if any(f.constraint in _BEFORE_W_LINEAR for f in failures):
+        return
+    assert (out.constraint, out.indices, out.residue) in [
+        (f.constraint, f.indices, parse_bipoly(f.residue)) for f in failures]
 
 
 def test_nonzero_a_yields_certificate():
@@ -98,7 +165,7 @@ def test_scale_branch_spurious_root_rejected():
     A1 = k * lam
     Am1 = (b - ONE) / (b * A1 - lam)
     out = solve_from_generators(
-        b, 4,
+        b,
         UniPoly.monomial(1, A1).embed(),
         UniPoly.monomial(1, Am1).embed(),
         BiPoly.s_var().scale(lam),
@@ -114,7 +181,7 @@ def test_scale_branch_rejected_at_b_minus_one():
     A1 = k * lam
     Am1 = (b - ONE) / (b * A1 - lam)
     out = solve_from_generators(
-        b, 4,
+        b,
         UniPoly.monomial(1, A1).embed(),
         UniPoly.monomial(1, Am1).embed(),
         BiPoly.s_var().scale(lam),
@@ -128,21 +195,21 @@ def test_scale_branch_rejected_at_b_minus_one():
 def test_degenerate_seeds():
     # both W-seeds zero away from b = 1: no family fits
     out = solve_from_generators(
-        sc(2), 3, BiPoly.zero(), BiPoly.zero(),
+        sc(2), BiPoly.zero(), BiPoly.zero(),
         BiPoly.s_var().scale(sc(2)), BiPoly.s_var().scale(sc("1/2")),
     )
     assert isinstance(out, InfeasibilityCertificate)
     assert out.constraint == "degenerate-weight"
     # one-sided zero at b = 1 contradicts the W-recursion
     out = solve_from_generators(
-        ONE, 3, BiPoly.zero(), BiPoly.t_var(),
+        ONE, BiPoly.zero(), BiPoly.t_var(),
         BiPoly.s_var().scale(sc(2)), BiPoly.s_var().scale(sc("1/2")),
     )
     assert isinstance(out, InfeasibilityCertificate)
     assert out.constraint == "W-degenerate"
     # one-sided zero away from b = 1
     out = solve_from_generators(
-        sc(3), 3, BiPoly.t_var(), BiPoly.zero(),
+        sc(3), BiPoly.t_var(), BiPoly.zero(),
         BiPoly.s_var().scale(sc(2)), BiPoly.s_var().scale(sc("1/2")),
     )
     assert isinstance(out, InfeasibilityCertificate)
