@@ -7,42 +7,56 @@ module families and recover the canonical parameters, or produce an
 nonzero residue at explicit witness indices.  Everything is exact, so the
 answer is a proof either way, within the window.
 
-The constraint identifiers used by certificates and failure entries:
+Each window constraint is one function of the data and its indices that
+returns a certificate or None; every residue is a BiPoly, so it has one
+canonical text.  The window constraints, in the order check_constraints
+runs them (a_m = A_m t + B_m, g_m = b_m L0 + d_m, lambda = b_1):
 
-    W-commutation      [W_m, W_n] . 1 = 0 (forces a_m to lie in C[W0])
-    lw-compat          [L_m, W_n] . 1 replayed on the data (kills a != 0)
-    ll-compat          [L_m, L_n] . 1 replayed on the data
-    w-linear-A/B       the scalar recursions for a_m = A_m*t + B_m
-    scale-branch       rejection of the spurious root of b*k^2 - k - (b-1)
-    degenerate-weight  a vanishing W-seed forces b = 1
-    W-degenerate       with b = 1, one vanishing W-seed forces the other
-    h-cocycle          the shifted-derivation identity for F_m = d_m/lambda^m
-    leading-coeff      coefficient peeling: level-k residues must scale as n
-    deg-g/deg-a        degree bounds (g affine in L0, a affine in W0)
-    a-in-W0/b-scalar   shape preconditions for the displayed identities
-    b-power            b_m must be lambda^m
-    window-mismatch    the window differs from the data the solved
-                       parameters generate (first mismatch, a_m before g_m)
+    deg-g          (m,)    g_m is affine in L0: the terms above L0
+    b-scalar       (m,)    b_m is a scalar: the t-dependent part of the
+                           L0 coefficient of g_m, in t
+    a-in-W0        (m,)    a_m lies in C[W0]: its L0 terms
+    lw-compat      (m, n)  [L_m, W_n] . 1 replayed on the data (kills
+                           a != 0)
+    b-power        (m,)    b_m - lambda^m; at (1, -1), 1 - b_1 b_{-1},
+                           the instance that fails when lambda = 0
+    ll-compat      (m, n)  [L_m, L_n] . 1 replayed on b_m and d_m
+    deg-a          (m,)    a_m is affine in W0: the terms above W0
+    w-linear-A/B   (m, n)  the t (X = A) and constant (X = B) parts of
+                           lw-compat: (a + n + b*m) X_{m+n} - n X_n
+                           lambda^m - b*m A_n X_m
+    h-cocycle      (m, n)  ll-compat over a = 0 on the normalized data
+                           b_m = 1, d_m = F_m = d_m / lambda^m, a_m = w_m
+                           (the twist factor of repmod.twist_poly)
+    W-commutation  (m, n)  [W_m, W_n] . 1 = 0, swept by
+                           check_W_commutation (forces a_m into C[W0])
 
 Pair indices (m, n) read as in the bracket they replay: lw-compat and
 w-linear at (m, n) come from [L_m, W_n] . 1 and run over every pair with
-|m|, |n|, |m + n| <= N; ll-compat at (m, n) is [L_m, L_n] . 1 with m < n.
-Each identity is written once (``_lw_compat``, ``_w_linear``) and read off
-the data it is given: check_constraints sweeps the window, and the solver
-evaluates the same functions on its seeds with a_0 = W0 and g_0 = L0 (so
-A_0 = 1 and B_0 = 0).  A solver certificate for either identity therefore
-re-evaluates on the input: whenever check_constraints runs that pass, it
-lists the same constraint, indices and residue value.
+|m|, |n|, |m + n| <= N; ll-compat and h-cocycle take the pairs with m < n,
+and W-commutation every m < n in the window.  check_constraints and
+check_W_commutation record every failing instance; the solver takes the
+first one on its seeds, with a_0 = W0 and g_0 = L0.  A solver certificate
+of one of these kinds is therefore an entry that check_constraints or
+check_W_commutation lists for the same input, whenever it runs that pass.
+The solver's own stages add:
+
+    scale-branch       rejection of the spurious root of b*k^2 - k - (b-1)
+    degenerate-weight  a vanishing W-seed forces b = 1
+    W-degenerate       with b = 1, one vanishing W-seed forces the other
+    leading-coeff      coefficient peeling: level-k residues must scale as n
+    window-mismatch    the window differs from the data the solved
+                       parameters generate (first mismatch, a_m before g_m)
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from time import perf_counter
 
 from .algebra import L, W
-from .polynomials import BiPoly, UniPoly, format_bipoly, format_unipoly
+from .polynomials import BiPoly, UniPoly, format_bipoly
 from .repmod import (
     Family,
     GenericFamily,
@@ -164,78 +178,136 @@ class CandidateFamily:
         )
 
 
-def _commutation_residue(
-    fam_a: Scalar, m: int, n: int, am: BiPoly, an: BiPoly
-) -> BiPoly:
-    # [W_m, W_n] . 1 = a_n(L0 - a - m, W0) a_m - a_m(L0 - a - n, W0) a_n
-    return an.shift_s(fam_a.add_int(m)) * am - am.shift_s(fam_a.add_int(n)) * an
+# --- the window constraints, one function each ---------------------------
+
+def _cert(
+    constraint: str, indices: tuple[int, ...], residue: BiPoly
+) -> InfeasibilityCertificate | None:
+    return InfeasibilityCertificate(constraint, indices, residue) if residue else None
+
+
+def _g_shape(g_m: dict[int, BiPoly], m: int) -> InfeasibilityCertificate | None:
+    # deg-g on the terms above L0, else b-scalar on the t-dependent part of
+    # the L0 coefficient
+    terms = g_m[m].terms
+    excess = BiPoly({(i, j): c for (i, j), c in terms.items() if i > 1})
+    if excess:
+        return InfeasibilityCertificate("deg-g", (m,), excess)
+    return _cert("b-scalar", (m,), BiPoly(
+        {(0, j): c for (i, j), c in terms.items() if i == 1 and j}))
+
+
+def _a_in_W0(a_m: dict[int, BiPoly], m: int) -> InfeasibilityCertificate | None:
+    return _cert("a-in-W0", (m,), BiPoly(
+        {(i, j): c for (i, j), c in a_m[m].terms.items() if i}))
 
 
 def _lw_compat(
     a: Scalar, b: Scalar, a_m: dict[int, BiPoly], g_m: dict[int, BiPoly],
     m: int, n: int,
-) -> BiPoly:
+) -> InfeasibilityCertificate | None:
     # [L_m, W_n] . 1: (a + n + b*m) a_{m+n} - a_n (g_m - g_m(L0 - a - n))
     #   - (a + b*m) a_n' a_m
     gm, an = g_m[m], a_m[n]
-    return (
+    return _cert("lw-compat", (m, n), (
         a_m[m + n].scale(a.add_int(n) + b.mul_int(m))
         - an * (gm - gm.shift_s(a.add_int(n)))
         - (an.partial_t() * a_m[m]).scale(a + b.mul_int(m))
-    )
+    ))
+
+
+def _b_power(b_m: dict[int, Scalar], *idx: int) -> InfeasibilityCertificate | None:
+    # b_m = lambda^m with lambda = b_1 at (m,); at (1, -1) b_1 b_{-1} = 1,
+    # the instance read instead while b_1 = 0
+    if len(idx) == 2:
+        return _cert("b-power", idx, BiPoly.const(ONE - b_m[1] * b_m[-1]))
+    (m,) = idx
+    return _cert("b-power", idx, BiPoly.const(b_m[m] - intpow(b_m[1], m)))
+
+
+def _ll_compat(
+    a: Scalar, b: Scalar, b_m: dict[int, Scalar], d_m: dict[int, UniPoly],
+    a_m: dict[int, UniPoly], m: int, n: int, constraint: str = "ll-compat",
+) -> InfeasibilityCertificate | None:
+    # [L_m, L_n] . 1 for g_m = b_m L0 + d_m, cancelled before multiplying:
+    # (n-m)(b_{m+n} - b_m b_n) L0 + (n-m) d_{m+n} - n b_m d_n + m b_n d_m
+    #   + (a + b*n) d_m' a_n - (a + b*m) d_n' a_m
+    tail = d_m[m + n].scale_int(n - m).combine((
+        (d_m[n], -b_m[m].mul_int(n)),
+        (d_m[m], b_m[n].mul_int(m)),
+        (d_m[m].deriv() * a_m[n], a + b.mul_int(n)),
+        (d_m[n].deriv() * a_m[m], -(a + b.mul_int(m))),
+    ))
+    lead = (b_m[m + n] - b_m[m] * b_m[n]).mul_int(n - m)
+    return _cert(constraint, (m, n), BiPoly.monomial(1, 0, lead) + tail.embed())
+
+
+def _deg_a(a_m: dict[int, UniPoly], m: int) -> InfeasibilityCertificate | None:
+    return _cert("deg-a", (m,), BiPoly(
+        {(0, k): c for k, c in a_m[m].terms.items() if k > 1}))
 
 
 def _w_linear(
-    a: Scalar, b: Scalar, lam: Scalar, X: dict[int, Scalar],
-    A: dict[int, Scalar], m: int, n: int,
-) -> Scalar:
+    a: Scalar, b: Scalar, lam: Scalar, A: dict[int, Scalar],
+    B: dict[int, Scalar], part: str, m: int, n: int,
+) -> InfeasibilityCertificate | None:
     # (a + n + b*m) X_{m+n} - n X_n lambda^m - b*m A_n X_m: the t (X = A)
     # and constant (X = B) parts of lw-compat at a = 0 for a_m = A_m t + B_m
     # and g_m = lambda^m L0 + d_m
-    return (
+    X = A if part == "A" else B
+    return _cert("w-linear-" + part, (m, n), BiPoly.const(
         (a.add_int(n) + b.mul_int(m)) * X[m + n]
         - X[n].mul_int(n) * intpow(lam, m)
         - b.mul_int(m) * A[n] * X[m]
-    )
+    ))
 
 
-def _first_failure(
-    constraint: str, instances: tuple[tuple[int, int], ...],
-    residue: Callable[[int, int], BiPoly],
+def _w_commutation(
+    a: Scalar, a_m: dict[int, BiPoly], m: int, n: int
 ) -> InfeasibilityCertificate | None:
-    """The certificate at the first (m, n) whose residue is nonzero."""
-    for m, n in instances:
-        res = residue(m, n)
-        if res:
-            return InfeasibilityCertificate(constraint, (m, n), res)
-    return None
+    # [W_m, W_n] . 1 = a_n(L0 - a - m, W0) a_m - a_m(L0 - a - n, W0) a_n
+    am, an = a_m[m], a_m[n]
+    return _cert("W-commutation", (m, n),
+                 an.shift_s(a.add_int(m)) * am - am.shift_s(a.add_int(n)) * an)
 
 
-def _s_terms_above(p: BiPoly, k: int) -> BiPoly:
-    """The terms of p whose power of s (L0) exceeds k."""
-    return BiPoly({(i, j): c for (i, j), c in p.terms.items() if i > k})
+def _failures(instances, *checks):
+    """The certificates of the failing instances: instance by instance, and
+    at each one the checks in the order given."""
+    for idx in instances:
+        for check in checks:
+            cert = check(*idx)
+            if cert is not None:
+                yield cert
+
+
+def _record(report: Report, instances, *checks) -> bool:
+    """Run every check at every instance as one check each of report and
+    record each failure; True when none failed."""
+    instances = tuple(instances)
+    report.checks += len(instances) * len(checks)
+    before = len(report.failures)
+    for cert in _failures(instances, *checks):
+        report.fail(cert.constraint, cert.indices, cert.residue_text)
+    return len(report.failures) == before
+
+
+def _report(suite: str, fam: CandidateFamily) -> Report:
+    return Report(suite=suite, params={
+        "a": format_scalar(fam.a),
+        "b": format_scalar(fam.b),
+        "window": str(fam.window),
+    })
 
 
 def check_W_commutation(fam: CandidateFamily) -> Report:
     """[W_m, W_n] must act by zero; any L0 dependence inside a_m shows up
     here as a nonzero commutator residue."""
     t0 = perf_counter()
-    report = Report(
-        suite="check-W-commutation",
-        params={
-            "a": format_scalar(fam.a),
-            "b": format_scalar(fam.b),
-            "window": str(fam.window),
-        },
-    )
-    checks = 0
-    for m in range(-fam.window, fam.window + 1):
-        for n in range(m + 1, fam.window + 1):
-            checks += 1
-            res = _commutation_residue(fam.a, m, n, fam.a_m[m], fam.a_m[n])
-            if res:
-                report.fail("W-commutation", (m, n), format_bipoly(res))
-    report.checks = checks
+    report = _report("check-W-commutation", fam)
+    window = range(-fam.window, fam.window + 1)
+    _record(report, [(m, n) for m in window for n in window if m < n],
+            partial(_w_commutation, fam.a, fam.a_m))
     report.elapsed = perf_counter() - t0
     return report
 
@@ -244,150 +316,54 @@ def check_constraints(fam: CandidateFamily) -> Report:
     """Evaluate the displayed window identities on the candidate data.
 
     Shape preconditions first (g_m affine in L0 with constant L0
-    coefficient, a_m in C[W0] and affine); then the [L,W] and [L,L]
-    replays, the scalar recursions for the a_m coefficients, and the
+    coefficient, a_m in C[W0]); then the [L,W] and [L,L] replays, the
+    degree bound and scalar recursions for the a_m coefficients, and the
     cocycle identity for the normalized g_m tails.  Later passes are
     skipped when the shapes they presuppose are violated, so every
     reported failure is a sound statement about the data.
     """
     t0 = perf_counter()
-    N = fam.window
-    a, b = fam.a, fam.b
-    report = Report(
-        suite="check-constraints",
-        params={
-            "a": format_scalar(a),
-            "b": format_scalar(b),
-            "window": str(N),
-        },
-    )
-    checks = 0
-    window = range(-N, N + 1)
-
-    shapes_ok = True
-    a_uni: dict[int, UniPoly] = {}
-    b_m: dict[int, Scalar] = {}
-    d_m: dict[int, UniPoly] = {}
-    for m in window:
-        checks += 1
-        gm = fam.g_m[m]
-        excess = _s_terms_above(gm, 1)
-        if excess:
-            report.fail("deg-g", (m,), format_bipoly(excess))
-            shapes_ok = False
-            continue
-        lead = gm.coeff_s_power(1)
-        if lead.degree > 0:
-            report.fail("b-scalar", (m,), format_unipoly(lead))
-            shapes_ok = False
-            continue
-        b_m[m] = lead.coeff(0)
-        d_m[m] = gm.coeff_s_power(0)
-    for m in window:
-        checks += 1
-        am = fam.a_m[m]
-        if am.deg_s > 0:
-            report.fail("a-in-W0", (m,), format_bipoly(_s_terms_above(am, 0)))
-            shapes_ok = False
-            continue
-        a_uni[m] = am.to_unipoly_t()
-    if not shapes_ok:
-        report.checks = checks
-        report.elapsed = perf_counter() - t0
-        return report
-
-    for m in window:
-        for n in window:
-            if abs(m + n) > N:
-                continue
-            checks += 1
-            res = _lw_compat(a, b, fam.a_m, fam.g_m, m, n)
-            if res:
-                report.fail("lw-compat", (m, n), format_bipoly(res))
-
-    # b_m must be the geometric sequence lambda^m
-    lam = b_m[1]
-    if not lam:
-        report.fail("b-power", (1, -1), format_scalar(ONE - b_m[1] * b_m[-1]))
-        report.checks = checks + 1
-        report.elapsed = perf_counter() - t0
-        return report
-    for m in window:
-        checks += 1
-        res = b_m[m] - intpow(lam, m)
-        if res:
-            report.fail("b-power", (m,), format_scalar(res))
-
-    # [L_m, L_n] . 1 with b_m constant:
-    # (n-m)(b_{m+n} L0 + d_{m+n}) = (n-m) b_m b_n L0 + n b_m d_n - m b_n d_m
-    #   - (a + b*n) d_m' a_n + (a + b*m) d_n' a_m
-    s_var = BiPoly.s_var()
-    for m in window:
-        for n in window:
-            if n <= m or abs(m + n) > N:
-                continue
-            checks += 1
-            lhs = (
-                s_var.scale(b_m[m + n]) + d_m[m + n].embed()
-            ).scale(Scalar.from_int(n - m))
-            rhs = s_var.scale((b_m[m] * b_m[n]).mul_int(n - m))
-            rhs = rhs + (
-                d_m[n].scale(b_m[m].mul_int(n))
-                - d_m[m].scale(b_m[n].mul_int(m))
-            ).embed()
-            rhs = rhs - (d_m[m].deriv() * a_uni[n]).scale(
-                a + b.mul_int(n)).embed()
-            rhs = rhs + (d_m[n].deriv() * a_uni[m]).scale(
-                a + b.mul_int(m)).embed()
-            res = lhs - rhs
-            if res:
-                report.fail("ll-compat", (m, n), format_bipoly(res))
-
-    # a_m = A_m t + B_m: degree bound, then the scalar recursions
-    linear_ok = True
-    for m in window:
-        checks += 1
-        if a_uni[m].degree > 1:
-            tail = UniPoly({k: c for k, c in a_uni[m].terms.items() if k > 1})
-            report.fail("deg-a", (m,), format_unipoly(tail))
-            linear_ok = False
-    if linear_ok:
-        A = {m: a_uni[m].coeff(1) for m in window}
-        B = {m: a_uni[m].coeff(0) for m in window}
-        for m in window:
-            for n in window:
-                if abs(m + n) > N:
-                    continue
-                checks += 2
-                for name, X in (("w-linear-A", A), ("w-linear-B", B)):
-                    res = _w_linear(a, b, lam, X, A, m, n)
-                    if res:
-                        report.fail(name, (m, n), format_scalar(res))
-
-        # cocycle identity for F_m = lambda^(-m) d_m:
-        # (n-m) F_{m+n} = n F_n - m F_m - n b F_m' w_n + m b F_n' w_m
-        alpha = -(B[1] / lam)
-        F = {m: d_m[m].scale(intpow(lam, -m)) for m in window}
-        for m in window:
-            for n in window:
-                if n <= m or abs(m + n) > N:
-                    continue
-                checks += 1
-                lhs = F[m + n].scale_int(n - m)
-                rhs = F[n].scale_int(n) - F[m].scale_int(m)
-                rhs = rhs - (F[m].deriv() * twist_poly(b, alpha, n)).scale(
-                    b.mul_int(n)
-                )
-                rhs = rhs + (F[n].deriv() * twist_poly(b, alpha, m)).scale(
-                    b.mul_int(m)
-                )
-                res = lhs - rhs
-                if res:
-                    report.fail("h-cocycle", (m, n), format_unipoly(res))
-
-    report.checks = checks
+    report = _report("check-constraints", fam)
+    _sweep_constraints(fam, report)
     report.elapsed = perf_counter() - t0
     return report
+
+
+def _sweep_constraints(fam: CandidateFamily, report: Report) -> None:
+    N, a, b = fam.window, fam.a, fam.b
+    window = range(-N, N + 1)
+    singles = [(m,) for m in window]
+    pairs = [(m, n) for m in window for n in window if abs(m + n) <= N]
+    ordered = [(m, n) for m, n in pairs if m < n]
+
+    # every later pass reads the parts these shapes give
+    g_ok = _record(report, singles, partial(_g_shape, fam.g_m))
+    if not (_record(report, singles, partial(_a_in_W0, fam.a_m)) and g_ok):
+        return
+    _record(report, pairs, partial(_lw_compat, a, b, fam.a_m, fam.g_m))
+
+    b_m = {m: fam.g_m[m].coeff(1, 0) for m in window}
+    lam = b_m[1]
+    _record(report, singles if lam else [(1, -1)], partial(_b_power, b_m))
+    if not lam:
+        return
+    d_m = {m: fam.g_m[m].coeff_s_power(0) for m in window}
+    a_uni = {m: fam.a_m[m].to_unipoly_t() for m in window}
+    _record(report, ordered, partial(_ll_compat, a, b, b_m, d_m, a_uni))
+
+    if not _record(report, singles, partial(_deg_a, a_uni)):
+        return
+    A = {m: a_uni[m].coeff(1) for m in window}
+    B = {m: a_uni[m].coeff(0) for m in window}
+    _record(report, pairs, partial(_w_linear, a, b, lam, A, B, "A"),
+            partial(_w_linear, a, b, lam, A, B, "B"))
+
+    # h-cocycle is ll-compat over a = 0 on the normalized data
+    alpha = -(B[1] / lam)
+    F = {m: d_m[m].scale(intpow(lam, -m)) for m in window}
+    w = {m: twist_poly(b, alpha, m) for m in window}
+    _record(report, ordered, partial(_ll_compat, ZERO, b, dict.fromkeys(
+        window, ONE), F, w, constraint="h-cocycle"))
 
 
 def extract_h_coeffs(
@@ -458,44 +434,41 @@ def solve_from_generators(
     window entries are solve_candidate's to check.
     """
     t_var = BiPoly.t_var()
+    a_m = {-1: a_neg, 0: t_var, 1: a_pos}
+    g_m = {-1: g_neg, 0: BiPoly.s_var(), 1: g_pos}
+    seeds = ((1,), (-1,))
+
+    def first(instances, *checks):
+        return next(_failures(instances, *checks), None)
 
     # a = 0 is forced by lw-compat at (0, 1), or else at (0, 0), which
     # reads -a*t
     if a:
-        a_m, g_m = {0: t_var, 1: a_pos}, {0: BiPoly.s_var()}
-        return _first_failure("lw-compat", ((0, 1), (0, 0)),
-                              lambda m, n: _lw_compat(a, b, a_m, g_m, m, n))
+        return first(((0, 1), (0, 0)), partial(_lw_compat, a, b, a_m, g_m))
 
-    if a_pos.deg_s > 0 or a_neg.deg_s > 0:
-        res = _commutation_residue(ZERO, 1, -1, a_pos, a_neg)
-        if res:
-            return InfeasibilityCertificate("W-commutation", (1, -1), res)
-        # the commutator vanishes when the other seed is zero (theta)
-        idx, am = (1, a_pos) if a_pos.deg_s > 0 else (-1, a_neg)
-        return InfeasibilityCertificate("a-in-W0", (idx,),
-                                        _s_terms_above(am, 0))
+    # the commutator vanishes when the other seed is zero (theta), and
+    # a-in-W0 then shows the L0 terms
+    b_m = {m: g_m[m].coeff(1, 0) for m in g_m}
+    lam = b_m[1]
+    cert = (first(((-1, 1),), partial(_w_commutation, ZERO, a_m))
+            or first(seeds, partial(_a_in_W0, a_m))
+            or first(seeds, partial(_g_shape, g_m))
+            or first(seeds if lam else ((1, -1),), partial(_b_power, b_m)))
+    if cert:
+        return cert
     w_pos = a_pos.to_unipoly_t()
     w_neg = a_neg.to_unipoly_t()
+    lam_inv = b_m[-1]
 
-    # g seeds: affine in L0, constant leading coefficient, b_1 b_{-1} = 1
-    for idx, g in ((1, g_pos), (-1, g_neg)):
-        excess = _s_terms_above(g, 1)
-        if excess:
-            return InfeasibilityCertificate("deg-g", (idx,), excess)
-        lead = g.coeff_s_power(1)
-        if lead.degree > 0:
-            return InfeasibilityCertificate(
-                "b-scalar", (idx,), UniPoly(
-                    {k: c for k, c in lead.terms.items() if k > 0}
-                ).embed(),
-            )
-    lam = g_pos.coeff(1, 0)
-    b_neg = g_neg.coeff(1, 0)
-    if lam * b_neg != ONE:
-        return InfeasibilityCertificate(
-            "b-power", (1, -1), BiPoly.const(ONE - lam * b_neg)
-        )
-    lam_inv = b_neg
+    def peel(family, alpha, b):
+        # the normalized g-tails carry the coefficient sequence
+        coeffs = extract_h_coeffs({-1: g_neg.coeff_s_power(0).scale(lam),
+                                   0: UniPoly.zero(),
+                                   1: g_pos.coeff_s_power(0).scale(lam_inv)},
+                                  alpha, b)
+        if isinstance(coeffs, InfeasibilityCertificate):
+            return coeffs
+        return CanonicalParams(family, lam, alpha, coeffs)
 
     # degenerate branch: vanishing W-seeds
     if not w_pos or not w_neg:
@@ -504,14 +477,7 @@ def solve_from_generators(
                 return InfeasibilityCertificate(
                     "degenerate-weight", (-1, 1), t_var.scale(ONE - b)
                 )
-            d1 = g_pos.coeff_s_power(0).scale(lam_inv)
-            dm1 = g_neg.coeff_s_power(0).scale(lam)
-            coeffs = extract_h_coeffs(
-                {-1: dm1, 0: UniPoly.zero(), 1: d1}, ZERO, ONE
-            )
-            if isinstance(coeffs, InfeasibilityCertificate):
-                return coeffs
-            return CanonicalParams(Family.THETA, lam, ZERO, coeffs)
+            return peel(Family.THETA, ZERO, ONE)
         if b != ONE:
             if not w_pos:
                 return InfeasibilityCertificate(
@@ -529,54 +495,41 @@ def solve_from_generators(
         )
 
     # W-multipliers must be affine: a_m = A_m t + B_m
-    for idx, w in ((1, w_pos), (-1, w_neg)):
-        if w.degree > 1:
-            tail = UniPoly({k: c for k, c in w.terms.items() if k > 1})
-            return InfeasibilityCertificate("deg-a", (idx,), tail.embed())
+    cert = first(seeds, partial(_deg_a, {-1: w_neg, 1: w_pos}))
+    if cert:
+        return cert
     A1, B1 = w_pos.coeff(1), w_pos.coeff(0)
-    Am1, Bm1 = w_neg.coeff(1), w_neg.coeff(0)
-    A = {-1: Am1, 0: ONE, 1: A1}
-    B = {-1: Bm1, 0: ZERO, 1: B1}
+    A = {-1: w_neg.coeff(1), 0: ONE, 1: A1}
+    B = {-1: w_neg.coeff(0), 0: ZERO, 1: B1}
     crossed = ((-1, 1), (1, -1))
 
     # the crossed instances force A_{-1} = A_1 / lambda^2 and
     # b*k^2 - k - (b-1) = 0 for k = A_1 / lambda
-    cert = _first_failure("w-linear-A", crossed, lambda m, n: BiPoly.const(
-        _w_linear(ZERO, b, lam, A, A, m, n)))
+    cert = first(crossed, partial(_w_linear, ZERO, b, lam, A, B, "A"))
     if cert:
         return cert
 
-    # the root k = (1-b)/b fails at (2, -1) once (1, 1) has fixed
-    # (1 + b) A_2 = A_1 lambda + b A_1^2, or at (1, 1) itself when b = -1
+    # the root k = (1-b)/b fails the instance (2, -1) once (1, 1) has fixed
+    # (1 + b) A_2 = A_1 lambda + b A_1^2, or (1, 1) itself when b = -1
     if A1 and A1 != lam:
-        A[2] = ZERO
-        res = -_w_linear(ZERO, b, lam, A, A, 1, 1)
+        top = A1 * (lam + b * A1)
         if b == MINUS_ONE:
             return InfeasibilityCertificate(
-                "scale-branch", (1, 1), BiPoly.const(res)
+                "scale-branch", (1, 1), BiPoly.const(top)
             )
-        A[2] = res / (ONE + b)
-        return InfeasibilityCertificate("scale-branch", (-1, 2), BiPoly.const(
-            _w_linear(ZERO, b, lam, A, A, 2, -1)))
+        A[2] = top / (ONE + b)
+        return replace(_w_linear(ZERO, b, lam, A, B, "A", 2, -1),
+                       constraint="scale-branch")
 
     # with A_{+-1} = lambda^{+-1} the crossed instances force B_{+-1} = 0
     # unless b = +-1, and B_1 = b * lambda^2 * B_{-1} then; the root k = 0
     # (b = 1, A_{+-1} = 0, so B_1 != 0) fails at (-1, 1).  Every other B_m
     # is read by solve_candidate's window check.
-    cert = _first_failure("w-linear-B", crossed, lambda m, n: BiPoly.const(
-        _w_linear(ZERO, b, lam, B, A, m, n)))
+    cert = first(crossed, partial(_w_linear, ZERO, b, lam, A, B, "B"))
     if cert:
         return cert
 
-    alpha = -(B1 * lam_inv)
-
-    # normalized g-tails carry the coefficient sequence
-    d1 = g_pos.coeff_s_power(0).scale(lam_inv)
-    dm1 = g_neg.coeff_s_power(0).scale(lam)
-    coeffs = extract_h_coeffs({-1: dm1, 0: UniPoly.zero(), 1: d1}, alpha, b)
-    if isinstance(coeffs, InfeasibilityCertificate):
-        return coeffs
-    return CanonicalParams(Family.PHI, lam, alpha, coeffs)
+    return peel(Family.PHI, -(B1 * lam_inv), b)
 
 
 def solve_candidate(

@@ -29,7 +29,6 @@ from .grammar import (
     parse_bipoly,
     parse_scalar,
     parse_symbol,
-    parse_unipoly,
 )
 from .orbit import check_invariant_subspace, orbit_closure
 from .polynomials import BiPoly
@@ -83,15 +82,14 @@ def _candidate_from_doc(doc: dict) -> CandidateFamily:
         a=_scalar_field(doc, "a"),
         b=_scalar_field(doc, "b"),
         window=window,
-        a_m=_index_table(doc, "a_m", lambda p: parse_unipoly(p).embed()),
-        g_m=_index_table(doc, "g_m", parse_bipoly),
+        a_m=_index_table(doc, "a_m"),
+        g_m=_index_table(doc, "g_m"),
     )
 
 
-def _index_table(doc: dict, key: str, parse) -> dict[int, BiPoly]:
+def _index_table(doc: dict, key: str) -> dict[int, BiPoly]:
     """Field ``key`` of a candidate document: a JSON object from integers,
-    written in canonical form, to polynomial strings, each read by
-    ``parse``."""
+    written in canonical form, to polynomial strings in s and t."""
     table = doc[key]
     if not isinstance(table, dict):
         raise ValueError(f"field {key!r} must be an object, got {table!r}")
@@ -101,7 +99,7 @@ def _index_table(doc: dict, key: str, parse) -> dict[int, BiPoly]:
             raise ValueError(f"field {key!r} must map integer strings to "
                              f"polynomial strings, got {m!r}: {p!r}")
         try:
-            out[int(m)] = parse(p)
+            out[int(m)] = parse_bipoly(p)
         except ValueError as exc:
             raise ValueError(f"field {key!r} must hold a polynomial at "
                              f"index {m}: {exc}") from None

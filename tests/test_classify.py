@@ -20,7 +20,7 @@ from virab.classify import (
 from virab.grammar import parse_bipoly
 from virab.polynomials import BiPoly, UniPoly, format_bipoly
 from virab.repmod import Family, GenericFamily, ModuleSpec, generic_act_L
-from virab.scalars import I, MINUS_ONE, ONE, ZERO
+from virab.scalars import I, MINUS_ONE, ONE, ZERO, intpow
 
 
 def candidate_for(spec: ModuleSpec, window: int = 4) -> CandidateFamily:
@@ -112,38 +112,72 @@ def test_solve_recovers_canonical_params(spec, window):
         spec.family, spec.lam, spec.alpha, spec.seq.coeffs), spec.b)
 
 
-# check_constraints skips its w-linear pass after these failures
-_BEFORE_W_LINEAR = {"deg-g", "b-scalar", "a-in-W0", "b-power", "deg-a"}
+_SHAPES = {"deg-g", "b-scalar", "a-in-W0"}
+# the kinds check_constraints sweeps that the solver also certifies
+_SWEPT = _SHAPES | {"lw-compat", "b-power", "deg-a", "w-linear-A",
+                    "w-linear-B"}
+
+
+def _pass_skipped(kind: str, failures) -> bool:
+    """Did check_constraints skip its pass of this kind?  A shape failure
+    skips every later pass, b-power at (1, -1) (lambda = 0) every pass
+    after it, and deg-a the w-linear pass."""
+    if kind in _SHAPES:
+        return False
+    seen = {f.constraint for f in failures}
+    if seen & _SHAPES:
+        return True
+    if kind in ("lw-compat", "b-power"):
+        return False
+    if any((f.constraint, f.indices) == ("b-power", (1, -1))
+           for f in failures):
+        return True
+    return kind.startswith("w-linear") and "deg-a" in seen
+
+
+# one perturbation at a seed m = +-1: move the t part (A) or the constant
+# part (B) of a_m, or zero it; add an L0 or a t^2 term to a_m; add an
+# L0^2 or an L0*t term to g_m, or scale its L0 coefficient; or make a != 0
+PERTURBATIONS = ("A", "B", "zero", "a-L0", "a-t2", "g-s2", "g-st", "g-L0",
+                 "a")
 
 
 @given(spec=module_specs(), window=st.integers(1, 5),
-       m=st.sampled_from((1, -1)), part=st.sampled_from(("A", "B", "zero")),
+       m=st.sampled_from((1, -1)), part=st.sampled_from(PERTURBATIONS),
        delta=gaussians.filter(bool))
 def test_w_linear_certificates_re_evaluate_on_the_input(
         spec, window, m, part, delta):
-    # move the t part (A) or the constant part (B) of one W-seed, or zero it
     base = candidate_for(spec, window)
-    a_m = dict(base.a_m)
+    a, a_m, g_m = base.a, dict(base.a_m), dict(base.g_m)
     if part == "zero":
         a_m[m] = BiPoly.zero()
+    elif part == "a":
+        a = delta
     else:
-        a_m[m] = a_m[m] + BiPoly.monomial(0, int(part == "A"), delta)
-    fam = CandidateFamily(base.a, base.b, window, a_m, base.g_m)
+        entries, (i, j) = {
+            "A": (a_m, (0, 1)), "B": (a_m, (0, 0)), "a-L0": (a_m, (1, 0)),
+            "a-t2": (a_m, (0, 2)), "g-s2": (g_m, (2, 0)),
+            "g-st": (g_m, (1, 1)), "g-L0": (g_m, (1, 0)),
+        }[part]
+        c = delta * intpow(spec.lam, m) if part == "g-L0" else delta
+        entries[m] = entries[m] + BiPoly.monomial(i, j, c)
+    fam = CandidateFamily(a, base.b, window, a_m, g_m)
     out = solve_candidate(fam)
-    if spec.family is Family.PHI and part != "zero" and a_m[m]:
+    if spec.family is Family.PHI and part in ("A", "B") and a_m[m]:
         # a moved part of a nonzero phi seed breaks a crossed instance
         assert out.constraint == f"w-linear-{part}"
-    if not (isinstance(out, InfeasibilityCertificate)
-            and out.constraint.startswith("w-linear")):
+    if not isinstance(out, InfeasibilityCertificate):
         return
-    mm, n = out.indices
-    if max(abs(mm), abs(n), abs(mm + n)) > window:
-        return
-    failures = check_constraints(fam).failures
-    if any(f.constraint in _BEFORE_W_LINEAR for f in failures):
-        return
-    assert (out.constraint, out.indices, out.residue) in [
-        (f.constraint, f.indices, parse_bipoly(f.residue)) for f in failures]
+    # a certificate of a swept kind is, by string, an entry of the sweep
+    if out.constraint == "W-commutation":
+        failures = check_W_commutation(fam).failures
+    else:
+        failures = check_constraints(fam).failures
+        if (out.constraint not in _SWEPT
+                or _pass_skipped(out.constraint, failures)):
+            return
+    assert (out.constraint, out.indices, out.residue_text) in [
+        (f.constraint, f.indices, f.residue) for f in failures]
 
 
 def test_nonzero_a_yields_certificate():
@@ -159,20 +193,24 @@ def test_nonzero_a_yields_certificate():
 
 def test_scale_branch_spurious_root_rejected():
     # the quadratic the top seed coefficient satisfies has a second root
-    # k = (1 - b)/b; planting it must be caught by a later instance
+    # k = (1 - b)/b; planting it must be caught by a later instance, the
+    # w-linear-A instance (2, -1) that check_constraints lists on a window
+    # with A_2 fixed by (1, 1)
     lam, b = sc(2), sc(3)
     k = (ONE - b) / b
     A1 = k * lam
     Am1 = (b - ONE) / (b * A1 - lam)
-    out = solve_from_generators(
-        b,
-        UniPoly.monomial(1, A1).embed(),
-        UniPoly.monomial(1, Am1).embed(),
-        BiPoly.s_var().scale(lam),
-        BiPoly.s_var().scale(lam.inv()),
-    )
+    A2 = (A1 * lam + b * A1 * A1) / (ONE + b)
+    a_m = {m: BiPoly.monomial(0, 1, c)
+           for m, c in ((-2, ZERO), (-1, Am1), (0, ONE), (1, A1), (2, A2))}
+    g_m = {m: BiPoly.monomial(1, 0, intpow(lam, m)) for m in range(-2, 3)}
+    out = solve_from_generators(b, a_m[1], a_m[-1], g_m[1], g_m[-1])
     assert isinstance(out, InfeasibilityCertificate)
     assert out.constraint == "scale-branch"
+    assert out.indices == (2, -1) and out.residue_text == "-20/3"
+    failures = check_constraints(CandidateFamily(ZERO, b, 2, a_m, g_m)).failures
+    assert ("w-linear-A", (2, -1), "-20/3") in [
+        (f.constraint, f.indices, f.residue) for f in failures]
 
 
 def test_scale_branch_rejected_at_b_minus_one():
@@ -243,8 +281,11 @@ def test_l0_term_in_seed_a_m_is_certified(family, idx):
     out = solve_candidate(fam)
     assert isinstance(out, InfeasibilityCertificate)
     if family is Family.PHI:
-        # the other seed is nonzero, so [W_1, W_-1] . 1 shows the L0 term
-        assert out.constraint == "W-commutation" and out.indices == (1, -1)
+        # the other seed is nonzero, so [W_-1, W_1] . 1 shows the L0 term,
+        # as check_W_commutation lists it
+        assert out.constraint == "W-commutation" and out.indices == (-1, 1)
+        assert ((-1, 1), out.residue_text) in [
+            (f.indices, f.residue) for f in check_W_commutation(fam).failures]
         return
     # theta's other seed is zero and the commutator with it vanishes
     assert out.constraint == "a-in-W0" and out.indices == (idx,)

@@ -4,7 +4,11 @@ import re
 import pytest
 
 from conftest import sc
-from virab.classify import CandidateFamily
+from virab.classify import (
+    CandidateFamily,
+    InfeasibilityCertificate,
+    solve_candidate,
+)
 from virab.cli import main
 from virab.grammar import parse_bipoly
 from virab.polynomials import BiPoly, format_bipoly, format_unipoly
@@ -187,6 +191,26 @@ def test_classify_checks_the_whole_window(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out) == {"infeasible": {
         "constraint": "window-mismatch",
         "witness": {"indices": [-4], "residue": "t^3"}}}
+
+
+def test_classify_reads_l0_terms_in_a_m(capsys, tmp_path):
+    # a_m is read like g_m, in s and t; the solver certifies the L0 term
+    spec = ModuleSpec.phi(b=sc(3), lam=sc(2), alpha=ZERO, coeffs=(ONE,))
+    path = write_candidate(tmp_path, spec)
+    doc = json.loads((tmp_path / "candidate.json").read_text())
+    doc["a_m"]["1"] = "2*t + s"
+    (tmp_path / "candidate.json").write_text(json.dumps(doc))
+    out = solve_candidate(CandidateFamily(
+        ZERO, sc(3), 4,
+        {int(m): parse_bipoly(p) for m, p in doc["a_m"].items()},
+        {int(m): parse_bipoly(p) for m, p in doc["g_m"].items()}))
+    assert isinstance(out, InfeasibilityCertificate)
+    assert main(["classify", "--candidate", path]) == 1
+    at = ", ".join(str(i) for i in out.indices)
+    assert capsys.readouterr().out == (
+        f"infeasible: {out.constraint} at ({at}), residue {out.residue_text}\n")
+    assert main(["classify", "--candidate", path, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == out.to_dict()
 
 
 def test_classify_rejects_bad_document(capsys, tmp_path):

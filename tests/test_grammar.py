@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import sc, sci
 from virab.algebra import AlgElement, BasisSymbol, C, L, W, format_element
@@ -11,7 +13,14 @@ from virab.grammar import (
     parse_unipoly,
 )
 from virab.polynomials import BiPoly, UniPoly
-from virab.scalars import I, MINUS_ONE, ONE, ParseError, ZERO
+from virab.scalars import (
+    I,
+    MINUS_ONE,
+    ONE,
+    ParseError,
+    format_scalar,
+    parse_scalar,
+)
 
 
 def test_parse_bipoly_basics():
@@ -57,27 +66,6 @@ def test_parse_errors_have_positions():
     assert err.value.pos == 2 and err.value.message == "expected digits"
 
 
-def test_round_trip_random_bipolys(rng):
-    for _ in range(150):
-        poly = BiPoly(
-            {
-                (rng.randint(0, 4), rng.randint(0, 4)): sci(
-                    rng.randint(-6, 6), rng.randint(-3, 3)
-                )
-                for _ in range(rng.randint(0, 6))
-            }
-        )
-        assert parse_bipoly(format_bipoly(poly)) == poly
-
-
-def test_round_trip_random_unipolys(rng):
-    for _ in range(150):
-        poly = UniPoly(
-            {rng.randint(0, 6): sc(rng.randint(-9, 9)) for _ in range(rng.randint(0, 5))}
-        )
-        assert parse_unipoly(format_unipoly(poly)) == poly
-
-
 def test_parse_symbol():
     assert parse_symbol("L:2") == L(2)
     assert parse_symbol("W:-1") == W(-1)
@@ -101,18 +89,34 @@ def test_parse_element():
     assert parse_element("L:1 + L:1") == AlgElement({L(1): sc(2)})
 
 
-def test_element_round_trip(rng):
-    kinds = [L, W]
-    for _ in range(100):
-        terms = {}
-        for _ in range(rng.randint(0, 4)):
-            sym = rng.choice(kinds)(rng.randint(-5, 5))
-            terms[sym] = sci(rng.randint(-4, 4), rng.randint(-2, 2))
-        e = AlgElement(terms)
-        assert parse_element(format_element(e)) == e
-
-
 def test_parse_element_errors():
     for bad in ("L:1 +", "2*", "2 L:1", "L:1 * L:2", "C:"):
         with pytest.raises(ParseError):
             parse_element(bad)
+
+
+# Gaussian rationals of every printed shape: zero, real, pure imaginary and
+# mixed, with either sign on either part
+_parts = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_scalars = st.builds(lambda re, im: sc(re) + sc(im) * I, _parts, _parts)
+_symbols = st.one_of(
+    st.builds(BasisSymbol, st.sampled_from("LW"), st.integers(-5, 5)),
+    st.builds(C, st.integers(1, 4)))
+_TEXT_FORMS = {
+    "scalar": (_scalars, format_scalar, parse_scalar),
+    "unipoly": (st.dictionaries(st.integers(0, 6), _scalars, max_size=5)
+                .map(UniPoly), format_unipoly, parse_unipoly),
+    "bipoly": (st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                               _scalars, max_size=6)
+               .map(BiPoly), format_bipoly, parse_bipoly),
+    "element": (st.dictionaries(_symbols, _scalars, max_size=5)
+                .map(AlgElement), format_element, parse_element),
+}
+
+
+@pytest.mark.parametrize("kind", _TEXT_FORMS)
+@given(data=st.data())
+def test_parse_inverts_format(kind, data):
+    values, fmt, parse = _TEXT_FORMS[kind]
+    x = data.draw(values)
+    assert parse(fmt(x)) == x
