@@ -40,7 +40,6 @@ from .report import Failure, Report
 from .repmod import (
     Family,
     GenericFamily,
-    HSeq,
     ModuleSpec,
     act_C,
     act_L,
@@ -69,7 +68,6 @@ __all__ = [
     "Failure",
     "Family",
     "GenericFamily",
-    "HSeq",
     "InfeasibilityCertificate",
     "L",
     "ModuleSpec",

@@ -23,11 +23,14 @@ runs them (a_m = A_m t + B_m, g_m = b_m L0 + d_m, lambda = b_1):
     ll-compat      (m, n)  [L_m, L_n] . 1 replayed on b_m and d_m
     deg-a          (m,)    a_m is affine in W0: the terms above W0
     w-linear-A/B   (m, n)  the t (X = A) and constant (X = B) parts of
-                           lw-compat: (a + n + b*m) X_{m+n} - n X_n
+                           lw-compat at a = 0: (n + b*m) X_{m+n} - n X_n
                            lambda^m - b*m A_n X_m
     h-cocycle      (m, n)  ll-compat over a = 0 on the normalized data
                            b_m = 1, d_m = F_m = d_m / lambda^m, a_m = w_m
                            (the twist factor of repmod.twist_poly)
+
+w-linear and h-cocycle state identities of a = 0 only, so they are not
+run at a != 0, where lw-compat has already failed at (0, 0) with -a*t.
     W-commutation  (m, n)  [W_m, W_n] . 1 = 0, swept by
                            check_W_commutation (forces a_m into C[W0])
 
@@ -41,7 +44,10 @@ of one of these kinds is therefore an entry that check_constraints or
 check_W_commutation lists for the same input, whenever it runs that pass.
 The solver's own stages add:
 
-    scale-branch       rejection of the spurious root of b*k^2 - k - (b-1)
+    scale-branch       rejection of the spurious root of b*k^2 - k - (b-1):
+                       the w-linear-A instance (1, 1) at b = -1, where A_2
+                       drops out, and otherwise (2, -1) with the A_2 that
+                       (1, 1) fixes
     degenerate-weight  a vanishing W-seed forces b = 1
     W-degenerate       with b = 1, one vanishing W-seed forces the other
     leading-coeff      coefficient peeling: level-k residues must scale as n
@@ -56,7 +62,7 @@ from functools import partial
 from time import perf_counter
 
 from .algebra import L, W
-from .polynomials import BiPoly, UniPoly, format_bipoly
+from .polynomials import BiPoly, format_bipoly
 from .repmod import (
     Family,
     GenericFamily,
@@ -225,38 +231,43 @@ def _b_power(b_m: dict[int, Scalar], *idx: int) -> InfeasibilityCertificate | No
     return _cert("b-power", idx, BiPoly.const(b_m[m] - intpow(b_m[1], m)))
 
 
+def _l0_free(g: BiPoly) -> BiPoly:
+    """d_m, the part of g_m = b_m L0 + d_m without L0."""
+    return BiPoly({(i, j): c for (i, j), c in g.terms.items() if not i})
+
+
 def _ll_compat(
-    a: Scalar, b: Scalar, b_m: dict[int, Scalar], d_m: dict[int, UniPoly],
-    a_m: dict[int, UniPoly], m: int, n: int, constraint: str = "ll-compat",
+    a: Scalar, b: Scalar, b_m: dict[int, Scalar], d_m: dict[int, BiPoly],
+    a_m: dict[int, BiPoly], m: int, n: int, constraint: str = "ll-compat",
 ) -> InfeasibilityCertificate | None:
     # [L_m, L_n] . 1 for g_m = b_m L0 + d_m, cancelled before multiplying:
     # (n-m)(b_{m+n} - b_m b_n) L0 + (n-m) d_{m+n} - n b_m d_n + m b_n d_m
     #   + (a + b*n) d_m' a_n - (a + b*m) d_n' a_m
-    tail = d_m[m + n].scale_int(n - m).combine((
+    lead = (b_m[m + n] - b_m[m] * b_m[n]).mul_int(n - m)
+    return _cert(constraint, (m, n), BiPoly.monomial(1, 0, lead).combine((
+        (d_m[m + n], Scalar.from_int(n - m)),
         (d_m[n], -b_m[m].mul_int(n)),
         (d_m[m], b_m[n].mul_int(m)),
-        (d_m[m].deriv() * a_m[n], a + b.mul_int(n)),
-        (d_m[n].deriv() * a_m[m], -(a + b.mul_int(m))),
-    ))
-    lead = (b_m[m + n] - b_m[m] * b_m[n]).mul_int(n - m)
-    return _cert(constraint, (m, n), BiPoly.monomial(1, 0, lead) + tail.embed())
+        (d_m[m].partial_t() * a_m[n], a + b.mul_int(n)),
+        (d_m[n].partial_t() * a_m[m], -(a + b.mul_int(m))),
+    )))
 
 
-def _deg_a(a_m: dict[int, UniPoly], m: int) -> InfeasibilityCertificate | None:
+def _deg_a(a_m: dict[int, BiPoly], m: int) -> InfeasibilityCertificate | None:
     return _cert("deg-a", (m,), BiPoly(
-        {(0, k): c for k, c in a_m[m].terms.items() if k > 1}))
+        {(i, j): c for (i, j), c in a_m[m].terms.items() if j > 1}))
 
 
 def _w_linear(
-    a: Scalar, b: Scalar, lam: Scalar, A: dict[int, Scalar],
-    B: dict[int, Scalar], part: str, m: int, n: int,
+    b: Scalar, lam: Scalar, A: dict[int, Scalar], B: dict[int, Scalar],
+    part: str, m: int, n: int,
 ) -> InfeasibilityCertificate | None:
-    # (a + n + b*m) X_{m+n} - n X_n lambda^m - b*m A_n X_m: the t (X = A)
-    # and constant (X = B) parts of lw-compat at a = 0 for a_m = A_m t + B_m
-    # and g_m = lambda^m L0 + d_m
+    # (n + b*m) X_{m+n} - n X_n lambda^m - b*m A_n X_m: the t (X = A) and
+    # constant (X = B) parts of lw-compat at a = 0 for a_m = A_m t + B_m and
+    # g_m = lambda^m L0 + d_m
     X = A if part == "A" else B
     return _cert("w-linear-" + part, (m, n), BiPoly.const(
-        (a.add_int(n) + b.mul_int(m)) * X[m + n]
+        b.mul_int(m).add_int(n) * X[m + n]
         - X[n].mul_int(n) * intpow(lam, m)
         - b.mul_int(m) * A[n] * X[m]
     ))
@@ -317,10 +328,11 @@ def check_constraints(fam: CandidateFamily) -> Report:
 
     Shape preconditions first (g_m affine in L0 with constant L0
     coefficient, a_m in C[W0]); then the [L,W] and [L,L] replays, the
-    degree bound and scalar recursions for the a_m coefficients, and the
-    cocycle identity for the normalized g_m tails.  Later passes are
-    skipped when the shapes they presuppose are violated, so every
-    reported failure is a sound statement about the data.
+    degree bound and, at a = 0 only, the scalar recursions for the a_m
+    coefficients and the cocycle identity for the normalized g_m tails.
+    Later passes are skipped when the shapes or the a = 0 they presuppose
+    do not hold, so every reported failure is a sound statement about the
+    data.
     """
     t0 = perf_counter()
     report = _report("check-constraints", fam)
@@ -347,16 +359,16 @@ def _sweep_constraints(fam: CandidateFamily, report: Report) -> None:
     _record(report, singles if lam else [(1, -1)], partial(_b_power, b_m))
     if not lam:
         return
-    d_m = {m: fam.g_m[m].coeff_s_power(0) for m in window}
-    a_uni = {m: fam.a_m[m].to_unipoly_t() for m in window}
-    _record(report, ordered, partial(_ll_compat, a, b, b_m, d_m, a_uni))
+    d_m = {m: _l0_free(fam.g_m[m]) for m in window}
+    _record(report, ordered, partial(_ll_compat, a, b, b_m, d_m, fam.a_m))
 
-    if not _record(report, singles, partial(_deg_a, a_uni)):
+    # w-linear and h-cocycle hold at a = 0 only (see the module docstring)
+    if not _record(report, singles, partial(_deg_a, fam.a_m)) or a:
         return
-    A = {m: a_uni[m].coeff(1) for m in window}
-    B = {m: a_uni[m].coeff(0) for m in window}
-    _record(report, pairs, partial(_w_linear, a, b, lam, A, B, "A"),
-            partial(_w_linear, a, b, lam, A, B, "B"))
+    A = {m: fam.a_m[m].coeff(0, 1) for m in window}
+    B = {m: fam.a_m[m].coeff(0, 0) for m in window}
+    _record(report, pairs, partial(_w_linear, b, lam, A, B, "A"),
+            partial(_w_linear, b, lam, A, B, "B"))
 
     # h-cocycle is ll-compat over a = 0 on the normalized data
     alpha = -(B[1] / lam)
@@ -367,9 +379,9 @@ def _sweep_constraints(fam: CandidateFamily, report: Report) -> None:
 
 
 def extract_h_coeffs(
-    F: dict[int, UniPoly], alpha: Scalar, b: Scalar
+    F: dict[int, BiPoly], alpha: Scalar, b: Scalar
 ) -> tuple[Scalar, ...] | InfeasibilityCertificate:
-    """Peel a coefficient sequence out of normalized tails F_n.
+    """Peel a coefficient sequence out of normalized tails F_n, in t alone.
 
     Works top degree down: the t^k coefficient of F_n must equal n times
     that of F_1 (the generating polynomials have leading coefficient n), so
@@ -382,18 +394,18 @@ def extract_h_coeffs(
     if 1 not in F:
         raise ValueError("F_1 is required")
     work = {n: p for n, p in F.items()}
-    top = max((p.degree for p in work.values() if p), default=None)
+    top = max((p.deg_t for p in work.values() if p), default=None)
     if top is None:
         return ()
     coeffs = [ZERO] * (int(top) + 1)
     for k in range(int(top), 0, -1):
-        f1 = work[1].coeff(k)
+        f1 = work[1].coeff(0, k)
         for n in sorted(work):
-            actual = work[n].coeff(k)
+            actual = work[n].coeff(0, k)
             res = actual - f1.mul_int(n)
             if res:
                 return InfeasibilityCertificate(
-                    "leading-coeff", (n, k), UniPoly.monomial(k, res).embed()
+                    "leading-coeff", (n, k), BiPoly.monomial(0, k, res)
                 )
         coeffs[k] = f1
         if f1:
@@ -401,13 +413,11 @@ def extract_h_coeffs(
                 n: p - q_poly(n, k, alpha, b).scale(f1)
                 for n, p in work.items()
             }
-    f1 = work[1].coeff(0)
+    f1 = work[1].coeff(0, 0)
     for n in sorted(work):
-        res = work[n] - UniPoly.const(f1.mul_int(n))
+        res = work[n] - BiPoly.const(f1.mul_int(n))
         if res:
-            return InfeasibilityCertificate(
-                "leading-coeff", (n, 0), res.embed()
-            )
+            return InfeasibilityCertificate("leading-coeff", (n, 0), res)
     coeffs[0] = f1
     return tuple(coeffs)
 
@@ -456,76 +466,69 @@ def solve_from_generators(
             or first(seeds if lam else ((1, -1),), partial(_b_power, b_m)))
     if cert:
         return cert
-    w_pos = a_pos.to_unipoly_t()
-    w_neg = a_neg.to_unipoly_t()
     lam_inv = b_m[-1]
 
     def peel(family, alpha, b):
         # the normalized g-tails carry the coefficient sequence
-        coeffs = extract_h_coeffs({-1: g_neg.coeff_s_power(0).scale(lam),
-                                   0: UniPoly.zero(),
-                                   1: g_pos.coeff_s_power(0).scale(lam_inv)},
+        coeffs = extract_h_coeffs({-1: _l0_free(g_neg).scale(lam),
+                                   0: BiPoly.zero(),
+                                   1: _l0_free(g_pos).scale(lam_inv)},
                                   alpha, b)
         if isinstance(coeffs, InfeasibilityCertificate):
             return coeffs
         return CanonicalParams(family, lam, alpha, coeffs)
 
     # degenerate branch: vanishing W-seeds
-    if not w_pos or not w_neg:
-        if not (w_pos or w_neg):
+    if not a_pos or not a_neg:
+        if not (a_pos or a_neg):
             if b != ONE:
                 return InfeasibilityCertificate(
                     "degenerate-weight", (-1, 1), t_var.scale(ONE - b)
                 )
             return peel(Family.THETA, ZERO, ONE)
         if b != ONE:
-            if not w_pos:
+            if not a_pos:
                 return InfeasibilityCertificate(
                     "degenerate-weight", (-1, 1), t_var.scale(ONE - b)
                 )
             return InfeasibilityCertificate(
                 "degenerate-weight", (1, -1), t_var.scale(b - ONE)
             )
-        if not w_pos:
-            return InfeasibilityCertificate(
-                "W-degenerate", (-2, 1), (-w_neg).embed()
-            )
-        return InfeasibilityCertificate(
-            "W-degenerate", (2, -1), w_pos.embed()
-        )
+        if not a_pos:
+            return InfeasibilityCertificate("W-degenerate", (-2, 1), -a_neg)
+        return InfeasibilityCertificate("W-degenerate", (2, -1), a_pos)
 
     # W-multipliers must be affine: a_m = A_m t + B_m
-    cert = first(seeds, partial(_deg_a, {-1: w_neg, 1: w_pos}))
+    cert = first(seeds, partial(_deg_a, a_m))
     if cert:
         return cert
-    A1, B1 = w_pos.coeff(1), w_pos.coeff(0)
-    A = {-1: w_neg.coeff(1), 0: ONE, 1: A1}
-    B = {-1: w_neg.coeff(0), 0: ZERO, 1: B1}
+    A1, B1 = a_pos.coeff(0, 1), a_pos.coeff(0, 0)
+    A = {-1: a_neg.coeff(0, 1), 0: ONE, 1: A1}
+    B = {-1: a_neg.coeff(0, 0), 0: ZERO, 1: B1}
     crossed = ((-1, 1), (1, -1))
 
     # the crossed instances force A_{-1} = A_1 / lambda^2 and
     # b*k^2 - k - (b-1) = 0 for k = A_1 / lambda
-    cert = first(crossed, partial(_w_linear, ZERO, b, lam, A, B, "A"))
+    cert = first(crossed, partial(_w_linear, b, lam, A, B, "A"))
     if cert:
         return cert
 
-    # the root k = (1-b)/b fails the instance (2, -1) once (1, 1) has fixed
-    # (1 + b) A_2 = A_1 lambda + b A_1^2, or (1, 1) itself when b = -1
+    # the root k = (1-b)/b fails the w-linear-A instance (1, 1) when b = -1,
+    # where A_2 drops out, and otherwise (2, -1) once (1, 1) has fixed
+    # (1 + b) A_2 = A_1 lambda + b A_1^2
     if A1 and A1 != lam:
-        top = A1 * (lam + b * A1)
         if b == MINUS_ONE:
-            return InfeasibilityCertificate(
-                "scale-branch", (1, 1), BiPoly.const(top)
-            )
-        A[2] = top / (ONE + b)
-        return replace(_w_linear(ZERO, b, lam, A, B, "A", 2, -1),
+            A[2], at = ZERO, (1, 1)
+        else:
+            A[2], at = A1 * (lam + b * A1) / (ONE + b), (2, -1)
+        return replace(_w_linear(b, lam, A, B, "A", *at),
                        constraint="scale-branch")
 
     # with A_{+-1} = lambda^{+-1} the crossed instances force B_{+-1} = 0
     # unless b = +-1, and B_1 = b * lambda^2 * B_{-1} then; the root k = 0
     # (b = 1, A_{+-1} = 0, so B_1 != 0) fails at (-1, 1).  Every other B_m
     # is read by solve_candidate's window check.
-    cert = first(crossed, partial(_w_linear, ZERO, b, lam, A, B, "B"))
+    cert = first(crossed, partial(_w_linear, b, lam, A, B, "B"))
     if cert:
         return cert
 

@@ -25,7 +25,6 @@ from .classify import CandidateFamily, CanonicalParams, solve_candidate, isom_de
 from .grammar import (
     format_bipoly,
     format_element,
-    format_unipoly,
     parse_bipoly,
     parse_scalar,
     parse_symbol,
@@ -168,7 +167,7 @@ def _cmd_qpoly(args) -> tuple[int, str]:
     b = parse_scalar(args.b)
     poly = q_poly(args.n, args.k, alpha, b)
     echo = {"n": str(args.n), "k": str(args.k), "alpha": args.alpha, "b": args.b}
-    return 0, _render_value("qpoly", echo, format_unipoly(poly), args.format)
+    return 0, _render_value("qpoly", echo, format_bipoly(poly), args.format)
 
 
 def _cmd_classify(args) -> tuple[int, str]:

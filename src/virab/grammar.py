@@ -11,6 +11,8 @@ The grammar mirrors what the formatters emit, so parse(format(x)) == x:
 
 Variables are ``s`` and ``t``; ``L0`` and ``W0`` are accepted as aliases
 since the polynomial ring doubles as the enveloping algebra of their span.
+:func:`parse_unipoly` reads ``t`` (or ``W0``) alone and refuses ``s``;
+both polynomial parsers return a BiPoly.
 Mixed complex coefficients must be parenthesized, e.g. ``(3/4-2i)*s``;
 bare atoms are single components like ``2``, ``-1/2`` or ``3i``.
 Multiplication and powers are always explicit.  Syntax errors carry the
@@ -20,7 +22,7 @@ offending position.
 from __future__ import annotations
 
 from .algebra import AlgElement, BasisSymbol, format_element
-from .polynomials import BiPoly, UniPoly, format_bipoly, format_unipoly
+from .polynomials import BiPoly, format_bipoly, format_unipoly
 from .scalars import (
     MINUS_ONE,
     ONE,
@@ -100,11 +102,11 @@ def _scan_term(text: str, pos: int, names: dict[str, str]):
         return coeff, powers, pos
 
 
-def _parse_terms(text: str, names: dict[str, str]):
+def _parse_poly(text: str, names: dict[str, str]) -> BiPoly:
     pos = _skip_space(text, 0)
     if pos == len(text):
         raise ParseError("empty input", pos)
-    terms = []
+    out = BiPoly.zero()
     sign = ONE
     if text[pos] in "+-":
         if text[pos] == "-":
@@ -112,10 +114,11 @@ def _parse_terms(text: str, names: dict[str, str]):
         pos += 1
     while True:
         coeff, powers, pos = _scan_term(text, pos, names)
-        terms.append((sign * coeff, powers))
+        mono = BiPoly.monomial(powers.get("s", 0), powers.get("t", 0))
+        out = out + mono.scale(sign * coeff)
         pos = _skip_space(text, pos)
         if pos == len(text):
-            return terms
+            return out
         if text[pos] == "+":
             sign = ONE
         elif text[pos] == "-":
@@ -126,18 +129,13 @@ def _parse_terms(text: str, names: dict[str, str]):
 
 
 def parse_bipoly(text: str) -> BiPoly:
-    out = BiPoly.zero()
-    for coeff, powers in _parse_terms(text, _BI_VARS):
-        mono = BiPoly.monomial(powers.get("s", 0), powers.get("t", 0))
-        out = out + mono.scale(coeff)
-    return out
+    return _parse_poly(text, _BI_VARS)
 
 
-def parse_unipoly(text: str) -> UniPoly:
-    out = UniPoly.zero()
-    for coeff, powers in _parse_terms(text, _UNI_VARS):
-        out = out + UniPoly.monomial(powers.get("t", 0)).scale(coeff)
-    return out
+def parse_unipoly(text: str) -> BiPoly:
+    """A polynomial in t alone (alias W0), as a BiPoly; s is a syntax
+    error."""
+    return _parse_poly(text, _UNI_VARS)
 
 
 def parse_symbol(text: str) -> BasisSymbol:

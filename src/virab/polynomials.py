@@ -1,24 +1,26 @@
 """Sparse exact polynomials over the Gaussian rationals.
 
-Two shapes cover everything downstream:
+:class:`BiPoly` is the polynomial type every computation uses: a polynomial
+in s and t (the L0 and W0 weight variables), stored as
+``{(s_exp, t_exp): Scalar}``.  A polynomial in t alone, such as a
+generating polynomial or a twist factor, is a BiPoly with no s terms.
+:class:`UniPoly`, the same thing keyed by the t exponent alone, remains
+only as the stored a_m type of :class:`virab.repmod.GenericFamily`;
+:meth:`UniPoly.embed` and :meth:`BiPoly.to_unipoly_t` convert.
 
-* :class:`UniPoly`: polynomials in the single variable t (the W0 weight
-  variable), stored as ``{exponent: Scalar}``.
-* :class:`BiPoly`: polynomials in s and t (the L0 and W0 weight variables),
-  stored as ``{(s_exp, t_exp): Scalar}``.
-
-Both, and :class:`virab.algebra.AlgElement` over basis symbols, share the
-:class:`Terms` core for construction, equality, addition, subtraction,
-negation, scaling and linear combination, and add only what depends on
-their keys.
+BiPoly, UniPoly and :class:`virab.algebra.AlgElement` over basis symbols
+share the :class:`Terms` core for construction, equality, addition,
+subtraction, negation, scaling and linear combination, and add only what
+depends on their keys.
 Zero coefficients are never stored, so equality is plain dict equality.
 Instances are immutable by convention: every operation returns a fresh
 object and nothing ever mutates ``terms`` after construction.  The degree
 of the zero polynomial is the sentinel ``NEG_INF``.
 
 The canonical text form ("2*s^2*t - 1/2", graded-lex with s before t,
-descending) lives in :func:`format_unipoly` / :func:`format_bipoly`;
-parsers are in :mod:`virab.grammar`.
+descending) lives in :func:`format_bipoly`; :func:`format_unipoly` prints
+a UniPoly exactly as format_bipoly prints its embedding.  Parsers are in
+:mod:`virab.grammar`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Mapping, TypeVar
 
-from .scalars import ONE, ZERO, Scalar, format_scalar, intpow
+from .scalars import ONE, ZERO, Scalar, format_scalar
 
 NEG_INF = float("-inf")
 
@@ -138,21 +140,10 @@ class UniPoly(Terms):
     __slots__ = ()
 
     @classmethod
-    def const(cls, c: Scalar) -> UniPoly:
-        return cls._raw({0: c} if c else {})
-
-    @classmethod
     def monomial(cls, k: int, c: Scalar = ONE) -> UniPoly:
         if k < 0:
             raise ValueError("negative exponent")
         return cls._raw({k: c} if c else {})
-
-    @property
-    def degree(self) -> int | float:
-        return max(self.terms) if self.terms else NEG_INF
-
-    def coeff(self, k: int) -> Scalar:
-        return self.terms.get(k, ZERO)
 
     def __mul__(self, other: UniPoly) -> UniPoly:
         if not (self.terms and other.terms):
@@ -164,22 +155,6 @@ class UniPoly(Terms):
                 prev = acc.get(k)
                 acc[k] = c1 * c2 if prev is None else prev + c1 * c2
         return UniPoly._raw({k: c for k, c in acc.items() if c})
-
-    def scale_int(self, n: int) -> UniPoly:
-        if n == 0:
-            return UniPoly._raw({})
-        return UniPoly._raw({k: v.mul_int(n) for k, v in self.terms.items()})
-
-    def deriv(self) -> UniPoly:
-        return UniPoly._raw(
-            {k - 1: c.mul_int(k) for k, c in self.terms.items() if k}
-        )
-
-    def eval(self, x: Scalar) -> Scalar:
-        out = ZERO
-        for k, c in self.terms.items():
-            out = out + c * intpow(x, k)
-        return out
 
     def embed(self) -> BiPoly:
         """This polynomial viewed in (s, t), with no s dependence."""
@@ -265,32 +240,8 @@ class BiPoly(Terms):
                 out[key] = w if prev is None else prev + w
         return BiPoly._raw({k: v for k, v in out.items() if v})
 
-    def coeff_s_power(self, i: int) -> UniPoly:
-        """The coefficient of s^i, as a polynomial in t."""
-        return UniPoly._raw(
-            {j: c for (p, j), c in self.terms.items() if p == i}
-        )
-
     def coeff(self, i: int, j: int) -> Scalar:
         return self.terms.get((i, j), ZERO)
-
-    def subs_s(self, x: Scalar) -> UniPoly:
-        """Substitute s = x, leaving a polynomial in t."""
-        out: dict[int, Scalar] = {}
-        for (i, j), c in self.terms.items():
-            v = c * intpow(x, i)
-            prev = out.get(j)
-            out[j] = v if prev is None else prev + v
-        return UniPoly._raw({k: v for k, v in out.items() if v})
-
-    def subs_t(self, x: Scalar) -> UniPoly:
-        """Substitute t = x, leaving a polynomial in s."""
-        out: dict[int, Scalar] = {}
-        for (i, j), c in self.terms.items():
-            v = c * intpow(x, j)
-            prev = out.get(i)
-            out[i] = v if prev is None else prev + v
-        return UniPoly._raw({k: v for k, v in out.items() if v})
 
     def to_unipoly_t(self) -> UniPoly:
         """Reinterpret as a polynomial in t; raises if s occurs."""
@@ -305,20 +256,20 @@ class BiPoly(Terms):
         return f"BiPoly({format_bipoly(self)!r})"
 
 
-def divided_difference(k: int, alpha: Scalar) -> UniPoly:
+def divided_difference(k: int, alpha: Scalar) -> BiPoly:
     """The exact quotient (t^k - alpha^k) / (t - alpha).
 
     Equals sum_{j=0}^{k-1} alpha^j * t^(k-1-j); zero when k == 0.
     """
     if k < 0:
         raise ValueError("negative exponent")
-    out: dict[int, Scalar] = {}
+    out: dict[tuple[int, int], Scalar] = {}
     p = ONE
     for j in range(k):
         if p:
-            out[k - 1 - j] = p
+            out[0, k - 1 - j] = p
         p = p * alpha
-    return UniPoly._raw(out)
+    return BiPoly._raw(out)
 
 
 # --- canonical text form ------------------------------------------------

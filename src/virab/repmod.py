@@ -18,8 +18,8 @@ while C_i . f = 0.  Two families supply the data, both with a = 0:
 
       w_m = t - [b == -1] * m * alpha - [b == 1] * (1 - [m == 0]) * alpha
 
-  is the twist factor, h_m = sum_k h[k] * q(m, k) and q is the generating
-  family from :func:`q_poly`.
+  is the twist factor (:func:`twist_poly`), h_m = sum_k h[k] * q(m, k)
+  (:func:`h_of_n`) and q is the generating family from :func:`q_poly`.
 
 * ``theta``: only over (a, b) = (0, 1); parameters (lambda != 0, r):
   a_m = [m == 0] * t and g_m = lambda^m * (s + r_m) with r_m = sum_k
@@ -30,6 +30,10 @@ while C_i . f = 0.  Two families supply the data, both with a = 0:
 W(a,b)-modules too: drop the central symbols via extension=False.
 :func:`verify_module` replays every bracket relation against the action on
 a monomial window, exactly.
+
+Every polynomial here is a :class:`BiPoly`; those in t alone (q, w_m, h_m,
+a_m) simply have no s terms.  Only GenericFamily stores its a_m as
+UniPolys, and embeds each one where it builds an operator.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ class Family(str, Enum):
     THETA = "theta"
 
 
-def q_poly(n: int, k: int, alpha: Scalar, b: Scalar) -> UniPoly:
+def q_poly(n: int, k: int, alpha: Scalar, b: Scalar) -> BiPoly:
     """The degree-k generating polynomial for the index-n coefficient h_n.
 
     q(n, k) = n*t^k, corrected by a divided-difference multiple of alpha
@@ -78,7 +82,7 @@ def q_poly(n: int, k: int, alpha: Scalar, b: Scalar) -> UniPoly:
     """
     if k < 0:
         raise ValueError("negative degree")
-    out = UniPoly.monomial(k, Scalar.from_int(n)) if n else UniPoly.zero()
+    out = BiPoly.monomial(0, k, Scalar.from_int(n)) if n else BiPoly.zero()
     if alpha and k:
         if b == MINUS_ONE:
             factor = n * (n - 1)
@@ -93,7 +97,7 @@ def q_poly(n: int, k: int, alpha: Scalar, b: Scalar) -> UniPoly:
     return out
 
 
-def twist_poly(b: Scalar, alpha: Scalar, m: int) -> UniPoly:
+def twist_poly(b: Scalar, alpha: Scalar, m: int) -> BiPoly:
     """The twist factor w_m(t) = t - shift: alpha*m at b = -1, alpha at
     b = 1 with m != 0, and 0 otherwise."""
     shift = ZERO
@@ -101,22 +105,14 @@ def twist_poly(b: Scalar, alpha: Scalar, m: int) -> UniPoly:
         shift = alpha.mul_int(m)
     elif b == ONE and m != 0:
         shift = alpha
-    return UniPoly({1: ONE, 0: -shift})
+    return BiPoly({(0, 1): ONE, (0, 0): -shift})
 
 
-@dataclass(frozen=True)
-class HSeq:
-    """A finite coefficient sequence in the (b, alpha) sequence space."""
-
-    b: Scalar
-    alpha: Scalar
-    coeffs: tuple[Scalar, ...] = ()
-
-
-def h_of_n(seq: HSeq, n: int) -> UniPoly:
-    """h_n = sum_k seq.coeffs[k] * q(n, k); always zero at n = 0."""
-    return UniPoly.zero().combine((q_poly(n, k, seq.alpha, seq.b), c)
-                                  for k, c in enumerate(seq.coeffs) if c)
+def h_of_n(b: Scalar, alpha: Scalar, coeffs: tuple[Scalar, ...],
+           n: int) -> BiPoly:
+    """h_n = sum_k coeffs[k] * q(n, k); always zero at n = 0."""
+    return BiPoly.zero().combine((q_poly(n, k, alpha, b), c)
+                                 for k, c in enumerate(coeffs) if c)
 
 
 class Op(NamedTuple):
@@ -159,7 +155,7 @@ def apply_each(ops: Iterable[Op], u: BiPoly) -> Iterator[BiPoly]:
         yield op.apply_shifted(g)
 
 
-def _op(a: Scalar, b: Scalar, a_m: UniPoly, g_m: BiPoly,
+def _op(a: Scalar, b: Scalar, a_m: BiPoly, g_m: BiPoly,
         sym: BasisSymbol) -> Op:
     """The operator of L_m or W_m over W(a, b), given W_m . 1 = a_m and
     L_m . 1 = g_m:
@@ -169,10 +165,9 @@ def _op(a: Scalar, b: Scalar, a_m: UniPoly, g_m: BiPoly,
     """
     m = sym.index
     if sym.kind == "L":
-        return Op(Scalar.from_int(m), g_m,
-                  a_m.embed().scale(a + b.mul_int(m)))
+        return Op(Scalar.from_int(m), g_m, a_m.scale(a + b.mul_int(m)))
     if sym.kind == "W":
-        return Op(a.add_int(m), a_m.embed(), BiPoly.zero())
+        return Op(a.add_int(m), a_m, BiPoly.zero())
     raise ValueError(f"no action data for symbol {sym}")
 
 
@@ -184,7 +179,7 @@ class ModuleSpec:
     of the parameters.
     """
 
-    __slots__ = ("family", "algebra", "lam", "alpha", "seq", "_ops")
+    __slots__ = ("family", "algebra", "lam", "alpha", "coeffs", "_ops")
 
     def __init__(
         self,
@@ -202,14 +197,11 @@ class ModuleSpec:
                 raise ValueError("theta modules exist only over (a, b) = (0, 1)")
             if alpha:
                 raise ValueError("theta modules have no alpha parameter")
-            seq = HSeq(ONE, ZERO, tuple(coeffs))
-        else:
-            seq = HSeq(b, alpha, tuple(coeffs))
         self.family = family
         self.algebra = classify_case(ZERO, b, extension)
         self.lam = lam
         self.alpha = alpha
-        self.seq = seq
+        self.coeffs = tuple(coeffs)
         self._ops: dict[BasisSymbol, Op] = {}
 
     @property
@@ -228,12 +220,8 @@ class ModuleSpec:
     def theta(cls, lam, coeffs=(), extension=True) -> ModuleSpec:
         return cls(Family.THETA, ONE, lam, ZERO, tuple(coeffs), extension)
 
-    def h(self, m: int) -> UniPoly:
-        return h_of_n(self.seq, m)
-
-    def w_mult(self, m: int) -> BiPoly:
-        """The twist factor w_m(t), embedded in (s, t)."""
-        return twist_poly(self.seq.b, self.alpha, m).embed()
+    def h(self, m: int) -> BiPoly:
+        return h_of_n(self.b, self.alpha, self.coeffs, m)
 
     def op(self, sym: BasisSymbol) -> Op:
         """The operator of L_m or W_m, from a_m = lambda^m * w_m (theta:
@@ -243,10 +231,10 @@ class ModuleSpec:
             m = sym.index
             lp = intpow(self.lam, m)
             if self.family is Family.THETA:
-                a_m = UniPoly.monomial(1) if m == 0 else UniPoly.zero()
+                a_m = BiPoly.t_var() if m == 0 else BiPoly.zero()
             else:
-                a_m = twist_poly(self.seq.b, self.alpha, m).scale(lp)
-            g_m = (BiPoly.s_var() + self.h(m).embed()).scale(lp)
+                a_m = twist_poly(self.b, self.alpha, m).scale(lp)
+            g_m = (BiPoly.s_var() + self.h(m)).scale(lp)
             out = self._ops[sym] = _op(ZERO, self.b, a_m, g_m, sym)
             # the same data give the other symbol at this index
             twin = W(m) if sym.kind == "L" else L(m)
@@ -260,7 +248,7 @@ class ModuleSpec:
             "b": format_scalar(self.b),
             "lambda": format_scalar(self.lam),
             "alpha": format_scalar(self.alpha),
-            "coeffs": [format_scalar(c) for c in self.seq.coeffs],
+            "coeffs": [format_scalar(c) for c in self.coeffs],
             "extension": self.extension,
         }
 
@@ -384,7 +372,7 @@ class GenericFamily:
         m = sym.index
         if abs(m) > self.window:
             raise ValueError(f"index {m} outside family window {self.window}")
-        return _op(self.a, self.b, self.a_m[m], self.g_m[m], sym)
+        return _op(self.a, self.b, self.a_m[m].embed(), self.g_m[m], sym)
 
 
 def generic_act_L(fam: GenericFamily, m: int, u: BiPoly) -> BiPoly:

@@ -21,7 +21,7 @@ from virab.classify import (
     solve_from_generators,
 )
 from virab.orbit import check_invariant_subspace, orbit_closure
-from virab.polynomials import BiPoly, UniPoly
+from virab.polynomials import BiPoly
 from virab.repmod import (
     Family,
     GenericFamily,
@@ -32,6 +32,7 @@ from virab.repmod import (
     generic_act_L,
     generic_act_W,
     q_poly,
+    twist_poly,
     verify_module,
 )
 from virab.scalars import I, MINUS_ONE, ONE, ZERO
@@ -99,18 +100,17 @@ def test_generating_polynomials_satisfy_index_identity():
     # for every generating polynomial F_n = q(n, k)
     for b in (MINUS_ONE, ONE, sc(2)):
         for alpha in (ZERO, ONE, sc("3/2")):
-            spec = ModuleSpec.phi(b=b, lam=ONE, alpha=alpha, coeffs=())
-            w = {n: spec.w_mult(n).to_unipoly_t() for n in range(-12, 13)}
+            w = {n: twist_poly(b, alpha, n) for n in range(-12, 13)}
             for k in range(5):
                 F = {n: q_poly(n, k, alpha, b) for n in range(-12, 13)}
                 for m in range(-6, 7):
                     for n in range(-6, 7):
-                        lhs = F[m + n].scale_int(n - m)
+                        lhs = F[m + n].scale(sc(n - m))
                         rhs = (
-                            F[n].scale_int(n)
-                            - F[m].scale_int(m)
-                            - (F[m].deriv() * w[n]).scale(b.mul_int(n))
-                            + (F[n].deriv() * w[m]).scale(b.mul_int(m))
+                            F[n].scale(sc(n))
+                            - F[m].scale(sc(m))
+                            - (F[m].partial_t() * w[n]).scale(b.mul_int(n))
+                            + (F[n].partial_t() * w[m]).scale(b.mul_int(m))
                         )
                         assert lhs == rhs, (k, b, alpha, m, n)
     print("generating polynomials satisfy the index identity: pass")
@@ -126,9 +126,9 @@ def test_plain_weight_sequences_are_cocycles():
                 for m in range(-6, 7):
                     for n in range(-6, 7):
                         residue = (
-                            h[n].scale_int(n)
-                            - h[m].scale_int(m)
-                            - h[m + n].scale_int(n - m)
+                            h[n].scale(sc(n))
+                            - h[m].scale(sc(m))
+                            - h[m + n].scale(sc(n - m))
                         )
                         assert residue.is_zero, (b, alpha, coeffs, m, n)
     print("plain weight sequences are cocycles: pass")
@@ -192,8 +192,8 @@ def test_translation_parameter_and_spurious_scale_branch_rejected():
     Am1 = (b - ONE) / (b * A1 - lam)
     cert = solve_from_generators(
         b,
-        UniPoly.monomial(1, A1).embed(),
-        UniPoly.monomial(1, Am1).embed(),
+        BiPoly.monomial(0, 1, A1),
+        BiPoly.monomial(0, 1, Am1),
         BiPoly.s_var().scale(lam),
         BiPoly.s_var().scale(lam.inv()),
     )

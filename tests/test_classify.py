@@ -18,7 +18,7 @@ from virab.classify import (
     solve_from_generators,
 )
 from virab.grammar import parse_bipoly
-from virab.polynomials import BiPoly, UniPoly, format_bipoly
+from virab.polynomials import BiPoly, format_bipoly
 from virab.repmod import Family, GenericFamily, ModuleSpec, generic_act_L
 from virab.scalars import I, MINUS_ONE, ONE, ZERO, intpow
 
@@ -109,7 +109,7 @@ def test_solve_recovers_canonical_params(spec, window):
     assert isinstance(out, CanonicalParams)
     assert out.family is spec.family
     assert isom_decide(out, CanonicalParams(
-        spec.family, spec.lam, spec.alpha, spec.seq.coeffs), spec.b)
+        spec.family, spec.lam, spec.alpha, spec.coeffs), spec.b)
 
 
 _SHAPES = {"deg-g", "b-scalar", "a-in-W0"}
@@ -214,20 +214,22 @@ def test_scale_branch_spurious_root_rejected():
 
 
 def test_scale_branch_rejected_at_b_minus_one():
+    # A_2 drops out of the w-linear-A instance (1, 1) at b = -1, and the
+    # certificate is that entry, sign included
     lam, b = sc(2), MINUS_ONE
     k = (ONE - b) / b  # k = -2
     A1 = k * lam
     Am1 = (b - ONE) / (b * A1 - lam)
-    out = solve_from_generators(
-        b,
-        UniPoly.monomial(1, A1).embed(),
-        UniPoly.monomial(1, Am1).embed(),
-        BiPoly.s_var().scale(lam),
-        BiPoly.s_var().scale(lam.inv()),
-    )
+    a_m = {m: BiPoly.monomial(0, 1, c)
+           for m, c in ((-2, sc("1/4")), (-1, Am1), (0, ONE), (1, A1), (2, sc(4)))}
+    g_m = {m: BiPoly.monomial(1, 0, intpow(lam, m)) for m in range(-2, 3)}
+    out = solve_from_generators(b, a_m[1], a_m[-1], g_m[1], g_m[-1])
     assert isinstance(out, InfeasibilityCertificate)
     assert out.constraint == "scale-branch"
-    assert out.indices == (1, 1)
+    assert out.indices == (1, 1) and out.residue_text == "24"
+    failures = check_constraints(CandidateFamily(ZERO, b, 2, a_m, g_m)).failures
+    assert ("w-linear-A", (1, 1), "24") in [
+        (f.constraint, f.indices, f.residue) for f in failures]
 
 
 def test_degenerate_seeds():
@@ -378,24 +380,29 @@ def test_check_constraints_passes_on_genuine_family():
 
 def test_check_constraints_fails_at_m_zero_for_nonzero_a():
     spec = ModuleSpec.phi(b=sc(3), lam=sc(2), alpha=ZERO, coeffs=(ONE,))
-    base = candidate_for(spec)
-    fam = CandidateFamily(a=sc("1/2"), b=base.b, window=base.window,
-                          a_m=base.a_m, g_m=base.g_m)
-    report = check_constraints(fam)
-    assert not report.passed
-    hits = [f for f in report.failures if f.constraint == "lw-compat"]
-    assert any(f.indices[0] == 0 for f in hits)
+    for window in (4, 2):
+        base = candidate_for(spec, window)
+        fam = CandidateFamily(a=sc("1/2"), b=base.b, window=base.window,
+                              a_m=base.a_m, g_m=base.g_m)
+        report = check_constraints(fam)
+        assert not report.passed
+        hits = [f for f in report.failures if f.constraint == "lw-compat"]
+        assert any(f.indices[0] == 0 for f in hits)
+        # the w-linear and h-cocycle identities hold only at a = 0, so
+        # those passes are skipped and lw-compat is all that is listed
+        assert hits == report.failures
+        assert ((0, 0), "-1/2*t") in [(f.indices, f.residue) for f in hits]
 
 
 def test_extract_h_coeffs():
-    F = {n: UniPoly({2: sc(n), 1: sc(5 * n)}) for n in range(-3, 4)}
+    F = {n: BiPoly({(0, 2): sc(n), (0, 1): sc(5 * n)}) for n in range(-3, 4)}
     assert extract_h_coeffs(F, ZERO, ZERO) == (ZERO, sc(5), ONE)
-    empty = {n: UniPoly.zero() for n in range(-3, 4)}
+    empty = {n: BiPoly.zero() for n in range(-3, 4)}
     assert extract_h_coeffs(empty, ZERO, ZERO) == ()
 
 
 def test_extract_h_coeffs_rejects_nonlinear_growth():
-    F = {n: UniPoly({1: sc(n * n)}) for n in range(-3, 4)}
+    F = {n: BiPoly({(0, 1): sc(n * n)}) for n in range(-3, 4)}
     out = extract_h_coeffs(F, ZERO, ZERO)
     assert isinstance(out, InfeasibilityCertificate)
     assert out.constraint == "leading-coeff"

@@ -11,7 +11,7 @@ from virab.classify import (
 )
 from virab.cli import main
 from virab.grammar import parse_bipoly
-from virab.polynomials import BiPoly, format_bipoly, format_unipoly
+from virab.polynomials import BiPoly, format_bipoly
 from virab.report import Report
 from virab.repmod import GenericFamily, ModuleSpec, Op
 from virab.scalars import ONE, ZERO
@@ -31,7 +31,7 @@ def write_candidate(tmp_path, spec, a="0", window=4):
         "a": a,
         "b": json.loads(json.dumps(spec.to_dict()))["b"],
         "N": window,
-        "a_m": {str(m): format_unipoly(p.to_unipoly_t()) for m, p in fam.a_m.items()},
+        "a_m": {str(m): format_bipoly(p) for m, p in fam.a_m.items()},
         "g_m": {str(m): format_bipoly(p) for m, p in fam.g_m.items()},
     }
     path = tmp_path / "candidate.json"
@@ -44,9 +44,28 @@ def test_bracket_golden(capsys):
     assert capsys.readouterr().out.strip() == "-4*L:0 + 1/2*C:1"
 
 
+def _qpoly_json(n, k, result):
+    return ('{\n  "suite": "qpoly",\n  "params": {\n    "n": "%s",\n'
+            '    "k": "%s",\n    "alpha": "1-2i",\n    "b": "-1"\n  },\n'
+            '  "checks": 1,\n  "failures": [],\n  "status": "pass",\n'
+            '  "elapsed_s": 0.0,\n  "data": {\n    "result": "%s"\n  }\n}\n'
+            % (n, k, result))
+
+
 def test_qpoly_golden(capsys):
     assert main(["qpoly", "--n", "3", "--k", "1", "--alpha", "2", "--b", "1"]) == 0
     assert capsys.readouterr().out.strip() == "3*t - 6"
+    # whole bodies at b = -1 with a mixed Gaussian alpha
+    for n, k, result in (
+        ("3", "2", "3*t^2 + (-6+12i)*t + (18+24i)"),
+        ("-2", "3", "-2*t^3 + (-6+12i)*t^2 + (18+24i)*t + (66-12i)"),
+        ("0", "1", "0"),
+    ):
+        argv = ["qpoly", "--n", n, "--k", k, "--alpha", "1-2i", "--b", "-1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == result + "\n"
+        assert main(argv + ["--format", "json"]) == 0
+        assert capsys.readouterr().out == _qpoly_json(n, k, result)
 
 
 def test_bracket_json_wraps_result(capsys):
@@ -175,22 +194,49 @@ def test_classify_text_renders_certificates_of_any_arity(capsys, tmp_path):
     assert capsys.readouterr().out == "infeasible: deg-g at (1), residue s^2\n"
 
 
+def _certificate_json(constraint, indices, residue):
+    at = ",\n".join(f"        {i}" for i in indices)
+    return ('{\n  "infeasible": {\n    "constraint": "%s",\n'
+            '    "witness": {\n      "indices": [\n%s\n      ],\n'
+            '      "residue": "%s"\n    }\n  }\n}\n'
+            % (constraint, at, residue))
+
+
+# (b, lambda, alpha, coeffs, N, edits to the candidate document, answer)
+_CLASSIFY_GOLDENS = [
+    # g_3 += t and a_-4 += t^3: the seeds at m = +-1 are untouched
+    (2, 2, 0, (1,), 4, {("g_m", "3"): "{} + t", ("a_m", "-4"): "{} + t^3"},
+     ("window-mismatch", (-4,), "t^3")),
+    # g_1 += t: F_1 gains t/2, which F_-1 does not match
+    (2, 2, 0, (1,), 2, {("g_m", "1"): "{} + t"},
+     ("leading-coeff", (-1, 1), "1/2*t")),
+    # a vanishing W-seed at b = 1
+    (1, 2, 1, (), 2, {("a_m", "1"): "0"},
+     ("W-degenerate", (-2, 1), "-1/2*t + 1/2")),
+    # A_1 = k*lambda on the spurious root k = (1-b)/b, A_-1 = A_1/lambda^2
+    (3, 2, 0, (), 2, {("a_m", "1"): "-4/3*t", ("a_m", "-1"): "-1/3*t"},
+     ("scale-branch", (2, -1), "-20/3")),
+]
+
+
 def test_classify_checks_the_whole_window(capsys, tmp_path):
-    # phi at b = 2, lambda = 2 with g_3 += t and a_-4 += t^3: the seeds at
-    # m = +-1 are untouched
-    spec = ModuleSpec.phi(b=sc(2), lam=sc(2), alpha=ZERO, coeffs=(ONE,))
-    path = write_candidate(tmp_path, spec)
-    doc = json.loads((tmp_path / "candidate.json").read_text())
-    doc["g_m"]["3"] += " + t"
-    doc["a_m"]["-4"] += " + t^3"
-    (tmp_path / "candidate.json").write_text(json.dumps(doc))
-    assert main(["classify", "--candidate", path]) == 1
-    assert capsys.readouterr().out == (
-        "infeasible: window-mismatch at (-4), residue t^3\n")
-    assert main(["classify", "--candidate", path, "--format", "json"]) == 1
-    assert json.loads(capsys.readouterr().out) == {"infeasible": {
-        "constraint": "window-mismatch",
-        "witness": {"indices": [-4], "residue": "t^3"}}}
+    # text and JSON bodies byte for byte, for the window check and for
+    # the solver's own stages
+    for b, lam, alpha, coeffs, window, edits, want in _CLASSIFY_GOLDENS:
+        spec = ModuleSpec.phi(b=sc(b), lam=sc(lam), alpha=sc(alpha),
+                              coeffs=tuple(sc(c) for c in coeffs))
+        path = write_candidate(tmp_path, spec, window=window)
+        doc = json.loads((tmp_path / "candidate.json").read_text())
+        for (field, m), text in edits.items():
+            doc[field][m] = text.format(doc[field][m])
+        (tmp_path / "candidate.json").write_text(json.dumps(doc))
+        constraint, indices, residue = want
+        assert main(["classify", "--candidate", path]) == 1
+        at = ", ".join(str(i) for i in indices)
+        assert capsys.readouterr().out == (
+            f"infeasible: {constraint} at ({at}), residue {residue}\n")
+        assert main(["classify", "--candidate", path, "--format", "json"]) == 1
+        assert capsys.readouterr().out == _certificate_json(*want)
 
 
 def test_classify_reads_l0_terms_in_a_m(capsys, tmp_path):

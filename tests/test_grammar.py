@@ -43,8 +43,9 @@ def test_parse_mixed_coefficients():
 
 
 def test_parse_unipoly():
-    assert parse_unipoly("t^3 - 2*t + 5") == UniPoly({3: ONE, 1: sc(-2), 0: sc(5)})
-    assert parse_unipoly("W0") == UniPoly({1: ONE})
+    assert parse_unipoly("t^3 - 2*t + 5") == BiPoly(
+        {(0, 3): ONE, (0, 1): sc(-2), (0, 0): sc(5)})
+    assert parse_unipoly("W0") == BiPoly({(0, 1): ONE})
     with pytest.raises(ParseError):
         parse_unipoly("s")  # wrong variable for the one-variable grammar
 
@@ -119,4 +120,10 @@ _TEXT_FORMS = {
 def test_parse_inverts_format(kind, data):
     values, fmt, parse = _TEXT_FORMS[kind]
     x = data.draw(values)
-    assert parse(fmt(x)) == x
+    text = fmt(x)
+    if isinstance(x, UniPoly):
+        # an s-free BiPoly prints as its UniPoly, and parse_unipoly reads
+        # that text back as the BiPoly
+        x = x.embed()
+        assert format_bipoly(x) == text
+    assert parse(text) == x
