@@ -11,7 +11,8 @@ only as the stored a_m type of :class:`virab.repmod.GenericFamily`;
 BiPoly, UniPoly and :class:`virab.algebra.AlgElement` over basis symbols
 share the :class:`Terms` core for construction, equality, addition,
 subtraction, negation, scaling and linear combination, and add only what
-depends on their keys.
+depends on their keys.  :meth:`BiPoly.sum_of_products` accumulates a
+signed sum of products in one dict.
 Zero coefficients are never stored, so equality is plain dict equality.
 Instances are immutable by convention: every operation returns a fresh
 object and nothing ever mutates ``terms`` after construction.  The degree
@@ -205,6 +206,9 @@ class BiPoly(Terms):
         return max(i + j for i, j in self.terms) if self.terms else NEG_INF
 
     def __mul__(self, other: BiPoly) -> BiPoly:
+        # one product keeps its own loop: most callers multiply polynomials
+        # of one or two terms, and routing those through sum_of_products
+        # made the classify-mix benchmark about 2% slower
         if not (self.terms and other.terms):
             return BiPoly._raw({})
         acc: dict[tuple[int, int], Scalar] = {}
@@ -213,6 +217,39 @@ class BiPoly(Terms):
                 k = (i1 + i2, j1 + j2)
                 prev = acc.get(k)
                 acc[k] = c1 * c2 if prev is None else prev + c1 * c2
+        return BiPoly._raw({k: c for k, c in acc.items() if c})
+
+    @staticmethod
+    def sum_of_products(plus: Iterable[tuple[BiPoly, BiPoly]],
+                        minus: Iterable[tuple[BiPoly, BiPoly]] = ()) -> BiPoly:
+        """The sum of a*b over the (a, b) in ``plus`` minus the sum of a*b
+        over the (a, b) in ``minus``.
+
+        Every term product goes into one dict, and zeros are dropped once at
+        the end: the value of chaining ``*``, ``+`` and ``-``, without a dict
+        and a zero filter per step.  A scaled term c*p is the product of p
+        with ``BiPoly.const(c)``.
+        """
+        acc: dict[tuple[int, int], Scalar] = {}
+        get = acc.get
+        for a, b in plus:
+            bt = b.terms
+            if not bt:
+                continue
+            for (i1, j1), c1 in a.terms.items():
+                for (i2, j2), c2 in bt.items():
+                    k = (i1 + i2, j1 + j2)
+                    prev = get(k)
+                    acc[k] = c1 * c2 if prev is None else prev + c1 * c2
+        for a, b in minus:
+            bt = b.terms
+            if not bt:
+                continue
+            for (i1, j1), c1 in a.terms.items():
+                for (i2, j2), c2 in bt.items():
+                    k = (i1 + i2, j1 + j2)
+                    prev = get(k)
+                    acc[k] = -(c1 * c2) if prev is None else prev - c1 * c2
         return BiPoly._raw({k: c for k, c in acc.items() if c})
 
     def partial_t(self) -> BiPoly:

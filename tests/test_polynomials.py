@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import sc, sci
 from virab.algebra import AlgElement, L, W
@@ -98,6 +100,45 @@ def test_ring_axioms_random(rng):
         assert (p + q) * r == p * r + q * r
         assert p * q == q * p
         assert (p * q) * r == p * (q * r)
+
+
+gaussians = st.builds(lambda re, den, im: sci(Fraction(re, den), im),
+                      st.integers(-3, 3), st.integers(1, 3), st.integers(-2, 2))
+bipolys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                          gaussians, max_size=4).map(BiPoly)
+products = st.lists(st.tuples(bipolys, bipolys), max_size=3)
+
+
+def _term_by_term_product(a, b):
+    return BiPoly.zero().combine(
+        (BiPoly.monomial(i1 + i2, j1 + j2), c1 * c2)
+        for (i1, j1), c1 in a.terms.items() for (i2, j2), c2 in b.terms.items())
+
+
+@given(plus=products, minus=products,
+       scaled=st.lists(st.tuples(bipolys, gaussians), max_size=2),
+       cancel=st.booleans())
+def test_sum_of_products_matches_chained_arithmetic(plus, minus, scaled,
+                                                    cancel):
+    if cancel:
+        # the same products with their factors swapped, and each scaled
+        # term as a product with one: everything cancels
+        minus = ([(b, a) for a, b in reversed(plus)]
+                 + [(p.scale(c), BiPoly.one()) for p, c in scaled])
+    got = BiPoly.sum_of_products(
+        plus + [(p, BiPoly.const(c)) for p, c in scaled], minus)
+    chained = BiPoly.zero()
+    for a, b in plus:
+        chained = chained + _term_by_term_product(a, b)
+    for p, c in scaled:
+        chained = chained + p.scale(c)
+    for a, b in minus:
+        chained = chained - _term_by_term_product(a, b)
+    assert got == chained and all(got.terms.values())
+    if cancel:
+        assert got.terms == {}
+    for a, b in plus:
+        assert a * b == _term_by_term_product(a, b)
 
 
 def test_shift_s_is_substitution(rng):

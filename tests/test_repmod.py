@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import sc, sci
-from virab.algebra import C, L, W, bracket, classify_case
+from virab import algebra
+from virab.algebra import AlgElement, C, L, W, bracket, classify_case
 from virab.polynomials import BiPoly, UniPoly, format_bipoly
 from virab.repmod import (
     Family,
@@ -219,6 +220,23 @@ def test_spec_from_dict_rejects_inexact_scalars(field, value):
         ModuleSpec.from_dict(doc)
 
 
+_LL = algebra._ll
+
+
+def test_verify_module_rejects_bracket_term_with_another_shift(monkeypatch):
+    # [L_1, L_2] answers L_4 instead of L_3: the sweep refuses to fold the
+    # action of L_4 (shift 4) into the symbol of a pair of total shift 3
+    def wrong_shift(n, m, p):
+        return (AlgElement.single(L(4)) if (n, m) == (1, 2)
+                else _LL(n, m, p))
+
+    monkeypatch.setattr(algebra, "_ll", wrong_shift)
+    spec = ModuleSpec.phi(b=sc(2), lam=sc(-1), alpha=sc(1), coeffs=(ONE,))
+    with pytest.raises(ValueError, match=r"bracket \[L:1, L:2\] has the "
+                       r"term L:4 with shift 4, not the pair's total shift 3"):
+        verify_module(spec, window=2, degree=1)
+
+
 def _naive_sweep(target, window, degree):
     """verify_module without memoisation or shared shifts: every check
     recomputes x.(y.f) - y.(x.f) - sum c.(sym.f) from the public actions."""
@@ -296,6 +314,15 @@ class _DerivativeOnly(ModuleSpec):
         return Op(Scalar.from_int(m), S, BiPoly.monomial(1, 2, sc(m * m)))
 
 
+def _ll_not_antisymmetric(n, m, p):
+    """[L_n, L_m] with [L_1, L_2] = 2*L_3 = -2*[L_2, L_1] and [L_1, L_1] =
+    L_2: the sweep may not mirror (L_1, L_2) into (L_2, L_1), nor take
+    (L_1, L_1) to pass."""
+    if (n, m) in ((1, 2), (1, 1)):
+        return AlgElement.single(L(n + m), sc(m))
+    return _LL(n, m, p)
+
+
 # (id, target, lowest degree at which the sweep fails or None); the
 # degree-2 case keeps the bare id
 _REPLAY_TARGETS = [
@@ -313,15 +340,23 @@ _REPLAY_TARGETS = [
                                       coeffs=(ONE, sc(2))), None),
     ("derivative-only", lambda: _DerivativeOnly(Family.PHI, ZERO, ONE,
                                                 extension=False), 1),
+    ("broken-antisymmetry", lambda: ModuleSpec.phi(
+        b=sc(2), lam=sc(-1), alpha=sc(1), coeffs=(ONE, MINUS_ONE)), 0),
 ]
+# bracket tables replaced while one target is swept: id -> (name in
+# virab.algebra, replacement)
+_TABLE_PATCHES = {"broken-antisymmetry": ("_ll", _ll_not_antisymmetric)}
 
 
-@pytest.mark.parametrize("make, degree, fails", [
-    pytest.param(make, degree, low is not None and degree >= low,
+@pytest.mark.parametrize("name, make, degree, fails", [
+    pytest.param(name, make, degree, low is not None and degree >= low,
                  id=name if degree == 2 else f"{name}-deg{degree}")
     for name, make, low in _REPLAY_TARGETS for degree in (0, 1, 2)
 ])
-def test_verify_module_matches_naive_replay(make, degree, fails):
+def test_verify_module_matches_naive_replay(name, make, degree, fails,
+                                            monkeypatch):
+    if name in _TABLE_PATCHES:
+        monkeypatch.setattr(algebra, *_TABLE_PATCHES[name])
     target = make()
     report = verify_module(target, window=2, degree=degree)
     checks, failures = _naive_sweep(target, window=2, degree=degree)
