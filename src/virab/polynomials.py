@@ -12,7 +12,8 @@ BiPoly, UniPoly and :class:`virab.algebra.AlgElement` over basis symbols
 share the :class:`Terms` core for construction, equality, addition,
 subtraction, negation, scaling and linear combination, and add only what
 depends on their keys.  :meth:`BiPoly.sum_of_products` accumulates a
-signed sum of products in one dict.
+signed sum of products in one dict; both ``*`` operators are its one-pair
+call.
 Zero coefficients are never stored, so equality is plain dict equality.
 Instances are immutable by convention: every operation returns a fresh
 object and nothing ever mutates ``terms`` after construction.  The degree
@@ -147,15 +148,8 @@ class UniPoly(Terms):
         return cls._raw({k: c} if c else {})
 
     def __mul__(self, other: UniPoly) -> UniPoly:
-        if not (self.terms and other.terms):
-            return UniPoly._raw({})
-        acc: dict[int, Scalar] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                prev = acc.get(k)
-                acc[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return UniPoly._raw({k: c for k, c in acc.items() if c})
+        return BiPoly.sum_of_products(
+            ((self.embed(), other.embed()),)).to_unipoly_t()
 
     def embed(self) -> BiPoly:
         """This polynomial viewed in (s, t), with no s dependence."""
@@ -206,18 +200,7 @@ class BiPoly(Terms):
         return max(i + j for i, j in self.terms) if self.terms else NEG_INF
 
     def __mul__(self, other: BiPoly) -> BiPoly:
-        # one product keeps its own loop: most callers multiply polynomials
-        # of one or two terms, and routing those through sum_of_products
-        # made the classify-mix benchmark about 2% slower
-        if not (self.terms and other.terms):
-            return BiPoly._raw({})
-        acc: dict[tuple[int, int], Scalar] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                prev = acc.get(k)
-                acc[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return BiPoly._raw({k: c for k, c in acc.items() if c})
+        return BiPoly.sum_of_products(((self, other),))
 
     @staticmethod
     def sum_of_products(plus: Iterable[tuple[BiPoly, BiPoly]],
@@ -226,30 +209,24 @@ class BiPoly(Terms):
         over the (a, b) in ``minus``.
 
         Every term product goes into one dict, and zeros are dropped once at
-        the end: the value of chaining ``*``, ``+`` and ``-``, without a dict
-        and a zero filter per step.  A scaled term c*p is the product of p
-        with ``BiPoly.const(c)``.
+        the end: the value of multiplying out each pair and adding or
+        subtracting the results, without a dict and a zero filter per step.
+        A scaled term c*p is the product of p with ``BiPoly.const(c)``.
         """
         acc: dict[tuple[int, int], Scalar] = {}
         get = acc.get
-        for a, b in plus:
-            bt = b.terms
-            if not bt:
-                continue
-            for (i1, j1), c1 in a.terms.items():
-                for (i2, j2), c2 in bt.items():
-                    k = (i1 + i2, j1 + j2)
-                    prev = get(k)
-                    acc[k] = c1 * c2 if prev is None else prev + c1 * c2
-        for a, b in minus:
-            bt = b.terms
-            if not bt:
-                continue
-            for (i1, j1), c1 in a.terms.items():
-                for (i2, j2), c2 in bt.items():
-                    k = (i1 + i2, j1 + j2)
-                    prev = get(k)
-                    acc[k] = -(c1 * c2) if prev is None else prev - c1 * c2
+        for pairs, negate in ((plus, False), (minus, True)):
+            for a, b in pairs:
+                bt = b.terms
+                if not bt:
+                    continue
+                for (i1, j1), c1 in a.terms.items():
+                    if negate:
+                        c1 = -c1
+                    for (i2, j2), c2 in bt.items():
+                        k = (i1 + i2, j1 + j2)
+                        prev = get(k)
+                        acc[k] = c1 * c2 if prev is None else prev + c1 * c2
         return BiPoly._raw({k: c for k, c in acc.items() if c})
 
     def partial_t(self) -> BiPoly:
