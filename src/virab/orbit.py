@@ -7,11 +7,15 @@ echelon basis of a subspace of that box: each row is a sparse
 1 there and no other row holding that monomial; a polynomial is reduced
 against all rows in one sparse pass.  :func:`orbit_closure` grows a seed
 set by repeatedly applying the in-window operators L_m and W_m, in a fixed
-order, recording the dimension after each round; each frontier row is
-shifted once per distinct operator shift (L_m and W_m share the shift m).
-Images that leave the box are never silently dropped: they are counted as
-overflow, so "stabilized with zero overflow" is a genuine
-invariant-subspace statement for the box.
+order, recording the dimension after each round.  Images that leave the
+box are never silently dropped: they are counted as overflow, so
+"stabilized with zero overflow" is a genuine invariant-subspace statement
+for the box.  Overflow is decided from degrees where they decide it
+(:meth:`Op.reach` bounds the image's degrees by those of the row, and
+makes them exact when U * p dominates), so an image certain to leave the
+box is counted without being built; the others are built, each frontier
+row shifted once per distinct operator shift (L_m and W_m share the shift
+m), and tested against the box only when the degrees left it open.
 
 :func:`check_invariant_subspace` is the complementary exact test: for the
 span of all in-box monomials selected by a predicate on (i, j), it applies
@@ -27,7 +31,7 @@ from time import perf_counter
 from .algebra import L, W
 from .polynomials import BiPoly, format_bipoly
 from .report import Report
-from .repmod import ModuleSpec, apply_each
+from .repmod import ModuleSpec, Reach, apply_each
 
 
 def _box(bounds: tuple[int, int]) -> tuple[int, int]:
@@ -89,6 +93,21 @@ def _operators(spec: ModuleSpec, window: int):
             for m in range(-window, window + 1) for sym in (L, W)]
 
 
+def _fits_by_degree(reach: Reach, degrees: tuple, bounds: tuple[int, int]
+                    ) -> bool | None:
+    """Does the image of a nonzero f with (deg_s f, deg_t f) = ``degrees``
+    under an op of this ``reach`` fit the box?  True when both degree
+    bounds are inside it, False when an exact degree is past it, None when
+    only the image itself can tell."""
+    (ds, dt), (fs, ft) = bounds, degrees
+    top_s, top_t = fs + reach.s, ft + reach.t
+    if top_s <= ds and top_t <= dt:
+        return True
+    if (reach.s_exact and top_s > ds) or (reach.t_exact and top_t > dt):
+        return False
+    return None
+
+
 def orbit_closure(
     spec: ModuleSpec,
     seeds: list[BiPoly],
@@ -102,7 +121,13 @@ def orbit_closure(
     and whether the closure stabilized (a round produced nothing new) with
     zero overflow.  Otherwise it fails ``orbit-invariance`` at (rounds,
     overflow); the residue is the first image that left the box, else the
-    first row of the last frontier."""
+    first row of the last frontier.
+
+    An image whose degrees already put it past the box is counted as
+    overflow unbuilt (only the first is built, for the residue), and one
+    whose degree bounds put it inside skips the box test; the rest are
+    built and tested.  The counts, the trace and the residue are those of
+    building and testing every image."""
     t0 = perf_counter()
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
@@ -115,7 +140,8 @@ def orbit_closure(
         if not basis.fits(f):
             raise ValueError("seed exceeds the monomial box")
     frontier = [p for f in seeds if (p := basis.insert(f)) is not None]
-    ops = _operators(spec, window)
+    reaches = [(op, op.reach()) for op in _operators(spec, window)
+               if op.p or op.q]
 
     one = BiPoly.one()
     trace = [basis.dim]
@@ -127,10 +153,20 @@ def orbit_closure(
         rounds += 1
         new_frontier = []
         for f in frontier:
-            for img in apply_each(ops, f):
-                if img.is_zero:
+            degrees = (f.deg_s, f.deg_t)
+            shifted = {}
+            for op, reach in reaches:
+                fits = _fits_by_degree(reach, degrees, basis.bounds)
+                if fits is False and escaped is not None:
+                    overflow += 1
                     continue
-                if not basis.fits(img):
+                g = shifted.get(op.shift)
+                if g is None:
+                    g = shifted[op.shift] = f.shift_s(op.shift)
+                img = op.apply_shifted(g)
+                if not img:
+                    continue
+                if fits is False or (fits is None and not basis.fits(img)):
                     overflow += 1
                     escaped = escaped or img
                     continue

@@ -115,6 +115,20 @@ def h_of_n(b: Scalar, alpha: Scalar, coeffs: tuple[Scalar, ...],
                                  for k, c in enumerate(coeffs) if c)
 
 
+class Reach(NamedTuple):
+    """Degree offsets of an :class:`Op`: for every nonzero u,
+
+        deg_s(op.apply(u)) <= deg_s u + s,   deg_t(op.apply(u)) <= deg_t u + t,
+
+    with equality in s when ``s_exact`` and in t when ``t_exact`` (and then
+    the image is nonzero)."""
+
+    s: int | float
+    t: int | float
+    s_exact: bool
+    t_exact: bool
+
+
 class Op(NamedTuple):
     """The action of one basis symbol on u(s, t):
 
@@ -135,10 +149,23 @@ class Op(NamedTuple):
 
     def apply_shifted(self, shifted: BiPoly) -> BiPoly:
         """The action, given U = u(s - shift, t) already computed."""
-        out = shifted * self.p
-        if self.q:
-            out = out + shifted.partial_t() * self.q
-        return out
+        if not self.q:
+            return shifted * self.p
+        return BiPoly.sum_of_products(
+            ((shifted, self.p), (shifted.partial_t(), self.q)))
+
+    def reach(self) -> Reach:
+        """How far the action moves the degrees of u, read off p and q.
+
+        The shift keeps deg_s u and deg_t u, d/dt lowers deg_t by at least
+        one, and C[s, t] has no zero divisors, so the degrees of U * p are
+        exact and bound those of d/dt U * q by deg_s q and deg_t q - 1.
+        The zero polynomial has degree -inf, so p = 0 is never exact.
+        """
+        p, q = self.p, self.q
+        q_t = q.deg_t - 1
+        return Reach(max(p.deg_s, q.deg_s), max(p.deg_t, q_t),
+                     p.deg_s > q.deg_s, p.deg_t > q_t)
 
 
 def apply_each(ops: Iterable[Op], u: BiPoly) -> Iterator[BiPoly]:

@@ -346,6 +346,117 @@ def test_verify_module_readme_example_golden(capsys, tmp_path):
 """
 
 
+ORBIT_README_GOLDEN = """\
+{
+  "suite": "orbit",
+  "params": {
+    "family": "phi",
+    "a": "0",
+    "b": "1",
+    "lambda": "2",
+    "alpha": "1",
+    "coeffs": "[]",
+    "extension": "True",
+    "seeds": "t; s; t^2",
+    "window": "3",
+    "bounds": "8,8",
+    "max_rounds": "6"
+  },
+  "checks": 6,
+  "failures": [
+    {
+      "constraint": "orbit-invariance",
+      "indices": [
+        6,
+        0
+      ],
+      "residue": "s^6*t"
+    }
+  ],
+  "status": "fail",
+  "elapsed_s": 0,
+  "data": {
+    "dimension_trace": [
+      3,
+      8,
+      13,
+      19,
+      26,
+      34,
+      43
+    ],
+    "reaches_one": true,
+    "overflow": 0,
+    "stabilized": false,
+    "invariant_in_box": false
+  }
+}
+"""
+
+ORBIT_OVERFLOW_GOLDEN = """\
+{
+  "suite": "orbit",
+  "params": {
+    "family": "phi",
+    "a": "0",
+    "b": "1",
+    "lambda": "2",
+    "alpha": "1",
+    "coeffs": "[]",
+    "extension": "True",
+    "seeds": "t",
+    "window": "3",
+    "bounds": "2,2",
+    "max_rounds": "9"
+  },
+  "checks": 4,
+  "failures": [
+    {
+      "constraint": "orbit-invariance",
+      "indices": [
+        4,
+        42
+      ],
+      "residue": "1/8*t^3 - 1/8*t^2"
+    }
+  ],
+  "status": "fail",
+  "elapsed_s": 0,
+  "data": {
+    "dimension_trace": [
+      1,
+      4,
+      7,
+      8,
+      8
+    ],
+    "reaches_one": true,
+    "overflow": 42,
+    "stabilized": true,
+    "invariant_in_box": false
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("extra, golden", [
+    (["--seed", "t", "--seed", "s", "--seed", "t^2"], ORBIT_README_GOLDEN),
+    (["--seed", "t", "--bounds", "2,2", "--max-rounds", "9"],
+     ORBIT_OVERFLOW_GOLDEN),
+], ids=["readme", "overflow"])
+def test_orbit_json_golden(capsys, tmp_path, extra, golden):
+    # whole bodies, elapsed aside: the dimension trace, the overflow count
+    # and the residue of the first image that left the box
+    path = tmp_path / "phi.json"
+    path.write_text('{"family": "phi", "a": "0", "b": "1", "lambda": "2",\n'
+                    ' "alpha": "1", "coeffs": [], "extension": true}\n')
+    assert main(["orbit", "--spec", str(path), *extra,
+                 "--format", "json"]) == 1
+    out = re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": 0',
+                 capsys.readouterr().out)
+    assert out == golden
+
+
 def test_isom_family_mismatch_is_usage_error(capsys, tmp_path):
     p = tmp_path / "p.json"
     q = tmp_path / "q.json"

@@ -4,7 +4,12 @@ import pytest
 
 from conftest import sc, sci
 from virab.algebra import L, W
-from virab.orbit import SubspaceBasis, check_invariant_subspace, orbit_closure
+from virab.orbit import (
+    SubspaceBasis,
+    _fits_by_degree,
+    check_invariant_subspace,
+    orbit_closure,
+)
 from virab.polynomials import BiPoly, format_bipoly
 from virab.repmod import ModuleSpec, Op
 from virab.scalars import MINUS_ONE, ONE, ZERO, Scalar
@@ -232,20 +237,27 @@ class _NaiveBasis:
 
 
 def _naive_closure(spec, seeds, window, bounds, max_rounds):
+    """The closure's data, plus the number of images of nonzero operators
+    (``images``) and how many overflows the degree rule decides
+    (``decided``)."""
     ops = [spec.op(x(m)) for m in range(-window, window + 1) for x in (L, W)]
     basis = _NaiveBasis(bounds)
     frontier = [p for f in seeds if (p := basis.insert(f)) is not None]
     trace, overflow, escaped, stabilized = [len(basis.rows)], 0, None, False
+    images = decided = 0
     for _ in range(max_rounds):
         new_frontier = []
         for f in frontier:
             for op in ops:
+                images += bool(op.p or op.q)
                 img = op.apply(f)
                 if not img:
                     continue
                 if not basis.fits(img):
                     overflow += 1
                     escaped = escaped or img
+                    decided += _fits_by_degree(
+                        op.reach(), (f.deg_s, f.deg_t), bounds) is False
                 elif (reduced := basis.insert(img)) is not None:
                     new_frontier.append(reduced)
         trace.append(len(basis.rows))
@@ -259,7 +271,19 @@ def _naive_closure(spec, seeds, window, bounds, max_rounds):
         residue = format_bipoly(escaped or frontier[0])
     return {"dimension_trace": trace, "overflow": overflow,
             "reaches_one": basis.fits(one) and not basis.reduce(one),
-            "stabilized": stabilized, "residue": residue}
+            "stabilized": stabilized, "residue": residue,
+            "images": images, "decided": decided}
+
+
+def _assert_matches_naive(spec, seeds, window, bounds, max_rounds):
+    report = orbit_closure(spec, seeds, window=window, bounds=bounds,
+                           max_rounds=max_rounds)
+    expected = _naive_closure(spec, seeds, window, bounds, max_rounds)
+    got = {k: report.data[k] for k in
+           ("dimension_trace", "overflow", "reaches_one", "stabilized")}
+    got["residue"] = report.failures[0].residue if report.failures else None
+    assert got == {k: expected[k] for k in got}
+    assert report.checks == len(expected["dimension_trace"]) - 1
 
 
 REPLAY_SPECS = [
@@ -283,14 +307,7 @@ def test_orbit_closure_matches_naive_replay(spec, window):
                              sci(rng.randint(-2, 2), rng.randint(0, 1))})
                  for _ in range(rng.randint(1, 3))]
         seeds = [f for f in seeds if f]
-        report = orbit_closure(spec, seeds, window=window, bounds=bounds,
-                               max_rounds=max_rounds)
-        expected = _naive_closure(spec, seeds, window, bounds, max_rounds)
-        got = {k: report.data[k] for k in
-               ("dimension_trace", "overflow", "reaches_one", "stabilized")}
-        got["residue"] = report.failures[0].residue if report.failures else None
-        assert got == expected
-        assert report.checks == len(expected["dimension_trace"]) - 1
+        _assert_matches_naive(spec, seeds, window, bounds, max_rounds)
     ops = [spec.op(x(m)) for m in range(-window, window + 1) for x in (L, W)]
     for predicate in (lambda i, j: j >= 1, lambda i, j: j >= 2,
                       lambda i, j: i >= 1, lambda i, j: i + j != 2):
@@ -300,3 +317,77 @@ def test_orbit_closure_matches_naive_replay(spec, window):
                     for key in op.apply(BiPoly.monomial(i, j)).terms)
         assert check_invariant_subspace(spec, predicate, window=window,
                                         bounds=(3, 3)) is naive
+
+
+@pytest.mark.parametrize("spec", REPLAY_SPECS,
+                         ids=lambda s: f"{s.family.value}-b{s.b}-alpha{s.alpha}")
+def test_degree_rule_is_sound(spec):
+    # an exact degree past the box means the image leaves it; both bounds
+    # inside it mean the image fits; exact degrees are the image's degrees
+    rng = random.Random(f"degree-rule/{spec.to_dict()}")
+    verdicts = set()
+    for window in (1, 2, 3):
+        ops = [spec.op(x(m)) for m in range(-window, window + 1)
+               for x in (L, W)]
+        for _ in range(12):
+            f = BiPoly({(rng.randint(0, 3), rng.randint(0, 3)):
+                        sci(rng.randint(-2, 2), rng.randint(-1, 1))
+                        for _ in range(rng.randint(1, 4))})
+            if not f:
+                continue
+            bounds = (rng.randint(0, 5), rng.randint(0, 5))
+            box = SubspaceBasis(bounds)
+            for op in ops:
+                if not (op.p or op.q):
+                    continue
+                reach = op.reach()
+                fits = _fits_by_degree(reach, (f.deg_s, f.deg_t), bounds)
+                img = op.apply(f)
+                verdicts.add(fits)
+                if fits is not None:
+                    assert box.fits(img) is fits
+                if reach.s_exact:
+                    assert img.deg_s == f.deg_s + reach.s
+                if reach.t_exact:
+                    assert img.deg_t == f.deg_t + reach.t
+                assert img.deg_s <= f.deg_s + reach.s
+                assert img.deg_t <= f.deg_t + reach.t
+    assert {True, False} <= verdicts
+
+
+def test_degree_rule_leaves_cancelling_images_undecided(monkeypatch):
+    # t * p + d/dt(t) * q = t^2 - t^2 = 0: the top t-terms cancel, so deg_t
+    # is only bounded, and the rule must not call this image an overflow
+    op = Op(ZERO, T, BiPoly.monomial(0, 2, MINUS_ONE))
+    reach = op.reach()
+    assert not (reach.s_exact or reach.t_exact)
+    assert op.apply(T).is_zero
+    assert _fits_by_degree(reach, (0, 1), (0, 1)) is None
+    assert _fits_by_degree(reach, (0, 1), (2, 2)) is True
+    spec = ModuleSpec.phi(b=ONE, lam=sc(2), alpha=ONE, coeffs=())
+    monkeypatch.setattr(ModuleSpec, "op", lambda self, sym: op)
+    for seeds, bounds in (([T], (0, 1)), ([T], (1, 2)),
+                          ([T, S * T], (1, 1)),
+                          ([BiPoly.monomial(0, 2) + T], (2, 3)),
+                          ([S + T, BiPoly.monomial(1, 2)], (2, 2))):
+        _assert_matches_naive(spec, seeds, 1, bounds, 5)
+
+
+def test_decided_overflows_are_not_built(monkeypatch):
+    spec = ModuleSpec.phi(b=ONE, lam=sc(2), alpha=ONE, coeffs=())
+    expected = _naive_closure(spec, [T], 3, (2, 2), 9)
+    # every overflow of this closure is decided by degrees
+    assert expected["decided"] == expected["overflow"] > 1
+    built = 0
+    apply_shifted = Op.apply_shifted
+
+    def counted(self, shifted):
+        nonlocal built
+        built += 1
+        return apply_shifted(self, shifted)
+
+    monkeypatch.setattr(Op, "apply_shifted", counted)
+    report = orbit_closure(spec, [T], window=3, bounds=(2, 2), max_rounds=9)
+    assert report.data["overflow"] == expected["overflow"]
+    # the first overflow is built once: its text is the failure's residue
+    assert built <= expected["images"] - expected["decided"] + 1
