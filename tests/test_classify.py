@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -16,10 +18,22 @@ from virab.classify import (
     isom_decide,
     solve_candidate,
     solve_from_generators,
+    _a_in_W0,
+    _deg_a,
+    _g_shape,
+    _record,
+    _report,
 )
 from virab.grammar import parse_bipoly
 from virab.polynomials import BiPoly, format_bipoly
-from virab.repmod import Family, GenericFamily, ModuleSpec, generic_act_L
+from virab.repmod import (
+    Family,
+    GenericFamily,
+    ModuleSpec,
+    generic_act_L,
+    generic_act_W,
+    twist_poly,
+)
 from virab.scalars import I, MINUS_ONE, ONE, ZERO, intpow
 
 
@@ -346,6 +360,12 @@ def _perturbed_g_candidate():
     return CandidateFamily(base.a, base.b, base.window, base.a_m, g_m)
 
 
+def _generic(fam: CandidateFamily) -> GenericFamily:
+    return GenericFamily(fam.a, fam.b, fam.window,
+                         {m: p.to_unipoly_t() for m, p in fam.a_m.items()},
+                         fam.g_m)
+
+
 @pytest.mark.parametrize("make", [_family_with_a_candidate,
                                   _perturbed_g_candidate],
                          ids=["a-nonzero", "g-perturbed"])
@@ -353,9 +373,7 @@ def test_ll_compat_replays_the_action(make):
     # each ll-compat residue is -([L_m, L_n] . 1) replayed on the data:
     # -(L_m . g_n - L_n . g_m - (n - m) * g_{m+n})
     fam = make()
-    data = GenericFamily(fam.a, fam.b, fam.window,
-                         {m: p.to_unipoly_t() for m, p in fam.a_m.items()},
-                         fam.g_m)
+    data = _generic(fam)
     want = []
     for m in range(-fam.window, fam.window + 1):
         for n in range(m + 1, fam.window + 1):
@@ -369,6 +387,225 @@ def test_ll_compat_replays_the_action(make):
     got = [(f.indices, f.residue) for f in check_constraints(fam).failures
            if f.constraint == "ll-compat"]
     assert want and got == want
+
+
+def _phi_candidate(a_m=None, g_m=None):
+    # a = 0 with lambda = 2, so b_m differs from b_n at m != n; the entries
+    # added keep g_m = b_m L0 + d_m and a_m in C[W0]
+    base = candidate_for(
+        ModuleSpec.phi(b=sc("1/2"), lam=sc(2), alpha=ONE, coeffs=(ONE, I)), 3)
+    return perturbed(base, a_m, g_m)
+
+
+def _perturbed_a_phi_candidate():
+    return _phi_candidate(a_m={2: BiPoly.monomial(0, 1, sc(3)),
+                               -1: BiPoly.const(sc("-1/2"))},
+                          g_m={1: BiPoly.monomial(0, 2, sc(5))})
+
+
+def _perturbed_g_phi_candidate():
+    return _phi_candidate(g_m={2: BiPoly.s_var().scale(sc(3)),
+                               -3: BiPoly.const(I)})
+
+
+@pytest.mark.parametrize("make", [_family_with_a_candidate,
+                                  _perturbed_a_phi_candidate,
+                                  _perturbed_g_phi_candidate],
+                         ids=["a-nonzero", "a-perturbed", "g-perturbed"])
+def test_lw_compat_replays_the_action(make):
+    # each lw-compat residue is -([L_m, W_n] . 1) replayed through the
+    # window's operators: -(L_m . a_n - W_n . g_m - (a + n + b*m) a_{m+n})
+    fam = make()
+    data, N = _generic(fam), fam.window
+    want = []
+    for m in range(-N, N + 1):
+        for n in range(-N, N + 1):
+            if abs(m + n) > N:
+                continue
+            res = (generic_act_L(data, m, fam.a_m[n])
+                   - generic_act_W(data, n, fam.g_m[m])
+                   - fam.a_m[m + n].scale(fam.a.add_int(n) + fam.b.mul_int(m)))
+            if res:
+                want.append(((m, n), format_bipoly(-res)))
+    got = [(f.indices, f.residue) for f in check_constraints(fam).failures
+           if f.constraint == "lw-compat"]
+    assert want and got == want
+
+
+@pytest.mark.parametrize("make", [_perturbed_g_candidate,
+                                  _perturbed_a_phi_candidate,
+                                  _perturbed_g_phi_candidate],
+                         ids=["b-minus-one", "a-perturbed", "g-perturbed"])
+def test_h_cocycle_replays_ll_compat_on_normalized_data(make):
+    # each h-cocycle residue is -([L_m, L_n] . 1) replayed over a = 0 on
+    # g_m = L0 + d_m / lambda^m and a_m = w_m, the twist factor
+    fam = make()
+    N, lam = fam.window, fam.g_m[1].coeff(1, 0)
+    alpha = -(fam.a_m[1].coeff(0, 0) / lam)
+    idx = range(-N, N + 1)
+    g_m = {m: BiPoly.s_var() + BiPoly(
+        {k: c for k, c in fam.g_m[m].terms.items() if not k[0]}).scale(
+            intpow(lam, -m)) for m in idx}
+    data = GenericFamily(ZERO, fam.b, N, {
+        m: twist_poly(fam.b, alpha, m).to_unipoly_t() for m in idx}, g_m)
+    want = []
+    for m in idx:
+        for n in range(m + 1, N + 1):
+            if abs(m + n) > N:
+                continue
+            res = (generic_act_L(data, m, g_m[n]) - generic_act_L(data, n, g_m[m])
+                   - g_m[m + n].scale(sc(n - m)))
+            if res:
+                want.append(((m, n), format_bipoly(-res)))
+    got = [(f.indices, f.residue) for f in check_constraints(fam).failures
+           if f.constraint == "h-cocycle"]
+    assert want and got == want
+
+
+# --- a reference sweep, one formula per instance ---------------------------
+#
+# The pair constraints as check_constraints evaluated them before it built
+# each window's per-index parts once: every instance recomputes its shifts,
+# derivatives, products and powers of lambda.  The shape checks and the
+# bookkeeping are the module's own.
+
+def _ref_cert(constraint, indices, residue):
+    return InfeasibilityCertificate(constraint, indices, residue) if residue else None
+
+
+def _ref_lw_compat(a, b, a_m, g_m, m, n):
+    gm, an = g_m[m], a_m[n]
+    return _ref_cert("lw-compat", (m, n), (
+        a_m[m + n].scale(a.add_int(n) + b.mul_int(m))
+        - an * (gm - gm.shift_s(a.add_int(n)))
+        - (an.partial_t() * a_m[m]).scale(a + b.mul_int(m))))
+
+
+def _ref_b_power(b_m, *idx):
+    if len(idx) == 2:
+        return _ref_cert("b-power", idx, BiPoly.const(ONE - b_m[1] * b_m[-1]))
+    (m,) = idx
+    return _ref_cert("b-power", idx, BiPoly.const(b_m[m] - intpow(b_m[1], m)))
+
+
+def _ref_ll_compat(a, b, b_m, d_m, a_m, m, n, constraint="ll-compat"):
+    lead = (b_m[m + n] - b_m[m] * b_m[n]).mul_int(n - m)
+    return _ref_cert(constraint, (m, n), BiPoly.monomial(1, 0, lead).combine((
+        (d_m[m + n], sc(n - m)),
+        (d_m[n], -b_m[m].mul_int(n)),
+        (d_m[m], b_m[n].mul_int(m)),
+        (d_m[m].partial_t() * a_m[n], a + b.mul_int(n)),
+        (d_m[n].partial_t() * a_m[m], -(a + b.mul_int(m))))))
+
+
+def _ref_w_linear(b, lam, A, B, part, m, n):
+    X = A if part == "A" else B
+    return _ref_cert("w-linear-" + part, (m, n), BiPoly.const(
+        b.mul_int(m).add_int(n) * X[m + n]
+        - X[n].mul_int(n) * intpow(lam, m)
+        - b.mul_int(m) * A[n] * X[m]))
+
+
+def _ref_w_commutation(a, a_m, m, n):
+    am, an = a_m[m], a_m[n]
+    return _ref_cert("W-commutation", (m, n),
+                     an.shift_s(a.add_int(m)) * am - am.shift_s(a.add_int(n)) * an)
+
+
+def _ref_check_constraints(fam):
+    report = _report("check-constraints", fam)
+    N, a, b = fam.window, fam.a, fam.b
+    window = range(-N, N + 1)
+    singles = [(m,) for m in window]
+    pairs = [(m, n) for m in window for n in window if abs(m + n) <= N]
+    ordered = [(m, n) for m, n in pairs if m < n]
+    g_ok = _record(report, singles, partial(_g_shape, fam.g_m))
+    if not (_record(report, singles, partial(_a_in_W0, fam.a_m)) and g_ok):
+        return report
+    _record(report, pairs, partial(_ref_lw_compat, a, b, fam.a_m, fam.g_m))
+    b_m = {m: fam.g_m[m].coeff(1, 0) for m in window}
+    lam = b_m[1]
+    _record(report, singles if lam else [(1, -1)], partial(_ref_b_power, b_m))
+    if not lam:
+        return report
+    d_m = {m: BiPoly({k: c for k, c in fam.g_m[m].terms.items() if not k[0]})
+           for m in window}
+    _record(report, ordered, partial(_ref_ll_compat, a, b, b_m, d_m, fam.a_m))
+    if not _record(report, singles, partial(_deg_a, fam.a_m)) or a:
+        return report
+    A = {m: fam.a_m[m].coeff(0, 1) for m in window}
+    B = {m: fam.a_m[m].coeff(0, 0) for m in window}
+    _record(report, pairs, partial(_ref_w_linear, b, lam, A, B, "A"),
+            partial(_ref_w_linear, b, lam, A, B, "B"))
+    alpha = -(B[1] / lam)
+    F = {m: d_m[m].scale(intpow(lam, -m)) for m in window}
+    w = {m: twist_poly(b, alpha, m) for m in window}
+    _record(report, ordered, partial(_ref_ll_compat, ZERO, b, dict.fromkeys(
+        window, ONE), F, w, constraint="h-cocycle"))
+    return report
+
+
+def _ref_check_W_commutation(fam):
+    report = _report("check-W-commutation", fam)
+    window = range(-fam.window, fam.window + 1)
+    _record(report, [(m, n) for m in window for n in window if m < n],
+            partial(_ref_w_commutation, fam.a, fam.a_m))
+    return report
+
+
+def _bodies(report):
+    report.elapsed = 0.0
+    return report.checks, report.to_text(), report.to_json()
+
+
+# every perturbation kind of the classify-mix benchmark: a monomial added
+# to a g_m or an a_m at a seed m = +-1 or at another m, or a != 0
+_MONOMIALS = {
+    "g-coef": lambda rng: rng.choice([(0, j) for j in range(5)] + [(1, 0)]),
+    "a-coef": lambda rng: (0, rng.randint(0, 1)),
+    "g-s2": lambda rng: (2, rng.randint(0, 1)),
+    "a-t2": lambda rng: (0, 2),
+    "a-L0": lambda rng: (1, rng.randint(0, 1)),
+}
+_KINDS = [None, "translation"] + [f"{kind}@{where}" for kind in _MONOMIALS
+                                  for where in ("seed", "other")]
+
+
+def _gaussian(rng):
+    while True:
+        x = sci(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                rng.randint(-3, 3))
+        if x:
+            return x
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_check_constraints_matches_the_reference_sweep(kind):
+    rng = random.Random(f"check-constraints/{kind}")
+    for family in ("-1", "0", "1/2", "1", "3", "theta"):
+        N = rng.randint(2, 6)
+        coeffs = [_gaussian(rng) for _ in range(rng.randint(0, 4))]
+        if family == "theta":
+            spec = ModuleSpec.theta(lam=_gaussian(rng), coeffs=coeffs)
+        else:
+            spec = ModuleSpec.phi(b=sc(family), lam=_gaussian(rng),
+                                  alpha=sc(Fraction(rng.randint(-3, 3),
+                                                    rng.randint(1, 2))),
+                                  coeffs=coeffs)
+        fam = candidate_for(spec, N)
+        c = _gaussian(rng)
+        if kind == "translation":
+            fam = CandidateFamily(c, fam.b, N, fam.a_m, fam.g_m)
+        elif kind is not None:
+            entry, where = kind.split("@")
+            m = rng.choice([1, -1] if where == "seed" else
+                           [x for x in range(-N, N + 1) if abs(x) > 1])
+            delta = {m: BiPoly.monomial(*_MONOMIALS[entry](rng), c)}
+            fam = perturbed(fam, **{f"{entry[0]}_m": delta})
+        assert _bodies(check_constraints(fam)) == _bodies(
+            _ref_check_constraints(fam)), (family, N)
+        assert _bodies(check_W_commutation(fam)) == _bodies(
+            _ref_check_W_commutation(fam)), (family, N)
 
 
 def test_check_constraints_passes_on_genuine_family():
