@@ -221,8 +221,9 @@ def verify_algebra(p: AlgebraParams, window: int = 5) -> Report:
     """Check antisymmetry on all symbol pairs and Jacobi on all symbol
     triples with generator indices in [-window, window], central symbols
     included.  Exact; any nonzero residue is reported with its witness.
-    Both passes read brackets from one memo that lives for the sweep, and
-    each cyclic class of Jacobi triples is expanded once."""
+    Both passes read brackets from one memo that lives for the sweep.
+    Each cyclic class of Jacobi triples is settled once, and one whose
+    pairs are exactly antisymmetric is read off its mirror class."""
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
     t0 = perf_counter()
@@ -246,35 +247,41 @@ def verify_algebra(p: AlgebraParams, window: int = 5) -> Report:
             "window": str(window),
         },
     )
-    checks = 0
+    n = len(syms)
+    anti = [[False] * n for _ in range(n)]
     for ix, x in enumerate(syms):
-        for y in syms[ix:]:
-            checks += 1
+        for iy, y in enumerate(syms[ix:], ix):
             res = br(x, y) + br(y, x)
             if res:
                 report.fail("antisymmetry", (str(x), str(y)), format_element(res))
-    # J(x, y, z) is the same sum as J(y, z, x) and J(z, x, y): each cyclic
-    # class of index triples is expanded once, at its least member, which
-    # the loop reaches first; every member is still a check and reports
-    # the class's residue at its own position
-    failing: dict[tuple[int, int, int], str] = {}
-    n = len(syms)
+            else:
+                anti[ix][iy] = anti[iy][ix] = True
+    # J(x, y, z) = J(y, z, x) = J(z, x, y): each cyclic class is settled
+    # at its least member (i, j, k), i <= j, k (k > i unless j == i).  If
+    # its three pairs are antisymmetric, J(x, z, y) = -J(x, y, z): it is
+    # minus the class of (i, k, j), which the loop settled first if k < j,
+    # and zero if that class is its own (j == i or j == k)
+    failing: dict[tuple[int, int, int], AlgElement] = {}
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                checks += 1
-                key = min((i, j, k), (j, k, i), (k, i, j))
-                if key == (i, j, k):
-                    x, y, z = syms[i], syms[j], syms[k]
-                    res = AlgElement.zero().combine(chain(
-                        ad(x, br(y, z)), ad(y, br(z, x)), ad(z, br(x, y))))
-                    if res:
-                        failing[key] = format_element(res)
-                residue = failing.get(key)
-                if residue is not None:
-                    report.fail("jacobi",
-                                (str(syms[i]), str(syms[j]), str(syms[k])),
-                                residue)
-    report.checks = checks
+        for j in range(i, n):
+            for k in range(i + (j > i), n):
+                if anti[i][j] and anti[j][k] and anti[i][k]:
+                    if j == i or j == k:
+                        continue
+                    if k < j:
+                        if (i, k, j) in failing:
+                            failing[i, j, k] = -failing[i, k, j]
+                        continue
+                x, y, z = syms[i], syms[j], syms[k]
+                res = AlgElement.zero().combine(chain(
+                    ad(x, br(y, z)), ad(y, br(z, x)), ad(z, br(x, y))))
+                if res:
+                    failing[i, j, k] = res
+    # each triple of a failing class fails, in triple order
+    for triple, key in sorted((t, key) for key in failing for t in
+                              {key, key[1:] + key[:1], key[2:] + key[:2]}):
+        report.fail("jacobi", tuple(str(syms[c]) for c in triple),
+                    format_element(failing[key]))
+    report.checks = n * (n + 1) // 2 + n ** 3
     report.elapsed = perf_counter() - t0
     return report

@@ -10,18 +10,19 @@ set by repeatedly applying the in-window operators L_m and W_m, in a fixed
 order, recording the dimension after each round.  Images that leave the
 box are never silently dropped: they are counted as overflow, so
 "stabilized with zero overflow" is a genuine invariant-subspace statement
-for the box.  Overflow is decided from degrees where they decide it
-(:meth:`Op.reach` bounds the image's degrees by those of the row, and
-makes them exact when U * p dominates), so an image certain to leave the
-box is counted without being built; the others are built, each frontier
-row shifted once per distinct operator shift (L_m and W_m share the shift
-m), and tested against the box only when the degrees left it open.
+for the box.  Structure settles images before they are built: an image
+whose degrees (:meth:`Op.reach`) put it past the box is counted as
+overflow, and one whose support bound (:meth:`Op.support`) lies in the
+span's runs of monomial rows is skipped.  The rest are built, each
+frontier row shifted once per distinct operator shift (L_m and W_m share
+the shift m), and tested against the box when the degrees left it open.
 
 :func:`check_invariant_subspace` is the complementary exact test: for the
-span of all in-box monomials selected by a predicate on (i, j), it applies
-every in-window operator WITHOUT truncation and checks the image stays in
-the selected monomial span (which is how the reducibility witnesses like
-"t divides everything" are certified).
+span of all in-box monomials selected by a predicate on (i, j), it checks
+that every in-window operator's image, WITHOUT truncation, stays in the
+selected monomial span (which is how the reducibility witnesses like
+"t divides everything" are certified); an image is built only when the
+predicate fails somewhere on its support bound.
 """
 
 from __future__ import annotations
@@ -43,11 +44,15 @@ def _box(bounds: tuple[int, int]) -> tuple[int, int]:
 
 class SubspaceBasis:
     """Exact reduced-row-echelon basis over the monomial box: ``rows`` maps
-    each pivot monomial to the row that has coefficient 1 there."""
+    each pivot monomial to the row that has coefficient 1 there.  A
+    monomial is in the span exactly when its row is that monomial alone,
+    and such rows never change; ``runs[j]`` is the k for which s^0 t^j,
+    ..., s^(k-1) t^j are all in the span (absent: 0)."""
 
     def __init__(self, bounds: tuple[int, int]):
         self.bounds = _box(bounds)
         self.rows: dict[tuple[int, int], BiPoly] = {}
+        self.runs: dict[int, int] = {}
 
     @property
     def dim(self) -> int:
@@ -77,12 +82,21 @@ class SubspaceBasis:
             return None
         pivot = min(f.terms)
         f = f.scale(f.terms[pivot].inv())
-        # keep reduced form: clear the new pivot from existing rows
-        for key, row in self.rows.items():
+        # keep reduced form: clear the new pivot from existing rows, and
+        # extend the runs of the columns whose rows changed
+        rows, runs = self.rows, self.runs
+        columns = {pivot[1]}
+        for key, row in rows.items():
             c = row.terms.get(pivot)
             if c is not None:
-                self.rows[key] = row.combine(((f, -c),))
-        self.rows[pivot] = f
+                rows[key] = row.combine(((f, -c),))
+                columns.add(key[1])
+        rows[pivot] = f
+        for j in columns:
+            k = runs.get(j, 0)
+            while (row := rows.get((k, j))) is not None and len(row.terms) == 1:
+                k += 1
+            runs[j] = k
         return f
 
 
@@ -125,9 +139,11 @@ def orbit_closure(
 
     An image whose degrees already put it past the box is counted as
     overflow unbuilt (only the first is built, for the residue), and one
-    whose degree bounds put it inside skips the box test; the rest are
-    built and tested.  The counts, the trace and the residue are those of
-    building and testing every image."""
+    whose degree bounds put it inside skips the box test.  One whose
+    support bound lies in the basis's runs is in the span, so it fits and
+    its insert would return None: it is skipped unbuilt.  The counts, the
+    trace, the frontier and the residue are those of building and
+    inserting every image."""
     t0 = perf_counter()
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
@@ -154,12 +170,18 @@ def orbit_closure(
         new_frontier = []
         for f in frontier:
             degrees = (f.deg_s, f.deg_t)
+            columns: dict[int, int] = {}
+            for i, j in f.terms:
+                columns[j] = max(i, columns.get(j, 0))
             shifted = {}
             for op, reach in reaches:
                 fits = _fits_by_degree(reach, degrees, basis.bounds)
                 if fits is False and escaped is not None:
                     overflow += 1
                     continue
+                if all(top < basis.runs.get(j, 0)
+                       for j, top in op.support(columns).items()):
+                    continue  # in the span: it would fit and insert nothing
                 g = shifted.get(op.shift)
                 if g is None:
                     g = shifted[op.shift] = f.shift_s(op.shift)
@@ -213,14 +235,18 @@ def check_invariant_subspace(
     """Is span{ s^i t^j in the box : predicate(i, j) } invariant under all
     L_m, W_m with |m| <= window?  Images are computed exactly, with no
     truncation: a monomial image escaping the predicate anywhere (inside
-    the box or not) refutes invariance."""
+    the box or not) refutes invariance.  An image whose support bound
+    satisfies the predicate everywhere cannot, and is not built."""
     ds, dt = _box(bounds)
     ops = _operators(spec, window)
     for i in range(ds + 1):
         for j in range(dt + 1):
             if not predicate(i, j):
                 continue
-            for img in apply_each(ops, BiPoly.monomial(i, j)):
+            open_ops = [op for op in ops if not all(
+                predicate(k, c) for c, top in op.support({j: i}).items()
+                for k in range(top + 1))]
+            for img in apply_each(open_ops, BiPoly.monomial(i, j)):
                 for (p, q) in img.terms:
                     if not predicate(p, q):
                         return False

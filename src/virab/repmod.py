@@ -167,6 +167,21 @@ class Op(NamedTuple):
         return Reach(max(p.deg_s, q.deg_s), max(p.deg_t, q_t),
                      p.deg_s > q.deg_s, p.deg_t > q_t)
 
+    def support(self, columns: dict[int, int]) -> dict[int, int]:
+        """Column bound {j: i} on the image of any u whose column j holds
+        only s^0..s^columns[j]: each image monomial s^a t^j has a <= i.
+        The shift keeps t-degrees and lowers s-degrees, so U's column j is
+        within s^0..s^columns[j]; a term s^a t^b of p moves column j to
+        j + b, raising the bound by a; d/dt moves column j >= 1 to j - 1
+        and kills column 0, and q's terms then move it as p's do."""
+        bound: dict[int, int] = {}
+        for mult, drop in ((self.p, 0), (self.q, 1)):
+            for a, b in mult.terms:
+                for j, top in columns.items():
+                    if j >= drop and bound.get(j - drop + b, -1) < top + a:
+                        bound[j - drop + b] = top + a
+        return bound
+
 
 def apply_each(ops: Iterable[Op], u: BiPoly) -> Iterator[BiPoly]:
     """``op.apply(u)`` for each op in turn, shifting u once per distinct

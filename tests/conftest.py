@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from virab.scalars import I, Scalar
+from virab.repmod import ModuleSpec
+from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
 
 # every property test draws the same examples on every run, has no
 # per-example deadline (exact arithmetic on a loaded host varies) and a
@@ -28,3 +29,16 @@ def sci(re, im) -> Scalar:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# modules for the replay tests of the orbit and of the action's bounds:
+# phi at b = 0, 1/2 and 2 (t*C[s,t] invariant), phi at b = +-1 with alpha
+# != 0 (not invariant) and theta
+REPLAY_SPECS = [
+    ModuleSpec.phi(b=ZERO, lam=sc(2), coeffs=(ONE, sc("-1/3"))),
+    ModuleSpec.phi(b=sc("1/2"), lam=sci(0, 1), coeffs=(ZERO, ONE)),
+    ModuleSpec.phi(b=sc(2), lam=sc("-1/2"), coeffs=(ONE,)),
+    ModuleSpec.phi(b=ONE, lam=sc(2), alpha=ONE, coeffs=(ONE,)),
+    ModuleSpec.phi(b=MINUS_ONE, lam=sc(3), alpha=sc("3/2"), coeffs=(sc(2),)),
+    ModuleSpec.theta(lam=sc(2), coeffs=(ZERO, ONE, ONE)),
+]

@@ -237,6 +237,17 @@ def _broken_ww(n, m, p, ww=virab.algebra._ww):
     return out + AlgElement({W(m + n): ONE}) if n == 1 else out
 
 
+def _broken_ww_antisymmetric(n, m, p, ww=virab.algebra._ww):
+    # [W_1, W_m] gains W_{m+1} and [W_m, W_1] loses it: the table stays
+    # antisymmetric, so the sweep reads mirrored Jacobi classes as negated
+    out = ww(n, m, p)
+    if n == 1:
+        out = out + AlgElement({W(m + n): ONE})
+    if m == 1:
+        out = out - AlgElement({W(m + n): ONE})
+    return out
+
+
 # (a, b, window): vir-gen, and vir00 with three central symbols, so that
 # triples with repeated and central symbols pin the failure order; the
 # vir-gen case keeps the bare id
@@ -248,7 +259,7 @@ BROKEN_SWEEPS = [("1/3", 2, 2), (0, 0, 1), (0, 0, 2)]
                  id=f"{name}-{broken.__name__}"
                  + (f"-vir00-w{window}" if a == 0 else ""))
     for name, broken in (("_lw", _broken_lw), ("_ll", _broken_ll),
-                         ("_ww", _broken_ww))
+                         ("_ww", _broken_ww), ("_ww", _broken_ww_antisymmetric))
     for a, b, window in BROKEN_SWEEPS
 ])
 def test_verify_algebra_matches_naive_replay_on_broken_table(
@@ -287,6 +298,6 @@ def test_verify_algebra_matches_naive_replay_on_broken_table(
     assert report.checks == checks == n * (n + 1) // 2 + n ** 3
     assert any(f[0] == "jacobi" for f in expected)
     assert (any(f[0] == "antisymmetry" for f in expected)
-            == (name in ("_ll", "_ww")))
+            == (broken in (_broken_ll, _broken_ww)))
     got = [(f.constraint, f.indices, f.residue) for f in report.failures]
     assert got == expected

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import sc, sci
+from conftest import REPLAY_SPECS, sc, sci
 from virab.algebra import L, W
 from virab.orbit import (
     SubspaceBasis,
@@ -286,16 +286,6 @@ def _assert_matches_naive(spec, seeds, window, bounds, max_rounds):
     assert report.checks == len(expected["dimension_trace"]) - 1
 
 
-REPLAY_SPECS = [
-    ModuleSpec.phi(b=ZERO, lam=sc(2), coeffs=(ONE, sc("-1/3"))),
-    ModuleSpec.phi(b=sc("1/2"), lam=sci(0, 1), coeffs=(ZERO, ONE)),
-    ModuleSpec.phi(b=sc(2), lam=sc("-1/2"), coeffs=(ONE,)),
-    ModuleSpec.phi(b=ONE, lam=sc(2), alpha=ONE, coeffs=(ONE,)),
-    ModuleSpec.phi(b=MINUS_ONE, lam=sc(3), alpha=sc("3/2"), coeffs=(sc(2),)),
-    ModuleSpec.theta(lam=sc(2), coeffs=(ZERO, ONE, ONE)),
-]
-
-
 @pytest.mark.parametrize("spec", REPLAY_SPECS,
                          ids=lambda s: f"{s.family.value}-b{s.b}-alpha{s.alpha}")
 @pytest.mark.parametrize("window", [1, 2, 3])
@@ -391,3 +381,93 @@ def test_decided_overflows_are_not_built(monkeypatch):
     assert report.data["overflow"] == expected["overflow"]
     # the first overflow is built once: its text is the failure's residue
     assert built <= expected["images"] - expected["decided"] + 1
+
+
+def _runs_from_rows(rows):
+    # the k for which s^0 t^j, ..., s^(k-1) t^j are rows of one term
+    runs = {}
+    for j in {j for _, j in rows}:
+        k = 0
+        while (k, j) in rows and len(rows[k, j].terms) == 1:
+            k += 1
+        if k:
+            runs[j] = k
+    return runs
+
+
+def test_subspace_basis_runs_follow_rows(monkeypatch, rng):
+    inserts = 0
+    insert = SubspaceBasis.insert
+
+    def checked(self, f):
+        nonlocal inserts
+        out = insert(self, f)
+        assert ({j: k for j, k in self.runs.items() if k}
+                == _runs_from_rows(self.rows))
+        inserts += 1
+        return out
+
+    monkeypatch.setattr(SubspaceBasis, "insert", checked)
+    # clearing the pivot s leaves the row t + s as t: column 1's run grows
+    # through a row that was not inserted
+    basis = SubspaceBasis((2, 2))
+    basis.insert(T + S)
+    assert basis.runs.get(1, 0) == 0
+    basis.insert(S)
+    assert basis.runs[1] == 1 and basis.rows[0, 1] == T
+    basis.insert(BiPoly.one() - BiPoly.monomial(1, 1))
+    basis.insert(BiPoly.monomial(1, 1))
+    assert basis.runs == {0: 2, 1: 2}
+    basis = SubspaceBasis((3, 3))
+    for _ in range(40):
+        basis.insert(BiPoly({(rng.randint(0, 3), rng.randint(0, 3)):
+                             sc(rng.randint(-2, 2)) for _ in range(2)})
+                     or BiPoly.one())
+    assert basis.runs
+    for spec in REPLAY_SPECS:
+        orbit_closure(spec, [T], window=2, bounds=(4, 4), max_rounds=30)
+    assert inserts > 100
+
+
+@pytest.mark.parametrize("spec", [
+    ModuleSpec.phi(b=ZERO, lam=sc(2), coeffs=()),
+    ModuleSpec.theta(lam=sc(2), coeffs=(ZERO, ONE)),
+], ids=["phi-b0", "theta"])
+def test_saturating_closure_skips_images_in_the_span(monkeypatch, spec):
+    # the closure of t fills t*C[s,t] in the box, whole columns of monomial
+    # rows, and every image inside them is skipped unbuilt
+    _assert_matches_naive(spec, [T], 2, (5, 5), 40)
+    expected = _naive_closure(spec, [T], 2, (5, 5), 40)
+    assert expected["stabilized"] and expected["dimension_trace"][-1] == 30
+    built = 0
+    apply_shifted = Op.apply_shifted
+
+    def counted(self, shifted):
+        nonlocal built
+        built += 1
+        return apply_shifted(self, shifted)
+
+    monkeypatch.setattr(Op, "apply_shifted", counted)
+    orbit_closure(spec, [T], window=2, bounds=(5, 5), max_rounds=40)
+    assert built < expected["images"] - expected["decided"]
+
+
+@pytest.mark.parametrize("spec", REPLAY_SPECS,
+                         ids=lambda s: f"{s.family.value}-b{s.b}-alpha{s.alpha}")
+def test_invariance_matches_naive_in_the_workload_box(spec):
+    # a (10, 10) box and the predicates of the benchmark's invariance
+    # items: t*C[s,t] and t^2*C[s,t] are invariant exactly when b is not
+    # +-1 or alpha = 0 (theta included), s*C[s,t] never is
+    window = 2
+    ops = [spec.op(x(m)) for m in range(-window, window + 1) for x in (L, W)]
+    witness = spec.alpha == ZERO or spec.b not in (ONE, MINUS_ONE)
+    for predicate, want in ((lambda i, j: j >= 1, witness),
+                            (lambda i, j: j >= 2, witness),
+                            (lambda i, j: i >= 1, False)):
+        naive = all(predicate(*key)
+                    for i in range(11) for j in range(11) if predicate(i, j)
+                    for op in ops
+                    for key in op.apply(BiPoly.monomial(i, j)).terms)
+        assert naive is want
+        assert check_invariant_subspace(spec, predicate, window=window,
+                                        bounds=(10, 10)) is naive

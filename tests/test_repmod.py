@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from conftest import sc, sci
+from conftest import REPLAY_SPECS, sc, sci
 from virab import algebra
 from virab.algebra import AlgElement, C, L, W, bracket, classify_case
 from virab.polynomials import BiPoly, UniPoly, format_bipoly
@@ -450,3 +452,31 @@ def test_module_action_matches_sympy_oracle(family, b, lam, alpha, coeffs):
                     for act in oracle]
             assert [to_poly(op.apply(f)) for op in ops] == want, (i, j)
             assert [to_poly(g) for g in apply_each(ops, f)] == want, (i, j)
+
+
+@pytest.mark.parametrize("spec", REPLAY_SPECS,
+                         ids=lambda s: f"{s.family.value}-b{s.b}-alpha{s.alpha}")
+def test_support_bound_is_sound(spec):
+    # every monomial s^i t^j of an image lies in the op's column bound
+    # (i <= bound[j]) of the polynomial's column profile, for every op of
+    # windows 1-3, the unshifted L_0 and W_0 included
+    rng = random.Random(f"support/{spec.to_dict()}")
+    shifts, below = set(), 0
+    for window in (1, 2, 3):
+        for m in range(-window, window + 1):
+            for x in (L, W):
+                op = spec.op(x(m))
+                shifts.add(op.shift)
+                for _ in range(6):
+                    f = BiPoly({(rng.randint(0, 3), rng.randint(0, 4)):
+                                sci(rng.randint(-2, 2), rng.randint(-1, 1))
+                                for _ in range(rng.randint(1, 4))})
+                    columns = {}
+                    for i, j in f.terms:
+                        columns[j] = max(i, columns.get(j, 0))
+                    bound = op.support(columns)
+                    for i, j in op.apply(f).terms:
+                        assert j in bound and i <= bound[j], (op, f, (i, j))
+                        below += i < bound[j]
+    assert ZERO in shifts and len(shifts) > 1
+    assert below  # images fill their columns from below, not only the top
