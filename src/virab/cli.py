@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from .algebra import (
     _SPECIAL,
@@ -220,6 +221,7 @@ def _cmd_orbit(args) -> tuple[int, str]:
     return (0 if report.passed else 1), _render_report(report, args.format)
 
 
+@cache  # parsing reads the tree and never changes it
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="virab",

@@ -47,15 +47,15 @@ __all__ = [
     "parse_scalar",
 ]
 
-_BI_VARS = {"s": "s", "t": "t", "L0": "s", "W0": "t"}
-_UNI_VARS = {"t": "t", "W0": "t"}
+# each declared longest alias first, the order _scan_var tries them in
+_BI_VARS = {"L0": "s", "W0": "t", "s": "s", "t": "t"}
+_UNI_VARS = {"W0": "t", "t": "t"}
 
 
 def _scan_var(text: str, pos: int, names: dict[str, str]) -> tuple[str, int] | None:
-    # longest alias first so "W0" is not read as a stray "W"
-    for name in sorted(names, key=len, reverse=True):
+    for name, var in names.items():
         if text.startswith(name, pos):
-            return names[name], pos + len(name)
+            return var, pos + len(name)
     return None
 
 
@@ -106,7 +106,7 @@ def _parse_poly(text: str, names: dict[str, str]) -> BiPoly:
     pos = _skip_space(text, 0)
     if pos == len(text):
         raise ParseError("empty input", pos)
-    out = BiPoly.zero()
+    acc: dict[tuple[int, int], Scalar] = {}
     sign = ONE
     if text[pos] in "+-":
         if text[pos] == "-":
@@ -114,11 +114,12 @@ def _parse_poly(text: str, names: dict[str, str]) -> BiPoly:
         pos += 1
     while True:
         coeff, powers, pos = _scan_term(text, pos, names)
-        mono = BiPoly.monomial(powers.get("s", 0), powers.get("t", 0))
-        out = out + mono.scale(sign * coeff)
+        key = (powers.get("s", 0), powers.get("t", 0))
+        prev = acc.get(key)
+        acc[key] = sign * coeff if prev is None else prev + sign * coeff
         pos = _skip_space(text, pos)
         if pos == len(text):
-            return out
+            return BiPoly(acc)  # drops what cancelled
         if text[pos] == "+":
             sign = ONE
         elif text[pos] == "-":

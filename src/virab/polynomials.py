@@ -19,6 +19,13 @@ Instances are immutable by convention: every operation returns a fresh
 object and nothing ever mutates ``terms`` after construction.  The degree
 of the zero polynomial is the sentinel ``NEG_INF``.
 
+The kernels :meth:`BiPoly.sum_of_products`, :meth:`BiPoly.shift_s` and
+:meth:`Terms.combine` add up Gaussian-integer numerators over one common
+denominator (FLINT's ``fmpq_poly`` form) and reduce each output coefficient
+once.  Each instance caches its integer form on first use.  The cache is
+sound because ``terms`` is never mutated, and it is not the value: ``terms``
+alone decides equality, formatting and every other reader.
+
 The canonical text form ("2*s^2*t - 1/2", graded-lex with s before t,
 descending) lives in :func:`format_bipoly`; :func:`format_unipoly` prints
 a UniPoly exactly as format_bipoly prints its embedding.  Parsers are in
@@ -27,10 +34,10 @@ a UniPoly exactly as format_bipoly prints its embedding.  Parsers are in
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Mapping, TypeVar
 
-from .scalars import ONE, ZERO, Scalar, format_scalar
+from .scalars import ONE, ZERO, Scalar, _reduced, format_scalar
 
 NEG_INF = float("-inf")
 
@@ -43,18 +50,51 @@ class Terms:
     Subclasses fix what the keys are and add the operations that depend on
     them; values of different subclasses never compare equal and cannot be
     added or subtracted.
+
+    Two rules keep the integer-form cache of :meth:`_numerators` sound:
+    ``terms`` is never mutated after construction, so the cache is never
+    invalidated; and the cache is not the value, so only the kernels read
+    it.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_num")
 
     def __init__(self, terms: Mapping | None = None):
         self.terms: dict = {k: c for k, c in terms.items() if c} if terms else {}
+        self._num = None
 
     @classmethod
     def _raw(cls: type[_T], terms: dict) -> _T:
         p = object.__new__(cls)
         p.terms = terms
+        p._num = None
         return p
+
+    def _numerators(self) -> tuple[int, list[tuple[object, int, int]]]:
+        """The integer form ``(D, [(key, re, im)])``: D is the lcm of the
+        coefficients' denominators and each coefficient is (re + im*i)/D."""
+        num = self._num
+        if num is None:
+            d = 1
+            for c in self.terms.values():
+                if d % c._d:
+                    d = lcm(d, c._d)
+            nums = []
+            for k, c in self.terms.items():
+                f = d // c._d
+                nums.append((k, c._a * f, c._b * f))
+            num = self._num = (d, nums)
+        return num
+
+    @classmethod
+    def _from_numerators(cls: type[_T], d: int, acc: dict) -> _T:
+        """The value with coefficient (re + im*i)/d at each key k of ``acc``,
+        where acc[k] == [re, im], dropping zeros; one gcd each."""
+        out = {}
+        for k, (r, m) in acc.items():
+            if r or m:
+                out[k] = _reduced(r, m, d)
+        return cls._raw(out)
 
     @classmethod
     def zero(cls: type[_T]) -> _T:
@@ -113,29 +153,36 @@ class Terms:
         return self._raw({k: v * c for k, v in self.terms.items()})
 
     def combine(self: _T, pairs: Iterable[tuple[_T, Scalar]]) -> _T:
-        """self + sum of c * t over the (t, c) pairs, merged into one dict
-        (the same value as chaining ``+ t.scale(c)``, without a copy per
-        pair)."""
+        """self + sum of c * t over the (t, c) pairs, added up as numerators
+        over one common denominator (the same value as chaining
+        ``+ t.scale(c)``, without a copy or a gcd per pair)."""
         cls = type(self)
-        out = dict(self.terms)
+        d, acc = 1, {}
+        if self.terms:
+            d, n0 = self._num or self._numerators()
+            acc = {k: [a, b] for k, a, b in n0}
+        add = acc.setdefault
         for t, c in pairs:
             if type(t) is not cls:
                 raise TypeError(f"cannot combine {type(t).__name__} "
                                 f"into {cls.__name__}")
-            if not c:
+            if not (c and t.terms):
                 continue
-            for k, v in t.terms.items():
-                w = v * c
-                prev = out.get(k)
-                if prev is None:
-                    out[k] = w
-                else:
-                    w = prev + w
-                    if w:
-                        out[k] = w
-                    else:
-                        del out[k]
-        return self._raw(out)
+            dt, nt = t._num or t._numerators()
+            e = dt * c._d
+            if d % e:  # a new common denominator: rescale what is summed
+                f = lcm(d, e) // d
+                for x in acc.values():
+                    x[0] *= f
+                    x[1] *= f
+                d *= f
+            f = d // e
+            ca, cb = c._a * f, c._b * f
+            for k, a, b in nt:
+                x = add(k, [0, 0])
+                x[0] += a * ca - b * cb
+                x[1] += a * cb + b * ca
+        return self._from_numerators(d, acc)
 
 
 class UniPoly(Terms):
@@ -208,26 +255,34 @@ class BiPoly(Terms):
         """The sum of a*b over the (a, b) in ``plus`` minus the sum of a*b
         over the (a, b) in ``minus``.
 
-        Every term product goes into one dict, and zeros are dropped once at
-        the end: the value of multiplying out each pair and adding or
-        subtracting the results, without a dict and a zero filter per step.
+        Every term product goes into one dict, as numerators over the lcm
+        of the pairs' denominators; each output coefficient is reduced and
+        zeros are dropped once at the end: the value of multiplying out each
+        pair and adding or subtracting the results, without a gcd per step.
         A scaled term c*p is the product of p with ``BiPoly.const(c)``.
         """
-        acc: dict[tuple[int, int], Scalar] = {}
-        get = acc.get
-        for pairs, negate in ((plus, False), (minus, True)):
+        work = []
+        d = 1
+        for pairs, sign in ((plus, 1), (minus, -1)):
             for a, b in pairs:
-                bt = b.terms
-                if not bt:
-                    continue
-                for (i1, j1), c1 in a.terms.items():
-                    if negate:
-                        c1 = -c1
-                    for (i2, j2), c2 in bt.items():
-                        k = (i1 + i2, j1 + j2)
-                        prev = get(k)
-                        acc[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return BiPoly._raw({k: c for k, c in acc.items() if c})
+                if a.terms and b.terms:
+                    da, na = a._num or a._numerators()
+                    db, nb = b._num or b._numerators()
+                    e = da * db
+                    if d % e:
+                        d = lcm(d, e)
+                    work.append((e, sign, na, nb))
+        acc: dict[tuple[int, int], list[int]] = {}
+        add = acc.setdefault
+        for e, sign, na, nb in work:
+            f = sign * (d // e)
+            for (i1, j1), a1, b1 in na:
+                a1, b1 = a1 * f, b1 * f
+                for (i2, j2), a2, b2 in nb:
+                    x = add((i1 + i2, j1 + j2), [0, 0])
+                    x[0] += a1 * a2 - b1 * b2
+                    x[1] += a1 * b2 + b1 * a2
+        return BiPoly._from_numerators(d, acc)
 
     def partial_t(self) -> BiPoly:
         return BiPoly._raw(
@@ -235,24 +290,31 @@ class BiPoly(Terms):
         )
 
     def shift_s(self, c: Scalar) -> BiPoly:
-        """Substitute s -> s - c (exact binomial expansion)."""
+        """Substitute s -> s - c (exact binomial expansion), on numerators
+        over D * cd^max_i (D self's denominator, cd c's, max_i = deg_s)."""
         if not c or not self.terms:
             return self
-        neg = -c
-        max_i = max(i for i, _ in self.terms)
-        pows = [ONE]
+        d, nums = self._num or self._numerators()
+        ca, cb, cd = -c._a, -c._b, c._d  # -c = (ca + cb*i)/cd
+        max_i = max(self.terms)[0]
+        # (-c)^k = pows[k] / cd^max_i, pows[k] = (ca + cb*i)^k * cd^(max_i - k)
+        pows = [(1, 0)]
         for _ in range(max_i):
-            pows.append(pows[-1] * neg)
-        out: dict[tuple[int, int], Scalar] = {}
-        for (i, j), coef in self.terms.items():
+            pr, pi = pows[-1]
+            pows.append((pr * ca - pi * cb, pr * cb + pi * ca))
+        if cd != 1:
+            pows = [(pr * cd ** (max_i - k), pi * cd ** (max_i - k))
+                    for k, (pr, pi) in enumerate(pows)]
+        acc: dict[tuple[int, int], list[int]] = {}
+        add = acc.setdefault
+        for (i, j), a, b in nums:
             for p in range(i + 1):
-                w = coef * pows[i - p]
-                if p < i:
-                    w = w.mul_int(comb(i, p))
-                key = (p, j)
-                prev = out.get(key)
-                out[key] = w if prev is None else prev + w
-        return BiPoly._raw({k: v for k, v in out.items() if v})
+                pr, pi = pows[i - p]
+                n = comb(i, p)
+                x = add((p, j), [0, 0])
+                x[0] += (a * pr - b * pi) * n
+                x[1] += (a * pi + b * pr) * n
+        return BiPoly._from_numerators(d * cd ** max_i, acc)
 
     def coeff(self, i: int, j: int) -> Scalar:
         return self.terms.get((i, j), ZERO)

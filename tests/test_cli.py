@@ -557,6 +557,23 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_rejected_arguments_leave_the_parser_as_it_was(capsys):
+    # the argument parser is built once per process and reused, so a call
+    # argparse rejects must not change what the next call gets
+    errors = []
+    for _ in range(2):
+        assert main(["bracket", "--case", "vir00", "--x", "L:2"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].endswith(
+        "virab bracket: error: the following arguments are required: --y\n")
+    assert main(["bracket", "--case", "vir00", "--x", "L:2",
+                 "--y", "L:-2"]) == 0
+    assert capsys.readouterr().out == "-4*L:0 + 1/2*C:1\n"
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: virab")
+
+
 def test_report_text_round_trip_idempotent(capsys, phi_spec_path):
     # serialize -> parse -> serialize is byte-identical for report JSON
     assert main([

@@ -65,6 +65,29 @@ def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as err:
         parse_bipoly("t^")
     assert err.value.pos == 2 and err.value.message == "expected digits"
+    for parse, bad, message, pos in [
+        (parse_bipoly, "W", "expected digits", 0),
+        (parse_bipoly, "s*W0^", "expected digits", 5),
+        (parse_bipoly, "t ^ x", "expected digits", 4),
+        (parse_bipoly, "  -", "expected digits", 3),
+        (parse_bipoly, "2*(1/0)*t", "zero denominator", 5),
+        (parse_bipoly, "s + (1+)*t", "expected digits", 7),
+        (parse_bipoly, "W0 W0", "expected '+', '-' or end of input", 3),
+        (parse_unipoly, "t + s", "expected digits", 4),
+        (parse_unipoly, "L0", "expected digits", 0),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse(bad)
+        assert (err.value.message, err.value.pos) == (message, pos), bad
+
+
+def test_parse_merges_repeated_monomials():
+    assert parse_bipoly("s - s").terms == {}
+    assert parse_bipoly("s*t + 2 - t*s") == BiPoly({(0, 0): sc(2)})
+    assert parse_bipoly("L0 + s") == BiPoly({(1, 0): sc(2)})
+    assert parse_bipoly("W0^2*t - t^3 + 1/2*t*t*t") == BiPoly(
+        {(0, 3): sc("1/2")})
+    assert parse_bipoly("s - s + t - t").is_zero
 
 
 def test_parse_symbol():

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import sc, sci
-from virab.algebra import AlgElement, L, W
+from virab.algebra import AlgElement, BasisSymbol, L, W
 from virab.polynomials import (
     BiPoly,
     UniPoly,
@@ -13,7 +14,7 @@ from virab.polynomials import (
     format_bipoly,
     format_unipoly,
 )
-from virab.scalars import I, MINUS_ONE, ONE, ZERO
+from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
 
 
 def rand_unipoly(rng, deg=4):
@@ -31,6 +32,23 @@ def rand_bipoly(rng, deg=3):
             if rng.random() < 0.4
         }
     )
+
+
+def _assert_canonical(x):
+    """What structural equality relies on: no zero is stored and every
+    coefficient is in lowest terms; and the cached integer form, once
+    filled, is over the lcm of the denominators and gives back ``terms``."""
+    assert all(c and c == Scalar(c.re, c.im) for c in x.terms.values())
+    d, nums = x._numerators()
+    assert x._numerators() is x._num
+    assert d == lcm(*(f.denominator for c in x.terms.values()
+                      for f in (c.re, c.im)))
+    assert {k: Scalar(Fraction(re, d), Fraction(im, d))
+            for k, re, im in nums} == x.terms
+
+
+def _nonzero(terms):
+    return {k: c for k, c in terms.items() if c}
 
 
 def test_zero_coefficients_never_stored():
@@ -76,6 +94,7 @@ def test_shared_sparse_core(x):
         chained = chained + t.scale(c)
     combined = x.combine(pairs)
     assert combined == chained and type(combined) is cls
+    _assert_canonical(combined)
     assert key not in combined.terms and combined == y.scale(sci(1, 1))
     assert type(cls.zero().combine([])) is cls and x.combine([]) == x
     assert x.combine([(x, MINUS_ONE)]).terms == {}
@@ -109,10 +128,14 @@ bipolys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 products = st.lists(st.tuples(bipolys, bipolys), max_size=3)
 
 
-def _term_by_term_product(a, b):
-    return BiPoly.zero().combine(
-        (BiPoly.monomial(i1 + i2, j1 + j2), c1 * c2)
-        for (i1, j1), c1 in a.terms.items() for (i2, j2), c2 in b.terms.items())
+def _add_products(acc, a, b, sign):
+    """Add sign * a * b into the dict ``acc``, term by term, with Scalar
+    * and + only."""
+    for (i1, j1), c1 in a.terms.items():
+        for (i2, j2), c2 in b.terms.items():
+            k = (i1 + i2, j1 + j2)
+            acc[k] = acc.get(k, ZERO) + sign * c1 * c2
+    return acc
 
 
 @given(plus=products, minus=products,
@@ -127,34 +150,67 @@ def test_sum_of_products_matches_chained_arithmetic(plus, minus, scaled,
                  + [(p.scale(c), BiPoly.one()) for p, c in scaled])
     got = BiPoly.sum_of_products(
         plus + [(p, BiPoly.const(c)) for p, c in scaled], minus)
-    chained = BiPoly.zero()
+    chained = {}
     for a, b in plus:
-        chained = chained + _term_by_term_product(a, b)
+        _add_products(chained, a, b, ONE)
     for p, c in scaled:
-        chained = chained + p.scale(c)
+        for k, v in p.terms.items():
+            chained[k] = chained.get(k, ZERO) + v * c
     for a, b in minus:
-        chained = chained - _term_by_term_product(a, b)
-    assert got == chained and all(got.terms.values())
+        _add_products(chained, a, b, MINUS_ONE)
+    assert got.terms == _nonzero(chained) and all(got.terms.values())
+    _assert_canonical(got)
     if cancel:
         assert got.terms == {}
     for a, b in plus:
-        assert a * b == _term_by_term_product(a, b)
+        assert (a * b).terms == _nonzero(_add_products({}, a, b, ONE))
+        _assert_canonical(a * b)
 
 
-def test_shift_s_is_substitution(rng):
+@given(f=st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 2)),
+                         gaussians, max_size=5).map(BiPoly),
+       c=gaussians)
+def test_shift_s_is_substitution(f, c):
     # f.shift_s(c) must equal f(s - c, t): sum of c_ij (s - c)^i t^j,
-    # with the powers of s - c multiplied out
-    for _ in range(40):
-        f = rand_bipoly(rng)
-        c = sc(rng.randint(-4, 4))
-        s_minus_c = BiPoly({(1, 0): ONE, (0, 0): -c})
-        want = BiPoly.zero()
-        for (i, j), coef in f.terms.items():
-            term = BiPoly.monomial(0, j, coef)
-            for _ in range(i):
-                term = term * s_minus_c
-            want = want + term
-        assert f.shift_s(c) == want
+    # with the powers of s - c multiplied out one factor at a time
+    want = {}
+    for (i, j), coef in f.terms.items():
+        term = {(0, j): coef}
+        for _ in range(i):
+            times_s_minus_c = {}
+            for (p, q), v in term.items():
+                for k, w in (((p + 1, q), v), ((p, q), -(v * c))):
+                    times_s_minus_c[k] = times_s_minus_c.get(k, ZERO) + w
+            term = times_s_minus_c
+        for k, v in term.items():
+            want[k] = want.get(k, ZERO) + v
+    got = f.shift_s(c)
+    assert got.terms == _nonzero(want)
+    _assert_canonical(got)
+
+
+elements = st.dictionaries(
+    st.builds(BasisSymbol, st.sampled_from("LWC"), st.integers(-2, 2)),
+    gaussians, max_size=4).map(AlgElement)
+
+
+@pytest.mark.parametrize("values", [bipolys, elements],
+                         ids=["bipoly", "element"])
+@given(data=st.data())
+def test_combine_matches_scalar_arithmetic(values, data):
+    # multipliers with denominators and imaginary parts, for both kinds of
+    # key, against the sum taken with Scalar * and + in a plain dict
+    x = data.draw(values)
+    pairs = data.draw(st.lists(st.tuples(values, gaussians), max_size=4))
+    want = dict(x.terms)
+    for t, c in pairs:
+        for k, v in t.terms.items():
+            want[k] = want.get(k, ZERO) + v * c
+    got = x.combine(pairs)
+    assert got.terms == _nonzero(want) and type(got) is type(x)
+    _assert_canonical(got)
+    undone = got.combine([(x, MINUS_ONE)] + [(t, -c) for t, c in pairs])
+    assert undone.terms == {}
 
 
 def test_shift_s_zero_is_identity(rng):
