@@ -71,6 +71,7 @@ from .repmod import (
     Family,
     GenericFamily,
     ModuleSpec,
+    _check_window,
     _require_fields,
     _scalar_field,
     _scalar_value,
@@ -169,13 +170,7 @@ class CandidateFamily:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be at least 1")
-        for m in range(-self.window, self.window + 1):
-            if m not in self.a_m or m not in self.g_m:
-                raise ValueError(f"missing data for index {m}")
-        if self.a_m[0] != BiPoly.t_var():
-            raise ValueError("a_0 must equal W0")
-        if self.g_m[0] != BiPoly.s_var():
-            raise ValueError("g_0 must equal L0")
+        _check_window(self.window, self.a_m, self.g_m, BiPoly.t_var())
 
     @classmethod
     def from_generic(cls, fam: GenericFamily) -> CandidateFamily:
@@ -375,7 +370,7 @@ def _sweep_constraints(fam: CandidateFamily, report: Report) -> None:
     g_ok = _record(report, singles, partial(_g_shape, fam.g_m))
     if not (_record(report, singles, partial(_a_in_W0, fam.a_m)) and g_ok):
         return
-    p = _parts(a, b, N, {m: fam.a_m[m] for m in window}, fam.g_m)
+    p = _parts(a, b, N, fam.a_m, fam.g_m)
     _record(report, pairs, partial(_lw_compat, p))
 
     lam = p.b_m[1]
@@ -501,20 +496,12 @@ def solve_from_generators(
 
     # degenerate branch: vanishing W-seeds
     if not a_pos or not a_neg:
+        if b != ONE:  # read at (-1, 1) unless only a_neg vanishes
+            at, k = ((1, -1), b - ONE) if a_pos else ((-1, 1), ONE - b)
+            return InfeasibilityCertificate("degenerate-weight", at,
+                                            t_var.scale(k))
         if not (a_pos or a_neg):
-            if b != ONE:
-                return InfeasibilityCertificate(
-                    "degenerate-weight", (-1, 1), t_var.scale(ONE - b)
-                )
             return peel(Family.THETA, ZERO, ONE)
-        if b != ONE:
-            if not a_pos:
-                return InfeasibilityCertificate(
-                    "degenerate-weight", (-1, 1), t_var.scale(ONE - b)
-                )
-            return InfeasibilityCertificate(
-                "degenerate-weight", (1, -1), t_var.scale(b - ONE)
-            )
         if not a_pos:
             return InfeasibilityCertificate("W-degenerate", (-2, 1), -a_neg)
         return InfeasibilityCertificate("W-degenerate", (2, -1), a_pos)

@@ -108,9 +108,12 @@ def _index_table(doc: dict, key: str) -> dict[int, BiPoly]:
 
 def _parse_bounds(text: str) -> tuple[int, int]:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("--bounds expects two comma-separated integers, e.g. 8,8")
-    return int(parts[0]), int(parts[1])
+    try:
+        if len(parts) == 2:
+            return int(parts[0]), int(parts[1])
+    except ValueError:
+        pass
+    raise ValueError("--bounds expects two comma-separated integers, e.g. 8,8")
 
 
 def _parse_predicate(text: str):

@@ -12,7 +12,10 @@ The grammar mirrors what the formatters emit, so parse(format(x)) == x:
 Variables are ``s`` and ``t``; ``L0`` and ``W0`` are accepted as aliases
 since the polynomial ring doubles as the enveloping algebra of their span.
 :func:`parse_unipoly` reads ``t`` (or ``W0``) alone and refuses ``s``;
-both polynomial parsers return a BiPoly.
+both polynomial parsers return a BiPoly.  Polynomials and elements are
+read by one loop over ``poly`` or ``element`` (:func:`_parse_sum`), which
+adds like terms in one dict, with a term scanner for each; a symbol alone
+is read by the element's symbol scanner.
 Mixed complex coefficients must be parenthesized, e.g. ``(3/4-2i)*s``;
 bare atoms are single components like ``2``, ``-1/2`` or ``3i``.
 Multiplication and powers are always explicit.  Syntax errors carry the
@@ -21,8 +24,10 @@ offending position.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .algebra import AlgElement, BasisSymbol, format_element
-from .polynomials import BiPoly, format_bipoly, format_unipoly
+from .polynomials import _T, BiPoly, format_bipoly, format_unipoly
 from .scalars import (
     MINUS_ONE,
     ONE,
@@ -47,19 +52,23 @@ __all__ = [
     "parse_scalar",
 ]
 
-# each declared longest alias first, the order _scan_var tries them in
-_BI_VARS = {"L0": "s", "W0": "t", "s": "s", "t": "t"}
-_UNI_VARS = {"W0": "t", "t": "t"}
+# each declared longest alias first, the order _scan_var tries them in;
+# each name maps to its position in a monomial key (s_exp, t_exp)
+_BI_VARS = {"L0": 0, "W0": 1, "s": 0, "t": 1}
+_UNI_VARS = {"W0": 1, "t": 1}
 
 
-def _scan_var(text: str, pos: int, names: dict[str, str]) -> tuple[str, int] | None:
+def _scan_var(text: str, pos: int, names: dict[str, int]) -> tuple[int, int] | None:
     for name, var in names.items():
         if text.startswith(name, pos):
             return var, pos + len(name)
     return None
 
 
-def _scan_paren_scalar(text: str, pos: int) -> tuple[Scalar, int]:
+def _scan_coeff(text: str, pos: int) -> tuple[Scalar, int]:
+    """One coefficient factor: a parenthesized scalar or a bare atom."""
+    if pos >= len(text) or text[pos] != "(":
+        return scan_scalar_atom(text, pos)
     close = text.find(")", pos + 1)
     if close < 0:
         raise ParseError("unbalanced parenthesis", pos)
@@ -78,48 +87,63 @@ def _scan_power(text: str, pos: int) -> tuple[int, int]:
     return 1, pos
 
 
-def _scan_term(text: str, pos: int, names: dict[str, str]):
-    """One product of factors.  Returns (coefficient, {var: exponent}, pos)."""
+def _scan_term(names: dict[str, int], text: str, pos: int):
+    """One product of factors.  Returns (coefficient, (s_exp, t_exp), pos)."""
     coeff = ONE
-    powers: dict[str, int] = {}
+    powers = [0, 0]
     while True:
         pos = _skip_space(text, pos)
-        var = _scan_var(text, pos, names)
-        if var is not None:
-            name, pos = var
+        found = _scan_var(text, pos, names)
+        if found is not None:
+            var, pos = found
             exp, pos = _scan_power(text, pos)
-            powers[name] = powers.get(name, 0) + exp
-        elif pos < len(text) and text[pos] == "(":
-            value, pos = _scan_paren_scalar(text, pos)
-            coeff = coeff * value
+            powers[var] += exp
         else:
-            value, pos = scan_scalar_atom(text, pos)
+            value, pos = _scan_coeff(text, pos)
             coeff = coeff * value
         pos = _skip_space(text, pos)
         if pos < len(text) and text[pos] == "*":
             pos += 1
             continue
-        return coeff, powers, pos
+        return coeff, tuple(powers), pos
 
 
-def _parse_poly(text: str, names: dict[str, str]) -> BiPoly:
+def _scan_eterm(text: str, pos: int) -> tuple[Scalar, BasisSymbol, int]:
+    """Coefficient factors, each followed by '*', then one basis symbol."""
+    coeff = ONE
+    pos = _skip_space(text, pos)
+    while pos < len(text) and text[pos] not in "LWC":
+        value, pos = _scan_coeff(text, pos)
+        coeff = coeff * value
+        pos = _skip_space(text, pos)
+        if pos < len(text) and text[pos] == "*":
+            pos = _skip_space(text, pos + 1)
+        else:
+            raise ParseError("expected '*' before basis symbol", pos)
+    sym, pos = _scan_symbol(text, pos)
+    return coeff, sym, pos
+
+
+def _parse_sum(text: str, scan_term, cls: type[_T]) -> _T:
+    """term (('+'|'-') term)* with an optional leading sign.  scan_term
+    returns (coefficient, key, pos); like keys add up in one dict, and
+    the value is built once."""
     pos = _skip_space(text, 0)
     if pos == len(text):
         raise ParseError("empty input", pos)
-    acc: dict[tuple[int, int], Scalar] = {}
+    acc: dict = {}
     sign = ONE
     if text[pos] in "+-":
         if text[pos] == "-":
             sign = MINUS_ONE
         pos += 1
     while True:
-        coeff, powers, pos = _scan_term(text, pos, names)
-        key = (powers.get("s", 0), powers.get("t", 0))
+        coeff, key, pos = scan_term(text, pos)
         prev = acc.get(key)
         acc[key] = sign * coeff if prev is None else prev + sign * coeff
         pos = _skip_space(text, pos)
         if pos == len(text):
-            return BiPoly(acc)  # drops what cancelled
+            return cls(acc)  # drops what cancelled
         if text[pos] == "+":
             sign = ONE
         elif text[pos] == "-":
@@ -130,22 +154,23 @@ def _parse_poly(text: str, names: dict[str, str]) -> BiPoly:
 
 
 def parse_bipoly(text: str) -> BiPoly:
-    return _parse_poly(text, _BI_VARS)
+    return _parse_sum(text, partial(_scan_term, _BI_VARS), BiPoly)
 
 
 def parse_unipoly(text: str) -> BiPoly:
     """A polynomial in t alone (alias W0), as a BiPoly; s is a syntax
     error."""
-    return _parse_poly(text, _UNI_VARS)
+    return _parse_sum(text, partial(_scan_term, _UNI_VARS), BiPoly)
 
 
 def parse_symbol(text: str) -> BasisSymbol:
     text = text.strip()
-    if len(text) >= 3 and text[0] in "LWC" and text[1] == ":":
-        body = text[2:]
-        neg = body.startswith("-")
-        if body[1:].isdigit() if neg else body.isdigit():
-            return BasisSymbol(text[0], int(body))
+    try:
+        sym, pos = _scan_symbol(text, 0)
+        if pos == len(text):
+            return sym
+    except ParseError:
+        pass
     raise ParseError("expected a symbol like L:2, W:-1 or C:1", 0)
 
 
@@ -169,38 +194,4 @@ def parse_element(text: str) -> AlgElement:
     pos = _skip_space(text, 0)
     if text[pos : pos + 1] == "0" and _skip_space(text, pos + 1) == len(text):
         return AlgElement.zero()
-    if pos == len(text):
-        raise ParseError("empty input", pos)
-    out = AlgElement.zero()
-    sign = ONE
-    if text[pos] in "+-":
-        if text[pos] == "-":
-            sign = MINUS_ONE
-        pos += 1
-    while True:
-        pos = _skip_space(text, pos)
-        coeff = sign
-        # optional coefficient factors before the symbol
-        while pos < len(text) and text[pos] not in "LWC":
-            if text[pos] == "(":
-                value, pos = _scan_paren_scalar(text, pos)
-            else:
-                value, pos = scan_scalar_atom(text, pos)
-            coeff = coeff * value
-            pos = _skip_space(text, pos)
-            if pos < len(text) and text[pos] == "*":
-                pos = _skip_space(text, pos + 1)
-            else:
-                raise ParseError("expected '*' before basis symbol", pos)
-        sym, pos = _scan_symbol(text, pos)
-        out = out + AlgElement.single(sym, coeff)
-        pos = _skip_space(text, pos)
-        if pos == len(text):
-            return out
-        if text[pos] == "+":
-            sign = ONE
-        elif text[pos] == "-":
-            sign = MINUS_ONE
-        else:
-            raise ParseError("expected '+', '-' or end of input", pos)
-        pos += 1
+    return _parse_sum(text, _scan_eterm, AlgElement)

@@ -21,8 +21,9 @@ the shift m), and tested against the box when the degrees left it open.
 span of all in-box monomials selected by a predicate on (i, j), it checks
 that every in-window operator's image, WITHOUT truncation, stays in the
 selected monomial span (which is how the reducibility witnesses like
-"t divides everything" are certified); an image is built only when the
-predicate fails somewhere on its support bound.
+"t divides everything" are certified); an image is built, by
+:meth:`Op.apply`, only when the predicate fails somewhere on its support
+bound.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from time import perf_counter
 from .algebra import L, W
 from .polynomials import BiPoly, format_bipoly
 from .report import Report
-from .repmod import ModuleSpec, Reach, apply_each
+from .repmod import ModuleSpec, Reach
 
 
 def _box(bounds: tuple[int, int]) -> tuple[int, int]:
@@ -243,11 +244,11 @@ def check_invariant_subspace(
         for j in range(dt + 1):
             if not predicate(i, j):
                 continue
-            open_ops = [op for op in ops if not all(
-                predicate(k, c) for c, top in op.support({j: i}).items()
-                for k in range(top + 1))]
-            for img in apply_each(open_ops, BiPoly.monomial(i, j)):
-                for (p, q) in img.terms:
-                    if not predicate(p, q):
-                        return False
+            u = BiPoly.monomial(i, j)
+            for op in ops:
+                if all(predicate(k, c) for c, top in op.support({j: i}).items()
+                       for k in range(top + 1)):
+                    continue  # its image cannot leave the predicate
+                if not all(predicate(p, q) for p, q in op.apply(u).terms):
+                    return False
     return True

@@ -10,10 +10,10 @@ only as the stored a_m type of :class:`virab.repmod.GenericFamily`;
 
 BiPoly, UniPoly and :class:`virab.algebra.AlgElement` over basis symbols
 share the :class:`Terms` core for construction, equality, addition,
-subtraction, negation, scaling and linear combination, and add only what
-depends on their keys.  :meth:`BiPoly.sum_of_products` accumulates a
-signed sum of products in one dict; both ``*`` operators are its one-pair
-call.
+subtraction (adding the negation), negation, scaling and linear
+combination, and add only what depends on their keys.
+:meth:`BiPoly.sum_of_products` accumulates a signed sum of products in one
+dict; both ``*`` operators are its one-pair call.
 Zero coefficients are never stored, so equality is plain dict equality.
 Instances are immutable by convention: every operation returns a fresh
 object and nothing ever mutates ``terms`` after construction.  The degree
@@ -27,9 +27,8 @@ sound because ``terms`` is never mutated, and it is not the value: ``terms``
 alone decides equality, formatting and every other reader.
 
 The canonical text form ("2*s^2*t - 1/2", graded-lex with s before t,
-descending) lives in :func:`format_bipoly`; :func:`format_unipoly` prints
-a UniPoly exactly as format_bipoly prints its embedding.  Parsers are in
-:mod:`virab.grammar`.
+descending) lives in :func:`format_bipoly`; :func:`format_unipoly` is
+format_bipoly of the embedding.  Parsers are in :mod:`virab.grammar`.
 """
 
 from __future__ import annotations
@@ -131,18 +130,7 @@ class Terms:
     def __sub__(self: _T, other: _T) -> _T:
         if type(other) is not type(self):
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = -c
-            else:
-                v = prev - c
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return self._raw(out)
+        return self + -other
 
     def __neg__(self: _T) -> _T:
         return self._raw({k: -c for k, c in self.terms.items()})
@@ -386,10 +374,7 @@ def _join_terms(terms: list[tuple[str, str]]) -> str:
 
 
 def format_unipoly(p: UniPoly) -> str:
-    keys = sorted(p.terms, reverse=True)
-    return _join_terms(
-        [_term_text(p.terms[k], _monomial_text([("t", k)])) for k in keys]
-    )
+    return format_bipoly(p.embed())
 
 
 def format_bipoly(p: BiPoly) -> str:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from time import perf_counter
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .algebra import (
     AlgElement,
@@ -181,20 +181,6 @@ class Op(NamedTuple):
                     if j >= drop and bound.get(j - drop + b, -1) < top + a:
                         bound[j - drop + b] = top + a
         return bound
-
-
-def apply_each(ops: Iterable[Op], u: BiPoly) -> Iterator[BiPoly]:
-    """``op.apply(u)`` for each op in turn, shifting u once per distinct
-    shift (over a = 0, L_m and W_m share the shift m)."""
-    shifted: dict[Scalar, BiPoly] = {}
-    for op in ops:
-        if not (op.p or op.q):
-            yield BiPoly.zero()
-            continue
-        g = shifted.get(op.shift)
-        if g is None:
-            g = shifted[op.shift] = u.shift_s(op.shift)
-        yield op.apply_shifted(g)
 
 
 def _op(a: Scalar, b: Scalar, a_m: BiPoly, g_m: BiPoly,
@@ -378,6 +364,25 @@ def apply_enveloping(spec: ModuleSpec, u: BiPoly, f: BiPoly) -> BiPoly:
     return BiPoly.zero().combine(pairs)
 
 
+def _check_window(window: int, a_m: dict, g_m: dict, w0) -> None:
+    """Refuse window data that lacks an index of [-window, window], holds
+    one outside it, or does not start from a_0 = W0 (``w0``, in a_m's
+    type) and g_0 = L0."""
+    idx = range(-window, window + 1)
+    for m in idx:
+        if m not in a_m or m not in g_m:
+            raise ValueError(f"missing data for index {m}")
+    for name, table in (("a_m", a_m), ("g_m", g_m)):
+        for m in table:
+            if m not in idx:
+                raise ValueError(f"{name} has data at index {m}, outside "
+                                 f"the window [-{window}, {window}]")
+    if a_m[0] != w0:
+        raise ValueError("a_0 must equal W0")
+    if g_m[0] != BiPoly.s_var():
+        raise ValueError("g_0 must equal L0")
+
+
 @dataclass(frozen=True)
 class GenericFamily:
     """Window of action data over W(a,b): per index m, the W-multiplier
@@ -391,13 +396,7 @@ class GenericFamily:
     g_m: dict[int, BiPoly] = field(compare=False)
 
     def __post_init__(self):
-        for m in range(-self.window, self.window + 1):
-            if m not in self.a_m or m not in self.g_m:
-                raise ValueError(f"missing data for index {m}")
-        if self.a_m[0] != UniPoly.monomial(1):
-            raise ValueError("a_0 must equal W0")
-        if self.g_m[0] != BiPoly.s_var():
-            raise ValueError("g_0 must equal L0")
+        _check_window(self.window, self.a_m, self.g_m, UniPoly.monomial(1))
 
     @classmethod
     def from_spec(cls, spec: ModuleSpec, window: int) -> GenericFamily:

@@ -280,10 +280,6 @@ def parse_scalar(text: str) -> Scalar:
     return first + (-second if sign2 < 0 else second)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _imag_str(x: Fraction) -> str:
     if x == 1:
         return "i"
@@ -295,12 +291,8 @@ def _imag_str(x: Fraction) -> str:
 def format_scalar(x: Scalar) -> str:
     a, b, d = x._a, x._b, x._d
     if b == 0:
-        return _frac_str(Fraction(a, d))
+        return str(Fraction(a, d))
+    im = _imag_str(Fraction(b, d))
     if a == 0:
-        return _imag_str(Fraction(b, d))
-    re_s = _frac_str(Fraction(a, d))
-    im = Fraction(b, d)
-    joiner = "+" if im > 0 else "-"
-    im_abs = abs(im)
-    tail = "i" if im_abs == 1 else f"{im_abs}i"
-    return f"{re_s}{joiner}{tail}"
+        return im
+    return f"{Fraction(a, d)}{'+' if b > 0 else ''}{im}"

@@ -708,3 +708,17 @@ def test_candidate_validation():
             a_m={-1: BiPoly.t_var(), 0: BiPoly.one(), 1: BiPoly.t_var()},
             g_m={-1: BiPoly.s_var(), 0: BiPoly.s_var(), 1: BiPoly.s_var()},
         )  # a_0 must be the W0 coordinate
+
+
+@pytest.mark.parametrize("table", ["a_m", "g_m"])
+@pytest.mark.parametrize("cls", [CandidateFamily, GenericFamily])
+def test_window_refuses_data_outside_it(cls, table):
+    # every datum is read, so one beyond [-N, N] is an error naming it
+    fam = GenericFamily.from_spec(ModuleSpec.phi(b=sc(2), lam=sc(3)), 1)
+    if cls is CandidateFamily:
+        fam = CandidateFamily.from_generic(fam)
+    data = {"a_m": dict(fam.a_m), "g_m": dict(fam.g_m)}
+    data[table][5] = data[table][1]
+    with pytest.raises(ValueError, match=f"{table} has data at index 5, "
+                       r"outside the window \[-1, 1\]"):
+        cls(fam.a, fam.b, 1, **data)

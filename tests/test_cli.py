@@ -259,6 +259,21 @@ def test_classify_reads_l0_terms_in_a_m(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out) == out.to_dict()
 
 
+def test_classify_refuses_data_outside_the_window(capsys, tmp_path):
+    # a_5 at N = 1 is a datum the classifier would not read
+    spec = ModuleSpec.phi(b=sc(2), lam=sc(2), alpha=ZERO, coeffs=())
+    path = write_candidate(tmp_path, spec, window=1)
+    doc = json.loads((tmp_path / "candidate.json").read_text())
+    doc["a_m"]["5"] = "s^9"
+    (tmp_path / "candidate.json").write_text(json.dumps(doc))
+    for fmt in ("text", "json"):
+        assert main(["classify", "--candidate", path, "--format", fmt]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: a_m has data at index 5, outside the "
+                           "window [-1, 1]\n")
+
+
 def test_classify_rejects_bad_document(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"a": "0", "b": "1"}))
@@ -523,6 +538,14 @@ def test_negative_window_or_bounds_is_usage_error(capsys, phi_spec_path, argv):
         argv = argv + ["--spec", phi_spec_path]
     assert main(argv) == 2
     assert "negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", ["a,b", "8", "8,x", "8,8,8", "8.5,8"])
+def test_bad_bounds_is_usage_error(capsys, phi_spec_path, bounds):
+    assert main(["orbit", "--spec", phi_spec_path, "--invariant", "t>=1",
+                 "--bounds", bounds]) == 2
+    assert capsys.readouterr().err == (
+        "error: --bounds expects two comma-separated integers, e.g. 8,8\n")
 
 
 def test_orbit_needs_seeds(capsys, phi_spec_path):

@@ -75,7 +75,18 @@ def test_parse_errors_have_positions():
         (parse_bipoly, "W0 W0", "expected '+', '-' or end of input", 3),
         (parse_unipoly, "t + s", "expected digits", 4),
         (parse_unipoly, "L0", "expected digits", 0),
-    ]:
+        (parse_element, "L:1 +", "expected a basis symbol", 5),
+        (parse_element, "2*", "expected a basis symbol", 2),
+        (parse_element, "2 L:1", "expected '*' before basis symbol", 2),
+        (parse_element, "L:1 * L:2", "expected '+', '-' or end of input", 4),
+        (parse_element, "C:", "expected digits", 2),
+        (parse_element, "", "empty input", 0),
+        (parse_element, "0 + L:1", "expected '*' before basis symbol", 2),
+        (parse_element, "L2", "expected ':' after symbol kind", 1),
+        (parse_element, "L:+2", "expected digits", 2),
+    ] + [(parse_symbol, bad, "expected a symbol like L:2, W:-1 or C:1", 0)
+         for bad in ("L:1 +", "2*", "2 L:1", "L:1 * L:2", "C:", "",
+                     "0 + L:1", "L2", "L:+2")]:
         with pytest.raises(ParseError) as err:
             parse(bad)
         assert (err.value.message, err.value.pos) == (message, pos), bad

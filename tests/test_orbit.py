@@ -120,6 +120,29 @@ def test_invariance_broken_by_twist():
                                         window=2, bounds=(4, 4))
 
 
+def test_invariance_builds_only_images_that_may_leave(monkeypatch):
+    # an image whose support bound stays in the predicate is not built: in
+    # t*C[s,t] every bound does for phi at b = 2 (building every image
+    # takes 200 products), and at b = 1 with alpha = 1 the first image
+    # built leaves the predicate
+    built = 0
+    apply_shifted = Op.apply_shifted
+
+    def counted(self, shifted):
+        nonlocal built
+        built += 1
+        return apply_shifted(self, shifted)
+
+    monkeypatch.setattr(Op, "apply_shifted", counted)
+    for b, alpha, invariant, images in ((sc(2), ONE, True, 0),
+                                        (ONE, ONE, False, 1)):
+        built = 0
+        spec = ModuleSpec.phi(b=b, lam=sc(2), alpha=alpha, coeffs=(ONE,))
+        assert check_invariant_subspace(spec, lambda i, j: j >= 1, window=2,
+                                        bounds=(4, 4)) is invariant
+        assert built == images
+
+
 def test_orbit_reaches_constant():
     spec = ModuleSpec.phi(b=ONE, lam=sc(2), alpha=ONE, coeffs=())
     report = orbit_closure(spec, [T, S, BiPoly.monomial(0, 2)])

@@ -16,7 +16,6 @@ from virab.repmod import (
     act_W,
     act_element,
     act_sym,
-    apply_each,
     apply_enveloping,
     generic_act_L,
     generic_act_W,
@@ -451,7 +450,6 @@ def test_module_action_matches_sympy_oracle(family, b, lam, alpha, coeffs):
             want = [act(Poly(s ** i * t ** j, s, t, domain=QQ_I))
                     for act in oracle]
             assert [to_poly(op.apply(f)) for op in ops] == want, (i, j)
-            assert [to_poly(g) for g in apply_each(ops, f)] == want, (i, j)
 
 
 @pytest.mark.parametrize("spec", REPLAY_SPECS,

@@ -92,6 +92,10 @@ def test_format_basics():
     assert format_scalar(sci(0, 2)) == "2i"
     assert format_scalar(sci(0, "-1/2")) == "-1/2i"
     assert format_scalar(sci("3/4", -2)) == "3/4-2i"
+    assert format_scalar(sci("1/2", 1)) == "1/2+i"
+    assert format_scalar(sci(-3, -1)) == "-3-i"
+    assert format_scalar(sci(2, "1/3")) == "2+1/3i"
+    assert format_scalar(sci("-1/2", "-1/2")) == "-1/2-1/2i"
     assert format_scalar(ZERO) == "0"
 
 
