@@ -1,10 +1,11 @@
 """Finite-window classification of free-on-L0 action data.
 
-Given a window of candidate action data (or just the four generator seeds
-W_{+-1} . 1 and L_{+-1} . 1), decide whether it extends to one of the two
-module families and recover the canonical parameters, or produce an
-:class:`InfeasibilityCertificate` naming a violated constraint with a
-nonzero residue at explicit witness indices.  Everything is exact.  A
+Given a window of candidate action data (a
+:class:`virab.repmod.GenericFamily`, the one window type) or just the four
+generator seeds W_{+-1} . 1 and L_{+-1} . 1, decide whether it extends to
+one of the two module families and recover the canonical parameters, or
+produce an :class:`InfeasibilityCertificate` naming a violated constraint
+with a nonzero residue at explicit witness indices.  Everything is exact.  A
 certificate of a swept kind names a failing window identity, a proof over
 the window; the solver's own kinds (listed last) rest on the
 classification: at N = 1 a leading-coeff answer can stand on a window
@@ -60,7 +61,7 @@ The solver's own stages add:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from time import perf_counter
 from typing import NamedTuple
@@ -71,7 +72,6 @@ from .repmod import (
     Family,
     GenericFamily,
     ModuleSpec,
-    _check_window,
     _require_fields,
     _scalar_field,
     _scalar_value,
@@ -156,31 +156,8 @@ class InfeasibilityCertificate:
         }
 
 
-@dataclass(frozen=True)
-class CandidateFamily:
-    """Window of claimed action data, as loose as the checks allow: a_m may
-    depend on L0 here (check_W_commutation is what rules that out)."""
-
-    a: Scalar
-    b: Scalar
-    window: int
-    a_m: dict[int, BiPoly] = field(compare=False)
-    g_m: dict[int, BiPoly] = field(compare=False)
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
-        _check_window(self.window, self.a_m, self.g_m, BiPoly.t_var())
-
-    @classmethod
-    def from_generic(cls, fam: GenericFamily) -> CandidateFamily:
-        return cls(
-            fam.a,
-            fam.b,
-            fam.window,
-            {m: p.embed() for m, p in fam.a_m.items()},
-            dict(fam.g_m),
-        )
+# the name bench/ binds for a window of claimed data
+CandidateFamily = GenericFamily
 
 
 # --- the window constraints, one function each ---------------------------
@@ -317,7 +294,7 @@ def _record(report: Report, instances, *checks) -> bool:
     return len(report.failures) == before
 
 
-def _report(suite: str, fam: CandidateFamily) -> Report:
+def _report(suite: str, fam: GenericFamily) -> Report:
     return Report(suite=suite, params={
         "a": format_scalar(fam.a),
         "b": format_scalar(fam.b),
@@ -325,7 +302,7 @@ def _report(suite: str, fam: CandidateFamily) -> Report:
     })
 
 
-def check_W_commutation(fam: CandidateFamily) -> Report:
+def check_W_commutation(fam: GenericFamily) -> Report:
     """[W_m, W_n] must act by zero; any L0 dependence inside a_m shows up
     here as a nonzero commutator residue."""
     t0 = perf_counter()
@@ -337,7 +314,7 @@ def check_W_commutation(fam: CandidateFamily) -> Report:
     return report
 
 
-def check_constraints(fam: CandidateFamily) -> Report:
+def check_constraints(fam: GenericFamily) -> Report:
     """Evaluate the displayed window identities on the candidate data.
 
     Shape preconditions first (g_m affine in L0 with constant L0
@@ -359,7 +336,7 @@ def check_constraints(fam: CandidateFamily) -> Report:
     return report
 
 
-def _sweep_constraints(fam: CandidateFamily, report: Report) -> None:
+def _sweep_constraints(fam: GenericFamily, report: Report) -> None:
     N, a, b = fam.window, fam.a, fam.b
     window = range(-N, N + 1)
     singles = [(m,) for m in window]
@@ -544,7 +521,7 @@ def solve_from_generators(
 
 
 def solve_candidate(
-    fam: CandidateFamily,
+    fam: GenericFamily,
 ) -> CanonicalParams | InfeasibilityCertificate:
     """Solve from a candidate window's generator seeds, then compare the
     whole window with the data the solved parameters generate, in the

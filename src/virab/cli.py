@@ -22,7 +22,7 @@ from .algebra import (
     classify_case,
     verify_algebra,
 )
-from .classify import CandidateFamily, CanonicalParams, solve_candidate, isom_decide
+from .classify import CanonicalParams, solve_candidate, isom_decide
 from .grammar import (
     format_bipoly,
     format_element,
@@ -34,6 +34,7 @@ from .orbit import check_invariant_subspace, orbit_closure
 from .polynomials import BiPoly
 from .report import Report
 from .repmod import (
+    GenericFamily,
     ModuleSpec,
     _require_fields,
     _scalar_field,
@@ -73,12 +74,12 @@ def _algebra_params(args) -> AlgebraParams:
     return params
 
 
-def _candidate_from_doc(doc: dict) -> CandidateFamily:
+def _candidate_from_doc(doc: dict) -> GenericFamily:
     _require_fields(doc, {"a", "b", "N", "a_m", "g_m"}, "candidate document")
     window = doc["N"]
     if not isinstance(window, int) or isinstance(window, bool):
         raise ValueError(f"field 'N' must be an integer, got {window!r}")
-    return CandidateFamily(
+    return GenericFamily(
         a=_scalar_field(doc, "a"),
         b=_scalar_field(doc, "b"),
         window=window,
@@ -117,15 +118,13 @@ def _parse_bounds(text: str) -> tuple[int, int]:
 
 
 def _parse_predicate(text: str):
-    body = text.replace(" ", "")
-    for var in ("s", "t"):
-        prefix = var + ">="
-        if body.startswith(prefix) and body[len(prefix):].lstrip("-").isdigit():
-            k = int(body[len(prefix):])
-            if var == "s":
-                return lambda i, j: i >= k
-            return lambda i, j: j >= k
-    raise ValueError("--invariant expects 's>=K' or 't>=K'")
+    found = re.fullmatch("([st])>=(-?[0-9]+)", text.replace(" ", ""))
+    if found is None:
+        raise ValueError("--invariant expects 's>=K' or 't>=K'")
+    k = int(found[2])
+    if found[1] == "s":
+        return lambda i, j: i >= k
+    return lambda i, j: j >= k
 
 
 def _render_report(report: Report, fmt: str) -> str:

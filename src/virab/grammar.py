@@ -18,8 +18,8 @@ adds like terms in one dict, with a term scanner for each; a symbol alone
 is read by the element's symbol scanner.
 Mixed complex coefficients must be parenthesized, e.g. ``(3/4-2i)*s``;
 bare atoms are single components like ``2``, ``-1/2`` or ``3i``.
-Multiplication and powers are always explicit.  Syntax errors carry the
-offending position.
+Multiplication and powers are always explicit, and digits are ASCII 0-9
+only.  Syntax errors carry the offending position.
 """
 
 from __future__ import annotations

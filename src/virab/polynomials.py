@@ -1,19 +1,16 @@
 """Sparse exact polynomials over the Gaussian rationals.
 
-:class:`BiPoly` is the polynomial type every computation uses: a polynomial
-in s and t (the L0 and W0 weight variables), stored as
-``{(s_exp, t_exp): Scalar}``.  A polynomial in t alone, such as a
-generating polynomial or a twist factor, is a BiPoly with no s terms.
-:class:`UniPoly`, the same thing keyed by the t exponent alone, remains
-only as the stored a_m type of :class:`virab.repmod.GenericFamily`;
-:meth:`UniPoly.embed` and :meth:`BiPoly.to_unipoly_t` convert.
+:class:`BiPoly` is the one polynomial type: a polynomial in s and t (the
+L0 and W0 weight variables), stored as ``{(s_exp, t_exp): Scalar}``.  A
+polynomial in t alone, such as a generating polynomial, a twist factor or
+a window's a_m, is a BiPoly with no s terms.
 
-BiPoly, UniPoly and :class:`virab.algebra.AlgElement` over basis symbols
-share the :class:`Terms` core for construction, equality, addition,
-subtraction (adding the negation), negation, scaling and linear
-combination, and add only what depends on their keys.
+BiPoly and :class:`virab.algebra.AlgElement` over basis symbols share the
+:class:`Terms` core for construction, equality, addition, subtraction
+(adding the negation), negation, scaling and linear combination, and add
+only what depends on their keys.
 :meth:`BiPoly.sum_of_products` accumulates a signed sum of products in one
-dict; both ``*`` operators are its one-pair call.
+dict; ``*`` is its one-pair call.
 Zero coefficients are never stored, so equality is plain dict equality.
 Instances are immutable by convention: every operation returns a fresh
 object and nothing ever mutates ``terms`` after construction.  The degree
@@ -27,8 +24,13 @@ sound because ``terms`` is never mutated, and it is not the value: ``terms``
 alone decides equality, formatting and every other reader.
 
 The canonical text form ("2*s^2*t - 1/2", graded-lex with s before t,
-descending) lives in :func:`format_bipoly`; :func:`format_unipoly` is
-format_bipoly of the embedding.  Parsers are in :mod:`virab.grammar`.
+descending) lives in :func:`format_bipoly`.  Parsers are in
+:mod:`virab.grammar`.
+
+The benchmark in ``bench/`` still binds a few names of the retired
+t-polynomial type: :class:`UniPoly` (``monomial`` and ``__mul__``),
+:meth:`BiPoly.embed` and :func:`format_unipoly`.  They are kept, and no
+code here calls them.
 """
 
 from __future__ import annotations
@@ -173,30 +175,6 @@ class Terms:
         return self._from_numerators(d, acc)
 
 
-class UniPoly(Terms):
-    __slots__ = ()
-
-    @classmethod
-    def monomial(cls, k: int, c: Scalar = ONE) -> UniPoly:
-        if k < 0:
-            raise ValueError("negative exponent")
-        return cls._raw({k: c} if c else {})
-
-    def __mul__(self, other: UniPoly) -> UniPoly:
-        return BiPoly.sum_of_products(
-            ((self.embed(), other.embed()),)).to_unipoly_t()
-
-    def embed(self) -> BiPoly:
-        """This polynomial viewed in (s, t), with no s dependence."""
-        return BiPoly._raw({(0, k): c for k, c in self.terms.items()})
-
-    def __str__(self) -> str:
-        return format_unipoly(self)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({format_unipoly(self)!r})"
-
-
 class BiPoly(Terms):
     __slots__ = ()
 
@@ -307,17 +285,29 @@ class BiPoly(Terms):
     def coeff(self, i: int, j: int) -> Scalar:
         return self.terms.get((i, j), ZERO)
 
-    def to_unipoly_t(self) -> UniPoly:
-        """Reinterpret as a polynomial in t; raises if s occurs."""
-        if any(i for i, _ in self.terms):
-            raise ValueError("polynomial depends on s")
-        return UniPoly._raw({j: c for (_, j), c in self.terms.items()})
+    def embed(self) -> BiPoly:
+        """This polynomial itself: a name bench/ binds."""
+        return self
 
     def __str__(self) -> str:
         return format_bipoly(self)
 
     def __repr__(self) -> str:
         return f"BiPoly({format_bipoly(self)!r})"
+
+
+class UniPoly:
+    """The names bench/ binds of the retired t-polynomial type; no value
+    has this type."""
+
+    @staticmethod
+    def monomial(k: int, c: Scalar = ONE) -> BiPoly:
+        """The BiPoly c * t^k."""
+        return BiPoly.monomial(0, k, c)
+
+    def __mul__(self, other):
+        # its own function, so that bench/tracing.py wraps and restores it
+        return NotImplemented
 
 
 def divided_difference(k: int, alpha: Scalar) -> BiPoly:
@@ -373,8 +363,9 @@ def _join_terms(terms: list[tuple[str, str]]) -> str:
     return "".join(out)
 
 
-def format_unipoly(p: UniPoly) -> str:
-    return format_bipoly(p.embed())
+def format_unipoly(p: BiPoly) -> str:
+    # a function of its own: bench/tracing.py would wrap an alias twice
+    return format_bipoly(p)
 
 
 def format_bipoly(p: BiPoly) -> str:

@@ -26,14 +26,15 @@ while C_i . f = 0.  Two families supply the data, both with a = 0:
   r[k] * m * t^k (the alpha = 0 coefficient space).  (a + b*m) * a_m is
   zero at every m, so no L_m has a derivative term.
 
-:class:`GenericFamily` holds such data as an explicit window.  All are
-W(a,b)-modules too: drop the central symbols via extension=False.
-:func:`verify_module` checks every bracket relation against the action on
-a monomial window, exactly, deciding each unordered pair of symbols once.
+:class:`GenericFamily` holds such data as an explicit window, from a
+module or claimed by a caller; it is the one window type, which the
+sweeps and the classifier both take.  All modules here are W(a,b)-modules
+too: drop the central symbols via extension=False.  :func:`verify_module`
+checks every bracket relation against the action on a monomial window,
+exactly, deciding each unordered pair of symbols once.
 
 Every polynomial here is a :class:`BiPoly`; those in t alone (q, w_m, h_m,
-a_m) simply have no s terms.  Only GenericFamily stores its a_m as
-UniPolys, and embeds each one where it builds an operator.
+a_m) simply have no s terms.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .algebra import (
     bracket,
     classify_case,
 )
-from .polynomials import BiPoly, UniPoly, divided_difference, format_bipoly
+from .polynomials import BiPoly, divided_difference, format_bipoly
 from .report import Report
 from .scalars import (
     MINUS_ONE,
@@ -364,46 +365,45 @@ def apply_enveloping(spec: ModuleSpec, u: BiPoly, f: BiPoly) -> BiPoly:
     return BiPoly.zero().combine(pairs)
 
 
-def _check_window(window: int, a_m: dict, g_m: dict, w0) -> None:
-    """Refuse window data that lacks an index of [-window, window], holds
-    one outside it, or does not start from a_0 = W0 (``w0``, in a_m's
-    type) and g_0 = L0."""
-    idx = range(-window, window + 1)
-    for m in idx:
-        if m not in a_m or m not in g_m:
-            raise ValueError(f"missing data for index {m}")
-    for name, table in (("a_m", a_m), ("g_m", g_m)):
-        for m in table:
-            if m not in idx:
-                raise ValueError(f"{name} has data at index {m}, outside "
-                                 f"the window [-{window}, {window}]")
-    if a_m[0] != w0:
-        raise ValueError("a_0 must equal W0")
-    if g_m[0] != BiPoly.s_var():
-        raise ValueError("g_0 must equal L0")
-
-
 @dataclass(frozen=True)
 class GenericFamily:
-    """Window of action data over W(a,b): per index m, the W-multiplier
-    a_m (a polynomial in W0 alone) and the L-multiplier g_m (in L0, W0),
-    acting through :func:`_op`."""
+    """Window of action data over W(a,b): per index m in -window..window,
+    the W-multiplier a_m = W_m . 1 and the L-multiplier g_m = L_m . 1,
+    acting through :func:`_op`.  a_m is claimed to lie in C[W0]; an L0 term
+    there is for the checks to find, not refused here."""
 
     a: Scalar
     b: Scalar
     window: int
-    a_m: dict[int, UniPoly] = field(compare=False)
+    a_m: dict[int, BiPoly] = field(compare=False)
     g_m: dict[int, BiPoly] = field(compare=False)
 
     def __post_init__(self):
-        _check_window(self.window, self.a_m, self.g_m, UniPoly.monomial(1))
+        """Refuse a window below 1, data that lacks an index of -N..N or
+        holds one outside it, and a_0 != W0 or g_0 != L0."""
+        N = self.window
+        if N < 1:
+            raise ValueError("window must be at least 1")
+        idx = range(-N, N + 1)
+        for m in idx:
+            if m not in self.a_m or m not in self.g_m:
+                raise ValueError(f"missing data for index {m}")
+        for name, table in (("a_m", self.a_m), ("g_m", self.g_m)):
+            for m in table:
+                if m not in idx:
+                    raise ValueError(f"{name} has data at index {m}, outside "
+                                     f"the window [-{N}, {N}]")
+        if self.a_m[0] != BiPoly.t_var():
+            raise ValueError("a_0 must equal W0")
+        if self.g_m[0] != BiPoly.s_var():
+            raise ValueError("g_0 must equal L0")
 
     @classmethod
     def from_spec(cls, spec: ModuleSpec, window: int) -> GenericFamily:
         """The canonical data realized by a module: a_m and g_m are just
         W_m . 1 and L_m . 1."""
         idx = range(-window, window + 1)
-        a_m = {m: spec.op(W(m)).p.to_unipoly_t() for m in idx}
+        a_m = {m: spec.op(W(m)).p for m in idx}
         g_m = {m: spec.op(L(m)).p for m in idx}
         return cls(ZERO, spec.b, window, a_m, g_m)
 
@@ -413,7 +413,7 @@ class GenericFamily:
         m = sym.index
         if abs(m) > self.window:
             raise ValueError(f"index {m} outside family window {self.window}")
-        return _op(self.a, self.b, self.a_m[m].embed(), self.g_m[m], sym)
+        return _op(self.a, self.b, self.a_m[m], self.g_m[m], sym)
 
 
 def generic_act_L(fam: GenericFamily, m: int, u: BiPoly) -> BiPoly:

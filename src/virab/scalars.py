@@ -10,6 +10,7 @@ Text form (used in JSON documents, CLI arguments and reports):
     scalar := real | imag | real ('+'|'-') imagAbs
     real   := sign? nat ('/' nat)?
     imag   := sign? (nat ('/' nat)?)? 'i'
+    nat    := [0-9]+
 
 Examples: ``2``, ``-1/2``, ``i``, ``2i``, ``-1/2i`` (meaning -(1/2)i),
 ``3/4-2i``.  Fractions are reduced with a positive denominator, so
@@ -216,7 +217,7 @@ def intpow(x: Scalar, m: int) -> Scalar:
 def _scan_nat(text: str, i: int) -> tuple[int, int]:
     j = i
     n = len(text)
-    while j < n and text[j].isdigit():
+    while j < n and "0" <= text[j] <= "9":
         j += 1
     if j == i:
         raise ParseError("expected digits", i)

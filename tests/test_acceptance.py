@@ -12,7 +12,6 @@ from itertools import product
 from conftest import sc, sci
 from virab.algebra import classify_case, verify_algebra
 from virab.classify import (
-    CandidateFamily,
     CanonicalParams,
     InfeasibilityCertificate,
     check_constraints,
@@ -154,7 +153,7 @@ def test_classification_recovers_random_parameters():
                 for _ in range(rng.randint(0, 4))
             )
             spec = ModuleSpec.phi(b=b, lam=lam, alpha=alpha, coeffs=coeffs)
-            fam = CandidateFamily.from_generic(GenericFamily.from_spec(spec, 4))
+            fam = GenericFamily.from_spec(spec, 4)
             out = solve_candidate(fam)
             assert isinstance(out, CanonicalParams), (
                 b, lam, alpha, coeffs, getattr(out, "to_dict", lambda: out)(),
@@ -175,10 +174,10 @@ def test_classification_recovers_random_parameters():
 def test_translation_parameter_and_spurious_scale_branch_rejected():
     # any nonzero translation parameter contradicts the weight-zero instance
     spec = ModuleSpec.phi(b=sc(2), lam=sc(2), alpha=ZERO, coeffs=(ONE,))
-    base = CandidateFamily.from_generic(GenericFamily.from_spec(spec, 4))
+    base = GenericFamily.from_spec(spec, 4)
     for a in (ONE, sc("1/2"), I):
-        fam = CandidateFamily(a=a, b=base.b, window=base.window,
-                              a_m=base.a_m, g_m=base.g_m)
+        fam = GenericFamily(a=a, b=base.b, window=base.window,
+                            a_m=base.a_m, g_m=base.g_m)
         report = check_constraints(fam)
         assert not report.passed
         hits = [f for f in report.failures if f.constraint == "lw-compat"]

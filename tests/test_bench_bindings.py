@@ -10,7 +10,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import virab
 from conftest import sc
+from virab.polynomials import BiPoly, UniPoly
 from virab.repmod import GenericFamily, ModuleSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -67,3 +69,21 @@ def test_workload_calls_resolve():
     # the workloads embed GenericFamily's a_m to build candidate windows
     fam = GenericFamily.from_spec(ModuleSpec.phi(b=sc(2), lam=sc(3)), 1)
     assert all(callable(p.embed) for p in fam.a_m.values())
+
+
+def test_window_shims_keep_bench_working():
+    # what bench/workloads.py does to a from_spec window: perturb an a_m
+    # entry by UniPoly.monomial and rebuild it, and embed each a_m
+    fam = GenericFamily.from_spec(ModuleSpec.phi(b=sc(2), lam=sc(3)), 2)
+    delta = UniPoly.monomial(2, sc(-3))
+    assert delta == BiPoly.monomial(0, 2, sc(-3))
+    a_m = dict(fam.a_m)
+    a_m[2] = a_m[2] + delta
+    rebuilt = GenericFamily(fam.a, fam.b, fam.window, a_m, fam.g_m)
+    assert not virab.verify_module(rebuilt, window=2, degree=1).passed
+    assert all(p.embed() == p for p in fam.a_m.values())
+    # one window class under both names; the tracer wraps UniPoly.__mul__
+    # and format_unipoly as attributes of their own
+    assert virab.CandidateFamily is virab.GenericFamily
+    assert "__mul__" in vars(UniPoly)
+    assert virab.polynomials.format_unipoly is not virab.format_bipoly

@@ -4,11 +4,7 @@ import re
 import pytest
 
 from conftest import sc
-from virab.classify import (
-    CandidateFamily,
-    InfeasibilityCertificate,
-    solve_candidate,
-)
+from virab.classify import InfeasibilityCertificate, solve_candidate
 from virab.cli import main
 from virab.grammar import parse_bipoly
 from virab.polynomials import BiPoly, format_bipoly
@@ -26,7 +22,7 @@ def phi_spec_path(tmp_path):
 
 
 def write_candidate(tmp_path, spec, a="0", window=4):
-    fam = CandidateFamily.from_generic(GenericFamily.from_spec(spec, window))
+    fam = GenericFamily.from_spec(spec, window)
     doc = {
         "a": a,
         "b": json.loads(json.dumps(spec.to_dict()))["b"],
@@ -246,7 +242,7 @@ def test_classify_reads_l0_terms_in_a_m(capsys, tmp_path):
     doc = json.loads((tmp_path / "candidate.json").read_text())
     doc["a_m"]["1"] = "2*t + s"
     (tmp_path / "candidate.json").write_text(json.dumps(doc))
-    out = solve_candidate(CandidateFamily(
+    out = solve_candidate(GenericFamily(
         ZERO, sc(3), 4,
         {int(m): parse_bipoly(p) for m, p in doc["a_m"].items()},
         {int(m): parse_bipoly(p) for m, p in doc["g_m"].items()}))
@@ -546,6 +542,16 @@ def test_bad_bounds_is_usage_error(capsys, phi_spec_path, bounds):
                  "--bounds", bounds]) == 2
     assert capsys.readouterr().err == (
         "error: --bounds expects two comma-separated integers, e.g. 8,8\n")
+
+
+@pytest.mark.parametrize("predicate", [
+    "t>=\u0661", "t>=\u00b2", "s>=1\u0663", "t>=--1", "t>=", "u>=1"])
+def test_bad_invariant_is_usage_error(capsys, phi_spec_path, predicate):
+    # K is written in ASCII digits 0-9 with an optional minus sign
+    assert main(["orbit", "--spec", phi_spec_path, "--invariant",
+                 predicate]) == 2
+    assert capsys.readouterr().err == (
+        "error: --invariant expects 's>=K' or 't>=K'\n")
 
 
 def test_orbit_needs_seeds(capsys, phi_spec_path):

@@ -9,7 +9,6 @@ from conftest import sc, sci
 from virab.algebra import AlgElement, BasisSymbol, L, W
 from virab.polynomials import (
     BiPoly,
-    UniPoly,
     divided_difference,
     format_bipoly,
     format_unipoly,
@@ -17,10 +16,9 @@ from virab.polynomials import (
 from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
 
 
-def rand_unipoly(rng, deg=4):
-    return UniPoly(
-        {k: sc(rng.randint(-5, 5)) for k in range(rng.randint(0, deg) + 1)}
-    )
+def rand_t_poly(rng, deg=4):
+    return BiPoly({(0, k): sc(rng.randint(-5, 5))
+                   for k in range(rng.randint(0, deg) + 1)})
 
 
 def rand_bipoly(rng, deg=3):
@@ -52,14 +50,14 @@ def _nonzero(terms):
 
 
 def test_zero_coefficients_never_stored():
-    p = UniPoly({2: ONE}) + UniPoly({2: MINUS_ONE})
+    p = BiPoly({(0, 2): ONE}) + BiPoly({(0, 2): MINUS_ONE})
     assert p.is_zero and not p.terms
     q = BiPoly({(1, 1): ONE}) - BiPoly({(1, 1): ONE})
     assert q.is_zero and not q.terms
 
 
 @pytest.mark.parametrize("x", [
-    UniPoly({3: sc(2), 0: sci(1, -1)}),
+    BiPoly({(0, 3): sc(2), (0, 0): sci(1, -1)}),
     BiPoly({(1, 2): sc("1/2"), (0, 0): I}),
     AlgElement({L(2): sc(-3), W(-1): sc("2/5")}),
 ])
@@ -73,7 +71,7 @@ def test_shared_sparse_core(x):
     dropped = cls({**x.terms, key: ZERO})
     assert key not in dropped.terms and len(dropped.terms) == len(x.terms) - 1
     # no cross-type equality, not even on the same terms
-    for other in {UniPoly, BiPoly, AlgElement} - {cls}:
+    for other in {BiPoly, AlgElement} - {cls}:
         assert x != other._raw(dict(x.terms)) and cls.zero() != other.zero()
         # nor mixed sums, which would hold keys of two shapes
         for y in (other.zero(), other._raw(dict(x.terms))):
@@ -83,7 +81,6 @@ def test_shared_sparse_core(x):
                 x - y
             with pytest.raises(TypeError):
                 x.combine([(x, ONE), (y, ONE)])
-    assert UniPoly.monomial(0) != BiPoly.const(ONE)
     with pytest.raises(TypeError):
         hash(x)
     # combine: one merge equal to the chained sum, dropping what cancels
@@ -109,8 +106,6 @@ def test_polynomial_in_t_arithmetic():
     assert (p * q).coeff(0, 1) == sc(-6)
     assert p.partial_t() == BiPoly({(0, 1): sc(2)})
     assert p.scale(sc("1/2")).coeff(0, 0) == sc("-3/2")
-    # UniPoly multiplies as its embedding does
-    assert (p.to_unipoly_t() * q.to_unipoly_t()).embed() == p * q
 
 
 def test_ring_axioms_random(rng):
@@ -246,10 +241,11 @@ def test_divided_difference_matches_long_division():
 
 
 def test_embed_and_projection(rng):
-    p = rand_unipoly(rng)
-    assert p.embed().to_unipoly_t() == p
-    with pytest.raises(ValueError):
-        BiPoly.s_var().to_unipoly_t()
+    # BiPoly.embed, kept for bench/, is the identity: the t-polynomials it
+    # embedded are BiPolys already
+    p = rand_t_poly(rng)
+    assert p.embed() is p
+    assert BiPoly.s_var().embed() == BiPoly.s_var()
 
 
 def test_degrees():
@@ -260,10 +256,10 @@ def test_degrees():
 
 
 def test_format_unipoly():
-    p = UniPoly({2: sc(3), 1: MINUS_ONE, 0: sc("1/2")})
+    p = BiPoly({(0, 2): sc(3), (0, 1): MINUS_ONE, (0, 0): sc("1/2")})
     assert format_unipoly(p) == "3*t^2 - t + 1/2"
-    assert format_unipoly(UniPoly.zero()) == "0"
-    assert format_unipoly(UniPoly({1: sci(2, 1)})) == "(2+i)*t"
+    assert format_unipoly(BiPoly.zero()) == "0"
+    assert format_unipoly(BiPoly({(0, 1): sci(2, 1)})) == "(2+i)*t"
 
 
 def test_format_bipoly_graded_lex():

@@ -5,7 +5,7 @@ import pytest
 from conftest import REPLAY_SPECS, sc, sci
 from virab import algebra
 from virab.algebra import AlgElement, C, L, W, bracket, classify_case
-from virab.polynomials import BiPoly, UniPoly, format_bipoly
+from virab.polynomials import BiPoly, format_bipoly
 from virab.repmod import (
     Family,
     GenericFamily,
@@ -284,8 +284,7 @@ def _perturbed_family():
 
 def _family_with_a():
     # a != 0: W_m shifts by a + m, not by m
-    a_m = {m: UniPoly({1: ONE, 0: sc(m)}) if m else UniPoly.monomial(1)
-           for m in range(-2, 3)}
+    a_m = {m: T + BiPoly.const(sc(m)) for m in range(-2, 3)}
     g_m = {m: S + T.scale(sc(m)) for m in range(-2, 3)}
     return GenericFamily(sc("1/2"), sc(3), 2, a_m, g_m)
 
@@ -294,7 +293,7 @@ def _perturbed_a_family():
     spec = ModuleSpec.phi(b=MINUS_ONE, lam=sc(2), alpha=sc(1), coeffs=(ONE,))
     fam = GenericFamily.from_spec(spec, window=2)
     a_m = dict(fam.a_m)
-    a_m[1] = a_m[1] + UniPoly.monomial(0, sc(-3))
+    a_m[1] = a_m[1] + BiPoly.const(sc(-3))
     return GenericFamily(fam.a, fam.b, fam.window, a_m, fam.g_m)
 
 
