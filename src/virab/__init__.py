@@ -41,14 +41,9 @@ from .repmod import (
     Family,
     GenericFamily,
     ModuleSpec,
-    act_C,
-    act_L,
-    act_W,
     act_element,
     act_sym,
     apply_enveloping,
-    generic_act_L,
-    generic_act_W,
     q_poly,
     verify_module,
 )
@@ -77,9 +72,6 @@ __all__ = [
     "SubspaceBasis",
     "UniPoly",
     "W",
-    "act_C",
-    "act_L",
-    "act_W",
     "act_element",
     "act_sym",
     "apply_enveloping",
@@ -95,8 +87,6 @@ __all__ = [
     "format_element",
     "format_scalar",
     "format_unipoly",
-    "generic_act_L",
-    "generic_act_W",
     "isom_decide",
     "orbit_closure",
     "parse_bipoly",

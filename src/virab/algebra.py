@@ -6,18 +6,12 @@ W(a,b) has basis {L_n, W_n : n in Z} with
     [L_m, W_n] = (a + n + b*m) W_{m+n}
     [W_m, W_n] = 0.
 
-Four parameter points admit extra central directions beyond the Virasoro
-cocycle on the L side; :func:`classify_case` maps (a, b) to the right
-bracket table.  Central generators are written C_1, C_2, ... with the
-index set depending on the case:
-
-    case        (a, b)      central generators
-    vir00       (0, 0)      C1, C2, C3
-    vir0m1      (0, -1)     C1, C2
-    vir120      (1/2, 0)    C1, C3
-    vir01       (0, 1)      C1, C2, C4
-    vir-gen     other       C1
-    w           any         (none)
+Four parameter points, vir00 (0, 0), vir0m1 (0, -1), vir120 (1/2, 0) and
+vir01 (0, 1), admit extra central directions beyond the Virasoro cocycle
+on the L side; every other point is vir-gen, and w drops the extension.
+:func:`classify_case` maps (a, b) to its case.  Central generators are
+written C_1, C_2, ...; :data:`COCYCLES` holds each case's central terms,
+one row per cocycle, and :data:`CENTRAL_INDICES` is read off it.
 
 All brackets are exact; :func:`verify_algebra` sweeps antisymmetry and the
 Jacobi identity over a finite index window and returns a Report.
@@ -27,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 from time import perf_counter
@@ -47,13 +40,31 @@ class Case(str, Enum):
     VIR_01 = "vir01"
 
 
-CENTRAL_INDICES: dict[Case, tuple[int, ...]] = {
+def _cubic(n: int) -> Scalar:
+    return Scalar.rational(n ** 3 - n, 12)
+
+
+# The central terms of each case, one row per cocycle: (pair kind, central
+# index i, plane c, coefficient f).  [X_n, Y_m] gains f(n) * C_i when
+# m + n = c, n being the first index; a zero f(n) adds no term.  Every
+# extension carries the Virasoro row on [L, L].
+_VIRASORO = ("LL", 1, 0, _cubic)
+COCYCLES: dict[Case, tuple[tuple, ...]] = {
     Case.W_ONLY: (),
-    Case.VIR_00: (1, 2, 3),
-    Case.VIR_0_MINUS_1: (1, 2),
-    Case.VIR_HALF_0: (1, 3),
-    Case.VIR_GENERIC: (1,),
-    Case.VIR_01: (1, 2, 4),
+    Case.VIR_00: (_VIRASORO,
+                  ("LW", 2, 0, lambda n: Scalar.from_int(n * n + n)),
+                  ("WW", 3, 0, Scalar.from_int)),
+    Case.VIR_0_MINUS_1: (_VIRASORO, ("LW", 2, 0, _cubic)),
+    Case.VIR_HALF_0: (_VIRASORO,
+                      ("WW", 3, -1, lambda n: Scalar.from_int(2 * n + 1))),
+    Case.VIR_GENERIC: (_VIRASORO,),
+    Case.VIR_01: (_VIRASORO, ("LW", 2, 0, Scalar.from_int),
+                  ("LW", 4, 0, lambda n: ONE)),
+}
+
+CENTRAL_INDICES: dict[Case, tuple[int, ...]] = {
+    case: tuple(sorted({row[1] for row in rows}))
+    for case, rows in COCYCLES.items()
 }
 
 _SPECIAL: dict[tuple[Scalar, Scalar], Case] = {
@@ -148,50 +159,34 @@ def _check_symbol(sym: BasisSymbol, p: AlgebraParams) -> None:
         raise ValueError(f"unknown symbol kind {sym.kind!r}")
 
 
+def _central(kind: str, n: int, m: int, p: AlgebraParams,
+             out: dict[BasisSymbol, Scalar]) -> dict[BasisSymbol, Scalar]:
+    """``out`` with the terms of the cocycle rows of ``kind`` at (n, m)."""
+    for row_kind, i, plane, coeff in COCYCLES[p.case]:
+        if row_kind == kind and m + n == plane:
+            c = coeff(n)
+            if c:
+                out[C(i)] = c
+    return out
+
+
 def _ll(n: int, m: int, p: AlgebraParams) -> AlgElement:
-    out: dict[BasisSymbol, Scalar] = {}
-    if m != n:
-        out[BasisSymbol("L", m + n)] = Scalar.from_int(m - n)
-    if p.case is not Case.W_ONLY and m + n == 0:
-        c = n * n * n - n
-        if c:
-            out[BasisSymbol("C", 1)] = Scalar(Fraction(c, 12))
-    return AlgElement._raw(out)
+    out = {L(m + n): Scalar.from_int(m - n)} if m != n else {}
+    return AlgElement._raw(_central("LL", n, m, p, out))
 
 
 def _lw(n: int, m: int, p: AlgebraParams) -> AlgElement:
     # n is the L index, m the W index; the W coefficient a + m + b*n is
     # the same at every point, only the central terms depend on the case
-    case = p.case
-    out: dict[BasisSymbol, Scalar] = {}
-    if case is Case.VIR_00:
-        if m + n == 0 and n * n + n:
-            out[BasisSymbol("C", 2)] = Scalar.from_int(n * n + n)
-    elif case is Case.VIR_0_MINUS_1:
-        if m + n == 0:
-            c = n * n * n - n
-            if c:
-                out[BasisSymbol("C", 2)] = Scalar(Fraction(c, 12))
-    elif case is Case.VIR_01:
-        if m + n == 0:
-            if n:
-                out[BasisSymbol("C", 2)] = Scalar.from_int(n)
-            out[BasisSymbol("C", 4)] = ONE
+    out = _central("LW", n, m, p, {})
     cw = p.a.add_int(m) + p.b.mul_int(n)
     if cw:
-        out[BasisSymbol("W", m + n)] = cw
+        out[W(m + n)] = cw
     return AlgElement._raw(out)
 
 
 def _ww(n: int, m: int, p: AlgebraParams) -> AlgElement:
-    case = p.case
-    if case is Case.VIR_00:
-        if m + n == 0 and n:
-            return AlgElement._raw({BasisSymbol("C", 3): Scalar.from_int(n)})
-    elif case is Case.VIR_HALF_0:
-        if m + n == -1:
-            return AlgElement._raw({BasisSymbol("C", 3): Scalar.from_int(2 * n + 1)})
-    return AlgElement._raw({})
+    return AlgElement._raw(_central("WW", n, m, p, {}))
 
 
 def bracket(x: BasisSymbol, y: BasisSymbol, p: AlgebraParams) -> AlgElement:

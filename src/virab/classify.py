@@ -55,8 +55,8 @@ The solver's own stages add:
     degenerate-weight  a vanishing W-seed forces b = 1
     W-degenerate       with b = 1, one vanishing W-seed forces the other
     leading-coeff      coefficient peeling: level-k residues must scale as n
-    window-mismatch    the window differs from the data the solved
-                       parameters generate (first mismatch, a_m before g_m)
+    window-mismatch    data(m) of the window differs from that of the solved
+                       module (first mismatch, a_m before g_m)
 """
 
 from __future__ import annotations
@@ -66,12 +66,13 @@ from functools import partial
 from time import perf_counter
 from typing import NamedTuple
 
-from .algebra import L, W
 from .polynomials import BiPoly, format_bipoly
 from .repmod import (
     Family,
     GenericFamily,
     ModuleSpec,
+    _alpha_weights,
+    _check_params,
     _require_fields,
     _scalar_field,
     _scalar_value,
@@ -92,7 +93,8 @@ from .scalars import (
 @dataclass(frozen=True)
 class CanonicalParams:
     """Normalized module parameters: trailing zero coefficients are trimmed
-    (they never change any h_n)."""
+    (they never change any h_n).  lambda = 0 and a theta alpha are refused,
+    as :class:`ModuleSpec` refuses them."""
 
     family: Family
     lam: Scalar
@@ -100,6 +102,7 @@ class CanonicalParams:
     coeffs: tuple[Scalar, ...]
 
     def __post_init__(self):
+        _check_params(self.family, self.lam, self.alpha)
         coeffs = self.coeffs
         while coeffs and not coeffs[-1]:
             coeffs = coeffs[:-1]
@@ -540,8 +543,8 @@ def solve_candidate(
         return out
     spec = ModuleSpec(out.family, fam.b, out.lam, out.alpha, out.coeffs)
     for m in range(-fam.window, fam.window + 1):
-        for given, sym in ((fam.a_m[m], W(m)), (fam.g_m[m], L(m))):
-            res = given - spec.op(sym).p
+        for given, rebuilt in zip(fam.data(m), spec.data(m)):
+            res = given - rebuilt
             if res:
                 return InfeasibilityCertificate("window-mismatch", (m,), res)
     return out
@@ -549,13 +552,11 @@ def solve_candidate(
 
 def isom_decide(p: CanonicalParams, q: CanonicalParams, b: Scalar) -> bool:
     """Are the two parameter sets isomorphic as modules over the algebra at
-    this b?  For b in {1, -1} every parameter is an invariant; otherwise
-    alpha is not (it can be normalized away), so only lambda and the
-    coefficient sequence decide."""
+    this b?  lambda and the coefficient sequence always decide; alpha is an
+    invariant exactly where it enters the data (phi at b = 1 and b = -1,
+    see repmod._alpha_weights) and is normalized away elsewhere.  theta
+    has no alpha."""
     if p.family is not q.family:
         raise ValueError("cannot compare parameters across families")
-    if p.family is Family.THETA:
-        return p.lam == q.lam and p.coeffs == q.coeffs
-    if b == ONE or b == MINUS_ONE:
-        return p.lam == q.lam and p.alpha == q.alpha and p.coeffs == q.coeffs
-    return p.lam == q.lam and p.coeffs == q.coeffs
+    return (p.lam == q.lam and p.coeffs == q.coeffs
+            and (p.alpha == q.alpha or not any(_alpha_weights(b, 1))))

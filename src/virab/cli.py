@@ -42,7 +42,7 @@ from .repmod import (
     q_poly,
     verify_module,
 )
-from .scalars import format_scalar
+from .scalars import SPACE, format_scalar
 
 _FIXED_CASES = {case: ab for ab, case in _SPECIAL.items()}
 
@@ -118,7 +118,7 @@ def _parse_bounds(text: str) -> tuple[int, int]:
 
 
 def _parse_predicate(text: str):
-    found = re.fullmatch("([st])>=(-?[0-9]+)", text.replace(" ", ""))
+    found = re.fullmatch("([st])>=(-?[0-9]+)", re.sub(f"[{SPACE}]", "", text))
     if found is None:
         raise ValueError("--invariant expects 's>=K' or 't>=K'")
     k = int(found[2])

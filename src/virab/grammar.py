@@ -31,6 +31,7 @@ from .polynomials import _T, BiPoly, format_bipoly, format_unipoly
 from .scalars import (
     MINUS_ONE,
     ONE,
+    SPACE,
     ParseError,
     Scalar,
     _scan_nat,
@@ -164,7 +165,7 @@ def parse_unipoly(text: str) -> BiPoly:
 
 
 def parse_symbol(text: str) -> BasisSymbol:
-    text = text.strip()
+    text = text.strip(SPACE)
     try:
         sym, pos = _scan_symbol(text, 0)
         if pos == len(text):

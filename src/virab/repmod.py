@@ -2,24 +2,26 @@
 
 A module free on the generator 1 over {L0, W0} is fixed by its window
 data W_m . 1 = a_m(t) and L_m . 1 = g_m(s, t) (s tracks the L0 weight, t
-the W0 weight).  Every basis symbol then acts through one :class:`Op`
-(shift sigma, multipliers p and q),
+the W0 weight), which ``data(m)`` returns as (a_m, g_m).  Every basis
+symbol then acts through one :class:`Op` (shift sigma, multipliers p and
+q),
 
     x . f = f(s - sigma, t) * p + d/dt f(s - sigma, t) * q,
 
-built by the one data formula :func:`_op` over W(a,b):
+built by the one data formula :func:`_op` over W(a,b), the ``op`` of
+every module and window:
 
     L_m -> (m, g_m, (a + b*m) * a_m),    W_m -> (a + m, a_m, 0),
 
-while C_i . f = 0.  Two families supply the data, both with a = 0:
+while C_i . f = 0; :func:`act_sym` is the action of one basis symbol.
+Two families supply the data, both with a = 0:
 
 * ``phi``: parameters (lambda != 0, alpha, h) with h a finite coefficient
   sequence; a_m = lambda^m * w_m and g_m = lambda^m * (s + h_m), where
-
-      w_m = t - [b == -1] * m * alpha - [b == 1] * (1 - [m == 0]) * alpha
-
-  is the twist factor (:func:`twist_poly`), h_m = sum_k h[k] * q(m, k)
-  (:func:`h_of_n`) and q is the generating family from :func:`q_poly`.
+  w_m = t - shift is the twist factor (:func:`twist_poly`), h_m =
+  sum_k h[k] * q(m, k) (:func:`h_of_n`) and q is the generating family
+  from :func:`q_poly`.  alpha enters the shift and q only at b = -1 and
+  b = 1, as :func:`_alpha_weights` says.
 
 * ``theta``: only over (a, b) = (0, 1); parameters (lambda != 0, r):
   a_m = [m == 0] * t and g_m = lambda^m * (s + r_m) with r_m = sum_k
@@ -39,7 +41,7 @@ a_m) simply have no s terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from time import perf_counter
@@ -52,6 +54,7 @@ from .algebra import (
     Case,
     L,
     W,
+    _check_symbol,
     bracket,
     classify_case,
 )
@@ -73,39 +76,35 @@ class Family(str, Enum):
     THETA = "theta"
 
 
-def q_poly(n: int, k: int, alpha: Scalar, b: Scalar) -> BiPoly:
-    """The degree-k generating polynomial for the index-n coefficient h_n.
+def _alpha_weights(b: Scalar, m: int) -> tuple[int, int]:
+    """Where alpha enters at index m, as multiples of alpha: q's correction
+    factor and the twist shift.  (m*(m-1), m) at b = -1, (m, [m != 0]) at
+    b = 1, and (0, 0) at every other b, where alpha enters nowhere."""
+    if b == MINUS_ONE:
+        return m * (m - 1), m
+    if b == ONE:
+        return m, int(m != 0)
+    return 0, 0
 
-    q(n, k) = n*t^k, corrected by a divided-difference multiple of alpha
-    when b is -1 (factor n*(n-1)) or +1 (factor n).  Its leading t^k
-    coefficient is always n, which is what makes coefficient extraction
-    triangular.
-    """
+
+def q_poly(n: int, k: int, alpha: Scalar, b: Scalar) -> BiPoly:
+    """The degree-k generating polynomial for the index-n coefficient h_n:
+    n*t^k minus alpha * factor times a divided difference, the factor from
+    :func:`_alpha_weights`.  Its leading t^k coefficient is always n,
+    which is what makes coefficient extraction triangular."""
     if k < 0:
         raise ValueError("negative degree")
     out = BiPoly.monomial(0, k, Scalar.from_int(n)) if n else BiPoly.zero()
-    if alpha and k:
-        if b == MINUS_ONE:
-            factor = n * (n - 1)
-        elif b == ONE:
-            factor = n
-        else:
-            factor = 0
-        if factor:
-            out = out - divided_difference(k, alpha).scale(
-                alpha.mul_int(factor)
-            )
+    factor = _alpha_weights(b, n)[0]
+    if alpha and k and factor:
+        out = out - divided_difference(k, alpha).scale(alpha.mul_int(factor))
     return out
 
 
 def twist_poly(b: Scalar, alpha: Scalar, m: int) -> BiPoly:
-    """The twist factor w_m(t) = t - shift: alpha*m at b = -1, alpha at
-    b = 1 with m != 0, and 0 otherwise."""
-    shift = ZERO
-    if b == MINUS_ONE:
-        shift = alpha.mul_int(m)
-    elif b == ONE and m != 0:
-        shift = alpha
+    """The twist factor w_m(t) = t - shift, the shift alpha times the
+    weight from :func:`_alpha_weights`."""
+    shift = alpha.mul_int(_alpha_weights(b, m)[1])
     return BiPoly({(0, 1): ONE, (0, 0): -shift})
 
 
@@ -184,31 +183,38 @@ class Op(NamedTuple):
         return bound
 
 
-def _op(a: Scalar, b: Scalar, a_m: BiPoly, g_m: BiPoly,
-        sym: BasisSymbol) -> Op:
-    """The operator of L_m or W_m over W(a, b), given W_m . 1 = a_m and
-    L_m . 1 = g_m:
+def _op(target: ModuleSpec | GenericFamily, sym: BasisSymbol) -> Op:
+    """The operator of L_m or W_m over W(a, b): the data formula of the
+    module docstring, on (a_m, g_m) = target.data(m)."""
+    m, kind = sym.index, sym.kind
+    if kind not in ("L", "W"):
+        raise ValueError(f"no action data for symbol {sym}")
+    a_m, g_m = target.data(m)
+    if kind == "L":
+        return Op(Scalar.from_int(m), g_m,
+                  a_m.scale(target.a + target.b.mul_int(m)))
+    return Op(target.a.add_int(m), a_m, BiPoly.zero())
 
-        L_m -> (m, g_m, (a + b*m) * a_m)
-        W_m -> (a + m, a_m, 0)
-    """
-    m = sym.index
-    if sym.kind == "L":
-        return Op(Scalar.from_int(m), g_m, a_m.scale(a + b.mul_int(m)))
-    if sym.kind == "W":
-        return Op(a.add_int(m), a_m, BiPoly.zero())
-    raise ValueError(f"no action data for symbol {sym}")
+
+def _check_params(family: Family, lam: Scalar, alpha: Scalar,
+                  b: Scalar = ONE) -> None:
+    """Refuse lambda = 0, and theta away from b = 1 or with an alpha."""
+    if not lam:
+        raise ValueError("lambda must be nonzero")
+    if family is Family.THETA:
+        if b != ONE:
+            raise ValueError("theta modules exist only over (a, b) = (0, 1)")
+        if alpha:
+            raise ValueError("theta modules have no alpha parameter")
 
 
 class ModuleSpec:
-    """Full parameter set for one module, with its operators cached per
-    basis symbol (L_m and W_m are built together from the data at m).
+    """Full parameter set for one module over a = 0, with its window data
+    cached per index.  Treat instances as immutable; the cache only
+    memoizes pure functions of the parameters."""
 
-    Treat instances as immutable; the cache only memoizes pure functions
-    of the parameters.
-    """
-
-    __slots__ = ("family", "algebra", "lam", "alpha", "coeffs", "_ops")
+    __slots__ = ("family", "algebra", "lam", "alpha", "coeffs", "_data")
+    a = ZERO
 
     def __init__(
         self,
@@ -219,19 +225,13 @@ class ModuleSpec:
         coeffs: tuple[Scalar, ...] = (),
         extension: bool = True,
     ):
-        if not lam:
-            raise ValueError("lambda must be nonzero")
-        if family is Family.THETA:
-            if b != ONE:
-                raise ValueError("theta modules exist only over (a, b) = (0, 1)")
-            if alpha:
-                raise ValueError("theta modules have no alpha parameter")
+        _check_params(family, lam, alpha, b)
         self.family = family
         self.algebra = classify_case(ZERO, b, extension)
         self.lam = lam
         self.alpha = alpha
         self.coeffs = tuple(coeffs)
-        self._ops: dict[BasisSymbol, Op] = {}
+        self._data: dict[int, tuple[BiPoly, BiPoly]] = {}
 
     @property
     def b(self) -> Scalar:
@@ -252,23 +252,20 @@ class ModuleSpec:
     def h(self, m: int) -> BiPoly:
         return h_of_n(self.b, self.alpha, self.coeffs, m)
 
-    def op(self, sym: BasisSymbol) -> Op:
-        """The operator of L_m or W_m, from a_m = lambda^m * w_m (theta:
-        t at m = 0, else 0) and g_m = lambda^m * (s + h_m)."""
-        out = self._ops.get(sym)
+    def data(self, m: int) -> tuple[BiPoly, BiPoly]:
+        """(a_m, g_m) = (W_m . 1, L_m . 1): a_m = lambda^m * w_m (theta: t
+        at m = 0, else 0) and g_m = lambda^m * (s + h_m)."""
+        out = self._data.get(m)
         if out is None:
-            m = sym.index
             lp = intpow(self.lam, m)
             if self.family is Family.THETA:
                 a_m = BiPoly.t_var() if m == 0 else BiPoly.zero()
             else:
                 a_m = twist_poly(self.b, self.alpha, m).scale(lp)
-            g_m = (BiPoly.s_var() + self.h(m)).scale(lp)
-            out = self._ops[sym] = _op(ZERO, self.b, a_m, g_m, sym)
-            # the same data give the other symbol at this index
-            twin = W(m) if sym.kind == "L" else L(m)
-            self._ops[twin] = _op(ZERO, self.b, a_m, g_m, twin)
+            out = self._data[m] = a_m, (BiPoly.s_var() + self.h(m)).scale(lp)
         return out
+
+    op = _op
 
     def to_dict(self) -> dict:
         return {
@@ -324,26 +321,22 @@ def _scalar_value(v, what: str) -> Scalar:
     )
 
 
+def act_sym(spec: ModuleSpec, sym: BasisSymbol, f: BiPoly) -> BiPoly:
+    """x . f: C_i acts by zero where the algebra has it, L_m and W_m
+    through spec.op."""
+    if sym.kind == "C":
+        _check_symbol(sym, spec.algebra)
+        return BiPoly.zero()
+    return spec.op(sym).apply(f)
+
+
+# the names bench/ binds; nothing here calls them
 def act_L(spec: ModuleSpec, m: int, f: BiPoly) -> BiPoly:
     return spec.op(L(m)).apply(f)
 
 
 def act_W(spec: ModuleSpec, m: int, f: BiPoly) -> BiPoly:
     return spec.op(W(m)).apply(f)
-
-
-def act_C(spec: ModuleSpec, i: int, f: BiPoly) -> BiPoly:
-    if i not in spec.algebra.central_indices:
-        raise ValueError(
-            f"central index {i} is not available in case {spec.algebra.case.value}"
-        )
-    return BiPoly.zero()
-
-
-def act_sym(spec: ModuleSpec, sym: BasisSymbol, f: BiPoly) -> BiPoly:
-    if sym.kind == "C":
-        return act_C(spec, sym.index, f)
-    return spec.op(sym).apply(f)
 
 
 def act_element(spec: ModuleSpec, e: AlgElement, f: BiPoly) -> BiPoly:
@@ -354,13 +347,14 @@ def act_element(spec: ModuleSpec, e: AlgElement, f: BiPoly) -> BiPoly:
 def apply_enveloping(spec: ModuleSpec, u: BiPoly, f: BiPoly) -> BiPoly:
     """Act by u(L0, W0): each monomial s^i t^j becomes L0^i W0^j (they
     commute here since a = 0)."""
+    l0, w0 = spec.op(L(0)), spec.op(W(0))
     pairs = []
     for (i, j), c in u.terms.items():
         g = f
         for _ in range(j):
-            g = act_W(spec, 0, g)
+            g = w0.apply(g)
         for _ in range(i):
-            g = act_L(spec, 0, g)
+            g = l0.apply(g)
         pairs.append((g, c))
     return BiPoly.zero().combine(pairs)
 
@@ -370,13 +364,16 @@ class GenericFamily:
     """Window of action data over W(a,b): per index m in -window..window,
     the W-multiplier a_m = W_m . 1 and the L-multiplier g_m = L_m . 1,
     acting through :func:`_op`.  a_m is claimed to lie in C[W0]; an L0 term
-    there is for the checks to find, not refused here."""
+    there is for the checks to find, not refused here.  Two windows are
+    equal when all of (a, b, N, a_m, g_m) are; a window holds dicts, so it
+    is unhashable."""
 
     a: Scalar
     b: Scalar
     window: int
-    a_m: dict[int, BiPoly] = field(compare=False)
-    g_m: dict[int, BiPoly] = field(compare=False)
+    a_m: dict[int, BiPoly]
+    g_m: dict[int, BiPoly]
+    __hash__ = None
 
     def __post_init__(self):
         """Refuse a window below 1, data that lacks an index of -N..N or
@@ -400,22 +397,22 @@ class GenericFamily:
 
     @classmethod
     def from_spec(cls, spec: ModuleSpec, window: int) -> GenericFamily:
-        """The canonical data realized by a module: a_m and g_m are just
-        W_m . 1 and L_m . 1."""
-        idx = range(-window, window + 1)
-        a_m = {m: spec.op(W(m)).p for m in idx}
-        g_m = {m: spec.op(L(m)).p for m in idx}
+        """The canonical data realized by a module, read off spec.data."""
+        a_m, g_m = {}, {}
+        for m in range(-window, window + 1):
+            a_m[m], g_m[m] = spec.data(m)
         return cls(ZERO, spec.b, window, a_m, g_m)
 
-    def op(self, sym: BasisSymbol) -> Op:
-        """The operator of L_m or W_m (see :func:`_op`); raises outside
-        the stored window."""
-        m = sym.index
+    def data(self, m: int) -> tuple[BiPoly, BiPoly]:
+        """(a_m, g_m) as stored; raises outside the window."""
         if abs(m) > self.window:
             raise ValueError(f"index {m} outside family window {self.window}")
-        return _op(self.a, self.b, self.a_m[m], self.g_m[m], sym)
+        return self.a_m[m], self.g_m[m]
+
+    op = _op
 
 
+# the names bench/ binds; nothing here calls them
 def generic_act_L(fam: GenericFamily, m: int, u: BiPoly) -> BiPoly:
     return fam.op(L(m)).apply(u)
 
@@ -491,7 +488,7 @@ def verify_module(
     syms += [W(n) for n in range(-window, window + 1)]
     syms += [C(i) for i in algebra.central_indices]
     monos = _monomial_window(degree)
-    op = cache(target.op)  # a GenericFamily builds each Op afresh
+    op = cache(target.op)  # each call builds the Op afresh
     sop = BiPoly.sum_of_products
     # (sigma, y) -> p_y and q_y shifted by sigma, and their d/dt
     shifted: dict[tuple[Scalar, BasisSymbol], tuple[BiPoly, ...]] = {}

@@ -14,7 +14,9 @@ Text form (used in JSON documents, CLI arguments and reports):
 
 Examples: ``2``, ``-1/2``, ``i``, ``2i``, ``-1/2i`` (meaning -(1/2)i),
 ``3/4-2i``.  Fractions are reduced with a positive denominator, so
-parse and format are mutually inverse on canonical strings.
+parse and format are mutually inverse on canonical strings.  Whitespace,
+here and in every text form of the package, is :data:`SPACE`: the ASCII
+space and tab, nothing else.
 """
 
 from __future__ import annotations
@@ -245,8 +247,11 @@ def scan_scalar_atom(text: str, i: int) -> tuple[Scalar, int]:
     return Scalar(value), j
 
 
+SPACE = " \t"
+
+
 def _skip_space(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
+    while i < len(text) and text[i] in SPACE:
         i += 1
     return i
 

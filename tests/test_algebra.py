@@ -93,6 +93,7 @@ def test_centrals_annihilate():
     assert CENTRAL_INDICES[Case.VIR_HALF_0] == (1, 3)
     assert CENTRAL_INDICES[Case.VIR_01] == (1, 2, 4)
     assert CENTRAL_INDICES[Case.VIR_GENERIC] == (1,)
+    assert CENTRAL_INDICES[Case.W_ONLY] == ()
     for p in (VIR00, VIR0M1, VIR120, VIR01, GEN):
         for idx in CENTRAL_INDICES[p.case]:
             assert bracket(C(idx), L(3), p).is_zero

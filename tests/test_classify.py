@@ -1,4 +1,5 @@
 import random
+from collections.abc import Hashable
 from fractions import Fraction
 from functools import partial
 
@@ -757,3 +758,53 @@ def test_window_refuses_data_outside_it(cls, table):
     with pytest.raises(ValueError, match=f"{table} has data at index 5, "
                        r"outside the window \[-1, 1\]"):
         cls(fam.a, fam.b, 1, **data)
+
+
+def test_windows_compare_by_their_data():
+    # two windows that differ only in a_m and g_m are two windows; a window
+    # holds dicts, so it has no hash
+    w3, w5 = (GenericFamily.from_spec(ModuleSpec.phi(b=sc(2), lam=sc(lam)), 1)
+              for lam in (3, 5))
+    assert w3 != w5
+    assert w3 == GenericFamily.from_spec(ModuleSpec.phi(b=sc(2), lam=sc(3)), 1)
+    assert not isinstance(w3, Hashable)
+    with pytest.raises(TypeError):
+        hash(w3)
+    with pytest.raises(TypeError):
+        {w3, w5}
+
+
+@pytest.mark.parametrize("family, lam, alpha, message", [
+    (Family.PHI, ZERO, ZERO, "lambda must be nonzero"),
+    (Family.THETA, ZERO, sc(3), "lambda must be nonzero"),
+    (Family.THETA, sc(2), sc(3), "theta modules have no alpha parameter"),
+])
+def test_canonical_params_refuse_what_no_module_has(family, lam, alpha,
+                                                    message):
+    # the rule ModuleSpec keeps: lambda != 0, and theta has no alpha
+    with pytest.raises(ValueError, match=message):
+        CanonicalParams(family, lam, alpha, (ONE,))
+    with pytest.raises(ValueError, match=message):
+        ModuleSpec(family, ONE, lam, alpha, (ONE,))
+
+
+def test_solver_certifies_a_constant_level_mismatch():
+    # g_-1 += 5 moves F_-1 = lambda * d_-1 by 15 at level 0 only, so the
+    # peeling runs to the constant level and stops at (-1, 0)
+    spec = ModuleSpec.phi(b=sc(2), lam=sc(3), coeffs=(ONE,))
+    fam = GenericFamily.from_spec(spec, 2)
+    g_m = {**fam.g_m, -1: fam.g_m[-1] + BiPoly.const(sc(5))}
+    fam = GenericFamily(fam.a, fam.b, 2, fam.a_m, g_m)
+    assert solve_candidate(fam) == InfeasibilityCertificate(
+        "leading-coeff", (-1, 0), BiPoly.const(sc(15)))
+    first = check_constraints(fam).failures[0]
+    assert (first.constraint, first.indices, first.residue) == (
+        "ll-compat", (-2, 1), "15")
+
+
+def test_extract_h_coeffs_guards():
+    T = BiPoly.t_var()
+    with pytest.raises(ValueError, match="F_0 must be zero"):
+        extract_h_coeffs({0: T, 1: BiPoly.zero()}, ZERO, sc(2))
+    with pytest.raises(ValueError, match="F_1 is required"):
+        extract_h_coeffs({-1: T, 0: BiPoly.zero()}, ZERO, sc(2))

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +207,9 @@ _CLASSIFY_GOLDENS = [
     # g_1 += t: F_1 gains t/2, which F_-1 does not match
     (2, 2, 0, (1,), 2, {("g_m", "1"): "{} + t"},
      ("leading-coeff", (-1, 1), "1/2*t")),
+    # a_2 += t^3 and g_2 += t: at one index a_m is compared before g_m
+    (2, 2, 0, (1,), 3, {("g_m", "2"): "{} + t", ("a_m", "2"): "{} + t^3"},
+     ("window-mismatch", (2,), "t^3")),
     # a vanishing W-seed at b = 1
     (1, 2, 1, (), 2, {("a_m", "1"): "0"},
      ("W-degenerate", (-2, 1), "-1/2*t + 1/2")),
@@ -468,6 +472,23 @@ def test_orbit_json_golden(capsys, tmp_path, extra, golden):
     assert out == golden
 
 
+@pytest.mark.parametrize("family, lam, alphas, message", [
+    ("theta", "0", ("3", "5"), "lambda must be nonzero"),
+    ("phi", "0", ("0", "0"), "lambda must be nonzero"),
+    ("theta", "2", ("3", "3"), "theta modules have no alpha parameter"),
+])
+def test_isom_refuses_parameters_no_module_has(capsys, tmp_path, family, lam,
+                                               alphas, message):
+    paths = []
+    for name, alpha in zip("pq", alphas):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"family": family, "lambda": lam,
+                                    "alpha": alpha, "coeffs": ["1"]}))
+        paths.append(str(path))
+    assert main(["isom", "--p", paths[0], "--q", paths[1], "--b", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_isom_family_mismatch_is_usage_error(capsys, tmp_path):
     p = tmp_path / "p.json"
     q = tmp_path / "q.json"
@@ -521,6 +542,12 @@ def test_orbit_invariant_mode(capsys, phi_spec_path):
         "--window", "2", "--bounds", "4,4",
     ]) == 0
     assert capsys.readouterr().out.strip() == "false"
+    # spaces and tabs around the parts are dropped, as the grammars skip them
+    assert main([
+        "orbit", "--spec", phi_spec_path, "--invariant", " t\t>= 1",
+        "--window", "2", "--bounds", "4,4",
+    ]) == 0
+    assert capsys.readouterr().out == "false\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -545,9 +572,11 @@ def test_bad_bounds_is_usage_error(capsys, phi_spec_path, bounds):
 
 
 @pytest.mark.parametrize("predicate", [
-    "t>=\u0661", "t>=\u00b2", "s>=1\u0663", "t>=--1", "t>=", "u>=1"])
+    "t>=\u0661", "t>=\u00b2", "s>=1\u0663", "t>=--1", "t>=", "u>=1",
+    "t\u2003>=1", "t>=\u30001", "t>=1\n"])
 def test_bad_invariant_is_usage_error(capsys, phi_spec_path, predicate):
-    # K is written in ASCII digits 0-9 with an optional minus sign
+    # K is written in ASCII digits 0-9 with an optional minus sign, and
+    # the only whitespace is the ASCII space and tab, as in every grammar
     assert main(["orbit", "--spec", phi_spec_path, "--invariant",
                  predicate]) == 2
     assert capsys.readouterr().err == (
@@ -612,3 +641,26 @@ def test_report_text_round_trip_idempotent(capsys, phi_spec_path):
     raw = capsys.readouterr().out
     doc = json.loads(raw)
     assert json.loads(Report.from_dict(doc).to_json()) == doc
+
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli.json"
+_ELAPSED = [(re.compile(r'"elapsed_s": [0-9.e+-]+'), '"elapsed_s": 0'),
+            (re.compile(r"^elapsed: [0-9.]+s$", re.M), "elapsed: 0.000s")]
+
+
+def test_cli_golden_corpus(capsys, tmp_path, monkeypatch):
+    # every subcommand in text and JSON, both classify outcomes and the
+    # usage errors, replayed byte for byte with the elapsed fields zeroed;
+    # argparse wraps its usage lines at the terminal width, so it is fixed
+    corpus = json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))
+    for name, text in corpus["documents"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    for case in corpus["cases"]:
+        code = main(case["argv"])
+        out, err = capsys.readouterr()
+        for pattern, zero in _ELAPSED:
+            out = pattern.sub(zero, out)
+        assert (code, out, err) == (case["exit"], case["stdout"],
+                                    case["stderr"]), case["argv"]

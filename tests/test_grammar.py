@@ -92,9 +92,15 @@ def test_parse_errors_have_positions():
         (parse_bipoly, "t^\u0663", "expected digits", 2),
         (parse_bipoly, "s^\u00b2", "expected digits", 2),
         (parse_element, "L:\u00b2", "expected digits", 2),
+        # whitespace is the ASCII space and tab only: an em space or an
+        # ideographic space is a character like any other
+        (parse_bipoly, "s\u2003+ t", "expected '+', '-' or end of input", 1),
+        (parse_scalar, "\u30001/2", "expected digits", 0),
+        (parse_element, "L:1 +\u2003W:2", "expected digits", 5),
     ] + [(parse_symbol, bad, "expected a symbol like L:2, W:-1 or C:1", 0)
          for bad in ("L:1 +", "2*", "2 L:1", "L:1 * L:2", "C:", "",
-                     "0 + L:1", "L2", "L:+2", "L:\u00b2", "W:\u0663")]:
+                     "0 + L:1", "L2", "L:+2", "L:\u00b2", "W:\u0663",
+                     " L:2\u3000", "\u2003L:2", "L:2\n")]:
         with pytest.raises(ParseError) as err:
             parse(bad)
         assert (err.value.message, err.value.pos) == (message, pos), bad
@@ -114,6 +120,9 @@ def test_parse_symbol():
     assert parse_symbol("W:-1") == W(-1)
     assert parse_symbol("C:1") == C(1)
     assert parse_symbol(" L:10 ") == L(10)
+    assert parse_symbol("\tW:-3 \t") == W(-3)
+    assert parse_bipoly("s\t+ t") == parse_bipoly("s + t")
+    assert parse_scalar(" \t1/2\t") == sc("1/2")
     for bad in ("L2", "L:", "X:1", "L:1.5", "L:+2", ""):
         with pytest.raises(ParseError):
             parse_symbol(bad)

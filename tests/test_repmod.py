@@ -11,7 +11,6 @@ from virab.repmod import (
     GenericFamily,
     ModuleSpec,
     Op,
-    act_C,
     act_L,
     act_W,
     act_element,
@@ -101,16 +100,16 @@ def test_act_centrals_vanish():
     spec = ModuleSpec.phi(b=sc(0), lam=sc(2), alpha=ZERO, coeffs=(ONE,))
     f = S * T + BiPoly.one()
     for idx in (1, 2, 3):
-        assert act_C(spec, idx, f).is_zero
+        assert act_sym(spec, C(idx), f).is_zero
     assert act_sym(spec, C(2), f).is_zero
     with pytest.raises(ValueError):
-        act_C(spec, 9, f)
+        act_sym(spec, C(9), f)
 
 
 def test_act_centrals_rejected_without_extension():
     spec = ModuleSpec.phi(b=sc(0), lam=sc(2), alpha=ZERO, coeffs=(), extension=False)
     with pytest.raises(ValueError):
-        act_C(spec, 1, BiPoly.one())
+        act_sym(spec, C(1), BiPoly.one())
 
 
 def test_theta_action():
