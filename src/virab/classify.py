@@ -555,8 +555,9 @@ def isom_decide(p: CanonicalParams, q: CanonicalParams, b: Scalar) -> bool:
     this b?  lambda and the coefficient sequence always decide; alpha is an
     invariant exactly where it enters the data (phi at b = 1 and b = -1,
     see repmod._alpha_weights) and is normalized away elsewhere.  theta
-    has no alpha."""
+    has no alpha, and a b the family cannot live over is refused."""
     if p.family is not q.family:
         raise ValueError("cannot compare parameters across families")
+    _check_params(p.family, p.lam, p.alpha, b)  # q shares the family
     return (p.lam == q.lam and p.coeffs == q.coeffs
             and (p.alpha == q.alpha or not any(_alpha_weights(b, 1))))

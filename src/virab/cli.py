@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Thin adapters only: each subcommand parses its inputs, calls one core
-operation and renders the result through the shared format routines.
+operation and hands a JSON document and its text form to the one renderer,
+:func:`_render`, which prints whichever ``--format`` asks for.
 Exit status is 0 for a passing run, 1 when a verification or feasibility
 check fails, 2 for usage or parse errors.
 """
@@ -127,16 +128,19 @@ def _parse_predicate(text: str):
     return lambda i, j: j >= k
 
 
+def _render(fmt: str, doc: dict, text: str) -> str:
+    """The one output form of every subcommand: ``doc`` as indented JSON,
+    or else ``text``."""
+    return json.dumps(doc, indent=2) if fmt == "json" else text
+
+
 def _render_report(report: Report, fmt: str) -> str:
-    return report.to_json() if fmt == "json" else report.to_text()
+    return _render(fmt, report.to_dict(), report.to_text())
 
 
 def _render_value(suite: str, params: dict, result: str, fmt: str) -> str:
-    if fmt == "text":
-        return result
-    report = Report(suite=suite, params=params, checks=1)
-    report.data["result"] = result
-    return report.to_json()
+    report = Report(suite=suite, params=params, checks=1, data={"result": result})
+    return _render(fmt, report.to_dict(), result)
 
 
 def _cmd_bracket(args) -> tuple[int, str]:
@@ -176,30 +180,25 @@ def _cmd_qpoly(args) -> tuple[int, str]:
 def _cmd_classify(args) -> tuple[int, str]:
     fam = _candidate_from_doc(_load_json(args.candidate))
     out = solve_candidate(fam)
+    doc = out.to_dict()
     if isinstance(out, CanonicalParams):
-        if args.format == "json":
-            return 0, json.dumps(out.to_dict(), indent=2)
-        doc = out.to_dict()
         coeffs = ", ".join(doc["coeffs"]) or "(empty)"
-        return 0, (
+        return 0, _render(args.format, doc, (
             f"family = {doc['family']}\nlambda = {doc['lambda']}\n"
             f"alpha = {doc['alpha']}\ncoeffs = {coeffs}"
-        )
-    if args.format == "json":
-        return 1, json.dumps(out.to_dict(), indent=2)
+        ))
     at = ", ".join(str(i) for i in out.indices)
-    return 1, (
+    return 1, _render(args.format, doc, (
         f"infeasible: {out.constraint} at ({at}), residue {out.residue_text}"
-    )
+    ))
 
 
 def _cmd_isom(args) -> tuple[int, str]:
     p = CanonicalParams.from_dict(_load_json(args.p))
     q = CanonicalParams.from_dict(_load_json(args.q))
     verdict = isom_decide(p, q, parse_scalar(args.b))
-    if args.format == "json":
-        return 0, json.dumps({"isomorphic": verdict}, indent=2)
-    return 0, "true" if verdict else "false"
+    return 0, _render(args.format, {"isomorphic": verdict},
+                      "true" if verdict else "false")
 
 
 def _cmd_orbit(args) -> tuple[int, str]:
@@ -212,9 +211,8 @@ def _cmd_orbit(args) -> tuple[int, str]:
         ok = check_invariant_subspace(
             spec, _parse_predicate(args.invariant), window=args.window, bounds=bounds
         )
-        if args.format == "json":
-            return 0, json.dumps({"invariant": ok}, indent=2)
-        return 0, "true" if ok else "false"
+        return 0, _render(args.format, {"invariant": ok},
+                          "true" if ok else "false")
     if not args.seed:
         raise ValueError("orbit needs at least one --seed (or --invariant)")
     seeds = [parse_bipoly(s) for s in args.seed]

@@ -143,8 +143,6 @@ class Op(NamedTuple):
     q: BiPoly
 
     def apply(self, u: BiPoly) -> BiPoly:
-        if not (self.p or self.q):
-            return BiPoly.zero()
         return self.apply_shifted(u.shift_s(self.shift))
 
     def apply_shifted(self, shifted: BiPoly) -> BiPoly:
@@ -492,8 +490,6 @@ def verify_module(
     sop = BiPoly.sum_of_products
     # (sigma, y) -> p_y and q_y shifted by sigma, and their d/dt
     shifted: dict[tuple[Scalar, BasisSymbol], tuple[BiPoly, ...]] = {}
-    # (sigma, monomial position) -> F, F' and F'' of F = f(s - sigma, t)
-    jets: dict[tuple[Scalar, int], tuple[BiPoly, ...]] = {}
     # (x, y) -> [x, y] and the nonzero residues of (x, y), kept until
     # (y, x) comes up
     decided: dict[tuple[BasisSymbol, BasisSymbol],
@@ -535,13 +531,9 @@ def verify_module(
             return []  # the symbol vanishes: every monomial passes
         out = []
         for n, f in enumerate(monos):
-            jet = jets.get((total, n))
-            if jet is None:
-                g = f.shift_s(total)
-                dg = g.partial_t()
-                jet = jets[total, n] = g, dg, dg.partial_t()
-            g, dg, ddg = jet
-            res = sop(((g, da), (dg, db), (ddg, dc)))
+            g = f.shift_s(total)
+            dg = g.partial_t()
+            res = sop(((g, da), (dg, db), (dg.partial_t(), dc)))
             if res:
                 out.append((n, res))
         return out

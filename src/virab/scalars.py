@@ -2,8 +2,10 @@
 
 Every coefficient in this package is a :class:`Scalar`: the complex number
 (a + b*i)/d held exactly with integers a, b and d > 0, reduced so that
-gcd(a, b, d) == 1.  Values are immutable and hashable, equality is
-structural on the canonical form, and there is no floating point anywhere.
+gcd(a, b, d) == 1.  Every denominator arises positive (a product or lcm of
+denominators, or a^2 + b^2 in ``inv``), so the sign lives in a and b.
+Values are immutable and hashable, equality is structural on the
+canonical form, and there is no floating point anywhere.
 
 Text form (used in JSON documents, CLI arguments and reports):
 
@@ -42,21 +44,14 @@ class Scalar:
         im = Fraction(im)
         rd, id_ = re.denominator, im.denominator
         d = rd * id_ // gcd(rd, id_)
-        a = re.numerator * (d // rd)
-        b = im.numerator * (d // id_)
-        g = gcd(a, b, d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
-        self._a = a
-        self._b = b
+        # d = lcm of reduced denominators, so gcd(a, b, d) == 1 already
+        self._a = re.numerator * (d // rd)
+        self._b = im.numerator * (d // id_)
         self._d = d
 
     @classmethod
     def from_int(cls, n: int) -> Scalar:
-        cached = _INT_CACHE.get(n)
-        return cached if cached is not None else _make(n, 0, 1)
+        return _make(n, 0, 1)
 
     @classmethod
     def rational(cls, num: int, den: int = 1) -> Scalar:
@@ -181,9 +176,7 @@ def _make(a: int, b: int, d: int) -> Scalar:
 
 
 def _reduced(a: int, b: int, d: int) -> Scalar:
-    # caller guarantees d != 0; sign lives in the numerators
-    if d < 0:
-        a, b, d = -a, -b, -d
+    # caller guarantees d > 0; sign lives in the numerators
     g = gcd(a, b, d)
     if g > 1:
         return _make(a // g, b // g, d // g)
@@ -194,10 +187,7 @@ ZERO = _make(0, 0, 1)
 ONE = _make(1, 0, 1)
 MINUS_ONE = _make(-1, 0, 1)
 I = _make(0, 1, 1)
-TWO = _make(2, 0, 1)
 HALF = _make(1, 0, 2)
-
-_INT_CACHE = {n: _make(n, 0, 1) for n in range(-16, 17)}
 
 
 def intpow(x: Scalar, m: int) -> Scalar:

@@ -107,6 +107,8 @@ def test_central_index_validation():
         bracket(C(4), L(0), VIR00)
     with pytest.raises(ValueError):
         bracket(C(1), L(0), classify_case(sc(0), sc(0), want_extension=False))
+    with pytest.raises(ValueError, match="unknown symbol kind 'X'"):
+        bracket(BasisSymbol("X", 1), L(0), VIR00)
 
 
 def test_w_only_has_no_centrals():

@@ -312,6 +312,19 @@ def test_l0_term_in_seed_a_m_is_certified(family, idx):
     assert shapes == [((idx,), "2*s*t")]
 
 
+@pytest.mark.parametrize("idx", [1, -1])
+def test_t2_term_in_seed_a_m_is_certified(idx):
+    # a t^2 term in a seed W-multiplier fails deg-a there, and the solver's
+    # certificate is the entry check_constraints lists
+    base = candidate_for(ModuleSpec.phi(b=sc(2), lam=sc(3), coeffs=(ONE,)), 2)
+    fam = perturbed(base, a_m={idx: BiPoly.monomial(0, 2, sc(5))})
+    assert solve_candidate(fam) == InfeasibilityCertificate(
+        "deg-a", (idx,), BiPoly.monomial(0, 2, sc(5)))
+    assert ("deg-a", (idx,), "5*t^2") in [
+        (f.constraint, f.indices, f.residue)
+        for f in check_constraints(fam).failures]
+
+
 def perturbed(base: GenericFamily, a_m=None, g_m=None) -> GenericFamily:
     """base with the given entries added to its a_m and g_m."""
     a = {m: p + (a_m or {}).get(m, BiPoly.zero()) for m, p in base.a_m.items()}
@@ -687,6 +700,9 @@ def test_isom_decide_table():
     assert isom_decide(s, t, ONE)
     with pytest.raises(ValueError):
         isom_decide(p, s, ONE)
+    # theta modules live only over b = 1, so no b elsewhere compares them
+    with pytest.raises(ValueError, match="theta modules exist only over"):
+        isom_decide(s, t, sc(2))
 
 
 def _seeded_windows(count: int, seed: int):
@@ -744,6 +760,12 @@ def test_candidate_validation():
             a_m={-1: BiPoly.t_var(), 0: BiPoly.one(), 1: BiPoly.t_var()},
             g_m={-1: BiPoly.s_var(), 0: BiPoly.s_var(), 1: BiPoly.s_var()},
         )  # a_0 must be the W0 coordinate
+    with pytest.raises(ValueError, match="g_0 must equal L0"):
+        GenericFamily(
+            a=ZERO, b=ZERO, window=1,
+            a_m={-1: BiPoly.t_var(), 0: BiPoly.t_var(), 1: BiPoly.t_var()},
+            g_m={-1: BiPoly.s_var(), 0: BiPoly.t_var(), 1: BiPoly.s_var()},
+        )
 
 
 @pytest.mark.parametrize("table", ["a_m", "g_m"])

@@ -1,5 +1,9 @@
+import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +126,8 @@ def test_verify_module_json_round_trips(capsys, phi_spec_path):
     doc = json.loads(raw)
     again = Report.from_dict(doc).to_json()
     assert json.loads(again) == doc
+    with pytest.raises(ValueError, match="status is inconsistent"):
+        Report.from_dict({**doc, "status": "fail"})
 
 
 @pytest.mark.parametrize("window, deg", [("-1", "2"), ("2", "-1")])
@@ -489,6 +495,18 @@ def test_isom_refuses_parameters_no_module_has(capsys, tmp_path, family, lam,
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_isom_refuses_a_b_the_family_cannot_live_over(capsys, tmp_path):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"family": "theta", "lambda": "2",
+                                "alpha": "0", "coeffs": ["1"]}))
+    argv = ["isom", "--p", str(path), "--q", str(path), "--b"]
+    assert main(argv + ["1"]) == 0
+    assert capsys.readouterr().out == "true\n"
+    assert main(argv + ["2"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: theta modules exist only over (a, b) = (0, 1)\n")
+
+
 def test_isom_family_mismatch_is_usage_error(capsys, tmp_path):
     p = tmp_path / "p.json"
     q = tmp_path / "q.json"
@@ -630,6 +648,24 @@ def test_rejected_arguments_leave_the_parser_as_it_was(capsys):
     assert capsys.readouterr().out == "-4*L:0 + 1/2*C:1\n"
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: virab")
+
+
+def test_entry_points_run_main(capsys):
+    # `python -m virab` and the `virab` console script both reach cli.main
+    argv = ["bracket", "--case", "vir00", "--x", "L:2", "--y", "L:-2"]
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out
+    assert in_process == "-4*L:0 + 1/2*C:1\n"
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "virab", *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, in_process, "")
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^virab = "([\w.]+):(\w+)"$', pyproject, re.M)
+    assert target is not None
+    assert getattr(importlib.import_module(target[1]), target[2]) is main
 
 
 def test_report_text_round_trip_idempotent(capsys, phi_spec_path):

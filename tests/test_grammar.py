@@ -84,6 +84,8 @@ def test_parse_errors_have_positions():
         (parse_element, "0 + L:1", "expected '*' before basis symbol", 2),
         (parse_element, "L2", "expected ':' after symbol kind", 1),
         (parse_element, "L:+2", "expected digits", 2),
+        (parse_scalar, "1+2", "second component must be imaginary", 2),
+        (parse_scalar, "1+2i 3", "trailing characters after scalar", 5),
         # digits are ASCII 0-9 only: no other script's digits, and no
         # superscripts
         (parse_scalar, "\u0663/2", "expected digits", 0),

@@ -213,6 +213,8 @@ def test_orbit_seed_validation():
 def test_bounds_validation():
     with pytest.raises(ValueError):
         SubspaceBasis((-1, 3))
+    with pytest.raises(ValueError, match="polynomial exceeds the monomial box"):
+        SubspaceBasis((1, 1)).insert(S * S)
 
 
 def test_negative_window_or_bounds_never_pass_vacuously():

@@ -240,6 +240,13 @@ def test_divided_difference_matches_long_division():
     assert divided_difference(0, sc(7)).is_zero
 
 
+def test_negative_exponents_are_refused():
+    with pytest.raises(ValueError, match="negative exponent"):
+        BiPoly.monomial(-1, 0)
+    with pytest.raises(ValueError, match="negative exponent"):
+        divided_difference(-1, sc(2))
+
+
 def test_embed_and_projection(rng):
     # BiPoly.embed, kept for bench/, is the identity: the t-polynomials it
     # embedded are BiPolys already

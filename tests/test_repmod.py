@@ -104,6 +104,9 @@ def test_act_centrals_vanish():
     assert act_sym(spec, C(2), f).is_zero
     with pytest.raises(ValueError):
         act_sym(spec, C(9), f)
+    # a central symbol has no operator: act_sym answers zero before asking
+    with pytest.raises(ValueError, match="no action data for symbol C:1"):
+        spec.op(C(1))
 
 
 def test_act_centrals_rejected_without_extension():
@@ -154,6 +157,8 @@ def test_generic_family_validation():
     fam = GenericFamily.from_spec(spec, window=2)
     with pytest.raises(ValueError):
         generic_act_L(fam, 3, S)  # outside the stored window
+    with pytest.raises(ValueError, match="sweep window exceeds family window"):
+        verify_module(GenericFamily.from_spec(spec, window=1), window=2)
 
 
 def test_verify_module_passes():
@@ -194,9 +199,12 @@ def test_spec_from_dict_validation():
         {**base, "extension": "yes"},
         {k: v for k, v in base.items() if k != "coeffs"},
         {**base, "extra": 1},
+        {**base, "coeffs": "1"},
     ):
         with pytest.raises(ValueError):
             ModuleSpec.from_dict(corrupt)
+    # an integer is a scalar too
+    assert ModuleSpec.from_dict({**base, "lambda": 3}).lam == sc(3)
 
 
 @pytest.mark.parametrize("window, degree", [(-1, 2), (2, -1)])
