@@ -16,17 +16,17 @@ every module and window:
 while C_i . f = 0; :func:`act_sym` is the action of one basis symbol.
 Two families supply the data, both with a = 0:
 
-* ``phi``: parameters (lambda != 0, alpha, h) with h a finite coefficient
-  sequence; a_m = lambda^m * w_m and g_m = lambda^m * (s + h_m), where
-  w_m = t - shift is the twist factor (:func:`twist_poly`), h_m =
-  sum_k h[k] * q(m, k) (:func:`h_of_n`) and q is the generating family
-  from :func:`q_poly`.  alpha enters the shift and q only at b = -1 and
-  b = 1, as :func:`_alpha_weights` says.
+* ``phi``: parameters (lambda != 0, alpha, c), c a finite coefficient
+  sequence.  With P = sum_k c[k] * t^k, Q = (P(t) - P(alpha)) / (t - alpha)
+  and (f, w) the one selector :func:`_alpha_weights` ((0, 0) away from
+  b = +-1), a_m = lambda^m * (t - alpha * w(m)) and g_m = lambda^m * (s +
+  h_m), where h_m = m * P - alpha * f(m) * Q (:func:`_tail`; :func:`q_poly`
+  (n, k) is h_n at P = t^k).
 
-* ``theta``: only over (a, b) = (0, 1); parameters (lambda != 0, r):
-  a_m = [m == 0] * t and g_m = lambda^m * (s + r_m) with r_m = sum_k
-  r[k] * m * t^k (the alpha = 0 coefficient space).  (a + b*m) * a_m is
-  zero at every m, so no L_m has a derivative term.
+* ``theta``: only over (a, b) = (0, 1); parameters (lambda != 0, c):
+  a_m = [m == 0] * t and g_m = lambda^m * (s + m * P), the phi form at
+  alpha = 0.  (a + b*m) * a_m is zero at every m, so no L_m has a
+  derivative term.
 
 :class:`GenericFamily` holds such data as an explicit window, from a
 module or claimed by a caller; it is the one window type, which the
@@ -35,7 +35,7 @@ too: drop the central symbols via extension=False.  :func:`verify_module`
 checks every bracket relation against the action on a monomial window,
 exactly, deciding each unordered pair of symbols once.
 
-Every polynomial here is a :class:`BiPoly`; those in t alone (q, w_m, h_m,
+Every polynomial here is a :class:`BiPoly`; those in t alone (P, Q, h_m,
 a_m) simply have no s terms.
 """
 
@@ -87,18 +87,21 @@ def _alpha_weights(b: Scalar, m: int) -> tuple[int, int]:
     return 0, 0
 
 
+def _tail(b: Scalar, alpha: Scalar, P: BiPoly, Q: BiPoly, n: int) -> BiPoly:
+    """The index-n tail h_n = n*P - alpha*f(n)*Q of the module docstring,
+    f(n) from :func:`_alpha_weights`; zero at n = 0."""
+    return BiPoly.zero().combine(
+        ((P, Scalar.from_int(n)), (Q, alpha.mul_int(-_alpha_weights(b, n)[0]))))
+
+
 def q_poly(n: int, k: int, alpha: Scalar, b: Scalar) -> BiPoly:
-    """The degree-k generating polynomial for the index-n coefficient h_n:
-    n*t^k minus alpha * factor times a divided difference, the factor from
-    :func:`_alpha_weights`.  Its leading t^k coefficient is always n,
+    """h_n at P = t^k, Q = (t^k - alpha^k) / (t - alpha) (:func:`_tail`):
+    the degree-k generating polynomial, with leading t^k coefficient n,
     which is what makes coefficient extraction triangular."""
     if k < 0:
         raise ValueError("negative degree")
-    out = BiPoly.monomial(0, k, Scalar.from_int(n)) if n else BiPoly.zero()
-    factor = _alpha_weights(b, n)[0]
-    if alpha and k and factor:
-        out = out - divided_difference(k, alpha).scale(alpha.mul_int(factor))
-    return out
+    return _tail(b, alpha, BiPoly.monomial(0, k),
+                 divided_difference(k, alpha), n)
 
 
 def twist_poly(b: Scalar, alpha: Scalar, m: int) -> BiPoly:
@@ -106,13 +109,6 @@ def twist_poly(b: Scalar, alpha: Scalar, m: int) -> BiPoly:
     weight from :func:`_alpha_weights`."""
     shift = alpha.mul_int(_alpha_weights(b, m)[1])
     return BiPoly({(0, 1): ONE, (0, 0): -shift})
-
-
-def h_of_n(b: Scalar, alpha: Scalar, coeffs: tuple[Scalar, ...],
-           n: int) -> BiPoly:
-    """h_n = sum_k coeffs[k] * q(n, k); always zero at n = 0."""
-    return BiPoly.zero().combine((q_poly(n, k, alpha, b), c)
-                                 for k, c in enumerate(coeffs) if c)
 
 
 class Reach(NamedTuple):
@@ -207,11 +203,12 @@ def _check_params(family: Family, lam: Scalar, alpha: Scalar,
 
 
 class ModuleSpec:
-    """Full parameter set for one module over a = 0, with its window data
-    cached per index.  Treat instances as immutable; the cache only
-    memoizes pure functions of the parameters."""
+    """Full parameter set for one module over a = 0.  P and Q of the module
+    docstring are computed once, at construction, and the window data are
+    cached per index; treat instances as immutable."""
 
-    __slots__ = ("family", "algebra", "lam", "alpha", "coeffs", "_data")
+    __slots__ = ("family", "algebra", "lam", "alpha", "coeffs", "_P", "_Q",
+                 "_data")
     a = ZERO
 
     def __init__(
@@ -229,6 +226,9 @@ class ModuleSpec:
         self.lam = lam
         self.alpha = alpha
         self.coeffs = tuple(coeffs)
+        self._P = BiPoly({(0, k): c for k, c in enumerate(self.coeffs)})
+        self._Q = BiPoly.zero().combine(
+            (divided_difference(k, alpha), c) for k, c in enumerate(self.coeffs))
         self._data: dict[int, tuple[BiPoly, BiPoly]] = {}
 
     @property
@@ -247,9 +247,6 @@ class ModuleSpec:
     def theta(cls, lam, coeffs=(), extension=True) -> ModuleSpec:
         return cls(Family.THETA, ONE, lam, ZERO, tuple(coeffs), extension)
 
-    def h(self, m: int) -> BiPoly:
-        return h_of_n(self.b, self.alpha, self.coeffs, m)
-
     def data(self, m: int) -> tuple[BiPoly, BiPoly]:
         """(a_m, g_m) = (W_m . 1, L_m . 1): a_m = lambda^m * w_m (theta: t
         at m = 0, else 0) and g_m = lambda^m * (s + h_m)."""
@@ -260,7 +257,8 @@ class ModuleSpec:
                 a_m = BiPoly.t_var() if m == 0 else BiPoly.zero()
             else:
                 a_m = twist_poly(self.b, self.alpha, m).scale(lp)
-            out = self._data[m] = a_m, (BiPoly.s_var() + self.h(m)).scale(lp)
+            h_m = _tail(self.b, self.alpha, self._P, self._Q, m)
+            out = self._data[m] = a_m, (BiPoly.s_var() + h_m).scale(lp)
         return out
 
     op = _op

@@ -121,7 +121,9 @@ def test_plain_weight_sequences_are_cocycles():
         for alpha in (ZERO, ONE):
             for coeffs in ((ONE,), (ZERO, ONE), (ONE, sc("-1/3"), sc(2), ZERO, ONE)):
                 spec = ModuleSpec.phi(b=b, lam=ONE, alpha=alpha, coeffs=coeffs)
-                h = {n: spec.h(n) for n in range(-12, 13)}
+                # lambda = 1, so h_n = g_n - s
+                h = {n: spec.data(n)[1] - BiPoly.s_var()
+                     for n in range(-12, 13)}
                 for m in range(-6, 7):
                     for n in range(-6, 7):
                         residue = (

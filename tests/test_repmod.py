@@ -18,11 +18,10 @@ from virab.repmod import (
     apply_enveloping,
     generic_act_L,
     generic_act_W,
-    h_of_n,
     q_poly,
     verify_module,
 )
-from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
+from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar, intpow
 
 
 S = BiPoly.s_var()
@@ -44,19 +43,47 @@ def test_q_poly_corrections():
     assert q_poly(1, 2, sc(1), sc(-1)) == BiPoly({(0, 2): ONE})
 
 
-def test_h_sequence_has_leading_n():
-    spec = ModuleSpec.phi(b=sc(1), lam=sc(2), alpha=sc(1), coeffs=(ONE, ZERO, sc(2)))
-    for n in range(-4, 5):
-        h = spec.h(n)
-        expected = q_poly(n, 0, sc(1), sc(1)) + q_poly(n, 2, sc(1), sc(1)).scale(sc(2))
-        assert h == expected
-    assert spec.h(0).is_zero
+def _q_reference(n, k, alpha, b):
+    """n*t^k - alpha*f(n)*(t^k - alpha^k)/(t - alpha), the generating
+    polynomial written out here, f(n) = n(n-1) at b = -1, n at b = 1 and 0
+    elsewhere: a reference that no code in repmod computes."""
+    f = n * (n - 1) if b == MINUS_ONE else n if b == ONE else 0
+    dd = BiPoly({(0, k - 1 - j): intpow(alpha, j) for j in range(k)})
+    return BiPoly.monomial(0, k, sc(n)) - dd.scale(alpha.mul_int(f))
 
 
-def test_h_of_n_free_function():
-    coeffs = (sc(1), sc(-2))
-    assert h_of_n(sc(5), sc(0), coeffs, 3) == BiPoly({(0, 0): sc(3), (0, 1): sc(-6)})
-    assert h_of_n(sc(5), sc(0), coeffs, 0).is_zero
+_ORACLE_LAM = sci("1/2", -1)
+_ORACLE_SEQS = ((), (sc(2),), (ZERO, ONE), (ONE, sc("-1/3"), sc(2)),
+                (sci(0, 1), ZERO, sc("1/2"), MINUS_ONE, ZERO, sc(3)))
+
+
+def test_closed_form_data_match_the_generating_sum():
+    # g_m = lambda^m (s + sum_k c_k q(m, k)), and q_poly is q
+    lam = _ORACLE_LAM
+    for b in (MINUS_ONE, ZERO, sc("1/2"), ONE, sc(3), sc("-1/2"), sci(2, 1)):
+        for alpha in (ZERO, sc("3/2"), sci(1, -2)):
+            for coeffs in _ORACLE_SEQS:
+                spec = ModuleSpec.phi(b=b, lam=lam, alpha=alpha, coeffs=coeffs)
+                for m in range(-8, 9):
+                    qs = [_q_reference(m, k, alpha, b)
+                          for k in range(len(coeffs))]
+                    for k, q in enumerate(qs):
+                        assert q_poly(m, k, alpha, b) == q, (b, alpha, m, k)
+                    h = BiPoly.zero().combine(zip(qs, coeffs))
+                    want = (S + h).scale(intpow(lam, m))
+                    assert spec.data(m)[1] == want, (b, alpha, coeffs, m)
+
+
+def test_theta_data_closed_form():
+    # a_m = [m = 0] t and g_m = lambda^m (s + m P), P = sum_k c_k t^k
+    lam = _ORACLE_LAM
+    for coeffs in _ORACLE_SEQS:
+        spec = ModuleSpec.theta(lam=lam, coeffs=coeffs)
+        P = BiPoly({(0, k): c for k, c in enumerate(coeffs)})
+        for m in range(-8, 9):
+            a_m = T if m == 0 else BiPoly.zero()
+            g_m = (S + P.scale(sc(m))).scale(intpow(lam, m))
+            assert spec.data(m) == (a_m, g_m), (coeffs, m)
 
 
 def test_spec_validation():
@@ -120,9 +147,10 @@ def test_theta_action():
     # W_m kills everything except m = 0, which multiplies by t
     assert act_W(spec, 1, S).is_zero
     assert act_W(spec, 0, S) == S * T
-    # L_m . f = lambda^m (s + r_m) f(s - m)
+    # L_m . f = lambda^m (s + r_m) f(s - m), r_m = m (1 + t)
     got = act_L(spec, 1, BiPoly.one())
-    r1 = spec.h(1)
+    r1 = spec.data(1)[1].scale(sc("1/2")) - S
+    assert r1 == BiPoly.one() + T
     assert got == (S + r1).scale(sc(2))
 
 
