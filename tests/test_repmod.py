@@ -11,6 +11,7 @@ from virab.repmod import (
     GenericFamily,
     ModuleSpec,
     Op,
+    _tail,
     act_L,
     act_W,
     act_element,
@@ -41,6 +42,28 @@ def test_q_poly_corrections():
     assert q_poly(3, 1, sc(2), sc(-1)) == BiPoly({(0, 1): sc(3), (0, 0): sc(-12)})
     assert q_poly(0, 4, sc(2), sc(1)).is_zero
     assert q_poly(1, 2, sc(1), sc(-1)) == BiPoly({(0, 2): ONE})
+
+
+def _h(spec, n):
+    # h_n read back from g_n = lambda^n (s + h_n)
+    return spec.data(n)[1].scale(intpow(spec.lam, -n)) - S
+
+
+def test_h_sequence_has_leading_n():
+    spec = ModuleSpec.phi(b=sc(1), lam=sc(2), alpha=sc(1), coeffs=(ONE, ZERO, sc(2)))
+    for n in range(-4, 5):
+        expected = q_poly(n, 0, sc(1), sc(1)) + q_poly(n, 2, sc(1), sc(1)).scale(sc(2))
+        assert _h(spec, n) == expected
+    assert _h(spec, 0).is_zero
+
+
+def test_h_of_n_free_function():
+    P = BiPoly({(0, 0): sc(1), (0, 1): sc(-2)})
+    Q = BiPoly({(0, 0): sc(-2)})
+    assert _tail(sc(5), sc(0), P, Q, 3) == BiPoly({(0, 0): sc(3), (0, 1): sc(-6)})
+    assert _tail(sc(5), sc(0), P, Q, 0).is_zero
+    spec = ModuleSpec.phi(b=sc(5), lam=sc(3), alpha=sc(0), coeffs=(sc(1), sc(-2)))
+    assert _h(spec, 3) == _tail(sc(5), sc(0), P, Q, 3)
 
 
 def _q_reference(n, k, alpha, b):
