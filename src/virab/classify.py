@@ -66,7 +66,7 @@ from functools import partial
 from time import perf_counter
 from typing import NamedTuple
 
-from .polynomials import BiPoly, format_bipoly
+from .polynomials import BiPoly, divided_difference, format_bipoly
 from .repmod import (
     Family,
     GenericFamily,
@@ -76,7 +76,7 @@ from .repmod import (
     _require_fields,
     _scalar_field,
     _scalar_value,
-    q_poly,
+    _tail,
     twist_poly,
 )
 from .report import Report
@@ -405,8 +405,10 @@ def extract_h_coeffs(
                 )
         coeffs[k] = f1
         if f1:
+            # q_poly(n, k) for every n, from one t^k and one divided difference
+            tk, dd = BiPoly.monomial(0, k), divided_difference(k, alpha)
             work = {
-                n: p - q_poly(n, k, alpha, b).scale(f1)
+                n: p - _tail(b, alpha, tk, dd, n).scale(f1)
                 for n, p in work.items()
             }
     f1 = work[1].coeff(0, 0)

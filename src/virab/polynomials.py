@@ -149,7 +149,7 @@ class Terms:
         cls = type(self)
         d, acc = 1, {}
         if self.terms:
-            d, n0 = self._num or self._numerators()
+            d, n0 = self._numerators()
             acc = {k: [a, b] for k, a, b in n0}
         add = acc.setdefault
         for t, c in pairs:
@@ -158,7 +158,7 @@ class Terms:
                                 f"into {cls.__name__}")
             if not (c and t.terms):
                 continue
-            dt, nt = t._num or t._numerators()
+            dt, nt = t._numerators()
             e = dt * c._d
             if d % e:  # a new common denominator: rescale what is summed
                 f = lcm(d, e) // d
@@ -232,8 +232,8 @@ class BiPoly(Terms):
         for pairs, sign in ((plus, 1), (minus, -1)):
             for a, b in pairs:
                 if a.terms and b.terms:
-                    da, na = a._num or a._numerators()
-                    db, nb = b._num or b._numerators()
+                    da, na = a._numerators()
+                    db, nb = b._numerators()
                     e = da * db
                     if d % e:
                         d = lcm(d, e)
@@ -260,7 +260,7 @@ class BiPoly(Terms):
         over D * cd^max_i (D self's denominator, cd c's, max_i = deg_s)."""
         if not c or not self.terms:
             return self
-        d, nums = self._num or self._numerators()
+        d, nums = self._numerators()
         ca, cb, cd = -c._a, -c._b, c._d  # -c = (ca + cb*i)/cd
         max_i = max(self.terms)[0]
         # (-c)^k = pows[k] / cd^max_i, pows[k] = (ca + cb*i)^k * cd^(max_i - k)

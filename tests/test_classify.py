@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import sc, sci
 from test_repmod import _family_with_a
+from virab import classify, repmod
 from virab.classify import (
     CandidateFamily,
     CanonicalParams,
@@ -26,7 +27,7 @@ from virab.classify import (
     _report,
 )
 from virab.grammar import parse_bipoly
-from virab.polynomials import BiPoly, format_bipoly
+from virab.polynomials import BiPoly, divided_difference, format_bipoly
 from virab.repmod import (
     Family,
     GenericFamily,
@@ -659,6 +660,28 @@ def test_extract_h_coeffs_with_corrections():
         for n in range(-4, 5)
     }
     assert extract_h_coeffs(F, alpha, MINUS_ONE) == (sc(3), ZERO, ONE)
+
+
+def test_extract_h_coeffs_builds_one_divided_difference_per_level(monkeypatch):
+    # nine indices at top degree 3: each level's divided difference is
+    # built once, not once per index
+    alpha = sc(2)
+    F = {
+        n: repmod.q_poly(n, 3, alpha, ONE)
+        + repmod.q_poly(n, 2, alpha, ONE).scale(sc(-1))
+        + repmod.q_poly(n, 1, alpha, ONE).scale(sc(5))
+        for n in range(-4, 5)
+    }
+    built = []
+
+    def counted(k, a):
+        built.append(k)
+        return divided_difference(k, a)
+
+    for module in (classify, repmod):
+        monkeypatch.setattr(module, "divided_difference", counted, raising=False)
+    assert extract_h_coeffs(F, alpha, ONE) == (ZERO, sc(5), sc(-1), ONE)
+    assert sorted(built) == [1, 2, 3]
 
 
 def test_canonical_params_trim_trailing_zeros():

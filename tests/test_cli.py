@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import sc
+from golden import record
 from virab.classify import InfeasibilityCertificate, solve_candidate
 from virab.cli import main
 from virab.grammar import parse_bipoly
@@ -40,43 +41,21 @@ def write_candidate(tmp_path, spec, a="0", window=4):
     return str(path)
 
 
-def test_bracket_golden(capsys):
-    assert main(["bracket", "--case", "vir00", "--x", "L:2", "--y", "L:-2"]) == 0
-    assert capsys.readouterr().out.strip() == "-4*L:0 + 1/2*C:1"
-
-
-def _qpoly_json(n, k, result):
-    return ('{\n  "suite": "qpoly",\n  "params": {\n    "n": "%s",\n'
-            '    "k": "%s",\n    "alpha": "1-2i",\n    "b": "-1"\n  },\n'
-            '  "checks": 1,\n  "failures": [],\n  "status": "pass",\n'
-            '  "elapsed_s": 0.0,\n  "data": {\n    "result": "%s"\n  }\n}\n'
-            % (n, k, result))
-
-
-def test_qpoly_golden(capsys):
-    assert main(["qpoly", "--n", "3", "--k", "1", "--alpha", "2", "--b", "1"]) == 0
-    assert capsys.readouterr().out.strip() == "3*t - 6"
-    # whole bodies at b = -1 with a mixed Gaussian alpha
-    for n, k, result in (
-        ("3", "2", "3*t^2 + (-6+12i)*t + (18+24i)"),
-        ("-2", "3", "-2*t^3 + (-6+12i)*t^2 + (18+24i)*t + (66-12i)"),
-        ("0", "1", "0"),
-    ):
-        argv = ["qpoly", "--n", n, "--k", k, "--alpha", "1-2i", "--b", "-1"]
-        assert main(argv) == 0
-        assert capsys.readouterr().out == result + "\n"
-        assert main(argv + ["--format", "json"]) == 0
-        assert capsys.readouterr().out == _qpoly_json(n, k, result)
-
-
 def test_bracket_json_wraps_result(capsys):
     assert main([
         "bracket", "--case", "vir120", "--x", "W:3", "--y", "W:-4",
         "--format", "json",
     ]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    raw = capsys.readouterr().out
+    doc = json.loads(raw)
     assert doc["data"]["result"] == "7*C:3"
     assert doc["status"] == "pass"
+    # untimed subcommands report exactly 0.0, which the golden corpus,
+    # zeroing every elapsed field, cannot see
+    assert '\n  "elapsed_s": 0.0,\n' in raw
+    assert main(["qpoly", "--n", "3", "--k", "1", "--alpha", "2", "--b", "1",
+                 "--format", "json"]) == 0
+    assert '\n  "elapsed_s": 0.0,\n' in capsys.readouterr().out
 
 
 def test_bracket_needs_parameters_for_generic_case(capsys):
@@ -197,54 +176,6 @@ def test_classify_text_renders_certificates_of_any_arity(capsys, tmp_path):
     assert capsys.readouterr().out == "infeasible: deg-g at (1), residue s^2\n"
 
 
-def _certificate_json(constraint, indices, residue):
-    at = ",\n".join(f"        {i}" for i in indices)
-    return ('{\n  "infeasible": {\n    "constraint": "%s",\n'
-            '    "witness": {\n      "indices": [\n%s\n      ],\n'
-            '      "residue": "%s"\n    }\n  }\n}\n'
-            % (constraint, at, residue))
-
-
-# (b, lambda, alpha, coeffs, N, edits to the candidate document, answer)
-_CLASSIFY_GOLDENS = [
-    # g_3 += t and a_-4 += t^3: the seeds at m = +-1 are untouched
-    (2, 2, 0, (1,), 4, {("g_m", "3"): "{} + t", ("a_m", "-4"): "{} + t^3"},
-     ("window-mismatch", (-4,), "t^3")),
-    # g_1 += t: F_1 gains t/2, which F_-1 does not match
-    (2, 2, 0, (1,), 2, {("g_m", "1"): "{} + t"},
-     ("leading-coeff", (-1, 1), "1/2*t")),
-    # a_2 += t^3 and g_2 += t: at one index a_m is compared before g_m
-    (2, 2, 0, (1,), 3, {("g_m", "2"): "{} + t", ("a_m", "2"): "{} + t^3"},
-     ("window-mismatch", (2,), "t^3")),
-    # a vanishing W-seed at b = 1
-    (1, 2, 1, (), 2, {("a_m", "1"): "0"},
-     ("W-degenerate", (-2, 1), "-1/2*t + 1/2")),
-    # A_1 = k*lambda on the spurious root k = (1-b)/b, A_-1 = A_1/lambda^2
-    (3, 2, 0, (), 2, {("a_m", "1"): "-4/3*t", ("a_m", "-1"): "-1/3*t"},
-     ("scale-branch", (2, -1), "-20/3")),
-]
-
-
-def test_classify_checks_the_whole_window(capsys, tmp_path):
-    # text and JSON bodies byte for byte, for the window check and for
-    # the solver's own stages
-    for b, lam, alpha, coeffs, window, edits, want in _CLASSIFY_GOLDENS:
-        spec = ModuleSpec.phi(b=sc(b), lam=sc(lam), alpha=sc(alpha),
-                              coeffs=tuple(sc(c) for c in coeffs))
-        path = write_candidate(tmp_path, spec, window=window)
-        doc = json.loads((tmp_path / "candidate.json").read_text())
-        for (field, m), text in edits.items():
-            doc[field][m] = text.format(doc[field][m])
-        (tmp_path / "candidate.json").write_text(json.dumps(doc))
-        constraint, indices, residue = want
-        assert main(["classify", "--candidate", path]) == 1
-        at = ", ".join(str(i) for i in indices)
-        assert capsys.readouterr().out == (
-            f"infeasible: {constraint} at ({at}), residue {residue}\n")
-        assert main(["classify", "--candidate", path, "--format", "json"]) == 1
-        assert capsys.readouterr().out == _certificate_json(*want)
-
-
 def test_classify_reads_l0_terms_in_a_m(capsys, tmp_path):
     # a_m is read like g_m, in s and t; the solver certifies the L0 term
     spec = ModuleSpec.phi(b=sc(3), lam=sc(2), alpha=ZERO, coeffs=(ONE,))
@@ -335,147 +266,6 @@ def test_candidate_with_malformed_table_is_usage_error(capsys, tmp_path, field, 
     (tmp_path / "candidate.json").write_text(json.dumps(doc))
     assert main(["classify", "--candidate", path]) == 2
     assert f"field {field!r} must" in capsys.readouterr().err
-
-
-def test_verify_module_readme_example_golden(capsys, tmp_path):
-    path = tmp_path / "phi.json"
-    path.write_text('{"family": "phi", "a": "0", "b": "1", "lambda": "2",\n'
-                    ' "alpha": "1", "coeffs": [], "extension": true}\n')
-    assert main(["verify-module", "--spec", str(path), "--window", "4",
-                 "--deg", "4", "--format", "json"]) == 0
-    out = re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": 0',
-                 capsys.readouterr().out)
-    assert out == """{
-  "suite": "verify-module",
-  "params": {
-    "family": "phi",
-    "a": "0",
-    "b": "1",
-    "lambda": "2",
-    "alpha": "1",
-    "coeffs": "[]",
-    "extension": "True",
-    "window": "4",
-    "degree": "4"
-  },
-  "checks": 6615,
-  "failures": [],
-  "status": "pass",
-  "elapsed_s": 0,
-  "data": {}
-}
-"""
-
-
-ORBIT_README_GOLDEN = """\
-{
-  "suite": "orbit",
-  "params": {
-    "family": "phi",
-    "a": "0",
-    "b": "1",
-    "lambda": "2",
-    "alpha": "1",
-    "coeffs": "[]",
-    "extension": "True",
-    "seeds": "t; s; t^2",
-    "window": "3",
-    "bounds": "8,8",
-    "max_rounds": "6"
-  },
-  "checks": 6,
-  "failures": [
-    {
-      "constraint": "orbit-invariance",
-      "indices": [
-        6,
-        0
-      ],
-      "residue": "s^6*t"
-    }
-  ],
-  "status": "fail",
-  "elapsed_s": 0,
-  "data": {
-    "dimension_trace": [
-      3,
-      8,
-      13,
-      19,
-      26,
-      34,
-      43
-    ],
-    "reaches_one": true,
-    "overflow": 0,
-    "stabilized": false,
-    "invariant_in_box": false
-  }
-}
-"""
-
-ORBIT_OVERFLOW_GOLDEN = """\
-{
-  "suite": "orbit",
-  "params": {
-    "family": "phi",
-    "a": "0",
-    "b": "1",
-    "lambda": "2",
-    "alpha": "1",
-    "coeffs": "[]",
-    "extension": "True",
-    "seeds": "t",
-    "window": "3",
-    "bounds": "2,2",
-    "max_rounds": "9"
-  },
-  "checks": 4,
-  "failures": [
-    {
-      "constraint": "orbit-invariance",
-      "indices": [
-        4,
-        42
-      ],
-      "residue": "1/8*t^3 - 1/8*t^2"
-    }
-  ],
-  "status": "fail",
-  "elapsed_s": 0,
-  "data": {
-    "dimension_trace": [
-      1,
-      4,
-      7,
-      8,
-      8
-    ],
-    "reaches_one": true,
-    "overflow": 42,
-    "stabilized": true,
-    "invariant_in_box": false
-  }
-}
-"""
-
-
-@pytest.mark.parametrize("extra, golden", [
-    (["--seed", "t", "--seed", "s", "--seed", "t^2"], ORBIT_README_GOLDEN),
-    (["--seed", "t", "--bounds", "2,2", "--max-rounds", "9"],
-     ORBIT_OVERFLOW_GOLDEN),
-], ids=["readme", "overflow"])
-def test_orbit_json_golden(capsys, tmp_path, extra, golden):
-    # whole bodies, elapsed aside: the dimension trace, the overflow count
-    # and the residue of the first image that left the box
-    path = tmp_path / "phi.json"
-    path.write_text('{"family": "phi", "a": "0", "b": "1", "lambda": "2",\n'
-                    ' "alpha": "1", "coeffs": [], "extension": true}\n')
-    assert main(["orbit", "--spec", str(path), *extra,
-                 "--format", "json"]) == 1
-    out = re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": 0',
-                 capsys.readouterr().out)
-    assert out == golden
 
 
 @pytest.mark.parametrize("family, lam, alphas, message", [
@@ -679,24 +469,11 @@ def test_report_text_round_trip_idempotent(capsys, phi_spec_path):
     assert json.loads(Report.from_dict(doc).to_json()) == doc
 
 
-GOLDEN_CLI = Path(__file__).parent / "golden" / "cli.json"
-_ELAPSED = [(re.compile(r'"elapsed_s": [0-9.e+-]+'), '"elapsed_s": 0'),
-            (re.compile(r"^elapsed: [0-9.]+s$", re.M), "elapsed: 0.000s")]
-
-
-def test_cli_golden_corpus(capsys, tmp_path, monkeypatch):
+def test_cli_golden_corpus():
     # every subcommand in text and JSON, both classify outcomes and the
     # usage errors, replayed byte for byte with the elapsed fields zeroed;
-    # argparse wraps its usage lines at the terminal width, so it is fixed
-    corpus = json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))
-    for name, text in corpus["documents"].items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("COLUMNS", "80")
-    for case in corpus["cases"]:
-        code = main(case["argv"])
-        out, err = capsys.readouterr()
-        for pattern, zero in _ELAPSED:
-            out = pattern.sub(zero, out)
-        assert (code, out, err) == (case["exit"], case["stdout"],
-                                    case["stderr"]), case["argv"]
+    # tests/golden/record.py rewrites the corpus from its own case list
+    corpus = json.loads(record.CORPUS.read_text(encoding="utf-8"))
+    with record.workdir(corpus["documents"]):
+        for case in corpus["cases"]:
+            assert record.run(case["argv"]) == case, case["argv"]

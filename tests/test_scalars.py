@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -82,6 +83,41 @@ def test_random_field_axioms(rng):
         assert (x + y) + z == x + (y + z)
         if y:
             assert (x / y) * y == x
+
+
+def _canonical(x, re, im):
+    # the value re + im*i, reduced, over a positive denominator, so the
+    # sign lives in the numerators
+    a, b, d = x._a, x._b, x._d
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == (re, im)
+
+
+def test_arithmetic_matches_fraction_pair_oracle(rng):
+    # a quarter of the draws are zero and a quarter integers (d = 1), and
+    # n is often 0, so the fast paths for them meet the reference too
+    def part(whole):
+        return Fraction(rng.randint(-20, 20), 1 if whole else rng.randint(1, 12))
+
+    def draw():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Fraction(0), Fraction(0)
+        return part(kind == 1), part(kind == 1)
+
+    for _ in range(500):
+        (p, q), (r, s) = draw(), draw()
+        x, y = Scalar(p, q), Scalar(r, s)
+        n = rng.choice((0, rng.randint(-9, 9)))
+        _canonical(x, p, q)
+        _canonical(x + y, p + r, q + s)
+        _canonical(x - y, p - r, q - s)
+        _canonical(x * y, p * r - q * s, p * s + q * r)
+        _canonical(x.mul_int(n), p * n, q * n)
+        _canonical(x.add_int(n), p + n, q)
+        if p or q:
+            norm = p * p + q * q
+            _canonical(x.inv(), p / norm, -q / norm)
 
 
 def test_format_basics():
