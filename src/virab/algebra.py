@@ -149,13 +149,16 @@ def format_element(e: AlgElement) -> str:
     return _join_terms([_term_text(e.terms[k], str(k)) for k in keys])
 
 
+_GENERATORS = ("L", "W")
+
+
 def _check_symbol(sym: BasisSymbol, p: AlgebraParams) -> None:
     if sym.kind == "C":
         if sym.index not in CENTRAL_INDICES[p.case]:
             raise ValueError(
                 f"central index {sym.index} is not available in case {p.case.value}"
             )
-    elif sym.kind not in ("L", "W"):
+    elif sym.kind not in _GENERATORS:
         raise ValueError(f"unknown symbol kind {sym.kind!r}")
 
 
@@ -170,18 +173,24 @@ def _central(kind: str, n: int, m: int, p: AlgebraParams,
     return out
 
 
+# The non-central terms, linear forms in the indices (module docstring), are
+# evaluated by the same lines at ints and at virab.repmod's symbolic
+# indices, whose coefficients (not Scalars) are kept: their zeros are values.
+
+
 def _ll(n: int, m: int, p: AlgebraParams) -> AlgElement:
-    out = {L(m + n): Scalar.from_int(m - n)} if m != n else {}
+    c = (m - n) * ONE
+    out = {L(m + n): c} if type(c) is not Scalar or c else {}
     return AlgElement._raw(_central("LL", n, m, p, out))
 
 
 def _lw(n: int, m: int, p: AlgebraParams) -> AlgElement:
-    # n is the L index, m the W index; the W coefficient a + m + b*n is
-    # the same at every point, only the central terms depend on the case
+    # n is the L index, m the W index; only the central terms depend on
+    # the case
     out = _central("LW", n, m, p, {})
-    cw = p.a.add_int(m) + p.b.mul_int(n)
-    if cw:
-        out[W(m + n)] = cw
+    c = m + p.a + n * p.b
+    if type(c) is not Scalar or c:
+        out[W(m + n)] = c
     return AlgElement._raw(out)
 
 
@@ -191,11 +200,11 @@ def _ww(n: int, m: int, p: AlgebraParams) -> AlgElement:
 
 def bracket(x: BasisSymbol, y: BasisSymbol, p: AlgebraParams) -> AlgElement:
     """[x, y] in the chosen bracket table."""
-    _check_symbol(x, p)
-    _check_symbol(y, p)
     kx, ky = x.kind, y.kind
-    if kx == "C" or ky == "C":
-        return AlgElement._raw({})
+    if kx not in _GENERATORS or ky not in _GENERATORS:
+        _check_symbol(x, p)
+        _check_symbol(y, p)
+        return AlgElement._raw({})  # a central symbol brackets to zero
     if kx == "L":
         if ky == "L":
             return _ll(x.index, y.index, p)

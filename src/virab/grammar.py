@@ -31,7 +31,6 @@ from .polynomials import _T, BiPoly, format_bipoly, format_unipoly
 from .scalars import (
     MINUS_ONE,
     ONE,
-    SPACE,
     ParseError,
     Scalar,
     _scan_nat,
@@ -165,14 +164,16 @@ def parse_unipoly(text: str) -> BiPoly:
 
 
 def parse_symbol(text: str) -> BasisSymbol:
-    text = text.strip(SPACE)
+    """One basis symbol, with whitespace around it; an error names the
+    position of the offending character in ``text``."""
     try:
-        sym, pos = _scan_symbol(text, 0)
+        sym, pos = _scan_symbol(text, _skip_space(text, 0))
+        pos = _skip_space(text, pos)
         if pos == len(text):
             return sym
-    except ParseError:
-        pass
-    raise ParseError("expected a symbol like L:2, W:-1 or C:1", 0)
+    except ParseError as exc:
+        pos = exc.pos
+    raise ParseError("expected a symbol like L:2, W:-1 or C:1", pos)
 
 
 def _scan_symbol(text: str, pos: int) -> tuple[BasisSymbol, int]:

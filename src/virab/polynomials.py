@@ -41,6 +41,8 @@ from typing import Iterable, Mapping, TypeVar
 from .scalars import ONE, ZERO, Scalar, _reduced, format_scalar
 
 NEG_INF = float("-inf")
+INDEX_BITS = 12  # see BiPoly.index_var
+_S_MASK = (1 << INDEX_BITS) - 1
 
 _T = TypeVar("_T", bound="Terms")
 
@@ -193,6 +195,14 @@ class BiPoly(Terms):
         return cls._raw({(i, j): c} if c else {})
 
     @classmethod
+    def index_var(cls, k: int) -> BiPoly:
+        """Index variable k >= 1 (:class:`virab.repmod.Index`): its
+        exponent e, which may be negative, adds e * 2^(INDEX_BITS * k) to
+        a key's s exponent.  Products and d/dt need nothing more, and only
+        :meth:`shift_s` reads the power of s apart."""
+        return cls._raw({(1 << (INDEX_BITS * k), 0): ONE})
+
+    @classmethod
     def s_var(cls) -> BiPoly:
         return cls._raw({(1, 0): ONE})
 
@@ -255,14 +265,20 @@ class BiPoly(Terms):
             {(i, j - 1): c.mul_int(j) for (i, j), c in self.terms.items() if j}
         )
 
-    def shift_s(self, c: Scalar) -> BiPoly:
+    def shift_s(self, c: Scalar | BiPoly) -> BiPoly:
         """Substitute s -> s - c (exact binomial expansion), on numerators
-        over D * cd^max_i (D self's denominator, cd c's, max_i = deg_s)."""
+        over D * cd^max_i (D self's denominator, cd c's, max_i = deg_s);
+        self if it has no s term.  A c in the index variables
+        (:meth:`index_var`) goes by Horner's rule in the powers of s."""
         if not c or not self.terms:
+            return self
+        if type(c) is BiPoly:
+            return self._shift_by_index(c)
+        max_i = max(self.terms)[0]
+        if not max_i:
             return self
         d, nums = self._numerators()
         ca, cb, cd = -c._a, -c._b, c._d  # -c = (ca + cb*i)/cd
-        max_i = max(self.terms)[0]
         # (-c)^k = pows[k] / cd^max_i, pows[k] = (ca + cb*i)^k * cd^(max_i - k)
         pows = [(1, 0)]
         for _ in range(max_i):
@@ -281,6 +297,17 @@ class BiPoly(Terms):
                 x[0] += (a * pr - b * pi) * n
                 x[1] += (a * pi + b * pr) * n
         return BiPoly._from_numerators(d * cd ** max_i, acc)
+
+    def _shift_by_index(self, c: BiPoly) -> BiPoly:
+        powers: dict[int, dict] = {}  # power of s -> its coefficient
+        for (i, j), v in self.terms.items():
+            powers.setdefault(i & _S_MASK, {})[i & ~_S_MASK, j] = v
+        top = max(powers)
+        out, step = BiPoly._raw(powers[top]), BiPoly.s_var() - c
+        for e in range(top - 1, -1, -1):
+            out = BiPoly.sum_of_products(
+                ((out, step), (BiPoly._raw(powers.get(e, {})), BiPoly.one())))
+        return out
 
     def coeff(self, i: int, j: int) -> Scalar:
         return self.terms.get((i, j), ZERO)

@@ -33,7 +33,8 @@ module or claimed by a caller; it is the one window type, which the
 sweeps and the classifier both take.  All modules here are W(a,b)-modules
 too: drop the central symbols via extension=False.  :func:`verify_module`
 checks every bracket relation against the action on a monomial window,
-exactly, deciding each unordered pair of symbols once.
+exactly; a spec whose data, bracket and pair symbol vanish at a symbolic
+:class:`Index` is proved at all indices at once, without a sweep.
 
 Every polynomial here is a :class:`BiPoly`; those in t alone (P, Q, h_m,
 a_m) simply have no s terms.
@@ -43,7 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, partial
+from itertools import product
 from time import perf_counter
 from typing import NamedTuple
 
@@ -58,7 +60,7 @@ from .algebra import (
     bracket,
     classify_case,
 )
-from .polynomials import BiPoly, divided_difference, format_bipoly
+from .polynomials import INDEX_BITS, BiPoly, divided_difference, format_bipoly
 from .report import Report
 from .scalars import (
     MINUS_ONE,
@@ -90,8 +92,11 @@ def _alpha_weights(b: Scalar, m: int) -> tuple[int, int]:
 def _tail(b: Scalar, alpha: Scalar, P: BiPoly, Q: BiPoly, n: int) -> BiPoly:
     """The index-n tail h_n = n*P - alpha*f(n)*Q of the module docstring,
     f(n) from :func:`_alpha_weights`; zero at n = 0."""
-    return BiPoly.zero().combine(
-        ((P, Scalar.from_int(n)), (Q, alpha.mul_int(-_alpha_weights(b, n)[0]))))
+    f = _alpha_weights(b, n)[0]
+    if type(n) is int:
+        return BiPoly.zero().combine(
+            ((P, Scalar.from_int(n)), (Q, alpha.mul_int(-f))))
+    return _times(P, n) - _times(Q, f * alpha)
 
 
 def q_poly(n: int, k: int, alpha: Scalar, b: Scalar) -> BiPoly:
@@ -107,8 +112,105 @@ def q_poly(n: int, k: int, alpha: Scalar, b: Scalar) -> BiPoly:
 def twist_poly(b: Scalar, alpha: Scalar, m: int) -> BiPoly:
     """The twist factor w_m(t) = t - shift, the shift alpha times the
     weight from :func:`_alpha_weights`."""
-    shift = alpha.mul_int(_alpha_weights(b, m)[1])
-    return BiPoly({(0, 1): ONE, (0, 0): -shift})
+    w = _alpha_weights(b, m)[1]
+    if type(w) is not int:
+        return BiPoly.t_var() - (w * alpha).poly
+    shift = alpha.mul_int(w)
+    return BiPoly._raw({(0, 1): ONE, (0, 0): -shift} if shift else
+                       {(0, 1): ONE})
+
+
+class Undecided(ValueError):
+    """A test on an :class:`Index` that its zero pattern does not decide."""
+
+
+class Index:
+    """A symbolic integer index on one zero pattern of (m, n, m + n): a
+    polynomial in the index variables m, n (:meth:`BiPoly.index_var` 1, 2).
+
+    It adds, subtracts and multiplies as an int does, and ``lam ** k`` is
+    lam^c * u^d * v^e for k = c + d*m + e*n, u and v (index variables 3, 4)
+    standing for lam^m and lam^n.  A zero test is answered only where the
+    pattern decides it: zero when the polynomial is, nonzero when it is one
+    term (every variable left is nonzero on the pattern) or a multiple of a
+    ``nonzero`` form.  Any other test or power raises Undecided or
+    TypeError: code run at an Index computes its value at every index pair
+    of the pattern, or refuses."""
+
+    __slots__ = ("poly", "nonzero", "lam")
+
+    def __init__(self, poly: BiPoly, nonzero: tuple[BiPoly, ...], lam: Scalar):
+        self.poly, self.nonzero, self.lam = poly, nonzero, lam
+
+    def _of(self, poly: BiPoly) -> Index:
+        return Index(poly, self.nonzero, self.lam)
+
+    def __add__(self, k) -> Index:
+        return self._of(self.poly + _index_poly(k))
+
+    __radd__ = __add__
+
+    def __sub__(self, k) -> Index:
+        return self._of(self.poly - _index_poly(k))
+
+    def __mul__(self, k) -> Index:
+        return self._of(self.poly * _index_poly(k))
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> Index:
+        return self._of(-self.poly)
+
+    def __rpow__(self, lam: Scalar) -> Index:
+        key, c = 0, ONE
+        for (i, j), e in self.poly.terms.items():
+            if (lam != self.lam or j or i not in (0, _M, _N) or e.im
+                    or e.re.denominator != 1):
+                raise Undecided("a power the index pattern does not take")
+            if i:
+                key += (i << 2 * INDEX_BITS) * int(e.re)
+            else:
+                c = intpow(lam, int(e.re))
+        return self._of(BiPoly({(key, 0): c}))
+
+    def __eq__(self, k) -> bool:
+        if isinstance(k, Index) and k.poly == self.poly:
+            return True
+        d = self.poly - _index_poly(k)
+        if not d:
+            return True
+        if len(d.terms) == 1:
+            return False
+        for u in self.nonzero:
+            key, c = next(iter(u.terms.items()))
+            if d == u.scale(d.coeff(*key) / c):
+                return False
+        raise Undecided("a zero test that the index pattern does not decide")
+
+    def __bool__(self) -> bool:
+        return self != 0
+
+    def __hash__(self) -> int:  # equal Indexes have equal polynomials
+        return hash(frozenset(self.poly.terms.items()))
+
+
+_M, _N = 1 << INDEX_BITS, 1 << 2 * INDEX_BITS  # the keys' s exponent of m, n
+
+
+def _index_poly(k: int | Scalar | Index) -> BiPoly:
+    """An int, a Scalar or an Index as a polynomial in the index variables."""
+    if isinstance(k, Index):
+        return k.poly
+    if type(k) is int:
+        k = Scalar.from_int(k)
+    if not isinstance(k, Scalar):
+        raise TypeError(f"not an index: {k!r}")
+    return BiPoly.const(k)
+
+
+def _times(p: BiPoly, k: Scalar | Index) -> BiPoly:
+    """k * p, for a Scalar or an Index k."""
+    return p.scale(k) if type(k) is Scalar else p * k.poly
 
 
 class Reach(NamedTuple):
@@ -185,9 +287,8 @@ def _op(target: ModuleSpec | GenericFamily, sym: BasisSymbol) -> Op:
         raise ValueError(f"no action data for symbol {sym}")
     a_m, g_m = target.data(m)
     if kind == "L":
-        return Op(Scalar.from_int(m), g_m,
-                  a_m.scale(target.a + target.b.mul_int(m)))
-    return Op(target.a.add_int(m), a_m, BiPoly.zero())
+        return Op(m * ONE, g_m, _times(a_m, m * target.b + target.a))
+    return Op(m + target.a, a_m, BiPoly.zero())
 
 
 def _check_params(family: Family, lam: Scalar, alpha: Scalar,
@@ -247,18 +348,21 @@ class ModuleSpec:
     def theta(cls, lam, coeffs=(), extension=True) -> ModuleSpec:
         return cls(Family.THETA, ONE, lam, ZERO, tuple(coeffs), extension)
 
-    def data(self, m: int) -> tuple[BiPoly, BiPoly]:
+    def data(self, m: int | Index) -> tuple[BiPoly, BiPoly]:
         """(a_m, g_m) = (W_m . 1, L_m . 1): a_m = lambda^m * w_m (theta: t
-        at m = 0, else 0) and g_m = lambda^m * (s + h_m)."""
-        out = self._data.get(m)
+        at m = 0, else 0) and g_m = lambda^m * (s + h_m), at an int or at
+        an :class:`Index`."""
+        out = self._data.get(m) if type(m) is int else None
         if out is None:
-            lp = intpow(self.lam, m)
+            lp = self.lam ** m
             if self.family is Family.THETA:
                 a_m = BiPoly.t_var() if m == 0 else BiPoly.zero()
             else:
-                a_m = twist_poly(self.b, self.alpha, m).scale(lp)
+                a_m = _times(twist_poly(self.b, self.alpha, m), lp)
             h_m = _tail(self.b, self.alpha, self._P, self._Q, m)
-            out = self._data[m] = a_m, (BiPoly.s_var() + h_m).scale(lp)
+            out = a_m, _times(BiPoly.s_var() + h_m, lp)
+            if type(m) is int:
+                self._data[m] = out
         return out
 
     op = _op
@@ -425,6 +529,70 @@ def _monomial_window(degree: int) -> list[BiPoly]:
     return out
 
 
+def _tau(op: Op, sigma: Scalar | BiPoly) -> tuple[BiPoly, ...]:
+    """op's p and q with s -> s - sigma, and their d/dt."""
+    p, q = op.p.shift_s(sigma), op.q.shift_s(sigma)
+    return p, q, p.partial_t(), q.partial_t()
+
+
+def _pair_symbol(x: BasisSymbol, y: BasisSymbol, op, tau,
+                 terms: list[tuple[BasisSymbol, BiPoly]]
+                 ) -> tuple[BiPoly, BiPoly, BiPoly]:
+    """(dA, dB, dC) of :func:`verify_module` for the pair (x, y), from
+    op(z) = z's Op, tau(sigma, z) = :func:`_tau` of op(z), and ``terms``,
+    the non-central (symbol, coefficient) terms of [x, y]."""
+    sx, px, qx = op(x)
+    sy, py, qy = op(y)
+    total = sx + sy
+    yp, yq, dyp, dyq = tau(sx, y)
+    xp, xq, dxp, dxq = tau(sy, x)
+    minus_a = [(xp, py), (dxp, qy)]
+    minus_b = [(xq, py), (xp, qy), (dxq, qy)]
+    for sym, c in terms:
+        shift, p, q = op(sym)
+        if shift != total:
+            raise ValueError(
+                f"bracket [{x}, {y}] has the term {sym} with shift {shift}, "
+                f"not the pair's total shift {total}")
+        minus_a.append((p, c))
+        minus_b.append((q, c))
+    sop = BiPoly.sum_of_products
+    return (sop(((yp, px), (dyp, qx)), minus_a),
+            sop(((yq, px), (yp, qx), (dyq, qx)), minus_b),
+            sop(((yq, qx),), ((xq, qy),)))
+
+
+def _symbols_vanish(spec: ModuleSpec) -> bool:
+    """Whether every pair kind's symbol vanishes at symbolic m and n on
+    every zero pattern (see :func:`verify_module`); False where the op is
+    not :func:`_op`, a term is off the pair's shift or a test undecided."""
+    if type(spec).op is not _op:
+        return False
+    # central symbols act by zero: the table without them is what counts
+    algebra = classify_case(ZERO, spec.b, want_extension=False)
+    m, n, zero = BiPoly.index_var(1), BiPoly.index_var(2), BiPoly.zero()
+    # (m, n) on each zero pattern of (m, n, m + n): none zero; then m = 0,
+    # n = 0, m + n = 0 and all zero, which decide alike (one variable is
+    # left, or none) and so share their caches.  Every pair of integers is
+    # on exactly one pattern.
+    groups = [[(m, n, (m + n,))],
+              [(zero, n, ()), (m, zero, ()), (-n, n, ()), (zero, zero, ())]]
+    try:
+        for group in groups:
+            op = cache(partial(_op, spec))
+            tau = cache(lambda sigma, y: _tau(op(y), _index_poly(sigma)))
+            for pm, pn, nonzero in group:
+                i, j = (Index(v, nonzero, spec.lam) for v in (pm, pn))
+                for x, y in product((L(i), W(i)), (L(j), W(j))):
+                    terms = [(sym, _index_poly(c)) for sym, c in
+                             bracket(x, y, algebra).terms.items()]
+                    if any(_pair_symbol(x, y, op, tau, terms)):
+                        return False
+    except (ValueError, TypeError):
+        return False
+    return True
+
+
 def verify_module(
     target: ModuleSpec | GenericFamily, window: int = 4, degree: int = 4
 ) -> Report:
@@ -433,6 +601,14 @@ def verify_module(
     included when available) and every monomial f with total degree at most
     ``degree``.  Exact equality; failures carry the witness triple, in the
     order of the ordered pair loop and then the monomials.
+
+    A ModuleSpec is first decided at once: the pair symbol below of (L_m,
+    L_n), (L_m, W_n), (W_m, L_n) and (W_m, W_n) is computed at symbolic m
+    and n (an :class:`Index`) on each zero pattern of (m, n, m + n).  If
+    every one vanishes, the axioms hold at all indices, and the report is
+    the sweep's pass report, ``checks`` included.  A symbol that does not
+    vanish, a bracket term off index m + n, an undecided test and an op
+    other than :func:`_op` leave the spec to the sweep.
 
     A GenericFamily is swept over W(a,b), skipping the pairs whose bracket
     leaves the window.  Every action is f -> F*p + F'*q with F = f(s -
@@ -484,49 +660,29 @@ def verify_module(
     syms += [W(n) for n in range(-window, window + 1)]
     syms += [C(i) for i in algebra.central_indices]
     monos = _monomial_window(degree)
+    report = Report(suite="verify-module", params=params)
+    if not bounded and _symbols_vanish(target):
+        report.checks = len(syms) ** 2 * len(monos)
+        report.elapsed = perf_counter() - t0
+        return report
     op = cache(target.op)  # each call builds the Op afresh
+    const = cache(BiPoly.const)
     sop = BiPoly.sum_of_products
-    # (sigma, y) -> p_y and q_y shifted by sigma, and their d/dt
-    shifted: dict[tuple[Scalar, BasisSymbol], tuple[BiPoly, ...]] = {}
+    tau = cache(lambda sigma, y: _tau(op(y), sigma))
     # (x, y) -> [x, y] and the nonzero residues of (x, y), kept until
     # (y, x) comes up
     decided: dict[tuple[BasisSymbol, BasisSymbol],
                   tuple[AlgElement, list[tuple[int, BiPoly]]]] = {}
 
-    def tau(sigma: Scalar, y: BasisSymbol) -> tuple[BiPoly, ...]:
-        out = shifted.get((sigma, y))
-        if out is None:
-            p, q = (g.shift_s(sigma) for g in op(y)[1:])
-            out = shifted[sigma, y] = p, q, p.partial_t(), q.partial_t()
-        return out
-
     def residues(x: BasisSymbol, y: BasisSymbol,
                  br: AlgElement) -> list[tuple[int, BiPoly]]:
         """The nonzero residues of (x, y), by monomial position."""
-        sx, px, qx = op(x)
-        sy, py, qy = op(y)
-        total = sx + sy
-        yp, yq, dyp, dyq = tau(sx, y)
-        xp, xq, dxp, dxq = tau(sy, x)
-        minus_a = [(xp, py), (dxp, qy)]
-        minus_b = [(xq, py), (xp, qy), (dxq, qy)]
-        for sym, c in br.terms.items():
-            if sym.kind == "C":
-                continue  # central symbols act by zero
-            shift, p, q = op(sym)
-            if shift != total:
-                raise ValueError(
-                    f"bracket [{x}, {y}] has the term {sym} with shift "
-                    f"{format_scalar(shift)}, not the pair's total shift "
-                    f"{format_scalar(total)}")
-            c = BiPoly.const(c)
-            minus_a.append((p, c))
-            minus_b.append((q, c))
-        da = sop(((yp, px), (dyp, qx)), minus_a)
-        db = sop(((yq, px), (yp, qx), (dyq, qx)), minus_b)
-        dc = sop(((yq, qx),), ((xq, qy),))
+        # central symbols act by zero
+        da, db, dc = _pair_symbol(x, y, op, tau, [
+            (sym, const(c)) for sym, c in br.terms.items() if sym.kind != "C"])
         if not (da or db or dc):
             return []  # the symbol vanishes: every monomial passes
+        total = op(x).shift + op(y).shift
         out = []
         for n, f in enumerate(monos):
             g = f.shift_s(total)
@@ -536,7 +692,6 @@ def verify_module(
                 out.append((n, res))
         return out
 
-    report = Report(suite="verify-module", params=params)
     checks = 0
     for x in syms:
         for y in syms:

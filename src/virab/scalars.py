@@ -123,6 +123,14 @@ class Scalar:
             return self
         return _make(self._a + n * self._d, self._b, self._d)
 
+    # n + x and n * x for an int n, so that an index formula reads the
+    # same at an int and at a symbolic index (virab.repmod.Index)
+    def __radd__(self, n: int) -> Scalar:
+        return self.add_int(n) if type(n) is int else NotImplemented
+
+    def __rmul__(self, n: int) -> Scalar:
+        return self.mul_int(n) if type(n) is int else NotImplemented
+
     def inv(self) -> Scalar:
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         a, b, d = self._a, self._b, self._d
@@ -137,7 +145,7 @@ class Scalar:
         return self * other.inv()
 
     def __pow__(self, m: int) -> Scalar:
-        return intpow(self, m)
+        return intpow(self, m) if type(m) is int else NotImplemented
 
     def conj(self) -> Scalar:
         return _make(self._a, -self._b, self._d)

@@ -99,10 +99,14 @@ def test_parse_errors_have_positions():
         (parse_bipoly, "s\u2003+ t", "expected '+', '-' or end of input", 1),
         (parse_scalar, "\u30001/2", "expected digits", 0),
         (parse_element, "L:1 +\u2003W:2", "expected digits", 5),
-    ] + [(parse_symbol, bad, "expected a symbol like L:2, W:-1 or C:1", 0)
-         for bad in ("L:1 +", "2*", "2 L:1", "L:1 * L:2", "C:", "",
-                     "0 + L:1", "L2", "L:+2", "L:\u00b2", "W:\u0663",
-                     " L:2\u3000", "\u2003L:2", "L:2\n")]:
+    ] + [(parse_symbol, bad, "expected a symbol like L:2, W:-1 or C:1", pos)
+         # the position of the offending character in the text as given,
+         # leading whitespace counted
+         for bad, pos in (("L:1 +", 4), ("2*", 0), ("2 L:1", 0),
+                          ("L:1 * L:2", 4), ("C:", 2), ("", 0), ("0 + L:1", 0),
+                          ("L2", 1), ("L:+2", 2), ("L:\u00b2", 2),
+                          ("W:\u0663", 2), (" L:2\u3000", 4), ("\u2003L:2", 0),
+                          ("L:2\n", 3), ("\t L;2", 3), ("  X:2 ", 2))]:
         with pytest.raises(ParseError) as err:
             parse(bad)
         assert (err.value.message, err.value.pos) == (message, pos), bad

@@ -208,6 +208,26 @@ def test_combine_matches_scalar_arithmetic(values, data):
     assert undone.terms == {}
 
 
+@given(f=st.dictionaries(st.tuples(st.just(0), st.integers(0, 4)),
+                         gaussians, min_size=1, max_size=4).map(BiPoly),
+       c=gaussians.filter(bool))
+def test_shift_s_returns_an_s_free_polynomial_itself(f, c):
+    # s -> s - c leaves a polynomial in t alone unchanged
+    assert f.shift_s(c) is f
+
+
+@given(f=bipolys, c=gaussians)
+def test_shift_s_by_an_index_polynomial(f, c):
+    # a constant index polynomial shifts as its Scalar does; the index
+    # variable m shifts and shifts back; and products with m shift along
+    m = BiPoly.index_var(1)
+    assert f.shift_s(BiPoly.const(c)) == f.shift_s(c)
+    assert f.shift_s(m).shift_s(-m) == f
+    assert (f * m).shift_s(m + m) == f.shift_s(m + m) * m
+    g = f * BiPoly.s_var()
+    assert g.shift_s(m) == f.shift_s(m) * (BiPoly.s_var() - m)
+
+
 def test_shift_s_zero_is_identity(rng):
     f = rand_bipoly(rng)
     assert f.shift_s(ZERO) is f

@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 
 from conftest import REPLAY_SPECS, sc, sci
-from virab import algebra
+from virab import algebra, repmod
 from virab.algebra import AlgElement, C, L, W, bracket, classify_case
 from virab.polynomials import BiPoly, format_bipoly
 from virab.repmod import (
@@ -381,8 +382,10 @@ def _ll_not_antisymmetric(n, m, p):
     return _LL(n, m, p)
 
 
-# (id, target, lowest degree at which the sweep fails or None); the
-# degree-2 case keeps the bare id
+# (id, target, lowest degree at which the sweep fails or None[, window]);
+# the degree-2 case keeps the bare id, and the window is 2 unless given.
+# Window 3 replays every zero pattern of (m, n, m + n) on the specs the
+# symbols decide: m = 0, n = 0 and m + n = 0 each with m, n != 0.
 _REPLAY_TARGETS = [
     ("phi-b-1", lambda: ModuleSpec.phi(b=MINUS_ONE, lam=sc(2), alpha=sc(1),
                                        coeffs=(ONE, MINUS_ONE)), None),
@@ -400,27 +403,133 @@ _REPLAY_TARGETS = [
                                                 extension=False), 1),
     ("broken-antisymmetry", lambda: ModuleSpec.phi(
         b=sc(2), lam=sc(-1), alpha=sc(1), coeffs=(ONE, MINUS_ONE)), 0),
+    ("phi-b1-w3", lambda: ModuleSpec.phi(b=ONE, lam=sc(-2), alpha=sc("3/2")),
+     None, 3),
+    ("phi-b-1-w3", lambda: ModuleSpec.phi(
+        b=MINUS_ONE, lam=sc("1/2"), alpha=sci(1, 1),
+        coeffs=(ONE, ZERO, sc(-2))), None, 3),
+    ("theta-w3", lambda: ModuleSpec.theta(lam=sc(3), coeffs=(ONE, sc("-1/2"))),
+     None, 3),
 ]
 # bracket tables replaced while one target is swept: id -> (name in
 # virab.algebra, replacement)
 _TABLE_PATCHES = {"broken-antisymmetry": ("_ll", _ll_not_antisymmetric)}
 
 
-@pytest.mark.parametrize("name, make, degree, fails", [
+@pytest.mark.parametrize("name, make, degree, fails, window", [
     pytest.param(name, make, degree, low is not None and degree >= low,
+                 window[0] if window else 2,
                  id=name if degree == 2 else f"{name}-deg{degree}")
-    for name, make, low in _REPLAY_TARGETS for degree in (0, 1, 2)
+    for name, make, low, *window in _REPLAY_TARGETS for degree in (0, 1, 2)
 ])
 def test_verify_module_matches_naive_replay(name, make, degree, fails,
-                                            monkeypatch):
+                                            window, monkeypatch):
     if name in _TABLE_PATCHES:
         monkeypatch.setattr(algebra, *_TABLE_PATCHES[name])
     target = make()
-    report = verify_module(target, window=2, degree=degree)
-    checks, failures = _naive_sweep(target, window=2, degree=degree)
+    report = verify_module(target, window=window, degree=degree)
+    checks, failures = _naive_sweep(target, window=window, degree=degree)
     assert report.checks == checks
     assert [(f.indices, f.residue) for f in report.failures] == failures
     assert bool(failures) == fails
+
+
+# --- symbolic indices ----------------------------------------------------
+
+_SYMBOLIC_SPECS = REPLAY_SPECS + [
+    ModuleSpec.phi(b=ONE, lam=sc(-2), alpha=sc("3/2")),
+    ModuleSpec.phi(b=MINUS_ONE, lam=sc("1/2"), alpha=sci(1, 1),
+                   coeffs=(ONE, ZERO, sc(-2))),
+    ModuleSpec.theta(lam=sc(3), coeffs=(ONE, sc("-1/2"))),
+    ModuleSpec.phi(b=sc(3), lam=ONE, coeffs=(ONE,), extension=False),
+]
+
+
+def _pass_text(report):
+    return re.sub(r"elapsed: [0-9.]+s", "", report.to_text())
+
+
+@pytest.mark.parametrize("spec", _SYMBOLIC_SPECS,
+                         ids=lambda s: f"{s.family.value}-b{s.b}"
+                         f"-alpha{s.alpha}-lam{s.lam}")
+def test_symbols_decide_a_spec_as_the_sweep_does(spec, monkeypatch):
+    # every symbol vanishes, and the report is the sweep's, checks included
+    assert repmod._symbols_vanish(spec)
+    decided = verify_module(spec, window=3, degree=3)
+    monkeypatch.setattr(repmod, "_symbols_vanish", lambda spec: False)
+    swept = verify_module(spec, window=3, degree=3)
+    assert decided.passed and swept.passed
+    assert _pass_text(decided) == _pass_text(swept)
+    assert decided.checks == swept.checks
+
+
+def test_index_answers_only_the_tests_its_pattern_decides():
+    m_var, n_var = BiPoly.index_var(1), BiPoly.index_var(2)
+    m, n = (repmod.Index(v, (m_var + n_var,), sc(2)) for v in (m_var, n_var))
+    assert m != 0 and n != 0 and m + n != 0 and m * n != 0 and m * 0 == 0
+    assert (m + n) * sc(3) != 0 and m - m == 0 and m + n == n + m
+    # m = 0: only n is left
+    zero, n0 = (repmod.Index(v, (), sc(2)) for v in (BiPoly.zero(), n_var))
+    assert zero == 0 and n0 != 0 and zero + n0 != 0
+    for undecided in (lambda: m == n, lambda: m - 1 == 0,
+                      lambda: bool(m + 2 * n), lambda: m > 0, lambda: m <= n,
+                      lambda: range(m), lambda: sc(3) ** m,
+                      lambda: sc(2) ** (m * m)):
+        with pytest.raises((repmod.Undecided, TypeError)):
+            undecided()
+    # lam ** k is lam^c * u^d * v^e, u and v standing for lam^m and lam^n
+    u, v = BiPoly.index_var(3), BiPoly.index_var(4)
+    assert (sc(2) ** (m + n - 1)).poly == (u * v).scale(sc("1/2"))
+    assert (sc(2) ** -n).poly * v == BiPoly.one()
+
+
+def _twist_plus_m_alpha(b, m, weights=repmod._alpha_weights):
+    # the twist t + m*alpha at b = -1 instead of t - m*alpha
+    f, w = weights(b, m)
+    return (f, -w) if b == MINUS_ONE else (f, w)
+
+
+def _tail_weight_n_n_plus_1(b, m, weights=repmod._alpha_weights):
+    # the tail weight m*(m + 1) at b = -1 instead of m*(m - 1)
+    f, w = weights(b, m)
+    return (m * (m + 1), w) if b == MINUS_ONE else (f, w)
+
+
+@pytest.mark.parametrize("name, where, attr, value", [
+    pytest.param(name, *patch, id=name) for name, *patch in (
+        ("wrong-shift", algebra, "_ll", lambda n, m, p: AlgElement.single(
+            L(4)) if (n, m) == (1, 2) else _LL(n, m, p)),
+        ("broken-antisymmetry", algebra, "_ll", _ll_not_antisymmetric),
+        ("twist", repmod, "_alpha_weights", _twist_plus_m_alpha),
+        ("tail-weight", repmod, "_alpha_weights", _tail_weight_n_n_plus_1))
+])
+def test_symbols_refuse_or_fail_what_the_sweep_fails(name, where, attr, value,
+                                                     monkeypatch):
+    # a pointwise bracket refuses its symbolic indices, and a wrong datum
+    # leaves a symbol; either way the sweep decides, and fails
+    monkeypatch.setattr(where, attr, value)
+    spec = ModuleSpec.phi(b=MINUS_ONE, lam=sc(2), alpha=sc(1),
+                          coeffs=(ONE, sc("-1/3"), sc(2)))
+    assert not repmod._symbols_vanish(spec)
+    if name == "wrong-shift":
+        with pytest.raises(ValueError, match="not the pair's total shift"):
+            verify_module(spec, window=2, degree=0)
+    else:
+        assert not verify_module(spec, window=2, degree=0).passed
+
+
+def test_symbols_leave_overridden_actions_and_windows_to_the_sweep(
+        monkeypatch):
+    spec = _DerivativeOnly(Family.PHI, ZERO, ONE, extension=False)
+    assert not repmod._symbols_vanish(spec)
+    assert not verify_module(spec, window=1, degree=1).passed
+
+    def refuse(spec):
+        raise AssertionError("a window went to the symbols")
+
+    monkeypatch.setattr(repmod, "_symbols_vanish", refuse)
+    window = GenericFamily.from_spec(REPLAY_SPECS[0], 2)
+    assert verify_module(window, window=2, degree=2).passed
 
 
 # --- module-action oracle: sympy over QQ_I, sharing no code with repmod ---
