@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from functools import cache
 
 from .algebra import (
@@ -302,23 +303,39 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+@contextmanager
+def _any_integer_length():
+    """Exact numbers may have any number of digits: lift Python's limit on
+    int-string conversion (3.10.7 on; 0 is no limit) for the block, and
+    restore the caller's limit after it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
-        status, rendered = args.run(args)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
-    else:
-        print(rendered)
-    return status
+    with _any_integer_length():
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
+        try:
+            status, rendered = args.run(args)
+        except (ValueError, KeyError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered + "\n")
+        else:
+            print(rendered)
+        return status
 
 
 if __name__ == "__main__":

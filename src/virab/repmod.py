@@ -52,7 +52,6 @@ from typing import NamedTuple
 from .algebra import (
     AlgElement,
     BasisSymbol,
-    C,
     Case,
     L,
     W,
@@ -89,14 +88,12 @@ def _alpha_weights(b: Scalar, m: int) -> tuple[int, int]:
     return 0, 0
 
 
-def _tail(b: Scalar, alpha: Scalar, P: BiPoly, Q: BiPoly, n: int) -> BiPoly:
+def _tail(b: Scalar, alpha: Scalar, P: BiPoly, Q: BiPoly,
+          n: int | Index) -> BiPoly:
     """The index-n tail h_n = n*P - alpha*f(n)*Q of the module docstring,
     f(n) from :func:`_alpha_weights`; zero at n = 0."""
     f = _alpha_weights(b, n)[0]
-    if type(n) is int:
-        return BiPoly.zero().combine(
-            ((P, Scalar.from_int(n)), (Q, alpha.mul_int(-f))))
-    return _times(P, n) - _times(Q, f * alpha)
+    return _times(P, n * ONE) - _times(Q, f * alpha)
 
 
 def q_poly(n: int, k: int, alpha: Scalar, b: Scalar) -> BiPoly:
@@ -109,15 +106,10 @@ def q_poly(n: int, k: int, alpha: Scalar, b: Scalar) -> BiPoly:
                  divided_difference(k, alpha), n)
 
 
-def twist_poly(b: Scalar, alpha: Scalar, m: int) -> BiPoly:
+def twist_poly(b: Scalar, alpha: Scalar, m: int | Index) -> BiPoly:
     """The twist factor w_m(t) = t - shift, the shift alpha times the
     weight from :func:`_alpha_weights`."""
-    w = _alpha_weights(b, m)[1]
-    if type(w) is not int:
-        return BiPoly.t_var() - (w * alpha).poly
-    shift = alpha.mul_int(w)
-    return BiPoly._raw({(0, 1): ONE, (0, 0): -shift} if shift else
-                       {(0, 1): ONE})
+    return BiPoly.t_var() - _index_poly(_alpha_weights(b, m)[1] * alpha)
 
 
 class Undecided(ValueError):
@@ -305,11 +297,11 @@ def _check_params(family: Family, lam: Scalar, alpha: Scalar,
 
 class ModuleSpec:
     """Full parameter set for one module over a = 0.  P and Q of the module
-    docstring are computed once, at construction, and the window data are
-    cached per index; treat instances as immutable."""
+    docstring are computed once, at construction, and ``data(m)`` builds
+    the window data from them at each call; treat instances as
+    immutable."""
 
-    __slots__ = ("family", "algebra", "lam", "alpha", "coeffs", "_P", "_Q",
-                 "_data")
+    __slots__ = ("family", "algebra", "lam", "alpha", "coeffs", "_P", "_Q")
     a = ZERO
 
     def __init__(
@@ -330,7 +322,6 @@ class ModuleSpec:
         self._P = BiPoly({(0, k): c for k, c in enumerate(self.coeffs)})
         self._Q = BiPoly.zero().combine(
             (divided_difference(k, alpha), c) for k, c in enumerate(self.coeffs))
-        self._data: dict[int, tuple[BiPoly, BiPoly]] = {}
 
     @property
     def b(self) -> Scalar:
@@ -352,18 +343,13 @@ class ModuleSpec:
         """(a_m, g_m) = (W_m . 1, L_m . 1): a_m = lambda^m * w_m (theta: t
         at m = 0, else 0) and g_m = lambda^m * (s + h_m), at an int or at
         an :class:`Index`."""
-        out = self._data.get(m) if type(m) is int else None
-        if out is None:
-            lp = self.lam ** m
-            if self.family is Family.THETA:
-                a_m = BiPoly.t_var() if m == 0 else BiPoly.zero()
-            else:
-                a_m = _times(twist_poly(self.b, self.alpha, m), lp)
-            h_m = _tail(self.b, self.alpha, self._P, self._Q, m)
-            out = a_m, _times(BiPoly.s_var() + h_m, lp)
-            if type(m) is int:
-                self._data[m] = out
-        return out
+        lp = self.lam ** m
+        if self.family is Family.THETA:
+            a_m = BiPoly.t_var() if m == 0 else BiPoly.zero()
+        else:
+            a_m = _times(twist_poly(self.b, self.alpha, m), lp)
+        h_m = _tail(self.b, self.alpha, self._P, self._Q, m)
+        return a_m, _times(BiPoly.s_var() + h_m, lp)
 
     op = _op
 
@@ -521,14 +507,6 @@ def generic_act_W(fam: GenericFamily, m: int, u: BiPoly) -> BiPoly:
     return fam.op(W(m)).apply(u)
 
 
-def _monomial_window(degree: int) -> list[BiPoly]:
-    out = []
-    for d in range(degree + 1):
-        for i in range(d + 1):
-            out.append(BiPoly.monomial(i, d - i))
-    return out
-
-
 def _tau(op: Op, sigma: Scalar | BiPoly) -> tuple[BiPoly, ...]:
     """op's p and q with s -> s - sigma, and their d/dt."""
     p, q = op.p.shift_s(sigma), op.q.shift_s(sigma)
@@ -569,7 +547,7 @@ def _symbols_vanish(spec: ModuleSpec) -> bool:
     if type(spec).op is not _op:
         return False
     # central symbols act by zero: the table without them is what counts
-    algebra = classify_case(ZERO, spec.b, want_extension=False)
+    algebra = classify_case(spec.a, spec.b, want_extension=False)
     m, n, zero = BiPoly.index_var(1), BiPoly.index_var(2), BiPoly.zero()
     # (m, n) on each zero pattern of (m, n, m + n): none zero; then m = 0,
     # n = 0, m + n = 0 and all zero, which decide alike (one variable is
@@ -606,9 +584,10 @@ def verify_module(
     L_n), (L_m, W_n), (W_m, L_n) and (W_m, W_n) is computed at symbolic m
     and n (an :class:`Index`) on each zero pattern of (m, n, m + n).  If
     every one vanishes, the axioms hold at all indices, and the report is
-    the sweep's pass report, ``checks`` included.  A symbol that does not
-    vanish, a bracket term off index m + n, an undecided test and an op
-    other than :func:`_op` leave the spec to the sweep.
+    the sweep's pass report, its ``checks`` counted from the window and
+    the degree.  A symbol that does not vanish, a bracket term off index
+    m + n, an undecided test and an op other than :func:`_op` leave the
+    spec to the sweep.
 
     A GenericFamily is swept over W(a,b), skipping the pairs whose bracket
     leaves the window.  Every action is f -> F*p + F'*q with F = f(s -
@@ -622,7 +601,7 @@ def verify_module(
         dC = tx(q_y)*q_x - ty(q_x)*q_y
 
     (tx and ty substitute s -> s - sigma_x and s -> s - sigma_y, and c*z
-    runs over the non-central terms of [x, y], each of which must have the
+    runs over the terms of [x, y] in W(a, b), each of which must have the
     pair's total shift) is computed by one :meth:`BiPoly.sum_of_products`
     per component, as is each monomial's residue.  Each unordered pair is
     computed once, when it first comes up.  When the reverse pair comes up,
@@ -635,7 +614,11 @@ def verify_module(
     nonvanishing one fails on one of 1, t, t^2, whose residues are dA, t*dA
     + dB and t^2*dA + 2*t*dB + 2*dC.  So from degree 2 on the verdict is the
     verdict over all of C[s, t], and the degree only chooses which failing
-    monomials are listed.  ``checks`` counts pair-monomial instances."""
+    monomials are listed.  ``checks`` counts pair-monomial instances.  A
+    central symbol acts by zero and brackets to zero, and the central terms
+    of [x, y] act by zero, so the symbols and the sweep read one bracket
+    table, that of W(a, b), and the pairs with a central symbol only add to
+    ``checks``."""
     if window < 0 or degree < 0:
         raise ValueError(
             f"window and degree must be nonnegative, got {window} and {degree}"
@@ -645,7 +628,7 @@ def verify_module(
     if bounded:
         if window > target.window:
             raise ValueError("sweep window exceeds family window")
-        algebra = classify_case(target.a, target.b, want_extension=False)
+        central = 0
         params = {
             "target": "generic-family",
             "a": format_scalar(target.a),
@@ -653,18 +636,23 @@ def verify_module(
             "family_window": str(target.window),
         }
     else:
-        algebra = target.algebra
+        central = len(target.algebra.central_indices)
         params = {k: str(v) for k, v in target.to_dict().items()}
     params.update(window=str(window), degree=str(degree))
-    syms = [L(n) for n in range(-window, window + 1)]
-    syms += [W(n) for n in range(-window, window + 1)]
-    syms += [C(i) for i in algebra.central_indices]
-    monos = _monomial_window(degree)
     report = Report(suite="verify-module", params=params)
+    n_lw, n_monos = 2 * (2 * window + 1), (degree + 1) * (degree + 2) // 2
+    # the pairs with a central symbol pass (see above): counted, not swept
+    checks = ((n_lw + central) ** 2 - n_lw ** 2) * n_monos
     if not bounded and _symbols_vanish(target):
-        report.checks = len(syms) ** 2 * len(monos)
+        report.checks = checks + n_lw ** 2 * n_monos
         report.elapsed = perf_counter() - t0
         return report
+    algebra = classify_case(target.a, target.b, want_extension=False)
+    syms = [L(n) for n in range(-window, window + 1)]
+    syms += [W(n) for n in range(-window, window + 1)]
+    monos = [BiPoly.monomial(i, d - i)
+             for d in range(degree + 1) for i in range(d + 1)]
+    mono_text = cache(lambda n: format_bipoly(monos[n]))
     op = cache(target.op)  # each call builds the Op afresh
     const = cache(BiPoly.const)
     sop = BiPoly.sum_of_products
@@ -677,9 +665,8 @@ def verify_module(
     def residues(x: BasisSymbol, y: BasisSymbol,
                  br: AlgElement) -> list[tuple[int, BiPoly]]:
         """The nonzero residues of (x, y), by monomial position."""
-        # central symbols act by zero
         da, db, dc = _pair_symbol(x, y, op, tau, [
-            (sym, const(c)) for sym, c in br.terms.items() if sym.kind != "C"])
+            (sym, const(c)) for sym, c in br.terms.items()])
         if not (da or db or dc):
             return []  # the symbol vanishes: every monomial passes
         total = op(x).shift + op(y).shift
@@ -692,14 +679,11 @@ def verify_module(
                 out.append((n, res))
         return out
 
-    checks = 0
     for x in syms:
         for y in syms:
             if bounded and abs(x.index + y.index) > window:
                 continue  # bracket falls outside the data window
-            checks += len(monos)
-            if "C" in (x.kind, y.kind):
-                continue  # central symbols act by zero and bracket to zero
+            checks += n_monos
             br = bracket(x, y, algebra)
             first = decided.pop((y, x), None)
             if x == y and not br:
@@ -711,8 +695,7 @@ def verify_module(
                 if first is None and x != y:
                     decided[x, y] = br, found
             for n, res in found:
-                report.fail("module-axiom",
-                            (str(x), str(y), format_bipoly(monos[n])),
+                report.fail("module-axiom", (str(x), str(y), mono_text(n)),
                             format_bipoly(res))
     report.checks = checks
     report.elapsed = perf_counter() - t0

@@ -221,7 +221,11 @@ def _scan_nat(text: str, i: int) -> tuple[int, int]:
         j += 1
     if j == i:
         raise ParseError("expected digits", i)
-    return int(text[i:j]), j
+    try:
+        return int(text[i:j]), j
+    except ValueError:  # more digits than the interpreter's limit
+        raise ParseError(f"{j - i} digits exceed the interpreter's limit on "
+                         f"integer conversion", i) from None
 
 
 def scan_scalar_atom(text: str, i: int) -> tuple[Scalar, int]:

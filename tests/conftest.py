@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,18 @@ def sci(re, im) -> Scalar:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on int-string conversion, 4300 digits, for
+    one test; the limit from before the test is restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-string conversion limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
 
 
 # modules for the replay tests of the orbit and of the action's bounds:

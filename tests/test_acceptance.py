@@ -10,7 +10,7 @@ import time
 from itertools import product
 
 from conftest import sc, sci
-from virab.algebra import classify_case, verify_algebra
+from virab.algebra import L, W, classify_case, verify_algebra
 from virab.classify import (
     CanonicalParams,
     InfeasibilityCertificate,
@@ -25,11 +25,8 @@ from virab.repmod import (
     Family,
     GenericFamily,
     ModuleSpec,
-    act_L,
-    act_W,
+    act_sym,
     apply_enveloping,
-    generic_act_L,
-    generic_act_W,
     q_poly,
     twist_poly,
     verify_module,
@@ -267,8 +264,8 @@ def test_generic_action_data_matches_module_action():
         fam = GenericFamily.from_spec(spec, window=4)
         for m in range(-4, 5):
             for f in monomials:
-                assert generic_act_L(fam, m, f) == act_L(spec, m, f), (spec, m)
-                assert generic_act_W(fam, m, f) == act_W(spec, m, f), (spec, m)
+                for x in (L(m), W(m)):
+                    assert fam.op(x).apply(f) == act_sym(spec, x, f), (spec, m)
     print("generic action data matches module action: pass")
 
 

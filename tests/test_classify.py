@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import sc, sci
 from test_repmod import _family_with_a
 from virab import classify, repmod
+from virab.algebra import L, W
 from virab.classify import (
     CandidateFamily,
     CanonicalParams,
@@ -32,8 +33,6 @@ from virab.repmod import (
     Family,
     GenericFamily,
     ModuleSpec,
-    generic_act_L,
-    generic_act_W,
     twist_poly,
     verify_module,
 )
@@ -384,8 +383,8 @@ def test_ll_compat_replays_the_action(make):
         for n in range(m + 1, fam.window + 1):
             if abs(m + n) > fam.window:
                 continue
-            res = (generic_act_L(fam, m, fam.g_m[n])
-                   - generic_act_L(fam, n, fam.g_m[m])
+            res = (fam.op(L(m)).apply(fam.g_m[n])
+                   - fam.op(L(n)).apply(fam.g_m[m])
                    - fam.g_m[m + n].scale(sc(n - m)))
             if res:
                 want.append(((m, n), format_bipoly(-res)))
@@ -427,8 +426,8 @@ def test_lw_compat_replays_the_action(make):
         for n in range(-N, N + 1):
             if abs(m + n) > N:
                 continue
-            res = (generic_act_L(fam, m, fam.a_m[n])
-                   - generic_act_W(fam, n, fam.g_m[m])
+            res = (fam.op(L(m)).apply(fam.a_m[n])
+                   - fam.op(W(n)).apply(fam.g_m[m])
                    - fam.a_m[m + n].scale(fam.a.add_int(n) + fam.b.mul_int(m)))
             if res:
                 want.append(((m, n), format_bipoly(-res)))
@@ -458,7 +457,7 @@ def test_h_cocycle_replays_ll_compat_on_normalized_data(make):
         for n in range(m + 1, N + 1):
             if abs(m + n) > N:
                 continue
-            res = (generic_act_L(data, m, g_m[n]) - generic_act_L(data, n, g_m[m])
+            res = (data.op(L(m)).apply(g_m[n]) - data.op(L(n)).apply(g_m[m])
                    - g_m[m + n].scale(sc(n - m)))
             if res:
                 want.append(((m, n), format_bipoly(-res)))

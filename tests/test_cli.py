@@ -58,6 +58,16 @@ def test_bracket_json_wraps_result(capsys):
     assert '\n  "elapsed_s": 0.0,\n' in capsys.readouterr().out
 
 
+def test_exact_numbers_past_the_digit_limit(capsys, digit_limit):
+    # 5,000 digits in and out: the call lifts the limit on int-string
+    # conversion and puts the caller's back
+    ones = "1" * (digit_limit + 700)
+    assert main(["qpoly", "--n", "3", "--k", "1", "--alpha", ones,
+                 "--b", "1"]) == 0
+    assert capsys.readouterr().out == f"3*t - {'3' * len(ones)}\n"
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
 def test_bracket_needs_parameters_for_generic_case(capsys):
     assert main(["bracket", "--case", "vir-gen", "--x", "L:1", "--y", "W:0"]) == 2
     assert main([

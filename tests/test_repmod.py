@@ -6,20 +6,16 @@ import pytest
 from conftest import REPLAY_SPECS, sc, sci
 from virab import algebra, repmod
 from virab.algebra import AlgElement, C, L, W, bracket, classify_case
-from virab.polynomials import BiPoly, format_bipoly
+from virab.polynomials import INDEX_BITS, BiPoly, format_bipoly
 from virab.repmod import (
     Family,
     GenericFamily,
     ModuleSpec,
     Op,
     _tail,
-    act_L,
-    act_W,
     act_element,
     act_sym,
     apply_enveloping,
-    generic_act_L,
-    generic_act_W,
     q_poly,
     verify_module,
 )
@@ -122,29 +118,32 @@ def test_spec_validation():
 def test_act_L_known_values():
     # b = 0, lambda = 2, alpha = 0, h = (): L_1 . s = 2 s (s - 1)
     spec = ModuleSpec.phi(b=sc(0), lam=sc(2), alpha=ZERO, coeffs=())
-    assert act_L(spec, 1, S) == BiPoly({(2, 0): sc(2), (1, 0): sc(-2)})
+    assert act_sym(spec, L(1), S) == BiPoly({(2, 0): sc(2), (1, 0): sc(-2)})
     # b = 1, lambda = 1, alpha = 1, h = (): L_1 . t = s t + t - 1
     spec = ModuleSpec.phi(b=sc(1), lam=sc(1), alpha=sc(1), coeffs=())
-    assert act_L(spec, 1, T) == BiPoly({(1, 1): ONE, (0, 1): ONE, (0, 0): MINUS_ONE})
+    assert act_sym(spec, L(1), T) == BiPoly(
+        {(1, 1): ONE, (0, 1): ONE, (0, 0): MINUS_ONE})
 
 
 def test_act_W_twists():
     # b = -1: w_m = t - m alpha
     spec = ModuleSpec.phi(b=MINUS_ONE, lam=sc(1), alpha=sc(1), coeffs=())
-    assert act_W(spec, 2, BiPoly.one()) == BiPoly({(0, 1): ONE, (0, 0): sc(-2)})
+    assert act_sym(spec, W(2), BiPoly.one()) == BiPoly(
+        {(0, 1): ONE, (0, 0): sc(-2)})
     # b = 1: w_m = t - alpha for m != 0, w_0 = t
     spec = ModuleSpec.phi(b=ONE, lam=sc(1), alpha=sc(3), coeffs=())
-    assert act_W(spec, 2, BiPoly.one()) == BiPoly({(0, 1): ONE, (0, 0): sc(-3)})
-    assert act_W(spec, 0, BiPoly.one()) == T
+    assert act_sym(spec, W(2), BiPoly.one()) == BiPoly(
+        {(0, 1): ONE, (0, 0): sc(-3)})
+    assert act_sym(spec, W(0), BiPoly.one()) == T
     # other b: w_m = t always
     spec = ModuleSpec.phi(b=sc(5), lam=sc(1), alpha=ZERO, coeffs=())
-    assert act_W(spec, 7, BiPoly.one()) == T
+    assert act_sym(spec, W(7), BiPoly.one()) == T
 
 
 def test_act_W_shifts_s():
     spec = ModuleSpec.phi(b=sc(0), lam=sc(2), alpha=ZERO, coeffs=())
     # W_1 . s = 2 (s - 1) t
-    assert act_W(spec, 1, S) == BiPoly({(1, 1): sc(2), (0, 1): sc(-2)})
+    assert act_sym(spec, W(1), S) == BiPoly({(1, 1): sc(2), (0, 1): sc(-2)})
 
 
 def test_act_centrals_vanish():
@@ -169,10 +168,10 @@ def test_act_centrals_rejected_without_extension():
 def test_theta_action():
     spec = ModuleSpec.theta(lam=sc(2), coeffs=(ONE, ONE))
     # W_m kills everything except m = 0, which multiplies by t
-    assert act_W(spec, 1, S).is_zero
-    assert act_W(spec, 0, S) == S * T
+    assert act_sym(spec, W(1), S).is_zero
+    assert act_sym(spec, W(0), S) == S * T
     # L_m . f = lambda^m (s + r_m) f(s - m), r_m = m (1 + t)
-    got = act_L(spec, 1, BiPoly.one())
+    got = act_sym(spec, L(1), BiPoly.one())
     r1 = spec.data(1)[1].scale(sc("1/2")) - S
     assert r1 == BiPoly.one() + T
     assert got == (S + r1).scale(sc(2))
@@ -185,7 +184,7 @@ def test_act_element_linearity():
     from virab.algebra import AlgElement
 
     got = act_element(spec, AlgElement(e), f)
-    want = act_L(spec, 1, f).scale(sc(2)) - act_W(spec, -1, f)
+    want = act_sym(spec, L(1), f).scale(sc(2)) - act_sym(spec, W(-1), f)
     assert got == want
 
 
@@ -200,15 +199,15 @@ def test_generic_family_matches_module_action():
     fam = GenericFamily.from_spec(spec, window=3)
     for m in range(-3, 4):
         for f in (BiPoly.one(), S, T, S * T, S * S):
-            assert generic_act_L(fam, m, f) == act_L(spec, m, f)
-            assert generic_act_W(fam, m, f) == act_W(spec, m, f)
+            for x in (L(m), W(m)):
+                assert fam.op(x).apply(f) == act_sym(spec, x, f)
 
 
 def test_generic_family_validation():
     spec = ModuleSpec.phi(b=sc(0), lam=sc(2), alpha=ZERO, coeffs=())
     fam = GenericFamily.from_spec(spec, window=2)
     with pytest.raises(ValueError):
-        generic_act_L(fam, 3, S)  # outside the stored window
+        fam.op(L(3)).apply(S)  # outside the stored window
     with pytest.raises(ValueError, match="sweep window exceeds family window"):
         verify_module(GenericFamily.from_spec(spec, window=1), window=2)
 
@@ -304,8 +303,7 @@ def _naive_sweep(target, window, degree):
         algebra = classify_case(target.a, target.b, want_extension=False)
 
         def act(sym, u):
-            op = generic_act_L if sym.kind == "L" else generic_act_W
-            return op(target, sym.index, u)
+            return target.op(sym).apply(u)
     else:
         algebra = target.algebra
 
@@ -461,6 +459,45 @@ def test_symbols_decide_a_spec_as_the_sweep_does(spec, monkeypatch):
     assert decided.passed and swept.passed
     assert _pass_text(decided) == _pass_text(swept)
     assert decided.checks == swept.checks
+
+
+def _specialize(p: BiPoly, values: tuple[int, ...], lam: Scalar) -> BiPoly:
+    """p with index variables 1-4 (:meth:`BiPoly.index_var`), m, n, lam^m
+    and lam^n, set from values = (m, n): each key's s exponent is read as
+    base-2^INDEX_BITS digits, the power of s and then one signed exponent
+    per variable."""
+    m, n = (Scalar.from_int(v) for v in values)
+    at = (m, n, intpow(lam, values[0]), intpow(lam, values[1]))
+    mask, half = (1 << INDEX_BITS) - 1, 1 << INDEX_BITS - 1
+    pairs = []
+    for (key, j), c in p.terms.items():
+        i, key = key & mask, key >> INDEX_BITS
+        for v in at:
+            e = ((key + half) & mask) - half
+            key = (key - e) >> INDEX_BITS
+            c = c * intpow(v, e)
+        assert key == 0, p
+        pairs.append((BiPoly.monomial(i, j), c))
+    return BiPoly.zero().combine(pairs)
+
+
+@pytest.mark.parametrize("spec", _SYMBOLIC_SPECS,
+                         ids=lambda s: f"{s.family.value}-b{s.b}"
+                         f"-alpha{s.alpha}-lam{s.lam}")
+def test_an_index_specializes_to_its_int_value(spec):
+    # data and ops at a symbolic m where none of m, n, m + n is zero read,
+    # with m, n, lam^m and lam^n set, as those at the int m: the int and
+    # Index readings of each formula agree, not only their verdicts
+    m_var, n_var = BiPoly.index_var(1), BiPoly.index_var(2)
+    i = repmod.Index(m_var, (m_var + n_var,), spec.lam)
+    symbolic = [spec.data(i)] + [
+        (op.shift.poly, op.p, op.q) for op in (spec.op(L(i)), spec.op(W(i)))]
+    for m in (-3, -2, -1, 1, 2, 3):
+        ints = [spec.data(m)] + [(BiPoly.const(op.shift), op.p, op.q)
+                                 for op in (spec.op(L(m)), spec.op(W(m)))]
+        got = [tuple(_specialize(p, (m, 5), spec.lam) for p in ps)
+               for ps in symbolic]
+        assert got == ints, m
 
 
 def test_index_answers_only_the_tests_its_pattern_decides():

@@ -161,6 +161,17 @@ def test_parse_errors_carry_position():
         assert err.value.pos == pos
 
 
+def test_parse_refuses_numbers_past_the_digit_limit(digit_limit):
+    # int() raises a bare ValueError past the limit; the scanner reports it
+    # as a ParseError at the digits
+    with pytest.raises(ParseError) as err:
+        parse_scalar("1" * (digit_limit + 700))
+    assert err.value.pos == 0
+    with pytest.raises(ParseError) as err:
+        parse_scalar("1/" + "3" * (digit_limit + 700))
+    assert err.value.pos == 2
+
+
 def test_parse_rejects_trailing_garbage():
     with pytest.raises(ParseError):
         parse_scalar("2 2")
