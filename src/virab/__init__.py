@@ -26,7 +26,6 @@ from .classify import (
     CandidateFamily,
     CanonicalParams,
     InfeasibilityCertificate,
-    check_W_commutation,
     check_constraints,
     extract_h_coeffs,
     isom_decide,
@@ -77,7 +76,6 @@ __all__ = [
     "apply_enveloping",
     "bracket",
     "bracket_lin",
-    "check_W_commutation",
     "check_constraints",
     "check_invariant_subspace",
     "classify_case",

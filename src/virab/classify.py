@@ -8,46 +8,38 @@ produce an :class:`InfeasibilityCertificate` naming a violated constraint
 with a nonzero residue at explicit witness indices.  Everything is exact.  A
 certificate of a swept kind names a failing window identity, a proof over
 the window; the solver's own kinds (listed last) rest on the
-classification: at N = 1 a leading-coeff answer can stand on a window
-where every window identity holds.
+classification: at N = 1 a leading-coeff or scale-branch answer can stand
+on a window where every window identity holds.
 
-Each window constraint is one function of the data and its indices that
-returns a certificate or None; every residue is a BiPoly, so it has one
-canonical text.  The window constraints, in the order check_constraints
-runs them (a_m = A_m t + B_m, g_m = b_m L0 + d_m, lambda = b_1):
+Each constraint is one function of the data and its indices that returns
+a certificate or None; every residue is a BiPoly, so it has one canonical
+text.  The window identities, in the order check_constraints runs them
+(g_m = b_m L0 + d_m, lambda = b_1):
 
     deg-g          (m,)    g_m is affine in L0: the terms above L0
     b-scalar       (m,)    b_m is a scalar: the t-dependent part of the
                            L0 coefficient of g_m, in t
     a-in-W0        (m,)    a_m lies in C[W0]: its L0 terms
+    W-commutation  (m, n)  [W_m, W_n] . 1 = 0
     lw-compat      (m, n)  [L_m, W_n] . 1 replayed on the data (kills
                            a != 0)
-    b-power        (m,)    b_m - lambda^m; at (1, -1), 1 - b_1 b_{-1},
-                           the instance that fails when lambda = 0
     ll-compat      (m, n)  [L_m, L_n] . 1 replayed on b_m and d_m
-    deg-a          (m,)    a_m is affine in W0: the terms above W0
-    w-linear-A/B   (m, n)  the t (X = A) and constant (X = B) parts of
-                           lw-compat at a = 0: (n + b*m) X_{m+n} - n X_n
-                           lambda^m - b*m A_n X_m
-    h-cocycle      (m, n)  ll-compat over a = 0 on the normalized data
-                           b_m = 1, d_m = F_m = d_m / lambda^m, a_m = w_m
-                           (the twist factor of repmod.twist_poly)
 
-w-linear and h-cocycle state identities of a = 0 only, so they are not
-run at a != 0, where lw-compat has already failed at (0, 0) with -a*t.
-    W-commutation  (m, n)  [W_m, W_n] . 1 = 0, swept by
-                           check_W_commutation (forces a_m into C[W0])
+Pair indices (m, n) read as in the bracket they replay: lw-compat at
+(m, n) comes from [L_m, W_n] . 1 and runs over every pair with |m|, |n|,
+|m + n| <= N; ll-compat takes the pairs with m < n, and W-commutation
+every m < n in the window.  check_constraints records every failing
+instance; the solver takes the first one on its seeds, with a_0 = W0 and
+g_0 = L0.  A solver certificate of one of these kinds is therefore an
+entry that check_constraints lists for the same input, whenever it runs
+that pass.  The solver's own stages add (a_m = A_m t + B_m):
 
-Pair indices (m, n) read as in the bracket they replay: lw-compat and
-w-linear at (m, n) come from [L_m, W_n] . 1 and run over every pair with
-|m|, |n|, |m + n| <= N; ll-compat and h-cocycle take the pairs with m < n,
-and W-commutation every m < n in the window.  check_constraints and
-check_W_commutation record every failing instance; the solver takes the
-first one on its seeds, with a_0 = W0 and g_0 = L0.  A solver certificate
-of one of these kinds is therefore an entry that check_constraints or
-check_W_commutation lists for the same input, whenever it runs that pass.
-The solver's own stages add:
-
+    b-power            b_m - lambda^m at (m,); at (1, -1), 1 - b_1 b_{-1},
+                       the instance read instead while lambda = 0
+    deg-a              a_m is affine in W0: the terms above W0 at (m,)
+    w-linear-A/B       (n + b*m) X_{m+n} - n X_n lambda^m - b*m A_n X_m at
+                       (m, n): the t (X = A) and constant (X = B) parts of
+                       lw-compat at a = 0 once b_m = lambda^m
     scale-branch       rejection of the spurious root of b*k^2 - k - (b-1):
                        the w-linear-A instance (1, 1) at b = -1, where A_2
                        drops out, and otherwise (2, -1) with the A_2 that
@@ -57,6 +49,11 @@ The solver's own stages add:
     leading-coeff      coefficient peeling: level-k residues must scale as n
     window-mismatch    data(m) of the window differs from that of the solved
                        module (first mismatch, a_m before g_m)
+
+b-power, deg-a and w-linear fail only where a window identity fails too
+(check_constraints proves it).  scale-branch is a w-linear-A instance, so
+from N = 2 on it is backed the same way when the window's A_2 is the one
+(1, 1) fixes, and lw-compat fails at (1, 1) otherwise.
 """
 
 from __future__ import annotations
@@ -77,7 +74,6 @@ from .repmod import (
     _scalar_field,
     _scalar_value,
     _tail,
-    twist_poly,
 )
 from .report import Report
 from .scalars import (
@@ -192,7 +188,6 @@ class _Parts(NamedTuple):
 
     a: Scalar
     bm: dict[int, Scalar]   # b*m
-    pw: dict[int, Scalar]   # lambda^m, lambda = b_1; empty when lambda = 0
     b_m: dict[int, Scalar]
     a_m: dict[int, BiPoly]
     da: dict[int, BiPoly]   # a_m'
@@ -203,16 +198,13 @@ class _Parts(NamedTuple):
 
 def _parts(a: Scalar, b: Scalar, N: int, a_m: dict[int, BiPoly],
            g_m: dict[int, BiPoly]) -> _Parts:
-    """b*m and lambda^m for |m| <= N, the rest at the indices of a_m."""
-    idx = range(-N, N + 1)
-    bm = {m: b.mul_int(m) for m in idx}
+    """b*m for |m| <= N, the rest at the indices of a_m."""
+    bm = {m: b.mul_int(m) for m in range(-N, N + 1)}
     b_m = {m: g_m[m].coeff(1, 0) for m in a_m}
     # d_m, the part of g_m = b_m L0 + d_m without L0
     d_m = {m: BiPoly({k: c for k, c in g_m[m].terms.items() if not k[0]})
            for m in a_m}
-    lam = b_m[1]
-    return _Parts(a, bm, {m: intpow(lam, m) for m in idx} if lam else {},
-                  b_m, a_m, {m: p.partial_t() for m, p in a_m.items()},
+    return _Parts(a, bm, b_m, a_m, {m: p.partial_t() for m, p in a_m.items()},
                   {m: p.scale(a + bm[m]) for m, p in a_m.items()},
                   d_m, {m: p.partial_t() for m, p in d_m.items()})
 
@@ -234,16 +226,15 @@ def _b_power(p: _Parts, *idx: int) -> InfeasibilityCertificate | None:
     if len(idx) == 2:
         return _cert("b-power", idx, BiPoly.const(ONE - p.b_m[1] * p.b_m[-1]))
     (m,) = idx
-    return _cert("b-power", idx, BiPoly.const(p.b_m[m] - p.pw[m]))
+    return _cert("b-power", idx, BiPoly.const(p.b_m[m] - intpow(p.b_m[1], m)))
 
 
-def _ll_compat(p: _Parts, m: int, n: int,
-               constraint: str = "ll-compat") -> InfeasibilityCertificate | None:
+def _ll_compat(p: _Parts, m: int, n: int) -> InfeasibilityCertificate | None:
     # [L_m, L_n] . 1 for g_m = b_m L0 + d_m, cancelled before multiplying:
     # (n-m)(b_{m+n} - b_m b_n) L0 + (n-m) d_{m+n} - n b_m d_n + m b_n d_m
     #   + d_m' (a + b*n) a_n - d_n' (a + b*m) a_m
     b_m, d_m = p.b_m, p.d_m
-    return _cert(constraint, (m, n), BiPoly.sum_of_products((
+    return _cert("ll-compat", (m, n), BiPoly.sum_of_products((
         (BiPoly.const((b_m[m + n] - b_m[m] * b_m[n]).mul_int(n - m)),
          BiPoly.s_var()),
         (BiPoly.const(Scalar.from_int(n - m)), d_m[m + n]),
@@ -264,8 +255,8 @@ def _w_linear(p: _Parts, A: dict[int, Scalar], B: dict[int, Scalar], part: str,
     # g_m = lambda^m L0 + d_m
     X, bm = (A if part == "A" else B), p.bm[m]
     return _cert("w-linear-" + part, (m, n), BiPoly.const(
-        bm.add_int(n) * X[m + n] - X[n].mul_int(n) * p.pw[m] - bm * A[n] * X[m]
-    ))
+        bm.add_int(n) * X[m + n] - X[n].mul_int(n) * intpow(p.b_m[1], m)
+        - bm * A[n] * X[m]))
 
 
 def _w_commutation(a: Scalar, a_m: dict[int, BiPoly], m: int,
@@ -305,32 +296,44 @@ def _report(suite: str, fam: GenericFamily) -> Report:
     })
 
 
-def check_W_commutation(fam: GenericFamily) -> Report:
-    """[W_m, W_n] must act by zero; any L0 dependence inside a_m shows up
-    here as a nonzero commutator residue."""
-    t0 = perf_counter()
-    report = _report("check-W-commutation", fam)
-    window = range(-fam.window, fam.window + 1)
-    _record(report, [(m, n) for m in window for n in window if m < n],
-            partial(_w_commutation, fam.a, fam.a_m))
-    report.elapsed = perf_counter() - t0
-    return report
-
-
 def check_constraints(fam: GenericFamily) -> Report:
-    """Evaluate the displayed window identities on the candidate data.
+    """Evaluate the window identities on the candidate data.
 
-    Shape preconditions first (g_m affine in L0 with constant L0
-    coefficient, a_m in C[W0]); then the [L,W] and [L,L] replays, the
-    degree bound and, at a = 0 only, the scalar recursions for the a_m
-    coefficients and the cocycle identity for the normalized g_m tails.
-    Later passes are skipped when the shapes or the a = 0 they presuppose
-    do not hold, so every reported failure is a sound statement about the
-    data.  Once the shapes hold, the window's per-index parts (b_m, b*m,
-    a_m', d_m', (a + b*m) a_m and lambda^m) are built once, and each
-    lw-compat, ll-compat and h-cocycle instance is one
-    BiPoly.sum_of_products call over them; lw-compat reads
-    g_m - g_m(L0 - c) as c*b_m, which needs g_m = b_m L0 + d_m.
+    The shapes first (g_m = b_m L0 + d_m with scalar b_m, a_m in C[W0]),
+    then W-commutation; only when the shapes hold, the [L, W] and [L, L]
+    replays, which read g_m - g_m(L0 - c) as c*b_m.  Their per-index parts
+    (b_m, b*m, a_m', d_m' and (a + b*m) a_m) are built once, and each
+    instance is one BiPoly.sum_of_products call over them.  Every failing
+    instance is recorded, so every failure is a sound statement about the
+    data.
+
+    The solver's b-power, deg-a and w-linear stages fail only where one of
+    these identities fails.  Let the shapes hold; lw-compat at (0, 0) is
+    -a*t, and ll-compat's L0 coefficient at (m, n) is
+    (n - m)(b_{m+n} - b_m b_n), with b_0 = 1.
+
+    * b-power: at (-1, 1) that coefficient is 2(1 - b_1 b_{-1}), twice
+      b-power's (1, -1).  Where it vanishes lambda != 0, and those at
+      (-1, m) and (m, 1) give b_m = lambda b_{m-1} for m >= 2 and
+      b_m = b_{m+1} / lambda for m <= -2, so b_m = lambda^m on the window.
+    * w-linear-A/B at (m, n), for a = 0, a_m = A_m t + B_m and
+      b_m = lambda^m (else lw-compat (0, 0), deg-a or b-power fails), is
+      the t (A) or constant (B) coefficient of lw-compat at (m, n),
+      (n + b*m) a_{m+n} - n b_m a_n - b*m A_n a_m.
+    * deg-a: let a = 0, p = deg a_n >= 2 at some n != 0 and
+      q = deg a_{-n}.  lw-compat at (-n, n) is
+      n(1 - b) t - n b_{-n} a_n + b*n a_{-n} a_n'.  If b != 0 and q >= 2,
+      its t^(p+q-1) term is nonzero; if b != 0 and q = 1, lw-compat at
+      (n, -n) has the nonzero t^p term -b*n a_{-n}' a_n.  Otherwise its
+      t^p coefficient is -n b_{-n} times a_n's, and where b_{-n} = 0
+      ll-compat at (-|n|, |n|) has the L0 coefficient +-2n.
+
+    The cocycle identity on the normalized data (ll-compat over a = 0 with
+    b_m = 1, d_m / lambda^m for d_m and the twist factor w_m of
+    repmod.twist_poly for a_m) is not run either: it is ll-compat divided
+    by lambda^(m+n) wherever a_m = lambda^m w_m, and elsewhere no window
+    identity.  At b = 2/3, N = 1, a_{+-1} = t/2, g_1 = L0 + t^3 and
+    g_{-1} = L0 satisfy every identity, and it reads t^3 at (-1, 1).
     """
     t0 = perf_counter()
     report = _report("check-constraints", fam)
@@ -340,38 +343,21 @@ def check_constraints(fam: GenericFamily) -> Report:
 
 
 def _sweep_constraints(fam: GenericFamily, report: Report) -> None:
-    N, a, b = fam.window, fam.a, fam.b
+    N = fam.window
     window = range(-N, N + 1)
     singles = [(m,) for m in window]
     pairs = [(m, n) for m in window for n in window if abs(m + n) <= N]
-    ordered = [(m, n) for m, n in pairs if m < n]
 
-    # every later pass reads the parts these shapes give
     g_ok = _record(report, singles, partial(_g_shape, fam.g_m))
-    if not (_record(report, singles, partial(_a_in_W0, fam.a_m)) and g_ok):
+    shapes_ok = _record(report, singles, partial(_a_in_W0, fam.a_m)) and g_ok
+    _record(report, [(m, n) for m in window for n in window if m < n],
+            partial(_w_commutation, fam.a, fam.a_m))
+    # the replays read the parts these shapes give
+    if not shapes_ok:
         return
-    p = _parts(a, b, N, fam.a_m, fam.g_m)
+    p = _parts(fam.a, fam.b, N, fam.a_m, fam.g_m)
     _record(report, pairs, partial(_lw_compat, p))
-
-    lam = p.b_m[1]
-    _record(report, singles if lam else [(1, -1)], partial(_b_power, p))
-    if not lam:
-        return
-    _record(report, ordered, partial(_ll_compat, p))
-
-    # w-linear and h-cocycle hold at a = 0 only (see the module docstring)
-    if not _record(report, singles, partial(_deg_a, fam.a_m)) or a:
-        return
-    A = {m: fam.a_m[m].coeff(0, 1) for m in window}
-    B = {m: fam.a_m[m].coeff(0, 0) for m in window}
-    _record(report, pairs, partial(_w_linear, p, A, B, "A"),
-            partial(_w_linear, p, A, B, "B"))
-
-    # h-cocycle is ll-compat over a = 0 on the normalized data
-    alpha = -(B[1] / lam)
-    h = _parts(ZERO, b, N, {m: twist_poly(b, alpha, m) for m in window},
-               {m: BiPoly.s_var() + p.d_m[m].scale(p.pw[-m]) for m in window})
-    _record(report, ordered, partial(_ll_compat, h, constraint="h-cocycle"))
+    _record(report, [(m, n) for m, n in pairs if m < n], partial(_ll_compat, p))
 
 
 def extract_h_coeffs(
@@ -444,7 +430,7 @@ def solve_from_generators(
     t_var = BiPoly.t_var()
     a_m = {-1: a_neg, 0: t_var, 1: a_pos}
     g_m = {-1: g_neg, 0: BiPoly.s_var(), 1: g_pos}
-    # the seeds' parts; b*m and lambda^m reach m = 2 for scale-branch
+    # the seeds' parts; b*m reaches m = 2 for scale-branch
     p = _parts(a, b, 2, a_m, g_m)
     seeds = ((1,), (-1,))
 

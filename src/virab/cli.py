@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from contextlib import contextmanager
 from functools import cache
 
 from .algebra import (
@@ -44,7 +43,7 @@ from .repmod import (
     q_poly,
     verify_module,
 )
-from .scalars import SPACE, format_scalar
+from .scalars import SPACE, _any_integer_length, format_scalar
 
 _FIXED_CASES = {case: ab for ab, case in _SPECIAL.items()}
 
@@ -301,21 +300,6 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_orbit)
 
     return top
-
-
-@contextmanager
-def _any_integer_length():
-    """Exact numbers may have any number of digits: lift Python's limit on
-    int-string conversion (3.10.7 on; 0 is no limit) for the block, and
-    restore the caller's limit after it."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 def main(argv=None) -> int:

@@ -23,6 +23,8 @@ space and tab, nothing else.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -296,7 +298,30 @@ def _imag_str(x: Fraction) -> str:
     return f"{x}i"
 
 
+@contextmanager
+def _any_integer_length():
+    """Exact numbers may have any number of digits: lift Python's limit on
+    int-string conversion (3.10.7 on; 0 is no limit) for the block, and
+    restore the caller's limit after it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def format_scalar(x: Scalar) -> str:
+    try:
+        return _format_scalar(x)
+    except ValueError:  # past the int-string limit: format it all the same
+        with _any_integer_length():
+            return _format_scalar(x)
+
+
+def _format_scalar(x: Scalar) -> str:
     a, b, d = x._a, x._b, x._d
     if b == 0:
         return str(Fraction(a, d))

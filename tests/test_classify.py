@@ -15,7 +15,6 @@ from virab.classify import (
     CandidateFamily,
     CanonicalParams,
     InfeasibilityCertificate,
-    check_W_commutation,
     check_constraints,
     extract_h_coeffs,
     isom_decide,
@@ -129,26 +128,6 @@ def test_solve_recovers_canonical_params(spec, window):
 
 
 _SHAPES = {"deg-g", "b-scalar", "a-in-W0"}
-# the kinds check_constraints sweeps that the solver also certifies
-_SWEPT = _SHAPES | {"lw-compat", "b-power", "deg-a", "w-linear-A",
-                    "w-linear-B"}
-
-
-def _pass_skipped(kind: str, failures) -> bool:
-    """Did check_constraints skip its pass of this kind?  A shape failure
-    skips every later pass, b-power at (1, -1) (lambda = 0) every pass
-    after it, and deg-a the w-linear pass."""
-    if kind in _SHAPES:
-        return False
-    seen = {f.constraint for f in failures}
-    if seen & _SHAPES:
-        return True
-    if kind in ("lw-compat", "b-power"):
-        return False
-    if any((f.constraint, f.indices) == ("b-power", (1, -1))
-           for f in failures):
-        return True
-    return kind.startswith("w-linear") and "deg-a" in seen
 
 
 # one perturbation at a seed m = +-1: move the t part (A) or the constant
@@ -184,16 +163,23 @@ def test_w_linear_certificates_re_evaluate_on_the_input(
         assert out.constraint == f"w-linear-{part}"
     if not isinstance(out, InfeasibilityCertificate):
         return
-    # a certificate of a swept kind is, by string, an entry of the sweep
-    if out.constraint == "W-commutation":
-        failures = check_W_commutation(fam).failures
-    else:
-        failures = check_constraints(fam).failures
-        if (out.constraint not in _SWEPT
-                or _pass_skipped(out.constraint, failures)):
-            return
-    assert (out.constraint, out.indices, out.residue_text) in [
-        (f.constraint, f.indices, f.residue) for f in failures]
+    report = check_constraints(fam)
+    listed = {(f.constraint, f.indices): f.residue for f in report.failures}
+    if out.constraint.startswith("w-linear"):
+        # the t (A) or constant (B) coefficient of the lw-compat entry
+        lw = parse_bipoly(listed["lw-compat", out.indices])
+        j = 1 if out.constraint == "w-linear-A" else 0
+        assert out.residue == BiPoly.const(lw.coeff(0, j))
+    elif out.constraint in ("deg-a", "b-power") or (
+            out.constraint == "scale-branch" and window > 1):
+        # solver stages backed by a failing window identity
+        assert not report.passed
+    elif out.constraint in _SHAPES | {"W-commutation"} or (
+            out.constraint == "lw-compat"
+            and not {k for k, _ in listed} & _SHAPES):
+        # a certificate of a swept kind is, by string, an entry of the
+        # sweep (a shape failure skips lw-compat)
+        assert listed[out.constraint, out.indices] == out.residue_text
 
 
 def test_nonzero_a_yields_certificate():
@@ -210,8 +196,8 @@ def test_nonzero_a_yields_certificate():
 def test_scale_branch_spurious_root_rejected():
     # the quadratic the top seed coefficient satisfies has a second root
     # k = (1 - b)/b; planting it must be caught by a later instance, the
-    # w-linear-A instance (2, -1) that check_constraints lists on a window
-    # with A_2 fixed by (1, 1)
+    # w-linear-A instance (2, -1), the t coefficient of the lw-compat entry
+    # that check_constraints lists on a window with A_2 fixed by (1, 1)
     lam, b = sc(2), sc(3)
     k = (ONE - b) / b
     A1 = k * lam
@@ -225,13 +211,14 @@ def test_scale_branch_spurious_root_rejected():
     assert out.constraint == "scale-branch"
     assert out.indices == (2, -1) and out.residue_text == "-20/3"
     failures = check_constraints(GenericFamily(ZERO, b, 2, a_m, g_m)).failures
-    assert ("w-linear-A", (2, -1), "-20/3") in [
+    assert ("lw-compat", (2, -1), "-20/3*t") in [
         (f.constraint, f.indices, f.residue) for f in failures]
 
 
 def test_scale_branch_rejected_at_b_minus_one():
     # A_2 drops out of the w-linear-A instance (1, 1) at b = -1, and the
-    # certificate is that entry, sign included
+    # certificate is the t coefficient of that lw-compat entry, sign
+    # included
     lam, b = sc(2), MINUS_ONE
     k = (ONE - b) / b  # k = -2
     A1 = k * lam
@@ -244,7 +231,7 @@ def test_scale_branch_rejected_at_b_minus_one():
     assert out.constraint == "scale-branch"
     assert out.indices == (1, 1) and out.residue_text == "24"
     failures = check_constraints(GenericFamily(ZERO, b, 2, a_m, g_m)).failures
-    assert ("w-linear-A", (1, 1), "24") in [
+    assert ("lw-compat", (1, 1), "24*t") in [
         (f.constraint, f.indices, f.residue) for f in failures]
 
 
@@ -278,11 +265,10 @@ def test_w_commutation_failure_is_witnessed():
         a_m={-1: BiPoly.t_var(), 0: BiPoly.t_var(), 1: BiPoly.s_var()},
         g_m={-1: BiPoly.s_var(), 0: BiPoly.s_var(), 1: BiPoly.s_var()},
     )
-    report = check_W_commutation(fam)
-    assert not report.passed
-    f = report.failures[0]
-    assert f.constraint == "W-commutation"
-    assert not parse_bipoly(f.residue).is_zero
+    report = check_constraints(fam)
+    hits = [f for f in report.failures if f.constraint == "W-commutation"]
+    assert hits
+    assert all(not parse_bipoly(f.residue).is_zero for f in hits)
 
 
 @pytest.mark.parametrize("family, idx", [
@@ -300,10 +286,11 @@ def test_l0_term_in_seed_a_m_is_certified(family, idx):
     assert isinstance(out, InfeasibilityCertificate)
     if family is Family.PHI:
         # the other seed is nonzero, so [W_-1, W_1] . 1 shows the L0 term,
-        # as check_W_commutation lists it
+        # as check_constraints lists it
         assert out.constraint == "W-commutation" and out.indices == (-1, 1)
-        assert ((-1, 1), out.residue_text) in [
-            (f.indices, f.residue) for f in check_W_commutation(fam).failures]
+        assert ("W-commutation", (-1, 1), out.residue_text) in [
+            (f.constraint, f.indices, f.residue)
+            for f in check_constraints(fam).failures]
         return
     # theta's other seed is zero and the commutator with it vanishes
     assert out.constraint == "a-in-W0" and out.indices == (idx,)
@@ -312,17 +299,29 @@ def test_l0_term_in_seed_a_m_is_certified(family, idx):
     assert shapes == [((idx,), "2*s*t")]
 
 
+# the lw-compat entries of a t^2 term in the seed a_idx: among them
+# (idx, -idx), whose t^2 term is -b*idx a_{-idx}' times it
+_T2_LISTED = {
+    1: [((-2, 1), "35/9*t^2"), ((-1, 1), "5*t^2"), ((1, -2), "-10/9*t^2"),
+        ((1, -1), "-10/3*t^2"), ((1, 1), "-100*t^3 - 105*t^2"),
+        ((2, -1), "15*t^2")],
+    -1: [((-2, 1), "-15*t^2"), ((-1, -1), "100*t^3 + 35/3*t^2"),
+         ((-1, 1), "30*t^2"), ((-1, 2), "90*t^2"), ((1, -1), "-45*t^2"),
+         ((2, -1), "-315*t^2")],
+}
+
+
 @pytest.mark.parametrize("idx", [1, -1])
 def test_t2_term_in_seed_a_m_is_certified(idx):
-    # a t^2 term in a seed W-multiplier fails deg-a there, and the solver's
-    # certificate is the entry check_constraints lists
+    # a t^2 term in a seed W-multiplier fails the solver's deg-a stage
+    # there, and lw-compat in the window
     base = candidate_for(ModuleSpec.phi(b=sc(2), lam=sc(3), coeffs=(ONE,)), 2)
     fam = perturbed(base, a_m={idx: BiPoly.monomial(0, 2, sc(5))})
     assert solve_candidate(fam) == InfeasibilityCertificate(
         "deg-a", (idx,), BiPoly.monomial(0, 2, sc(5)))
-    assert ("deg-a", (idx,), "5*t^2") in [
-        (f.constraint, f.indices, f.residue)
-        for f in check_constraints(fam).failures]
+    assert [(f.constraint, f.indices, f.residue)
+            for f in check_constraints(fam).failures] == [
+        ("lw-compat", at, residue) for at, residue in _T2_LISTED[idx]]
 
 
 def perturbed(base: GenericFamily, a_m=None, g_m=None) -> GenericFamily:
@@ -436,42 +435,31 @@ def test_lw_compat_replays_the_action(make):
     assert want and got == want
 
 
-@pytest.mark.parametrize("make", [_perturbed_g_candidate,
-                                  _perturbed_a_phi_candidate,
-                                  _perturbed_g_phi_candidate],
-                         ids=["b-minus-one", "a-perturbed", "g-perturbed"])
-def test_h_cocycle_replays_ll_compat_on_normalized_data(make):
-    # each h-cocycle residue is -([L_m, L_n] . 1) replayed over a = 0 on
-    # g_m = L0 + d_m / lambda^m and a_m = w_m, the twist factor
-    fam = make()
-    N, lam = fam.window, fam.g_m[1].coeff(1, 0)
-    alpha = -(fam.a_m[1].coeff(0, 0) / lam)
-    idx = range(-N, N + 1)
-    g_m = {m: BiPoly.s_var() + BiPoly(
-        {k: c for k, c in fam.g_m[m].terms.items() if not k[0]}).scale(
-            intpow(lam, -m)) for m in idx}
-    data = GenericFamily(ZERO, fam.b, N, {
-        m: twist_poly(fam.b, alpha, m) for m in idx}, g_m)
-    want = []
-    for m in idx:
-        for n in range(m + 1, N + 1):
-            if abs(m + n) > N:
-                continue
-            res = (data.op(L(m)).apply(g_m[n]) - data.op(L(n)).apply(g_m[m])
-                   - g_m[m + n].scale(sc(n - m)))
-            if res:
-                want.append(((m, n), format_bipoly(-res)))
-    got = [(f.indices, f.residue) for f in check_constraints(fam).failures
-           if f.constraint == "h-cocycle"]
-    assert want and got == want
+def test_the_normalized_cocycle_is_no_window_identity():
+    # the spurious root k = 1/2 of b*k^2 - k - (b-1) at b = 2/3 on both
+    # seeds, a_{+-1} = k t, and g_1 = L0 + t^3: ll-compat (-1, 1) reads
+    # (3*b*k - 1) t^3 = 0 and every window identity holds, while the
+    # cocycle on the normalized data, which puts t for a_{+-1}, reads
+    # (3*b - 1) t^3
+    s, t = BiPoly.s_var(), BiPoly.t_var()
+    half = t.scale(sc("1/2"))
+    fam = GenericFamily(ZERO, sc("2/3"), 1, {-1: half, 0: t, 1: half},
+                        {-1: s, 0: s, 1: s + BiPoly.monomial(0, 3)})
+    assert check_constraints(fam).passed
+    assert verify_module(fam, window=1, degree=4).passed
+    assert [(f.constraint, f.indices, f.residue)
+            for f in _ref_dropped_passes(fam).failures] == [
+        ("h-cocycle", (-1, 1), "t^3")]
+    assert solve_candidate(fam).constraint == "scale-branch"
 
 
 # --- a reference sweep, one formula per instance ---------------------------
 #
 # The pair constraints as check_constraints evaluated them before it built
 # each window's per-index parts once: every instance recomputes its shifts,
-# derivatives, products and powers of lambda.  The shape checks and the
-# bookkeeping are the module's own.
+# derivatives and products.  The shape checks and the bookkeeping are the
+# module's own.  b-power, deg-a, w-linear and the cocycle on the normalized
+# data are the passes check_constraints no longer runs, as it ran them.
 
 def _ref_cert(constraint, indices, residue):
     return InfeasibilityCertificate(constraint, indices, residue) if residue else None
@@ -516,44 +504,59 @@ def _ref_w_commutation(a, a_m, m, n):
                      an.shift_s(a.add_int(m)) * am - am.shift_s(a.add_int(n)) * an)
 
 
+def _b_and_d(fam):
+    """b_m and d_m of g_m = b_m L0 + d_m over the window."""
+    g_m = fam.g_m
+    return ({m: g_m[m].coeff(1, 0) for m in g_m},
+            {m: BiPoly({k: c for k, c in g_m[m].terms.items() if not k[0]})
+             for m in g_m})
+
+
 def _ref_check_constraints(fam):
     report = _report("check-constraints", fam)
     N, a, b = fam.window, fam.a, fam.b
     window = range(-N, N + 1)
     singles = [(m,) for m in window]
     pairs = [(m, n) for m in window for n in window if abs(m + n) <= N]
-    ordered = [(m, n) for m, n in pairs if m < n]
     g_ok = _record(report, singles, partial(_g_shape, fam.g_m))
-    if not (_record(report, singles, partial(_a_in_W0, fam.a_m)) and g_ok):
+    shapes_ok = _record(report, singles, partial(_a_in_W0, fam.a_m)) and g_ok
+    _record(report, [(m, n) for m in window for n in window if m < n],
+            partial(_ref_w_commutation, a, fam.a_m))
+    if shapes_ok:
+        b_m, d_m = _b_and_d(fam)
+        _record(report, pairs, partial(_ref_lw_compat, a, b, fam.a_m, fam.g_m))
+        _record(report, [(m, n) for m, n in pairs if m < n],
+                partial(_ref_ll_compat, a, b, b_m, d_m, fam.a_m))
+    return report
+
+
+def _ref_dropped_passes(fam):
+    """The passes check_constraints no longer runs, gated as it ran them:
+    none unless the shapes hold; b-power, at (1, -1) alone while
+    lambda = 0; at lambda != 0 deg-a, and where that holds and a = 0
+    w-linear-A/B and the cocycle on the normalized data b_m = 1,
+    F_m = d_m / lambda^m and the twist factors w_m for a_m."""
+    report = _report("dropped-passes", fam)
+    N, a, b = fam.window, fam.a, fam.b
+    window = range(-N, N + 1)
+    if any(_g_shape(fam.g_m, m) or _a_in_W0(fam.a_m, m) for m in window):
         return report
-    _record(report, pairs, partial(_ref_lw_compat, a, b, fam.a_m, fam.g_m))
-    b_m = {m: fam.g_m[m].coeff(1, 0) for m in window}
-    lam = b_m[1]
+    b_m, d_m = _b_and_d(fam)
+    lam, singles = b_m[1], [(m,) for m in window]
     _record(report, singles if lam else [(1, -1)], partial(_ref_b_power, b_m))
-    if not lam:
-        return report
-    d_m = {m: BiPoly({k: c for k, c in fam.g_m[m].terms.items() if not k[0]})
-           for m in window}
-    _record(report, ordered, partial(_ref_ll_compat, a, b, b_m, d_m, fam.a_m))
-    if not _record(report, singles, partial(_deg_a, fam.a_m)) or a:
+    if not lam or not _record(report, singles, partial(_deg_a, fam.a_m)) or a:
         return report
     A = {m: fam.a_m[m].coeff(0, 1) for m in window}
     B = {m: fam.a_m[m].coeff(0, 0) for m in window}
+    pairs = [(m, n) for m in window for n in window if abs(m + n) <= N]
     _record(report, pairs, partial(_ref_w_linear, b, lam, A, B, "A"),
             partial(_ref_w_linear, b, lam, A, B, "B"))
     alpha = -(B[1] / lam)
     F = {m: d_m[m].scale(intpow(lam, -m)) for m in window}
     w = {m: twist_poly(b, alpha, m) for m in window}
-    _record(report, ordered, partial(_ref_ll_compat, ZERO, b, dict.fromkeys(
-        window, ONE), F, w, constraint="h-cocycle"))
-    return report
-
-
-def _ref_check_W_commutation(fam):
-    report = _report("check-W-commutation", fam)
-    window = range(-fam.window, fam.window + 1)
-    _record(report, [(m, n) for m in window for n in window if m < n],
-            partial(_ref_w_commutation, fam.a, fam.a_m))
+    _record(report, [(m, n) for m, n in pairs if m < n], partial(
+        _ref_ll_compat, ZERO, b, dict.fromkeys(window, ONE), F, w,
+        constraint="h-cocycle"))
     return report
 
 
@@ -608,8 +611,6 @@ def test_check_constraints_matches_the_reference_sweep(kind):
             fam = perturbed(fam, **{f"{entry[0]}_m": delta})
         assert _bodies(check_constraints(fam)) == _bodies(
             _ref_check_constraints(fam)), (family, N)
-        assert _bodies(check_W_commutation(fam)) == _bodies(
-            _ref_check_W_commutation(fam)), (family, N)
 
 
 def test_check_constraints_passes_on_genuine_family():
@@ -629,8 +630,7 @@ def test_check_constraints_fails_at_m_zero_for_nonzero_a():
         assert not report.passed
         hits = [f for f in report.failures if f.constraint == "lw-compat"]
         assert any(f.indices[0] == 0 for f in hits)
-        # the w-linear and h-cocycle identities hold only at a = 0, so
-        # those passes are skipped and lw-compat is all that is listed
+        # the data are a module's but for a, so lw-compat is all that fails
         assert hits == report.failures
         assert ((0, 0), "-1/2*t") in [(f.indices, f.residue) for f in hits]
 
@@ -761,15 +761,60 @@ def _seeded_windows(count: int, seed: int):
 
 def test_window_verifiers_agree():
     # one window object, two verifiers: the bracket sweep passes exactly
-    # when every window constraint and [W_m, W_n] . 1 = 0 hold
+    # when every window identity holds
     verdicts = []
     for fam in _seeded_windows(60, 18):
         swept = verify_module(fam, window=fam.window, degree=2).passed
-        checked = (check_constraints(fam).passed
-                   and check_W_commutation(fam).passed)
-        assert swept == checked, fam
+        assert swept == check_constraints(fam).passed, fam
         verdicts.append(swept)
     assert True in verdicts and False in verdicts
+
+
+def _perturbed_windows(count: int, seed: int):
+    """One-entry perturbations of module windows at N 1-5, phi at the nine
+    B_VALUES or theta: a != 0, g_1's L0 coefficient set to 0 (lambda = 0),
+    or one monomial added to an a_m or a g_m at m != 0."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        N = rng.randint(1, 5)
+        b = rng.choice(B_VALUES + ("theta",))
+        coeffs = [_gaussian(rng) for _ in range(rng.randint(0, 2))]
+        if b == "theta":
+            spec = ModuleSpec.theta(lam=_gaussian(rng), coeffs=coeffs)
+        else:
+            spec = ModuleSpec.phi(b=sc(b), lam=_gaussian(rng), coeffs=coeffs,
+                                  alpha=sc(rng.choice((0, 1, "3/2"))))
+        fam = candidate_for(spec, N)
+        a, a_m, g_m = fam.a, dict(fam.a_m), dict(fam.g_m)
+        kind = rng.choice(("a", "lambda", "a_m", "a_m", "g_m", "g_m"))
+        m = rng.choice([i for i in range(-N, N + 1) if i])
+        c = _gaussian(rng)
+        if kind == "a":
+            a = c
+        elif kind == "lambda":
+            g_m[1] = g_m[1] - BiPoly.monomial(1, 0, g_m[1].coeff(1, 0))
+        elif kind == "a_m":
+            i, j = rng.choice(((0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1)))
+            a_m[m] = a_m[m] + BiPoly.monomial(i, j, c)
+        else:
+            i, j = rng.choice(((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)))
+            g_m[m] = g_m[m] + BiPoly.monomial(i, j, c)
+        yield GenericFamily(a, fam.b, N, a_m, g_m)
+
+
+def test_a_window_failing_a_dropped_pass_fails_a_window_identity():
+    # b-power, deg-a, w-linear and the normalized cocycle, as
+    # check_constraints ran them, fail only where it still fails (the
+    # argument is in its docstring; the cocycle is no window identity in
+    # general, see test_the_normalized_cocycle_is_no_window_identity)
+    failing = set()
+    for fam in _perturbed_windows(600, 26):
+        dropped = _ref_dropped_passes(fam).failures
+        if dropped:
+            assert not check_constraints(fam).passed, fam
+            failing |= {f.constraint for f in dropped}
+    assert failing == {"b-power", "deg-a", "w-linear-A", "w-linear-B",
+                       "h-cocycle"}
 
 
 def test_candidate_validation():

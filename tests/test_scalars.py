@@ -1,9 +1,12 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from conftest import sc, sci
+from virab.polynomials import format_bipoly
+from virab.repmod import q_poly
 from virab.scalars import (
     I,
     MINUS_ONE,
@@ -170,6 +173,19 @@ def test_parse_refuses_numbers_past_the_digit_limit(digit_limit):
     with pytest.raises(ParseError) as err:
         parse_scalar("1/" + "3" * (digit_limit + 700))
     assert err.value.pos == 2
+
+
+def test_format_numbers_past_the_digit_limit(digit_limit):
+    # str() raises a bare ValueError past the limit; formatting lifts it
+    # for the one call and puts the caller's back
+    digits = "1" + "0" * (digit_limit + 700)
+    big = 10 ** (digit_limit + 700)
+    x = Scalar.rational(big, 3) - I.mul_int(big)
+    assert format_scalar(x) == f"{digits}/3-{digits}i"
+    text = format_bipoly(q_poly(3, 500, Scalar(10 ** 10), ONE))
+    assert text.startswith("3*t^500 - 30000000000*t^499 - ")
+    assert max(len(word) for word in text.split()) > digit_limit
+    assert sys.get_int_max_str_digits() == digit_limit
 
 
 def test_parse_rejects_trailing_garbage():
