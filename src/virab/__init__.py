@@ -3,9 +3,9 @@ rank-one free modules on the polynomial space C[s, t].
 
 Everything is computed over Q(i) with exact arithmetic: bracket tables and
 their axiom sweeps, the two module families and their verification, the
-constraint solver that recovers canonical parameters from candidate action
-data (or returns an infeasibility certificate), isomorphism decisions, and
-submodule exploration.
+classifier that reads canonical parameters off candidate action data (or
+returns an infeasibility certificate, a failing window identity),
+isomorphism decisions, and submodule exploration.
 """
 
 from .algebra import (
@@ -26,11 +26,10 @@ from .classify import (
     CandidateFamily,
     CanonicalParams,
     InfeasibilityCertificate,
+    Undetermined,
     check_constraints,
-    extract_h_coeffs,
     isom_decide,
     solve_candidate,
-    solve_from_generators,
 )
 from .grammar import parse_bipoly, parse_element, parse_symbol, parse_unipoly
 from .orbit import SubspaceBasis, check_invariant_subspace, orbit_closure
@@ -69,6 +68,7 @@ __all__ = [
     "Report",
     "Scalar",
     "SubspaceBasis",
+    "Undetermined",
     "UniPoly",
     "W",
     "act_element",
@@ -80,7 +80,6 @@ __all__ = [
     "check_invariant_subspace",
     "classify_case",
     "divided_difference",
-    "extract_h_coeffs",
     "format_bipoly",
     "format_element",
     "format_scalar",
@@ -94,7 +93,6 @@ __all__ = [
     "parse_unipoly",
     "q_poly",
     "solve_candidate",
-    "solve_from_generators",
     "verify_algebra",
     "verify_module",
     "__version__",

@@ -23,7 +23,7 @@ from .algebra import (
     classify_case,
     verify_algebra,
 )
-from .classify import CanonicalParams, solve_candidate, isom_decide
+from .classify import CanonicalParams, Undetermined, isom_decide, solve_candidate
 from .grammar import (
     format_bipoly,
     format_element,
@@ -187,6 +187,11 @@ def _cmd_classify(args) -> tuple[int, str]:
             f"family = {doc['family']}\nlambda = {doc['lambda']}\n"
             f"alpha = {doc['alpha']}\ncoeffs = {coeffs}"
         ))
+    if isinstance(out, Undetermined):
+        return 1, _render(args.format, doc, (
+            f"undetermined: every window identity holds, but the data at "
+            f"({out.index}) differ from the read module's by "
+            f"{out.residue_text}"))
     at = ", ".join(str(i) for i in out.indices)
     return 1, _render(args.format, doc, (
         f"infeasible: {out.constraint} at ({at}), residue {out.residue_text}"

@@ -14,10 +14,10 @@ from virab.algebra import L, W, classify_case, verify_algebra
 from virab.classify import (
     CanonicalParams,
     InfeasibilityCertificate,
+    Undetermined,
     check_constraints,
     isom_decide,
     solve_candidate,
-    solve_from_generators,
 )
 from virab.orbit import check_invariant_subspace, orbit_closure
 from virab.polynomials import BiPoly
@@ -183,20 +183,26 @@ def test_translation_parameter_and_spurious_scale_branch_rejected():
         assert any(f.indices[0] == 0 for f in hits), a
         cert = solve_candidate(fam)
         assert isinstance(cert, InfeasibilityCertificate), a
-    # the second root of the scale quadratic at b = 3 must not slip through
+    # the second root of the scale quadratic at b = 3 must not slip through:
+    # every window identity holds on its seeds at N = 1, where the answer
+    # is undetermined, and at N = 2 one fails and certifies it
     lam, b = sc(2), sc(3)
     k = (ONE - b) / b
     A1 = k * lam
     Am1 = (b - ONE) / (b * A1 - lam)
-    cert = solve_from_generators(
-        b,
-        BiPoly.monomial(0, 1, A1),
-        BiPoly.monomial(0, 1, Am1),
-        BiPoly.s_var().scale(lam),
-        BiPoly.s_var().scale(lam.inv()),
-    )
-    assert isinstance(cert, InfeasibilityCertificate)
-    assert cert.constraint == "scale-branch"
+    seeds = {1: BiPoly.monomial(0, 1, A1), -1: BiPoly.monomial(0, 1, Am1)}
+    for N in (1, 2):
+        base = GenericFamily.from_spec(ModuleSpec.phi(b=b, lam=lam), N)
+        fam = GenericFamily(ZERO, b, N, {**base.a_m, **seeds}, base.g_m)
+        report = check_constraints(fam)
+        out = solve_candidate(fam)
+        if N == 1:
+            assert report.passed
+            assert isinstance(out, Undetermined)
+        else:
+            assert isinstance(out, InfeasibilityCertificate)
+            assert (out.constraint, out.indices, out.residue_text) in [
+                (f.constraint, f.indices, f.residue) for f in report.failures]
     print("translation parameter and spurious scale branch rejected: pass")
 
 

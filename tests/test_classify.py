@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from collections.abc import Hashable
 from fractions import Fraction
 from functools import partial
@@ -15,15 +16,13 @@ from virab.classify import (
     CandidateFamily,
     CanonicalParams,
     InfeasibilityCertificate,
+    Undetermined,
     check_constraints,
-    extract_h_coeffs,
     isom_decide,
     solve_candidate,
-    solve_from_generators,
     _a_in_W0,
-    _deg_a,
     _g_shape,
-    _record,
+    _read,
     _report,
 )
 from virab.grammar import parse_bipoly
@@ -127,7 +126,24 @@ def test_solve_recovers_canonical_params(spec, window):
         spec.family, spec.lam, spec.alpha, spec.coeffs), spec.b)
 
 
-_SHAPES = {"deg-g", "b-scalar", "a-in-W0"}
+def listed(fam):
+    """check_constraints' entries for fam as (constraint, indices, residue
+    text)."""
+    return [(f.constraint, f.indices, f.residue)
+            for f in check_constraints(fam).failures]
+
+
+def as_listed(out):
+    return out.constraint, out.indices, out.residue_text
+
+
+def assert_sound(fam, out):
+    """A certificate is an entry check_constraints lists for fam, and
+    Undetermined stands only where every window identity holds."""
+    if isinstance(out, InfeasibilityCertificate):
+        assert as_listed(out) in listed(fam)
+    elif isinstance(out, Undetermined):
+        assert check_constraints(fam).passed
 
 
 # one perturbation at a seed m = +-1: move the t part (A) or the constant
@@ -158,28 +174,10 @@ def test_w_linear_certificates_re_evaluate_on_the_input(
         entries[m] = entries[m] + BiPoly.monomial(i, j, c)
     fam = GenericFamily(a, base.b, window, a_m, g_m)
     out = solve_candidate(fam)
-    if spec.family is Family.PHI and part in ("A", "B") and a_m[m]:
-        # a moved part of a nonzero phi seed breaks a crossed instance
-        assert out.constraint == f"w-linear-{part}"
-    if not isinstance(out, InfeasibilityCertificate):
-        return
-    report = check_constraints(fam)
-    listed = {(f.constraint, f.indices): f.residue for f in report.failures}
-    if out.constraint.startswith("w-linear"):
-        # the t (A) or constant (B) coefficient of the lw-compat entry
-        lw = parse_bipoly(listed["lw-compat", out.indices])
-        j = 1 if out.constraint == "w-linear-A" else 0
-        assert out.residue == BiPoly.const(lw.coeff(0, j))
-    elif out.constraint in ("deg-a", "b-power") or (
-            out.constraint == "scale-branch" and window > 1):
-        # solver stages backed by a failing window identity
-        assert not report.passed
-    elif out.constraint in _SHAPES | {"W-commutation"} or (
-            out.constraint == "lw-compat"
-            and not {k for k, _ in listed} & _SHAPES):
-        # a certificate of a swept kind is, by string, an entry of the
-        # sweep (a shape failure skips lw-compat)
-        assert listed[out.constraint, out.indices] == out.residue_text
+    # the data at m = -1, and those at m = 1, fix a module, so a window
+    # that one seed entry moved is no module's
+    assert isinstance(out, CanonicalParams) == (fam == base)
+    assert_sound(fam, out)
 
 
 def test_nonzero_a_yields_certificate():
@@ -189,15 +187,15 @@ def test_nonzero_a_yields_certificate():
     out = solve_candidate(fam)
     assert isinstance(out, InfeasibilityCertificate)
     assert out.constraint == "lw-compat"
-    assert out.indices[0] == 0
+    assert 0 in out.indices
     assert not parse_bipoly(out.residue_text).is_zero
+    assert_sound(fam, out)
 
 
 def test_scale_branch_spurious_root_rejected():
     # the quadratic the top seed coefficient satisfies has a second root
-    # k = (1 - b)/b; planting it must be caught by a later instance, the
-    # w-linear-A instance (2, -1), the t coefficient of the lw-compat entry
-    # that check_constraints lists on a window with A_2 fixed by (1, 1)
+    # k = (1 - b)/b; planted on a window with A_2 fixed by (1, 1), the
+    # lw-compat instance (2, -1) fails, and the answer is a listed entry
     lam, b = sc(2), sc(3)
     k = (ONE - b) / b
     A1 = k * lam
@@ -206,19 +204,16 @@ def test_scale_branch_spurious_root_rejected():
     a_m = {m: BiPoly.monomial(0, 1, c)
            for m, c in ((-2, ZERO), (-1, Am1), (0, ONE), (1, A1), (2, A2))}
     g_m = {m: BiPoly.monomial(1, 0, intpow(lam, m)) for m in range(-2, 3)}
-    out = solve_from_generators(b, a_m[1], a_m[-1], g_m[1], g_m[-1])
+    fam = GenericFamily(ZERO, b, 2, a_m, g_m)
+    assert ("lw-compat", (2, -1), "-20/3*t") in listed(fam)
+    out = solve_candidate(fam)
     assert isinstance(out, InfeasibilityCertificate)
-    assert out.constraint == "scale-branch"
-    assert out.indices == (2, -1) and out.residue_text == "-20/3"
-    failures = check_constraints(GenericFamily(ZERO, b, 2, a_m, g_m)).failures
-    assert ("lw-compat", (2, -1), "-20/3*t") in [
-        (f.constraint, f.indices, f.residue) for f in failures]
+    assert_sound(fam, out)
 
 
 def test_scale_branch_rejected_at_b_minus_one():
-    # A_2 drops out of the w-linear-A instance (1, 1) at b = -1, and the
-    # certificate is the t coefficient of that lw-compat entry, sign
-    # included
+    # A_2 drops out of the lw-compat instance (1, 1) at b = -1, which
+    # fails on the spurious root whatever A_2 is
     lam, b = sc(2), MINUS_ONE
     k = (ONE - b) / b  # k = -2
     A1 = k * lam
@@ -226,37 +221,27 @@ def test_scale_branch_rejected_at_b_minus_one():
     a_m = {m: BiPoly.monomial(0, 1, c)
            for m, c in ((-2, sc("1/4")), (-1, Am1), (0, ONE), (1, A1), (2, sc(4)))}
     g_m = {m: BiPoly.monomial(1, 0, intpow(lam, m)) for m in range(-2, 3)}
-    out = solve_from_generators(b, a_m[1], a_m[-1], g_m[1], g_m[-1])
+    fam = GenericFamily(ZERO, b, 2, a_m, g_m)
+    assert ("lw-compat", (1, 1), "24*t") in listed(fam)
+    out = solve_candidate(fam)
     assert isinstance(out, InfeasibilityCertificate)
-    assert out.constraint == "scale-branch"
-    assert out.indices == (1, 1) and out.residue_text == "24"
-    failures = check_constraints(GenericFamily(ZERO, b, 2, a_m, g_m)).failures
-    assert ("lw-compat", (1, 1), "24*t") in [
-        (f.constraint, f.indices, f.residue) for f in failures]
+    assert_sound(fam, out)
 
 
 def test_degenerate_seeds():
-    # both W-seeds zero away from b = 1: no family fits
-    out = solve_from_generators(
-        sc(2), BiPoly.zero(), BiPoly.zero(),
-        BiPoly.s_var().scale(sc(2)), BiPoly.s_var().scale(sc("1/2")),
-    )
-    assert isinstance(out, InfeasibilityCertificate)
-    assert out.constraint == "degenerate-weight"
-    # one-sided zero at b = 1 contradicts the W-recursion
-    out = solve_from_generators(
-        ONE, BiPoly.zero(), BiPoly.t_var(),
-        BiPoly.s_var().scale(sc(2)), BiPoly.s_var().scale(sc("1/2")),
-    )
-    assert isinstance(out, InfeasibilityCertificate)
-    assert out.constraint == "W-degenerate"
-    # one-sided zero away from b = 1
-    out = solve_from_generators(
-        sc(3), BiPoly.t_var(), BiPoly.zero(),
-        BiPoly.s_var().scale(sc(2)), BiPoly.s_var().scale(sc("1/2")),
-    )
-    assert isinstance(out, InfeasibilityCertificate)
-    assert out.constraint == "degenerate-weight"
+    s, t, zero = BiPoly.s_var(), BiPoly.t_var(), BiPoly.zero()
+    for b, a_pos, a_neg in (
+            # both W-seeds zero away from b = 1: no family fits
+            (sc(2), zero, zero),
+            # one-sided zero at b = 1 contradicts the W-recursion
+            (ONE, zero, t),
+            # one-sided zero away from b = 1
+            (sc(3), t, zero)):
+        fam = GenericFamily(ZERO, b, 1, {-1: a_neg, 0: t, 1: a_pos},
+                            {-1: s.scale(sc("1/2")), 0: s, 1: s.scale(sc(2))})
+        out = solve_candidate(fam)
+        assert isinstance(out, InfeasibilityCertificate), b
+        assert_sound(fam, out)
 
 
 def test_w_commutation_failure_is_witnessed():
@@ -282,21 +267,16 @@ def test_l0_term_in_seed_a_m_is_certified(family, idx):
     a_m = dict(base.a_m)
     a_m[idx] = a_m[idx] + BiPoly.monomial(1, 1, sc(2))
     fam = GenericFamily(base.a, base.b, base.window, a_m, base.g_m)
+    # the shape checks come first, at every m
     out = solve_candidate(fam)
-    assert isinstance(out, InfeasibilityCertificate)
+    assert as_listed(out) == ("a-in-W0", (idx,), "2*s*t")
+    assert_sound(fam, out)
     if family is Family.PHI:
-        # the other seed is nonzero, so [W_-1, W_1] . 1 shows the L0 term,
-        # as check_constraints lists it
-        assert out.constraint == "W-commutation" and out.indices == (-1, 1)
-        assert ("W-commutation", (-1, 1), out.residue_text) in [
-            (f.constraint, f.indices, f.residue)
-            for f in check_constraints(fam).failures]
+        # the other seed is nonzero, so [W_-1, W_1] . 1 shows the L0 term
+        assert "W-commutation" in {f[0] for f in listed(fam)}
         return
     # theta's other seed is zero and the commutator with it vanishes
-    assert out.constraint == "a-in-W0" and out.indices == (idx,)
-    assert out.residue_text == "2*s*t"
-    shapes = [(f.indices, f.residue) for f in check_constraints(fam).failures]
-    assert shapes == [((idx,), "2*s*t")]
+    assert listed(fam) == [("a-in-W0", (idx,), "2*s*t")]
 
 
 # the lw-compat entries of a t^2 term in the seed a_idx: among them
@@ -313,15 +293,13 @@ _T2_LISTED = {
 
 @pytest.mark.parametrize("idx", [1, -1])
 def test_t2_term_in_seed_a_m_is_certified(idx):
-    # a t^2 term in a seed W-multiplier fails the solver's deg-a stage
-    # there, and lw-compat in the window
+    # a t^2 term in a seed W-multiplier fails lw-compat in the window, and
+    # the first entry listed reads idx
     base = candidate_for(ModuleSpec.phi(b=sc(2), lam=sc(3), coeffs=(ONE,)), 2)
     fam = perturbed(base, a_m={idx: BiPoly.monomial(0, 2, sc(5))})
-    assert solve_candidate(fam) == InfeasibilityCertificate(
-        "deg-a", (idx,), BiPoly.monomial(0, 2, sc(5)))
-    assert [(f.constraint, f.indices, f.residue)
-            for f in check_constraints(fam).failures] == [
+    assert listed(fam) == [
         ("lw-compat", at, residue) for at, residue in _T2_LISTED[idx]]
+    assert as_listed(solve_candidate(fam)) == listed(fam)[0]
 
 
 def perturbed(base: GenericFamily, a_m=None, g_m=None) -> GenericFamily:
@@ -331,18 +309,22 @@ def perturbed(base: GenericFamily, a_m=None, g_m=None) -> GenericFamily:
     return GenericFamily(base.a, base.b, base.window, a, g)
 
 
+def reading(fam, m):
+    """check_constraints' entries for fam that read index m: the pairs
+    with m among m, n and m + n (the shapes hold in these tests)."""
+    return [f for f in listed(fam) if m in (*f[1], sum(f[1]))]
+
+
 def test_window_mismatch_beyond_the_seeds():
-    # the seeds at m = +-1 are untouched, so only the window check sees it
+    # the seeds at m = +-1 are untouched, so the parameters read off them
+    # rebuild the window up to its first mismatch, at m = -4 in the order
+    # m = -N..N, and the first entry that reads it certifies
     base = candidate_for(
         ModuleSpec.phi(b=sc(2), lam=sc(2), alpha=ZERO, coeffs=(ONE,)))
     fam = perturbed(base, a_m={-4: BiPoly.monomial(0, 3)},
                     g_m={3: BiPoly.t_var()})
     assert not check_constraints(fam).passed
-    out = solve_candidate(fam)
-    assert isinstance(out, InfeasibilityCertificate)
-    # m = -4 comes first in the order m = -N..N
-    assert out.constraint == "window-mismatch" and out.indices == (-4,)
-    assert out.residue == BiPoly.monomial(0, 3)
+    assert as_listed(solve_candidate(fam)) == reading(fam, -4)[0]
 
 
 @pytest.mark.parametrize("entry", ["a", "g"])
@@ -356,10 +338,7 @@ def test_window_mismatch_at_every_non_seed_index(entry, m):
     delta = {m: BiPoly({(0, 1): sc("1/2"), (0, 0): I})}
     fam = perturbed(base, **{f"{entry}_m": delta})
     assert not check_constraints(fam).passed
-    out = solve_candidate(fam)
-    assert isinstance(out, InfeasibilityCertificate)
-    assert out.constraint == "window-mismatch" and out.indices == (m,)
-    assert out.residue == delta[m]
+    assert as_listed(solve_candidate(fam)) == reading(fam, m)[0]
 
 
 def _perturbed_g_candidate():
@@ -450,19 +429,51 @@ def test_the_normalized_cocycle_is_no_window_identity():
     assert [(f.constraint, f.indices, f.residue)
             for f in _ref_dropped_passes(fam).failures] == [
         ("h-cocycle", (-1, 1), "t^3")]
-    assert solve_candidate(fam).constraint == "scale-branch"
+    assert solve_candidate(fam) == Undetermined(-1, half.scale(MINUS_ONE))
+
+
+def test_a_window_no_identity_sees_is_undetermined():
+    # phi(b = 1/2, lambda = 1/3, alpha = 3/2) at N = 1 with a t^2 term
+    # added to g_1: every window identity holds, so no entry certifies it
+    base = candidate_for(
+        ModuleSpec.phi(b=sc("1/2"), lam=sc("1/3"), alpha=sc("3/2")), 1)
+    delta = BiPoly.monomial(0, 2, sci(-3, -3))
+    fam = perturbed(base, g_m={1: delta})
+    assert check_constraints(fam).passed
+    # the read takes h_1 from g_1, so g_-1 differs by lambda^-2 times delta
+    assert solve_candidate(fam) == Undetermined(-1, delta.scale(sc(9)))
 
 
 # --- a reference sweep, one formula per instance ---------------------------
 #
 # The pair constraints as check_constraints evaluated them before it built
 # each window's per-index parts once: every instance recomputes its shifts,
-# derivatives and products.  The shape checks and the bookkeeping are the
-# module's own.  b-power, deg-a, w-linear and the cocycle on the normalized
-# data are the passes check_constraints no longer runs, as it ran them.
+# derivatives and products.  The shape checks are the module's own, and
+# each instance of each pass counts as one check.  b-power, deg-a, w-linear
+# and the cocycle on the normalized data are passes that no window identity
+# includes, as check_constraints once ran them.
 
 def _ref_cert(constraint, indices, residue):
     return InfeasibilityCertificate(constraint, indices, residue) if residue else None
+
+
+def _record(report, instances, *checks):
+    """Run every check at every instance as one check each of report and
+    record each failure; True when none failed."""
+    instances = tuple(instances)
+    report.checks += len(instances) * len(checks)
+    before = len(report.failures)
+    for idx in instances:
+        for check in checks:
+            cert = check(*idx)
+            if cert is not None:
+                report.fail(cert.constraint, cert.indices, cert.residue_text)
+    return len(report.failures) == before
+
+
+def _deg_a(a_m, m):
+    return _ref_cert("deg-a", (m,), BiPoly(
+        {(i, j): c for (i, j), c in a_m[m].terms.items() if j > 1}))
 
 
 def _ref_lw_compat(a, b, a_m, g_m, m, n):
@@ -635,42 +646,35 @@ def test_check_constraints_fails_at_m_zero_for_nonzero_a():
         assert ((0, 0), "-1/2*t") in [(f.indices, f.residue) for f in hits]
 
 
+def _read_seeds(spec):
+    return _read(candidate_for(spec, 1))
+
+
 def test_extract_h_coeffs():
-    F = {n: BiPoly({(0, 2): sc(n), (0, 1): sc(5 * n)}) for n in range(-3, 4)}
-    assert extract_h_coeffs(F, ZERO, ZERO) == (ZERO, sc(5), ONE)
-    empty = {n: BiPoly.zero() for n in range(-3, 4)}
-    assert extract_h_coeffs(empty, ZERO, ZERO) == ()
-
-
-def test_extract_h_coeffs_rejects_nonlinear_growth():
-    F = {n: BiPoly({(0, 1): sc(n * n)}) for n in range(-3, 4)}
-    out = extract_h_coeffs(F, ZERO, ZERO)
-    assert isinstance(out, InfeasibilityCertificate)
-    assert out.constraint == "leading-coeff"
+    # away from b = +-1, h_1 = P: the read peels the sequence off F_1
+    assert _read_seeds(ModuleSpec.phi(b=ZERO, lam=sc(2), coeffs=(
+        ZERO, sc(5), ONE))) == CanonicalParams(
+        Family.PHI, sc(2), ZERO, (ZERO, sc(5), ONE))
+    assert _read_seeds(ModuleSpec.phi(b=ZERO, lam=sc(2))).coeffs == ()
 
 
 def test_extract_h_coeffs_with_corrections():
-    # sequences built from the generating family at b = -1 must come back
-    from virab.repmod import q_poly
-
+    # sequences built from the generating family must come back; at b = 1
+    # the alpha correction enters h_1
     alpha = sc(2)
-    F = {
-        n: q_poly(n, 2, alpha, MINUS_ONE) + q_poly(n, 0, alpha, MINUS_ONE).scale(sc(3))
-        for n in range(-4, 5)
-    }
-    assert extract_h_coeffs(F, alpha, MINUS_ONE) == (sc(3), ZERO, ONE)
+    for b in (ONE, MINUS_ONE):
+        spec = ModuleSpec.phi(b=b, lam=sc(-3), alpha=alpha,
+                              coeffs=(sc(3), ZERO, ONE))
+        assert _read_seeds(spec) == CanonicalParams(
+            Family.PHI, sc(-3), alpha, (sc(3), ZERO, ONE)), b
 
 
 def test_extract_h_coeffs_builds_one_divided_difference_per_level(monkeypatch):
-    # nine indices at top degree 3: each level's divided difference is
-    # built once, not once per index
+    # top degree 3: the read builds each level's divided difference once,
+    # and no module
     alpha = sc(2)
-    F = {
-        n: repmod.q_poly(n, 3, alpha, ONE)
-        + repmod.q_poly(n, 2, alpha, ONE).scale(sc(-1))
-        + repmod.q_poly(n, 1, alpha, ONE).scale(sc(5))
-        for n in range(-4, 5)
-    }
+    fam = candidate_for(ModuleSpec.phi(b=ONE, lam=sc(2), alpha=alpha, coeffs=(
+        ZERO, sc(5), sc(-1), ONE)), 4)
     built = []
 
     def counted(k, a):
@@ -679,7 +683,7 @@ def test_extract_h_coeffs_builds_one_divided_difference_per_level(monkeypatch):
 
     for module in (classify, repmod):
         monkeypatch.setattr(module, "divided_difference", counted, raising=False)
-    assert extract_h_coeffs(F, alpha, ONE) == (ZERO, sc(5), sc(-1), ONE)
+    assert _read(fam).coeffs == (ZERO, sc(5), sc(-1), ONE)
     assert sorted(built) == [1, 2, 3]
 
 
@@ -804,9 +808,9 @@ def _perturbed_windows(count: int, seed: int):
 
 def test_a_window_failing_a_dropped_pass_fails_a_window_identity():
     # b-power, deg-a, w-linear and the normalized cocycle, as
-    # check_constraints ran them, fail only where it still fails (the
-    # argument is in its docstring; the cocycle is no window identity in
-    # general, see test_the_normalized_cocycle_is_no_window_identity)
+    # check_constraints once ran them, fail only where it still fails on
+    # these windows (the cocycle is no window identity in general, see
+    # test_the_normalized_cocycle_is_no_window_identity)
     failing = set()
     for fam in _perturbed_windows(600, 26):
         dropped = _ref_dropped_passes(fam).failures
@@ -815,6 +819,23 @@ def test_a_window_failing_a_dropped_pass_fails_a_window_identity():
             failing |= {f.constraint for f in dropped}
     assert failing == {"b-power", "deg-a", "w-linear-A", "w-linear-B",
                        "h-cocycle"}
+
+
+def test_every_answer_is_a_listed_entry_or_undetermined():
+    # a perturbed window is no module's; solve_candidate certifies it with
+    # an entry check_constraints lists, or answers Undetermined where every
+    # window identity holds
+    answers = Counter()
+    for fam in _perturbed_windows(1000, 27):
+        out = solve_candidate(fam)
+        entries = listed(fam)
+        if isinstance(out, Undetermined):
+            assert not entries, fam
+        else:
+            assert isinstance(out, InfeasibilityCertificate), fam
+            assert as_listed(out) in entries, fam
+        answers[type(out).__name__] += 1
+    assert answers["InfeasibilityCertificate"] > 900, answers
 
 
 def test_candidate_validation():
@@ -878,22 +899,12 @@ def test_canonical_params_refuse_what_no_module_has(family, lam, alpha,
 
 
 def test_solver_certifies_a_constant_level_mismatch():
-    # g_-1 += 5 moves F_-1 = lambda * d_-1 by 15 at level 0 only, so the
-    # peeling runs to the constant level and stops at (-1, 0)
+    # g_-1 += 5 moves only the constant level, which the seed at m = 1
+    # does not see; the first entry listed reads m = -1 as m + n
     spec = ModuleSpec.phi(b=sc(2), lam=sc(3), coeffs=(ONE,))
     fam = GenericFamily.from_spec(spec, 2)
     g_m = {**fam.g_m, -1: fam.g_m[-1] + BiPoly.const(sc(5))}
     fam = GenericFamily(fam.a, fam.b, 2, fam.a_m, g_m)
     assert solve_candidate(fam) == InfeasibilityCertificate(
-        "leading-coeff", (-1, 0), BiPoly.const(sc(15)))
-    first = check_constraints(fam).failures[0]
-    assert (first.constraint, first.indices, first.residue) == (
-        "ll-compat", (-2, 1), "15")
-
-
-def test_extract_h_coeffs_guards():
-    T = BiPoly.t_var()
-    with pytest.raises(ValueError, match="F_0 must be zero"):
-        extract_h_coeffs({0: T, 1: BiPoly.zero()}, ZERO, sc(2))
-    with pytest.raises(ValueError, match="F_1 is required"):
-        extract_h_coeffs({-1: T, 0: BiPoly.zero()}, ZERO, sc(2))
+        "ll-compat", (-2, 1), BiPoly.const(sc(15)))
+    assert listed(fam)[0] == ("ll-compat", (-2, 1), "15")
