@@ -4,18 +4,19 @@ The ambient space is spanned by the monomials s^i t^j with i <= bounds[0]
 and j <= bounds[1].  :class:`SubspaceBasis` keeps an exact reduced row
 echelon basis of a subspace of that box: each row is a sparse
 :class:`BiPoly` whose pivot is its least monomial (i, j), with coefficient
-1 there and no other row holding that monomial; a polynomial is reduced
-against all rows in one sparse pass.  :func:`orbit_closure` grows a seed
-set by repeatedly applying the in-window operators L_m and W_m, in a fixed
-order, recording the dimension after each round.  Images that leave the
-box are never silently dropped: they are counted as overflow, so
-"stabilized with zero overflow" is a genuine invariant-subspace statement
-for the box.  Structure settles images before they are built: an image
+1 there and no other row holding that monomial, so every pivot column of
+f - sum f_p * row_p cancels exactly and a reduction adds up only the rows'
+other columns.  :func:`orbit_closure` grows a seed set by repeatedly
+applying the in-window operators L_m and W_m, in a fixed order, recording
+the dimension after each round.  Images that leave the box are never
+silently dropped: they are counted as overflow, so "stabilized with zero
+overflow" is a genuine invariant-subspace statement for the box.  An image
 whose degrees (:meth:`Op.reach`) put it past the box is counted as
 overflow, and one whose support bound (:meth:`Op.support`) lies in the
-span's runs of monomial rows is skipped.  The rest are built, each
-frontier row shifted once per distinct operator shift (L_m and W_m share
-the shift m), and tested against the box when the degrees left it open.
+span's runs of monomial rows is skipped.  The rest are shifted (once per
+row and distinct shift: L_m and W_m share the shift m), applied and
+reduced on the integer form of :mod:`virab.polynomials`: a BiPoly is built
+only for a new row and for the residue.
 
 :func:`check_invariant_subspace` is the complementary exact test: for the
 span of all in-box monomials selected by a predicate on (i, j), it checks
@@ -28,7 +29,10 @@ bound.
 
 from __future__ import annotations
 
+from functools import cache
+from math import lcm
 from time import perf_counter
+from types import SimpleNamespace
 
 from .algebra import L, W
 from .polynomials import BiPoly, format_bipoly
@@ -60,25 +64,44 @@ class SubspaceBasis:
         return len(self.rows)
 
     def fits(self, f: BiPoly) -> bool:
-        ds, dt = self.bounds
-        return all(i <= ds and j <= dt for i, j in f.terms)
+        return self._inside(f._numerators()[1])
 
-    def _reduce(self, f: BiPoly) -> BiPoly:
-        # rows hold no pivot but their own, so f's own coefficients decide,
-        # and one pass subtracts every row at once
+    def _inside(self, nums: list) -> bool:
+        ds, dt = self.bounds
+        return all(i <= ds and j <= dt for (i, j), _, _ in nums)
+
+    def _reduce(self, d: int, nums: list) -> tuple[int, dict]:
+        """f - sum f_p * row_p over the pivots p of the integer form f.  Rows
+        are 1 at their pivot and 0 at every other one, so each pivot column
+        cancels exactly: only the rows' other columns are added up."""
         rows = self.rows
-        return f.combine((row, -c) for pivot, c in f.terms.items()
-                         if (row := rows.get(pivot)) is not None)
+        hits = [(p, a, b, *rows[p]._numerators())
+                for p, a, b in nums if p in rows]
+        scale = lcm(*{hit[3] for hit in hits})
+        acc = {k: [a * scale, b * scale]
+               for k, a, b in nums if k not in rows}
+        add = acc.setdefault
+        for p, a, b, dr, row in hits:
+            a, b = a * (scale // dr), b * (scale // dr)
+            for k, ra, rb in row:
+                if k != p:
+                    x = add(k, [0, 0])
+                    x[0] -= ra * a - rb * b
+                    x[1] -= ra * b + rb * a
+        return d * scale, acc
 
     def contains(self, f: BiPoly) -> bool:
-        return self.fits(f) and not self._reduce(f)
+        return self.fits(f) and not BiPoly._from_numerators(
+            *self._reduce(*f._numerators()))
 
-    def insert(self, f: BiPoly) -> BiPoly | None:
-        """Reduce f against the basis; if independent, add the normalized
-        reduced row and return it, else return None."""
-        if not self.fits(f):
+    def insert(self, f: BiPoly | tuple[int, list]) -> BiPoly | None:
+        """Reduce f, a BiPoly or an integer form, against the basis; if
+        independent, add the normalized reduced row and return it, else
+        return None."""
+        d, nums = f._numerators() if type(f) is BiPoly else f
+        if not self._inside(nums):
             raise ValueError("polynomial exceeds the monomial box")
-        f = self._reduce(f)
+        f = BiPoly._from_numerators(*self._reduce(d, nums))
         if not f:
             return None
         pivot = min(f.terms)
@@ -104,7 +127,9 @@ class SubspaceBasis:
 def _operators(spec: ModuleSpec, window: int):
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
-    return [spec.op(sym(m))
+    # L_m and W_m both read data(m): build it once per index
+    once = SimpleNamespace(a=spec.a, b=spec.b, data=cache(spec.data))
+    return [type(spec).op(once, sym(m))
             for m in range(-window, window + 1) for sym in (L, W)]
 
 
@@ -138,13 +163,11 @@ def orbit_closure(
     overflow); the residue is the first image that left the box, else the
     first row of the last frontier.
 
-    An image whose degrees already put it past the box is counted as
-    overflow unbuilt (only the first is built, for the residue), and one
-    whose degree bounds put it inside skips the box test.  One whose
-    support bound lies in the basis's runs is in the span, so it fits and
-    its insert would return None: it is skipped unbuilt.  The counts, the
-    trace, the frontier and the residue are those of building and
-    inserting every image."""
+    An image that degrees put past the box is counted unbuilt (the first
+    is built, as the residue), and one they put inside skips the box test.
+    One whose support bound lies in the runs is in the span: it is skipped
+    unbuilt.  The counts, the trace, the frontier and the residue are those
+    of building and inserting every image."""
     t0 = perf_counter()
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
@@ -185,13 +208,14 @@ def orbit_closure(
                     continue  # in the span: it would fit and insert nothing
                 g = shifted.get(op.shift)
                 if g is None:
-                    g = shifted[op.shift] = f.shift_s(op.shift)
-                img = op.apply_shifted(g)
-                if not img:
-                    continue
-                if fits is False or (fits is None and not basis.fits(img)):
+                    g = shifted[op.shift] = BiPoly._settled(
+                        *f._shifted(op.shift))
+                d, acc = op._image(g)
+                img = BiPoly._settled(d, acc)
+                if fits is False or (fits is None
+                                     and not basis._inside(img[1])):
                     overflow += 1
-                    escaped = escaped or img
+                    escaped = escaped or BiPoly._from_numerators(d, acc)
                     continue
                 reduced = basis.insert(img)
                 if reduced is not None:

@@ -9,19 +9,20 @@ BiPoly and :class:`virab.algebra.AlgElement` over basis symbols share the
 :class:`Terms` core for construction, equality, addition, subtraction
 (adding the negation), negation, scaling and linear combination, and add
 only what depends on their keys.
-:meth:`BiPoly.sum_of_products` accumulates a signed sum of products in one
-dict; ``*`` is its one-pair call.
 Zero coefficients are never stored, so equality is plain dict equality.
 Instances are immutable by convention: every operation returns a fresh
 object and nothing ever mutates ``terms`` after construction.  The degree
 of the zero polynomial is the sentinel ``NEG_INF``.
 
-The kernels :meth:`BiPoly.sum_of_products`, :meth:`BiPoly.shift_s` and
-:meth:`Terms.combine` add up Gaussian-integer numerators over one common
-denominator (FLINT's ``fmpq_poly`` form) and reduce each output coefficient
-once.  Each instance caches its integer form on first use.  The cache is
-sound because ``terms`` is never mutated, and it is not the value: ``terms``
-alone decides equality, formatting and every other reader.
+The kernels add up Gaussian-integer numerators over one common
+denominator (FLINT's ``fmpq_poly`` form), from each value's cached integer
+form (D, [(key, re, im)]) into an accumulator (D, {key: [re, im]}).  The
+cores :meth:`BiPoly._product_sum` (the one product loop) and
+:meth:`BiPoly._shifted` (the one binomial shift loop) take no gcd, and
+:mod:`virab.orbit` works on their results.  Their wrappers
+:meth:`BiPoly.sum_of_products` (``*`` is its one-pair call) and
+:meth:`BiPoly.shift_s`, and :meth:`Terms.combine`, reduce each output
+coefficient once.
 
 The canonical text form ("2*s^2*t - 1/2", graded-lex with s before t,
 descending) lives in :func:`format_bipoly`.  Parsers are in
@@ -98,6 +99,11 @@ class Terms:
             if r or m:
                 out[k] = _reduced(r, m, d)
         return cls._raw(out)
+
+    @staticmethod
+    def _settled(d: int, acc: dict) -> tuple[int, list]:
+        """The integer form of an accumulator, zeros dropped; no gcd."""
+        return d, [(k, r, m) for k, (r, m) in acc.items() if r or m]
 
     @classmethod
     def zero(cls: type[_T]) -> _T:
@@ -229,28 +235,29 @@ class BiPoly(Terms):
     def sum_of_products(plus: Iterable[tuple[BiPoly, BiPoly]],
                         minus: Iterable[tuple[BiPoly, BiPoly]] = ()) -> BiPoly:
         """The sum of a*b over the (a, b) in ``plus`` minus the sum of a*b
-        over the (a, b) in ``minus``.
-
-        Every term product goes into one dict, as numerators over the lcm
-        of the pairs' denominators; each output coefficient is reduced and
-        zeros are dropped once at the end: the value of multiplying out each
-        pair and adding or subtracting the results, without a gcd per step.
-        A scaled term c*p is the product of p with ``BiPoly.const(c)``.
-        """
+        over the (a, b) in ``minus``, by :meth:`_product_sum`.  A scaled
+        term c*p is the product of p with ``BiPoly.const(c)``."""
         work = []
-        d = 1
         for pairs, sign in ((plus, 1), (minus, -1)):
             for a, b in pairs:
                 if a.terms and b.terms:
-                    da, na = a._numerators()
-                    db, nb = b._numerators()
-                    e = da * db
-                    if d % e:
-                        d = lcm(d, e)
-                    work.append((e, sign, na, nb))
-        acc: dict[tuple[int, int], list[int]] = {}
+                    work.append((sign, a._numerators(), b._numerators()))
+        return BiPoly._from_numerators(*BiPoly._product_sum(work))
+
+    @staticmethod
+    def _product_sum(work: list[tuple]) -> tuple[int, dict]:
+        """The accumulator of the sum of sign * a * b over the (sign, a, b)
+        in ``work``, a and b integer forms; it may hold zeros."""
+        d, acc = 1, {}
         add = acc.setdefault
-        for e, sign, na, nb in work:
+        for sign, (da, na), (db, nb) in work:
+            e = da * db
+            if d % e:  # a new common denominator: rescale what is summed
+                f = lcm(d, e) // d
+                for x in acc.values():
+                    x[0] *= f
+                    x[1] *= f
+                d *= f
             f = sign * (d // e)
             for (i1, j1), a1, b1 in na:
                 a1, b1 = a1 * f, b1 * f
@@ -258,7 +265,7 @@ class BiPoly(Terms):
                     x = add((i1 + i2, j1 + j2), [0, 0])
                     x[0] += a1 * a2 - b1 * b2
                     x[1] += a1 * b2 + b1 * a2
-        return BiPoly._from_numerators(d, acc)
+        return d, acc
 
     def partial_t(self) -> BiPoly:
         return BiPoly._raw(
@@ -266,18 +273,24 @@ class BiPoly(Terms):
         )
 
     def shift_s(self, c: Scalar | BiPoly) -> BiPoly:
-        """Substitute s -> s - c (exact binomial expansion), on numerators
-        over D * cd^max_i (D self's denominator, cd c's, max_i = deg_s);
-        self if it has no s term.  A c in the index variables
-        (:meth:`index_var`) goes by Horner's rule in the powers of s."""
+        """Substitute s -> s - c (:meth:`_shifted`), or by Horner's rule for
+        a c in the index variables (:meth:`index_var`); self if no s term."""
         if not c or not self.terms:
             return self
         if type(c) is BiPoly:
             return self._shift_by_index(c)
-        max_i = max(self.terms)[0]
-        if not max_i:
+        if not max(self.terms)[0]:
             return self
+        return BiPoly._from_numerators(*self._shifted(c))
+
+    def _shifted(self, c: Scalar) -> tuple[int, dict]:
+        """The accumulator of self(s - c, t) (a copy of self's own when c is
+        0 or self has no s term), by the binomial expansion over
+        D * cd^max_i (D self's denominator, cd c's, max_i = deg_s)."""
+        max_i = max(self.terms)[0] if c and self.terms else 0
         d, nums = self._numerators()
+        if not max_i:
+            return d, {k: [a, b] for k, a, b in nums}
         ca, cb, cd = -c._a, -c._b, c._d  # -c = (ca + cb*i)/cd
         # (-c)^k = pows[k] / cd^max_i, pows[k] = (ca + cb*i)^k * cd^(max_i - k)
         pows = [(1, 0)]
@@ -296,7 +309,7 @@ class BiPoly(Terms):
                 x = add((p, j), [0, 0])
                 x[0] += (a * pr - b * pi) * n
                 x[1] += (a * pi + b * pr) * n
-        return BiPoly._from_numerators(d * cd ** max_i, acc)
+        return d * cd ** max_i, acc
 
     def _shift_by_index(self, c: BiPoly) -> BiPoly:
         powers: dict[int, dict] = {}  # power of s -> its coefficient

@@ -233,14 +233,17 @@ class Op(NamedTuple):
     q: BiPoly
 
     def apply(self, u: BiPoly) -> BiPoly:
-        return self.apply_shifted(u.shift_s(self.shift))
+        return BiPoly._from_numerators(
+            *self._image(BiPoly._settled(*u._shifted(self.shift))))
 
-    def apply_shifted(self, shifted: BiPoly) -> BiPoly:
-        """The action, given U = u(s - shift, t) already computed."""
-        if not self.q:
-            return shifted * self.p
-        return BiPoly.sum_of_products(
-            ((shifted, self.p), (shifted.partial_t(), self.q)))
+    def _image(self, shifted: tuple[int, list]) -> tuple[int, dict]:
+        """The accumulator of U*p + d/dt U*q from U = u(s - shift, t)."""
+        work = [(1, shifted, self.p._numerators())]
+        if self.q:  # d/dt U, on the integer form
+            d, nums = shifted
+            dt = d, [((i, j - 1), a * j, b * j) for (i, j), a, b in nums if j]
+            work.append((1, dt, self.q._numerators()))
+        return BiPoly._product_sum(work)
 
     def reach(self) -> Reach:
         """How far the action moves the degrees of u, read off p and q.

@@ -126,14 +126,14 @@ def test_invariance_builds_only_images_that_may_leave(monkeypatch):
     # takes 200 products), and at b = 1 with alpha = 1 the first image
     # built leaves the predicate
     built = 0
-    apply_shifted = Op.apply_shifted
+    image = Op._image
 
     def counted(self, shifted):
         nonlocal built
         built += 1
-        return apply_shifted(self, shifted)
+        return image(self, shifted)
 
-    monkeypatch.setattr(Op, "apply_shifted", counted)
+    monkeypatch.setattr(Op, "_image", counted)
     for b, alpha, invariant, images in ((sc(2), ONE, True, 0),
                                         (ONE, ONE, False, 1)):
         built = 0
@@ -394,18 +394,18 @@ def test_decided_overflows_are_not_built(monkeypatch):
     # every overflow of this closure is decided by degrees
     assert expected["decided"] == expected["overflow"] > 1
     built = 0
-    apply_shifted = Op.apply_shifted
+    image = Op._image
 
     def counted(self, shifted):
         nonlocal built
         built += 1
-        return apply_shifted(self, shifted)
+        return image(self, shifted)
 
-    monkeypatch.setattr(Op, "apply_shifted", counted)
+    monkeypatch.setattr(Op, "_image", counted)
     report = orbit_closure(spec, [T], window=3, bounds=(2, 2), max_rounds=9)
     assert report.data["overflow"] == expected["overflow"]
     # the first overflow is built once: its text is the failure's residue
-    assert built <= expected["images"] - expected["decided"] + 1
+    assert 0 < built <= expected["images"] - expected["decided"] + 1
 
 
 def _runs_from_rows(rows):
@@ -429,6 +429,11 @@ def test_subspace_basis_runs_follow_rows(monkeypatch, rng):
         out = insert(self, f)
         assert ({j: k for j, k in self.runs.items() if k}
                 == _runs_from_rows(self.rows))
+        # what the reduction's pivot skip rests on: each row is 1 at its
+        # pivot and holds no other row's pivot
+        for pivot, row in self.rows.items():
+            assert row.terms[pivot] == ONE
+            assert row.terms.keys() & self.rows.keys() == {pivot}
         inserts += 1
         return out
 
@@ -465,16 +470,16 @@ def test_saturating_closure_skips_images_in_the_span(monkeypatch, spec):
     expected = _naive_closure(spec, [T], 2, (5, 5), 40)
     assert expected["stabilized"] and expected["dimension_trace"][-1] == 30
     built = 0
-    apply_shifted = Op.apply_shifted
+    image = Op._image
 
     def counted(self, shifted):
         nonlocal built
         built += 1
-        return apply_shifted(self, shifted)
+        return image(self, shifted)
 
-    monkeypatch.setattr(Op, "apply_shifted", counted)
+    monkeypatch.setattr(Op, "_image", counted)
     orbit_closure(spec, [T], window=2, bounds=(5, 5), max_rounds=40)
-    assert built < expected["images"] - expected["decided"]
+    assert 0 < built < expected["images"] - expected["decided"]
 
 
 @pytest.mark.parametrize("spec", REPLAY_SPECS,
@@ -496,3 +501,48 @@ def test_invariance_matches_naive_in_the_workload_box(spec):
         assert naive is want
         assert check_invariant_subspace(spec, predicate, window=window,
                                         bounds=(10, 10)) is naive
+
+
+# lambda = i and alpha = 3/2: images with Gaussian-fraction coefficients
+GAUSSIAN_SPECS = [spec for spec in REPLAY_SPECS
+                  if spec.lam == sci(0, 1) or spec.alpha == sc("3/2")]
+
+
+@pytest.mark.parametrize("spec", GAUSSIAN_SPECS,
+                         ids=lambda s: f"{s.family.value}-b{s.b}-alpha{s.alpha}")
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_orbit_closure_matches_naive_on_gaussian_fraction_seeds(spec, window):
+    rng = random.Random(f"gaussian/{spec.to_dict()}/{window}")
+    seeds = [S * T.scale(sci("1/3", "1/2")) - BiPoly.monomial(0, 2, sc("2/5"))]
+    for _ in range(rng.randint(1, 2)):
+        seeds.append(BiPoly({(rng.randint(0, 2), rng.randint(0, 2)):
+                             sci(f"{rng.randint(-3, 3)}/{rng.randint(1, 5)}",
+                                 f"{rng.randint(-3, 3)}/{rng.randint(1, 5)}")
+                             for _ in range(3)}) or T)
+    for bounds, max_rounds in (((2, 3), 6), ((3, 3), 3), ((4, 3), 12)):
+        _assert_matches_naive(spec, seeds, window, bounds, max_rounds)
+
+
+def test_images_in_the_span_through_a_fractional_row(monkeypatch):
+    # every image is c*f for a Gaussian fraction c, so it reduces to zero
+    # only through the seed's own row t + 1/6*s, over the denominator 6
+    c = sci("1/2", "-1/3")
+    op = Op(sc(3), BiPoly.const(c), BiPoly.zero())
+    seed = T.scale(sc(2)) + S.scale(sc("1/3"))
+    basis = SubspaceBasis((2, 2))
+    row = basis.insert(seed)
+    assert row == T + S.scale(sc("1/6")) and row._numerators()[0] == 6
+    assert op.apply(seed) == seed.shift_s(sc(3)).scale(c)
+    assert basis.insert(BiPoly.const(c) * seed) is None
+    # the closure's path: shift, image and insert on integer forms
+    for shift, independent in ((ZERO, False), (sc(3), True)):
+        image = op._image(BiPoly._settled(*seed._shifted(shift)))
+        assert (basis.insert(BiPoly._settled(*image)) is not None) is independent
+    spec = ModuleSpec.phi(b=ONE, lam=sc(2), alpha=ONE, coeffs=())
+    monkeypatch.setattr(ModuleSpec, "op", lambda self, sym: op)
+    _assert_matches_naive(spec, [seed], 1, (2, 2), 4)
+    zero_shift = Op(ZERO, BiPoly.const(c), BiPoly.zero())
+    monkeypatch.setattr(ModuleSpec, "op", lambda self, sym: zero_shift)
+    report = orbit_closure(spec, [seed], window=1, bounds=(2, 2))
+    assert report.passed and report.data["dimension_trace"] == [1, 1]
+    _assert_matches_naive(spec, [seed], 1, (2, 2), 4)
