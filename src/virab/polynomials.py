@@ -24,6 +24,10 @@ cores :meth:`BiPoly._product_sum` (the one product loop) and
 :meth:`BiPoly.shift_s`, and :meth:`Terms.combine`, reduce each output
 coefficient once.
 
+:class:`Index`, a symbolic integer index held as a BiPoly in the index
+variables, is the one value that :mod:`virab.repmod` and
+:mod:`virab.algebra` run their index formulas at to decide at all indices.
+
 The canonical text form ("2*s^2*t - 1/2", graded-lex with s before t,
 descending) lives in :func:`format_bipoly`.  Parsers are in
 :mod:`virab.grammar`.
@@ -39,7 +43,7 @@ from __future__ import annotations
 from math import comb, lcm
 from typing import Iterable, Mapping, TypeVar
 
-from .scalars import ONE, ZERO, Scalar, _reduced, format_scalar
+from .scalars import ONE, ZERO, Scalar, _reduced, format_scalar, intpow
 
 NEG_INF = float("-inf")
 INDEX_BITS = 12  # see BiPoly.index_var
@@ -202,7 +206,7 @@ class BiPoly(Terms):
 
     @classmethod
     def index_var(cls, k: int) -> BiPoly:
-        """Index variable k >= 1 (:class:`virab.repmod.Index`): its
+        """Index variable k >= 1 (:class:`Index`): its
         exponent e, which may be negative, adds e * 2^(INDEX_BITS * k) to
         a key's s exponent.  Products and d/dt need nothing more, and only
         :meth:`shift_s` reads the power of s apart."""
@@ -364,6 +368,114 @@ def divided_difference(k: int, alpha: Scalar) -> BiPoly:
             out[0, k - 1 - j] = p
         p = p * alpha
     return BiPoly._raw(out)
+
+
+class Undecided(ValueError):
+    """A test on an :class:`Index` that its zero pattern does not decide."""
+
+
+class Index:
+    """A symbolic integer index on one zero pattern of a few affine forms:
+    a polynomial in the index variables (:meth:`BiPoly.index_var`) m, n
+    (1, 2) and k (5).
+
+    It adds, subtracts and multiplies as an int does, and ``lam ** k`` is
+    lam^c * u^d * v^e for k = c + d*m + e*n, u and v (index variables 3, 4)
+    standing for lam^m and lam^n; ``lam`` is None where no power is taken.
+    A zero test is answered only where the pattern decides it: zero when
+    the polynomial is, nonzero when it is one term whose variables are all
+    nonzero (u and v, since lam != 0, and each variable the pattern lists
+    among its ``nonzero`` forms) or a multiple of a ``nonzero`` form.  Any
+    other test or power raises Undecided or TypeError: code run at an Index
+    computes its value at every index tuple of the pattern, or refuses."""
+
+    __slots__ = ("poly", "nonzero", "lam")
+
+    def __init__(self, poly: BiPoly, nonzero: tuple[BiPoly, ...],
+                 lam: Scalar | None):
+        self.poly, self.nonzero, self.lam = poly, nonzero, lam
+
+    def _of(self, poly: BiPoly) -> Index:
+        return Index(poly, self.nonzero, self.lam)
+
+    def __add__(self, k) -> Index:
+        return self._of(self.poly + _index_poly(k))
+
+    __radd__ = __add__
+
+    def __sub__(self, k) -> Index:
+        return self._of(self.poly - _index_poly(k))
+
+    def __mul__(self, k) -> Index:
+        return self._of(self.poly * _index_poly(k))
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> Index:
+        return self._of(-self.poly)
+
+    def __rpow__(self, lam: Scalar) -> Index:
+        key, c = 0, ONE
+        for (i, j), e in self.poly.terms.items():
+            if (lam != self.lam or j or i not in (0, _M, _N) or e.im
+                    or e.re.denominator != 1):
+                raise Undecided("a power the index pattern does not take")
+            if i:
+                key += (i << 2 * INDEX_BITS) * int(e.re)
+            else:
+                c = intpow(lam, int(e.re))
+        return self._of(BiPoly({(key, 0): c}))
+
+    def __eq__(self, k) -> bool:
+        if isinstance(k, Index) and k.poly == self.poly:
+            return True
+        d = self.poly - _index_poly(k)
+        if not d:
+            return True
+        if len(d.terms) == 1:
+            (key, _), = d.terms
+            if all(v in _LAMBDA_POWERS or BiPoly.index_var(v) in self.nonzero
+                   for v in _index_vars(key)):
+                return False
+        for u in self.nonzero:
+            key, c = next(iter(u.terms.items()))
+            if d == u.scale(d.coeff(*key) / c):
+                return False
+        raise Undecided("a zero test that the index pattern does not decide")
+
+    def __bool__(self) -> bool:
+        return self != 0
+
+    def __hash__(self) -> int:  # equal Indexes have equal polynomials
+        return hash(frozenset(self.poly.terms.items()))
+
+
+_M, _N = 1 << INDEX_BITS, 1 << 2 * INDEX_BITS  # the keys' s exponent of m, n
+_LAMBDA_POWERS = (3, 4)  # u and v of Index, nonzero on every pattern
+
+
+def _index_vars(key: int) -> list[int]:
+    """The index variables with a nonzero exponent in the s exponent
+    ``key`` (0 standing for s itself), read as signed base-2^INDEX_BITS
+    digits (:meth:`BiPoly.index_var`)."""
+    out, v, half = [], 0, 1 << INDEX_BITS - 1
+    while key:
+        e = ((key + half) & _S_MASK) - half
+        if e:
+            out.append(v)
+        key, v = (key - e) >> INDEX_BITS, v + 1
+    return out
+
+
+def _index_poly(k: int | Scalar | Index) -> BiPoly:
+    """An int, a Scalar or an Index as a polynomial in the index variables."""
+    if isinstance(k, Index):
+        return k.poly
+    if type(k) is int:
+        k = Scalar.from_int(k)
+    if not isinstance(k, Scalar):
+        raise TypeError(f"not an index: {k!r}")
+    return BiPoly.const(k)
 
 
 # --- canonical text form ------------------------------------------------

@@ -59,7 +59,14 @@ from .algebra import (
     bracket,
     classify_case,
 )
-from .polynomials import INDEX_BITS, BiPoly, divided_difference, format_bipoly
+from .polynomials import (
+    BiPoly,
+    Index,
+    Undecided,  # noqa: F401 (virab.repmod.Undecided)
+    _index_poly,
+    divided_difference,
+    format_bipoly,
+)
 from .report import Report
 from .scalars import (
     MINUS_ONE,
@@ -67,7 +74,6 @@ from .scalars import (
     ZERO,
     Scalar,
     format_scalar,
-    intpow,
     parse_scalar,
 )
 
@@ -110,94 +116,6 @@ def twist_poly(b: Scalar, alpha: Scalar, m: int | Index) -> BiPoly:
     """The twist factor w_m(t) = t - shift, the shift alpha times the
     weight from :func:`_alpha_weights`."""
     return BiPoly.t_var() - _index_poly(_alpha_weights(b, m)[1] * alpha)
-
-
-class Undecided(ValueError):
-    """A test on an :class:`Index` that its zero pattern does not decide."""
-
-
-class Index:
-    """A symbolic integer index on one zero pattern of (m, n, m + n): a
-    polynomial in the index variables m, n (:meth:`BiPoly.index_var` 1, 2).
-
-    It adds, subtracts and multiplies as an int does, and ``lam ** k`` is
-    lam^c * u^d * v^e for k = c + d*m + e*n, u and v (index variables 3, 4)
-    standing for lam^m and lam^n.  A zero test is answered only where the
-    pattern decides it: zero when the polynomial is, nonzero when it is one
-    term (every variable left is nonzero on the pattern) or a multiple of a
-    ``nonzero`` form.  Any other test or power raises Undecided or
-    TypeError: code run at an Index computes its value at every index pair
-    of the pattern, or refuses."""
-
-    __slots__ = ("poly", "nonzero", "lam")
-
-    def __init__(self, poly: BiPoly, nonzero: tuple[BiPoly, ...], lam: Scalar):
-        self.poly, self.nonzero, self.lam = poly, nonzero, lam
-
-    def _of(self, poly: BiPoly) -> Index:
-        return Index(poly, self.nonzero, self.lam)
-
-    def __add__(self, k) -> Index:
-        return self._of(self.poly + _index_poly(k))
-
-    __radd__ = __add__
-
-    def __sub__(self, k) -> Index:
-        return self._of(self.poly - _index_poly(k))
-
-    def __mul__(self, k) -> Index:
-        return self._of(self.poly * _index_poly(k))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> Index:
-        return self._of(-self.poly)
-
-    def __rpow__(self, lam: Scalar) -> Index:
-        key, c = 0, ONE
-        for (i, j), e in self.poly.terms.items():
-            if (lam != self.lam or j or i not in (0, _M, _N) or e.im
-                    or e.re.denominator != 1):
-                raise Undecided("a power the index pattern does not take")
-            if i:
-                key += (i << 2 * INDEX_BITS) * int(e.re)
-            else:
-                c = intpow(lam, int(e.re))
-        return self._of(BiPoly({(key, 0): c}))
-
-    def __eq__(self, k) -> bool:
-        if isinstance(k, Index) and k.poly == self.poly:
-            return True
-        d = self.poly - _index_poly(k)
-        if not d:
-            return True
-        if len(d.terms) == 1:
-            return False
-        for u in self.nonzero:
-            key, c = next(iter(u.terms.items()))
-            if d == u.scale(d.coeff(*key) / c):
-                return False
-        raise Undecided("a zero test that the index pattern does not decide")
-
-    def __bool__(self) -> bool:
-        return self != 0
-
-    def __hash__(self) -> int:  # equal Indexes have equal polynomials
-        return hash(frozenset(self.poly.terms.items()))
-
-
-_M, _N = 1 << INDEX_BITS, 1 << 2 * INDEX_BITS  # the keys' s exponent of m, n
-
-
-def _index_poly(k: int | Scalar | Index) -> BiPoly:
-    """An int, a Scalar or an Index as a polynomial in the index variables."""
-    if isinstance(k, Index):
-        return k.poly
-    if type(k) is int:
-        k = Scalar.from_int(k)
-    if not isinstance(k, Scalar):
-        raise TypeError(f"not an index: {k!r}")
-    return BiPoly.const(k)
 
 
 def _times(p: BiPoly, k: Scalar | Index) -> BiPoly:
@@ -552,12 +470,13 @@ def _symbols_vanish(spec: ModuleSpec) -> bool:
     # central symbols act by zero: the table without them is what counts
     algebra = classify_case(spec.a, spec.b, want_extension=False)
     m, n, zero = BiPoly.index_var(1), BiPoly.index_var(2), BiPoly.zero()
-    # (m, n) on each zero pattern of (m, n, m + n): none zero; then m = 0,
-    # n = 0, m + n = 0 and all zero, which decide alike (one variable is
-    # left, or none) and so share their caches.  Every pair of integers is
-    # on exactly one pattern.
-    groups = [[(m, n, (m + n,))],
-              [(zero, n, ()), (m, zero, ()), (-n, n, ()), (zero, zero, ())]]
+    # (m, n) on each zero pattern of (m, n, m + n), with the forms that are
+    # nonzero on it: none zero; then m = 0, n = 0, m + n = 0 and all zero,
+    # which decide alike (one variable is left, nonzero, or none) and so
+    # share their caches.  Every pair of integers is on exactly one pattern.
+    groups = [[(m, n, (m + n, m, n))],
+              [(zero, n, (n,)), (m, zero, (m,)), (-n, n, (n,)),
+               (zero, zero, ())]]
     try:
         for group in groups:
             op = cache(partial(_op, spec))

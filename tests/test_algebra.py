@@ -18,7 +18,8 @@ from virab.algebra import (
     format_element,
     verify_algebra,
 )
-from virab.scalars import MINUS_ONE, ONE, ZERO
+from virab.polynomials import Undecided
+from virab.scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 
 VIR00 = classify_case(sc(0), sc(0))
@@ -251,25 +252,16 @@ def _broken_ww_antisymmetric(n, m, p, ww=virab.algebra._ww):
     return out
 
 
-# (a, b, window): vir-gen, and vir00 with three central symbols, so that
-# triples with repeated and central symbols pin the failure order; the
-# vir-gen case keeps the bare id
-BROKEN_SWEEPS = [("1/3", 2, 2), (0, 0, 1), (0, 0, 2)]
+def _broken_ll_at_zero(n, m, p, ll=virab.algebra._ll):
+    # [L_0, L_m] doubled: a test of n == 0, which no pattern of the
+    # symbolic check decides (n may be 0 on each), and the only test added
+    out = ll(n, m, p)
+    return out.scale(sc(2)) if n == 0 else out
 
 
-@pytest.mark.parametrize("name, broken, a, b, window", [
-    pytest.param(name, broken, a, b, window,
-                 id=f"{name}-{broken.__name__}"
-                 + (f"-vir00-w{window}" if a == 0 else ""))
-    for name, broken in (("_lw", _broken_lw), ("_ll", _broken_ll),
-                         ("_ww", _broken_ww), ("_ww", _broken_ww_antisymmetric))
-    for a, b, window in BROKEN_SWEEPS
-])
-def test_verify_algebra_matches_naive_replay_on_broken_table(
-        monkeypatch, name, broken, a, b, window):
-    monkeypatch.setattr(virab.algebra, name, broken)
-    p = classify_case(sc(a), sc(b))
-    report = verify_algebra(p, window=window)
+def _naive_replay(p, window):
+    """verify_algebra's failures and checks, replayed pair by pair and
+    triple by triple, with no memo, no mirror classes and no symbols."""
 
     def ad(x, e):
         out = AlgElement.zero()
@@ -298,9 +290,143 @@ def test_verify_algebra_matches_naive_replay_on_broken_table(
                         ("jacobi", (str(x), str(y), str(z)), str(res)))
     n = len(syms)
     assert n == 4 * window + 2 + len(p.central_indices)
-    assert report.checks == checks == n * (n + 1) // 2 + n ** 3
+    assert checks == n * (n + 1) // 2 + n ** 3
+    return expected, checks
+
+
+def _assert_matches_replay(p, window):
+    """verify_algebra's report is the naive replay's; returns its failures."""
+    report = verify_algebra(p, window=window)
+    expected, checks = _naive_replay(p, window)
+    assert report.checks == checks
+    got = [(f.constraint, f.indices, f.residue) for f in report.failures]
+    assert got == expected
+    return expected
+
+
+# (a, b, window): vir-gen, and vir00 with three central symbols, so that
+# triples with repeated and central symbols pin the failure order; the
+# vir-gen case keeps the bare id
+BROKEN_SWEEPS = [("1/3", 2, 2), (0, 0, 1), (0, 0, 2)]
+
+
+@pytest.mark.parametrize("name, broken, a, b, window", [
+    pytest.param(name, broken, a, b, window,
+                 id=f"{name}-{broken.__name__}"
+                 + (f"-vir00-w{window}" if a == 0 else ""))
+    for name, broken in (("_lw", _broken_lw), ("_ll", _broken_ll),
+                         ("_ww", _broken_ww), ("_ww", _broken_ww_antisymmetric))
+    for a, b, window in BROKEN_SWEEPS
+])
+def test_verify_algebra_matches_naive_replay_on_broken_table(
+        monkeypatch, name, broken, a, b, window):
+    monkeypatch.setattr(virab.algebra, name, broken)
+    p = classify_case(sc(a), sc(b))
+    expected = _assert_matches_replay(p, window)
     assert any(f[0] == "jacobi" for f in expected)
     assert (any(f[0] == "antisymmetry" for f in expected)
             == (broken in (_broken_ll, _broken_ww)))
-    got = [(f.constraint, f.indices, f.residue) for f in report.failures]
-    assert got == expected
+
+
+@pytest.mark.parametrize("extension", [True, False], ids=["vir-gen", "w"])
+def test_an_undecided_zero_test_leaves_the_table_to_the_sweep(
+        monkeypatch, extension):
+    # on w every n that _ll tests is a bare variable i, j or k (the table
+    # has no plane, so k is free): a one-term rule that did not read the
+    # pattern's nonzero variables would call n nonzero and pass the table
+    monkeypatch.setattr(virab.algebra, "_ll", _broken_ll_at_zero)
+    p = classify_case(sc("1/3"), sc(2), want_extension=extension)
+    with pytest.raises(Undecided):
+        virab.algebra._table_vanishes(p)
+    assert _assert_matches_replay(p, window=2)
+
+
+def _with_row(case, row):
+    """The case's COCYCLES rows with the row of the same kind and central
+    index replaced by ``row``."""
+    rows = virab.algebra.COCYCLES[case]
+    assert any(r[:2] == row[:2] for r in rows)
+    return tuple(row if r[:2] == row[:2] else r for r in rows)
+
+
+# Rows in int-like arithmetic, so that the symbolic check computes them:
+# four that are no cocycle, and LL f = n^3, 12 times the Virasoro row plus
+# the coboundary n (the bracket with the functional L_0 -> 1, up to -2)
+MUTATED_ROWS = [
+    ("vir-gen-LL-n2", ("1/3", 2), ("LL", 1, 0, lambda n: n * n * ONE), False),
+    ("vir00-WW-n2", (0, 0), ("WW", 3, 0, lambda n: n * n * ONE), False),
+    ("vir00-LW-n3", (0, 0), ("LW", 2, 0, lambda n: n * n * n * ONE), False),
+    ("vir120-WW-plane0", ("1/2", 0),
+     ("WW", 3, 0, lambda n: (2 * n + 1) * ONE), False),
+    ("vir-gen-LL-n3", ("1/3", 2), ("LL", 1, 0, lambda n: n * n * n * ONE),
+     True),
+]
+
+
+@pytest.mark.parametrize("ab, row, cocycle",
+                         [pytest.param(*m[1:], id=m[0]) for m in MUTATED_ROWS])
+def test_symbolic_check_computes_mutated_rows_as_the_replay_does(
+        monkeypatch, ab, row, cocycle):
+    p = classify_case(*(sc(v) for v in ab))
+    monkeypatch.setitem(virab.algebra.COCYCLES, p.case, _with_row(p.case, row))
+    # decided without an undecided test: a non-cocycle's residue is
+    # computed and found nonzero, and the sweep then reports it
+    assert virab.algebra._table_vanishes(p) is cocycle
+    expected = _assert_matches_replay(p, window=2)
+    assert (not expected) is cocycle
+
+
+def _fraction_cubic(n):
+    return Fraction(n ** 3 - n, 12)
+
+
+# every COCYCLES row written out again over Fraction, by (case, kind,
+# central index, plane)
+ORACLE_ROWS = {
+    "w": {},
+    "vir-gen": {("LL", 1, 0): _fraction_cubic},
+    "vir00": {("LL", 1, 0): _fraction_cubic, ("LW", 2, 0): lambda n: n * n + n,
+              ("WW", 3, 0): lambda n: n},
+    "vir0m1": {("LL", 1, 0): _fraction_cubic, ("LW", 2, 0): _fraction_cubic},
+    "vir120": {("LL", 1, 0): _fraction_cubic, ("WW", 3, -1): lambda n: 2 * n + 1},
+    "vir01": {("LL", 1, 0): _fraction_cubic, ("LW", 2, 0): lambda n: n,
+              ("LW", 4, 0): lambda n: 1},
+}
+
+
+def test_cocycle_rows_match_fraction_oracle():
+    for case, rows in virab.algebra.COCYCLES.items():
+        oracle = ORACLE_ROWS[case.value]
+        assert [row[:3] for row in rows] == list(oracle)
+        for kind, i, plane, f in rows:
+            for n in range(-40, 41):
+                c = f(n)
+                assert isinstance(c, Scalar) and not c.im, (case, kind, n)
+                assert c.re == oracle[kind, i, plane](n), (case, kind, n)
+
+
+ALL_TABLES = [VIR00, VIR0M1, VIR120, VIR01, GEN,
+              classify_case(sc("1/3"), sc(2), want_extension=False)]
+
+
+@pytest.mark.parametrize("p", ALL_TABLES, ids=lambda p: p.case.value)
+def test_verify_algebra_decision_does_not_depend_on_the_window(
+        monkeypatch, p):
+    # decided at symbolic indices, so the bracket calls are the same at
+    # any window, and the report counts the sweep's checks
+    assert virab.algebra._table_vanishes(p)
+    calls = []
+
+    def counted(x, y, q, bracket=virab.algebra.bracket):
+        calls.append((x, y))
+        return bracket(x, y, q)
+
+    monkeypatch.setattr(virab.algebra, "bracket", counted)
+    counts = []
+    for window in (2, 40):
+        calls.clear()
+        report = verify_algebra(p, window=window)
+        n = 4 * window + 2 + len(p.central_indices)
+        assert report.passed and report.checks == n * (n + 1) // 2 + n ** 3
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

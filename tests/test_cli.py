@@ -10,6 +10,7 @@ import pytest
 
 from conftest import sc
 from golden import record
+from virab.algebra import _table_vanishes, classify_case
 from virab.classify import InfeasibilityCertificate, solve_candidate
 from virab.cli import main
 from virab.grammar import parse_bipoly
@@ -89,6 +90,19 @@ def test_verify_algebra_passes(capsys):
     assert main(["verify-algebra", "--case", "vir01", "--window", "2"]) == 0
     out = capsys.readouterr().out
     assert "status: pass" in out and "failures: 0" in out
+
+
+def test_verify_algebra_decides_a_window_no_sweep_reaches(capsys):
+    # decided at symbolic indices; a sweep would take about n^3 steps (and
+    # n^2 memory), so the decision is checked before the command runs
+    assert _table_vanishes(classify_case(ZERO, ZERO))
+    assert main(["verify-algebra", "--case", "vir00", "--window", "1000000",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    n = 4 * 1000000 + 2 + 3
+    assert n == 4_000_005
+    assert doc["status"] == "pass"
+    assert doc["checks"] == n * (n + 1) // 2 + n ** 3
 
 
 def test_act(capsys, phi_spec_path):

@@ -489,7 +489,7 @@ def test_an_index_specializes_to_its_int_value(spec):
     # with m, n, lam^m and lam^n set, as those at the int m: the int and
     # Index readings of each formula agree, not only their verdicts
     m_var, n_var = BiPoly.index_var(1), BiPoly.index_var(2)
-    i = repmod.Index(m_var, (m_var + n_var,), spec.lam)
+    i = repmod.Index(m_var, (m_var + n_var, m_var, n_var), spec.lam)
     symbolic = [spec.data(i)] + [
         (op.shift.poly, op.p, op.q) for op in (spec.op(L(i)), spec.op(W(i)))]
     for m in (-3, -2, -1, 1, 2, 3):
@@ -502,12 +502,23 @@ def test_an_index_specializes_to_its_int_value(spec):
 
 def test_index_answers_only_the_tests_its_pattern_decides():
     m_var, n_var = BiPoly.index_var(1), BiPoly.index_var(2)
-    m, n = (repmod.Index(v, (m_var + n_var,), sc(2)) for v in (m_var, n_var))
+    nonzero = (m_var + n_var, m_var, n_var)
+    m, n = (repmod.Index(v, nonzero, sc(2)) for v in (m_var, n_var))
     assert m != 0 and n != 0 and m + n != 0 and m * n != 0 and m * 0 == 0
     assert (m + n) * sc(3) != 0 and m - m == 0 and m + n == n + m
     # m = 0: only n is left
-    zero, n0 = (repmod.Index(v, (), sc(2)) for v in (BiPoly.zero(), n_var))
+    zero, n0 = (repmod.Index(v, (n_var,), sc(2))
+                for v in (BiPoly.zero(), n_var))
     assert zero == 0 and n0 != 0 and zero + n0 != 0
+    # a one-term test is decided only by variables declared nonzero, and
+    # lam^m and lam^n, which lam != 0 makes nonzero on every pattern
+    bare_m, bare_n = (repmod.Index(v, (m_var + n_var,), sc(2))
+                      for v in (m_var, n_var))
+    assert sc(2) ** bare_m != 0 and sc(2) ** (bare_m - bare_n) != 0
+    for undecided in (lambda: bare_m == 0, lambda: bool(bare_m * bare_n),
+                      lambda: bool(bare_m * (sc(2) ** bare_n))):
+        with pytest.raises(repmod.Undecided):
+            undecided()
     for undecided in (lambda: m == n, lambda: m - 1 == 0,
                       lambda: bool(m + 2 * n), lambda: m > 0, lambda: m <= n,
                       lambda: range(m), lambda: sc(3) ** m,
