@@ -289,10 +289,9 @@ def verify_algebra(p: AlgebraParams, window: int = 5) -> Report:
     triples with generator indices in [-window, window], central symbols
     included.  Exact; any nonzero residue is reported with its witness.
     A table decided at symbolic indices (:func:`_table_vanishes`) gets the
-    sweep's pass report, ``checks`` counted, and is not swept.  Both passes
-    of the sweep read brackets from one memo that lives for the sweep.
-    Each cyclic class of Jacobi triples is settled once, and one whose
-    pairs are exactly antisymmetric is read off its mirror class."""
+    sweep's pass report, ``checks`` counted, and is not swept.  The sweep
+    checks every pair and every ordered triple in loop order, reading
+    brackets from one memo that lives for the sweep."""
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
     t0 = perf_counter()
@@ -325,39 +324,18 @@ def verify_algebra(p: AlgebraParams, window: int = 5) -> Report:
         # [x, e] as (bracket, coefficient) pairs for Terms.combine
         return ((br(x, sym), c) for sym, c in e.terms.items())
 
-    anti = [[False] * n for _ in range(n)]
     for ix, x in enumerate(syms):
-        for iy, y in enumerate(syms[ix:], ix):
+        for y in syms[ix:]:
             res = br(x, y) + br(y, x)
             if res:
                 report.fail("antisymmetry", (str(x), str(y)), format_element(res))
-            else:
-                anti[ix][iy] = anti[iy][ix] = True
-    # J(x, y, z) = J(y, z, x) = J(z, x, y): each cyclic class is settled
-    # at its least member (i, j, k), i <= j, k (k > i unless j == i).  If
-    # its three pairs are antisymmetric, J(x, z, y) = -J(x, y, z): it is
-    # minus the class of (i, k, j), which the loop settled first if k < j,
-    # and zero if that class is its own (j == i or j == k)
-    failing: dict[tuple[int, int, int], AlgElement] = {}
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(i + (j > i), n):
-                if anti[i][j] and anti[j][k] and anti[i][k]:
-                    if j == i or j == k:
-                        continue
-                    if k < j:
-                        if (i, k, j) in failing:
-                            failing[i, j, k] = -failing[i, k, j]
-                        continue
-                x, y, z = syms[i], syms[j], syms[k]
+    for x in syms:
+        for y in syms:
+            for z in syms:
                 res = AlgElement.zero().combine(chain(
                     ad(x, br(y, z)), ad(y, br(z, x)), ad(z, br(x, y))))
                 if res:
-                    failing[i, j, k] = res
-    # each triple of a failing class fails, in triple order
-    for triple, key in sorted((t, key) for key in failing for t in
-                              {key, key[1:] + key[:1], key[2:] + key[:2]}):
-        report.fail("jacobi", tuple(str(syms[c]) for c in triple),
-                    format_element(failing[key]))
+                    report.fail("jacobi", (str(x), str(y), str(z)),
+                                format_element(res))
     report.elapsed = perf_counter() - t0
     return report

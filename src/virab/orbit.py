@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 from .algebra import L, W
 from .polynomials import BiPoly, format_bipoly
-from .report import Report
+from .report import Report, echo_params
 from .repmod import ModuleSpec, Reach
 
 
@@ -229,7 +229,7 @@ def orbit_closure(
     report = Report(
         suite="orbit",
         params={
-            **{k: str(v) for k, v in spec.to_dict().items()},
+            **echo_params(spec.to_dict()),
             "seeds": "; ".join(format_bipoly(f) for f in seeds),
             "window": str(window),
             "bounds": f"{bounds[0]},{bounds[1]}",

@@ -67,7 +67,7 @@ from .polynomials import (
     divided_difference,
     format_bipoly,
 )
-from .report import Report
+from .report import Report, echo_params
 from .scalars import (
     MINUS_ONE,
     ONE,
@@ -559,7 +559,7 @@ def verify_module(
         }
     else:
         central = len(target.algebra.central_indices)
-        params = {k: str(v) for k, v in target.to_dict().items()}
+        params = echo_params(target.to_dict())
     params.update(window=str(window), degree=str(degree))
     report = Report(suite="verify-module", params=params)
     n_lw, n_monos = 2 * (2 * window + 1), (degree + 1) * (degree + 2) // 2

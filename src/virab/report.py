@@ -5,7 +5,8 @@ echo of the parameters, how many checks ran, the failures (each with the
 violated constraint id, the witness indices and the nonzero residue,
 preformatted as text), wall-clock time, and an optional suite-specific
 ``data`` payload (e.g. the orbit dimension trace).  A report is "pass"
-exactly when it has no failures.
+exactly when it has no failures.  Every params value is a string:
+:func:`echo_params` echoes a non-string field as its JSON text.
 
 Reports serialize to a stable JSON document; ``from_dict(to_dict(r))``
 round-trips and re-serializes to identical JSON.
@@ -16,6 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any
+
+
+def echo_params(doc: dict[str, Any]) -> dict[str, str]:
+    """``doc`` as Report params: a non-string value as its JSON text."""
+    return {k: v if isinstance(v, str) else json.dumps(v)
+            for k, v in doc.items()}
 
 
 @dataclass

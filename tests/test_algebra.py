@@ -242,8 +242,8 @@ def _broken_ww(n, m, p, ww=virab.algebra._ww):
 
 
 def _broken_ww_antisymmetric(n, m, p, ww=virab.algebra._ww):
-    # [W_1, W_m] gains W_{m+1} and [W_m, W_1] loses it: the table stays
-    # antisymmetric, so the sweep reads mirrored Jacobi classes as negated
+    # [W_1, W_m] gains W_{m+1} and [W_m, W_1] loses it: a broken table
+    # that stays antisymmetric, so it fails Jacobi only
     out = ww(n, m, p)
     if n == 1:
         out = out + AlgElement({W(m + n): ONE})
@@ -261,7 +261,7 @@ def _broken_ll_at_zero(n, m, p, ll=virab.algebra._ll):
 
 def _naive_replay(p, window):
     """verify_algebra's failures and checks, replayed pair by pair and
-    triple by triple, with no memo, no mirror classes and no symbols."""
+    triple by triple, with no memo and no symbols."""
 
     def ad(x, e):
         out = AlgElement.zero()

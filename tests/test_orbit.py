@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from virab.orbit import (
     orbit_closure,
 )
 from virab.polynomials import BiPoly, format_bipoly
-from virab.repmod import ModuleSpec, Op
+from virab.repmod import Family, ModuleSpec, Op, verify_module
 from virab.scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 
@@ -546,3 +547,26 @@ def test_images_in_the_span_through_a_fractional_row(monkeypatch):
     report = orbit_closure(spec, [seed], window=1, bounds=(2, 2))
     assert report.passed and report.data["dimension_trace"] == [1, 1]
     _assert_matches_naive(spec, [seed], 1, (2, 2), 4)
+
+
+@pytest.mark.parametrize("coeffs, extension, coeffs_text, extension_text", [
+    ((ONE, sc(2)), False, '["1", "2"]', "false"),
+    ((), True, "[]", "true"),
+])
+def test_module_reports_echo_spec_fields_as_json_text(
+        coeffs, extension, coeffs_text, extension_text):
+    spec = ModuleSpec(Family.PHI, ONE, sc(2), ONE, coeffs, extension)
+    doc = spec.to_dict()
+    for report in (verify_module(spec, window=1, degree=1),
+                   orbit_closure(spec, [T], window=1, max_rounds=1)):
+        params = json.loads(report.to_json())["params"]
+        assert params == report.params
+        assert all(isinstance(v, str) for v in params.values())
+        assert params["coeffs"] == coeffs_text
+        assert params["extension"] == extension_text
+        # parsed back, the echo is the spec document
+        assert {k: json.loads(params[k]) if k in ("coeffs", "extension")
+                else params[k] for k in doc} == doc
+        text = report.to_text().splitlines()
+        assert f"  coeffs: {coeffs_text}" in text
+        assert f"  extension: {extension_text}" in text
