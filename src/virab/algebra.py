@@ -41,6 +41,7 @@ from .polynomials import (
     _index_poly,
     _join_terms,
     _term_text,
+    zero_patterns,
 )
 from .report import Report
 from .scalars import MINUS_ONE, ONE, ZERO, HALF, Scalar, format_scalar
@@ -249,25 +250,25 @@ def _sum_vanishes(pairs: list[tuple[AlgElement, BiPoly]]) -> bool:
     return not any(BiPoly.sum_of_products(ps) for ps in by_sym.values())
 
 
+@cache
+def _patterns(rows: tuple[tuple, ...], variables: tuple[int, ...]) -> tuple:
+    """The zero patterns of the index sum minus each cocycle row's plane."""
+    return tuple(chain.from_iterable(zero_patterns(variables, [
+        sum(map(BiPoly.index_var, variables), _index_poly(-c))
+        for c in sorted({row[2] for row in rows})])))
+
+
 def _table_vanishes(p: AlgebraParams) -> bool:
     """Whether antisymmetry and Jacobi hold at every index, computed at
-    symbolic indices i, j (and k) as the module docstring says; the inner
-    brackets of Jacobi are W(a,b)'s, since only ``_central`` reads the
-    case.  Raises Undecided, ValueError or TypeError where the table does
-    not take symbolic indices."""
+    symbolic indices i, j (and k) as the module docstring says.  Reading
+    Jacobi's inner bracket from W(a,b) is valid only while ``_central`` is
+    the one code that reads the case.  Raises Undecided, ValueError or
+    TypeError where the table does not take symbolic indices."""
     w = classify_case(p.a, p.b, want_extension=False)
-    planes = sorted({row[2] for row in COCYCLES[p.case]})
-    i, j, k = (BiPoly.index_var(v) for v in (1, 2, 5))
     one = BiPoly.one()
-    for head, last, kinds in (((i,), j, ("LL", "LW", "WW")),
-                              ((i, j), k, ("LLL", "LLW", "LWW", "WWW"))):
-        rest = sum(head, BiPoly.zero())
-        # the sum on each plane c (the last index is c minus the others),
-        # then on none of them: every index tuple is on exactly one pattern
-        patterns = [(head + (_index_poly(c) - rest,), ()) for c in planes]
-        patterns.append((head + (last,), tuple(
-            rest + last - _index_poly(c) for c in planes)))
-        for values, nonzero in patterns:
+    for variables, kinds in (((1, 2), ("LL", "LW", "WW")),
+                             ((1, 2, 5), ("LLL", "LLW", "LWW", "WWW"))):
+        for values, nonzero in _patterns(COCYCLES[p.case], variables):
             idx = [Index(v, nonzero, None) for v in values]
             for kind in kinds:
                 syms = [BasisSymbol(*s) for s in zip(kind, idx)]

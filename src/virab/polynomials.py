@@ -40,6 +40,7 @@ code here calls them.
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb, lcm
 from typing import Iterable, Mapping, TypeVar
 
@@ -448,6 +449,43 @@ class Index:
 
     def __hash__(self) -> int:  # equal Indexes have equal polynomials
         return hash(frozenset(self.poly.terms.items()))
+
+
+def zero_patterns(variables: tuple[int, ...], forms: list[BiPoly]) -> tuple:
+    """Every zero pattern of the affine ``forms`` in the index variables
+    numbered ``variables``, in groups that may share caches.  A pattern
+    sets a set Z of the forms to zero, solved one form at a time for its
+    first variable with coefficient +-1 (none: ValueError), and is (values,
+    nonzero): the variables' values and the other forms there, each once
+    and scaled to lead with 1.  Z is skipped where it has no solution or
+    makes another form zero, so every integer tuple lies on exactly one
+    pattern.  Patterns whose nonzero forms are exactly their free variables
+    share one group; every other pattern is a group of its own."""
+    xs = [BiPoly.index_var(v) for v in variables]
+    keys, n = [next(iter(x.terms)) for x in xs], len(xs)
+    groups: dict = {}
+    for zero in sorted(product((1, 0), repeat=len(forms)), key=sum):
+        ps = xs + forms  # the variables' values, then the forms
+        for z in (z for z, on in enumerate(zero) if on):
+            g = ps[n + z]
+            units = [k for k in keys if g.coeff(*k) in (ONE, -ONE)]
+            if units:  # x_k -> x_k - c*g, c = +-1 its coefficient in g
+                k = units[0]
+                ps = [p - g.scale(p.coeff(*k) * g.coeff(*k)) for p in ps]
+            elif g.terms.keys() - {(0, 0)}:
+                raise ValueError(f"no unit pivot in the form {g!r}")
+        if any(bool(g) == on for g, on in zip(ps[n:], zero)):
+            continue  # no solution, or another form made zero
+        nonzero = []
+        for g in ps[n:]:
+            lead = next((g.coeff(*k) for k in keys if g.coeff(*k)), None)
+            if lead and (g := g.scale(lead.inv())) not in nonzero:
+                nonzero.append(g)
+        free = [x for x in xs if x in ps[:n]]
+        shares = len(free) == len(nonzero) and all(x in nonzero for x in free)
+        groups.setdefault(None if shares else zero, []).append(
+            (tuple(ps[:n]), tuple(nonzero)))
+    return tuple(map(tuple, groups.values()))
 
 
 _M, _N = 1 << INDEX_BITS, 1 << 2 * INDEX_BITS  # the keys' s exponent of m, n

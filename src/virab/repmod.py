@@ -66,6 +66,7 @@ from .polynomials import (
     _index_poly,
     divided_difference,
     format_bipoly,
+    zero_patterns,
 )
 from .report import Report, echo_params
 from .scalars import (
@@ -461,6 +462,10 @@ def _pair_symbol(x: BasisSymbol, y: BasisSymbol, op, tau,
             sop(((yq, qx),), ((xq, qy),)))
 
 
+_PATTERNS = zero_patterns((1, 2), [BiPoly.index_var(1), BiPoly.index_var(2),
+                                   BiPoly.index_var(1) + BiPoly.index_var(2)])
+
+
 def _symbols_vanish(spec: ModuleSpec) -> bool:
     """Whether every pair kind's symbol vanishes at symbolic m and n on
     every zero pattern (see :func:`verify_module`); False where the op is
@@ -469,20 +474,12 @@ def _symbols_vanish(spec: ModuleSpec) -> bool:
         return False
     # central symbols act by zero: the table without them is what counts
     algebra = classify_case(spec.a, spec.b, want_extension=False)
-    m, n, zero = BiPoly.index_var(1), BiPoly.index_var(2), BiPoly.zero()
-    # (m, n) on each zero pattern of (m, n, m + n), with the forms that are
-    # nonzero on it: none zero; then m = 0, n = 0, m + n = 0 and all zero,
-    # which decide alike (one variable is left, nonzero, or none) and so
-    # share their caches.  Every pair of integers is on exactly one pattern.
-    groups = [[(m, n, (m + n, m, n))],
-              [(zero, n, (n,)), (m, zero, (m,)), (-n, n, (n,)),
-               (zero, zero, ())]]
     try:
-        for group in groups:
+        for group in _PATTERNS:
             op = cache(partial(_op, spec))
             tau = cache(lambda sigma, y: _tau(op(y), _index_poly(sigma)))
-            for pm, pn, nonzero in group:
-                i, j = (Index(v, nonzero, spec.lam) for v in (pm, pn))
+            for values, nonzero in group:
+                i, j = (Index(v, nonzero, spec.lam) for v in values)
                 for x, y in product((L(i), W(i)), (L(j), W(j))):
                     terms = [(sym, _index_poly(c)) for sym, c in
                              bracket(x, y, algebra).terms.items()]

@@ -898,6 +898,24 @@ def test_canonical_params_refuse_what_no_module_has(family, lam, alpha,
         ModuleSpec(family, ONE, lam, alpha, (ONE,))
 
 
+@pytest.mark.parametrize("b", ["2/3", 3, 0, 1, -1])
+def test_solver_answers_at_the_first_index_that_differs(b):
+    # a t-term in g_-1's L0-free part (only ll-compat reads it) and a
+    # constant in a_2: the data first differ at m0 = -1, while the first
+    # failing identity anywhere, lw-compat (-2, 2), reads only -2, 2 and 0;
+    # the answer is the first failing one that reads m0
+    spec = ModuleSpec.phi(b=sc(b), lam=sc(2), coeffs=(ONE, sc("-1/3")))
+    fam = GenericFamily.from_spec(spec, 2)
+    g_m = {**fam.g_m, -1: fam.g_m[-1] + BiPoly.t_var()}
+    a_m = {**fam.a_m, 2: fam.a_m[2] + BiPoly.one()}
+    fam = GenericFamily(fam.a, fam.b, 2, a_m, g_m)
+    assert listed(fam)[0] == ("lw-compat", (-2, 2), "-1/2")
+    out = solve_candidate(fam)
+    assert as_listed(out) == ("lw-compat", (-1, 2), "-1")
+    assert as_listed(out) in listed(fam) and -1 in (*out.indices,
+                                                    sum(out.indices))
+
+
 def test_solver_certifies_a_constant_level_mismatch():
     # g_-1 += 5 moves only the constant level, which the seed at m = 1
     # does not see; the first entry listed reads m = -1 as m + n

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -6,12 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import sc, sci
-from virab.algebra import AlgElement, BasisSymbol, L, W
+from virab import algebra, repmod
+from virab.algebra import COCYCLES, AlgElement, BasisSymbol, L, W
 from virab.polynomials import (
+    INDEX_BITS,
     BiPoly,
     divided_difference,
     format_bipoly,
     format_unipoly,
+    zero_patterns,
 )
 from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
 
@@ -296,3 +300,82 @@ def test_format_bipoly_graded_lex():
     assert format_bipoly(BiPoly.monomial(0, 1).scale(-I)) == "-i*t"
     assert format_bipoly(BiPoly.monomial(1, 0).scale(sci(3, -2))) == "(3-2i)*s"
     assert format_bipoly(BiPoly.zero()) == "0"
+
+
+def _at(p, point):
+    """p, a polynomial in the index variables with no s or t, at
+    ``point`` ({variable number: Scalar}): each key's s exponent read as
+    signed base-2^INDEX_BITS digits, the power of s and then one exponent
+    per variable (:meth:`BiPoly.index_var`)."""
+    mask, half = (1 << INDEX_BITS) - 1, 1 << INDEX_BITS - 1
+    total = ZERO
+    for (key, j), c in p.terms.items():
+        assert j == 0 and key & mask == 0, p
+        key, v = key >> INDEX_BITS, 1
+        while key:
+            e = ((key + half) & mask) - half
+            if e:
+                c = c * point[v] ** e
+            key, v = (key - e) >> INDEX_BITS, v + 1
+        total = total + c
+    return total
+
+
+def _sites():
+    """(name, variables, forms, patterns): the forms each site decides
+    and the patterns it reads, repmod's of (m, n, m + n) and algebra's of
+    "index sum - c" over each case's planes c, for pairs and triples."""
+    m, n = BiPoly.index_var(1), BiPoly.index_var(2)
+    yield "repmod", (1, 2), [m, n, m + n], [
+        pattern for group in repmod._PATTERNS for pattern in group]
+    for case, rows in COCYCLES.items():
+        planes = sorted({row[2] for row in rows})
+        for variables in ((1, 2), (1, 2, 5)):
+            total = sum(map(BiPoly.index_var, variables), BiPoly.zero())
+            yield (f"{case.value}-{len(variables)}", variables,
+                   [total - BiPoly.const(sc(c)) for c in planes],
+                   algebra._patterns(rows, variables))
+
+
+@pytest.mark.parametrize("name, variables, forms, patterns",
+                         [pytest.param(*site, id=site[0]) for site in _sites()])
+def test_every_index_tuple_lies_on_exactly_one_pattern(name, variables, forms,
+                                                       patterns):
+    # with the tuples of a box: each is on one pattern (the variables'
+    # values there give it back and the pattern's nonzero forms are
+    # nonzero at it), and that pattern decides every form, which is zero at
+    # the tuple exactly when it is zero at every tuple of the pattern
+    box = [dict(zip(variables, map(sc, x)))
+           for x in product(range(-4, 5), repeat=len(variables))]
+    zero_on = []
+    for values, _ in patterns:
+        on_it = [dict(zip(variables, (_at(v, y) for v in values)))
+                 for y in box]
+        zero_on.append([all(not _at(f, x) for x in on_it) for f in forms])
+    for point in box:
+        on = [k for k, (values, nonzero) in enumerate(patterns)
+              if [_at(v, point) for v in values] == list(point.values())
+              and all(_at(u, point) for u in nonzero)]
+        assert len(on) == 1, (name, point, on)
+        assert [not _at(f, point) for f in forms] == zero_on[on[0]], point
+
+
+def test_zero_patterns_of_m_n_and_their_sum():
+    # none zero, then m = 0, n = 0, m + n = 0 and all zero in one group:
+    # their nonzero forms are their free variables; the pair m = n = 0
+    # forces m + n to zero, so only the three-form set holds it
+    m, n, zero = BiPoly.index_var(1), BiPoly.index_var(2), BiPoly.zero()
+    assert zero_patterns((1, 2), [m, n, m + n]) == (
+        (((m, n), (m, n, m + n)),),
+        (((zero, n), (n,)), ((m, zero), (m,)), ((-n, n), (n,)),
+         ((zero, zero), ())))
+    # two planes at once have no solution, and a form that is constant
+    # there is dropped; the others lead with 1, -n as n
+    one = BiPoly.one()
+    assert zero_patterns((1, 2), [m + n, m + n - one, -n]) == (
+        (((m, n), (m + n, m + n - one, n)),),
+        (((-n, n), (n,)), ((one - n, n), (n,)), ((zero, zero), ()),
+         ((one, zero), ())),
+        (((m, zero), (m, m - one)),))
+    with pytest.raises(ValueError, match="no unit pivot"):
+        zero_patterns((1, 2), [m + n, n - m])  # -2n once m = -n
