@@ -267,9 +267,9 @@ def _table_vanishes(p: AlgebraParams) -> bool:
     w = classify_case(p.a, p.b, want_extension=False)
     one = BiPoly.one()
     for variables, kinds in (((1, 2), ("LL", "LW", "WW")),
-                             ((1, 2, 5), ("LLL", "LLW", "LWW", "WWW"))):
+                             ((1, 2, 3), ("LLL", "LLW", "LWW", "WWW"))):
         for values, nonzero in _patterns(COCYCLES[p.case], variables):
-            idx = [Index(v, nonzero, None) for v in values]
+            idx = [Index(v, nonzero) for v in values]
             for kind in kinds:
                 syms = [BasisSymbol(*s) for s in zip(kind, idx)]
                 if len(syms) == 2:

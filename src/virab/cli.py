@@ -50,10 +50,27 @@ _FIXED_CASES = {case: ab for ab, case in _SPECIAL.items()}
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return doc
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refused if it repeats a key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k in doc if sum(k == j for j, _ in pairs) > 1)
+        raise ValueError(f"JSON object repeats the key {key!r}")
+    return doc
+
+
+def integer(text: str) -> int:
+    """An integer argument: -?[0-9]+, with spaces and tabs around it."""
+    found = re.fullmatch(f"[{SPACE}]*(-?[0-9]+)[{SPACE}]*", text)
+    if found is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(found[1])
 
 
 def _algebra_params(args) -> AlgebraParams:
@@ -109,13 +126,12 @@ def _index_table(doc: dict, key: str) -> dict[int, BiPoly]:
 
 
 def _parse_bounds(text: str) -> tuple[int, int]:
-    parts = text.split(",")
     try:
-        if len(parts) == 2:
-            return int(parts[0]), int(parts[1])
+        i, j = map(integer, text.split(","))
     except ValueError:
-        pass
-    raise ValueError("--bounds expects two comma-separated integers, e.g. 8,8")
+        raise ValueError("--bounds expects two comma-separated integers, "
+                         "e.g. 8,8") from None
+    return i, j
 
 
 def _parse_predicate(text: str):
@@ -253,7 +269,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-algebra", help="antisymmetry and Jacobi sweep")
     algebra_flags(p)
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--window", type=integer, default=5)
     common(p)
     p.set_defaults(run=_cmd_verify_algebra)
 
@@ -266,14 +282,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-module", help="bracket-compatibility sweep")
     p.add_argument("--spec", required=True, help="module spec JSON path")
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--deg", type=int, default=4)
+    p.add_argument("--window", type=integer, default=4)
+    p.add_argument("--deg", type=integer, default=4)
     common(p)
     p.set_defaults(run=_cmd_verify_module)
 
     p = sub.add_parser("qpoly", help="generating polynomial of the h-sequence space")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--k", type=integer, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--b", required=True)
     common(p)
@@ -294,9 +310,9 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="grow a submodule inside a monomial box")
     p.add_argument("--spec", required=True, help="module spec JSON path")
     p.add_argument("--seed", action="append", default=[], help="seed polynomial")
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--window", type=integer, default=3)
     p.add_argument("--bounds", default="8,8", help="monomial box, e.g. 8,8")
-    p.add_argument("--max-rounds", type=int, help="closure rounds (default 6)")
+    p.add_argument("--max-rounds", type=integer, help="closure rounds (default 6)")
     p.add_argument(
         "--invariant",
         help="check invariance of a monomial span instead, e.g. 't>=1'",

@@ -44,7 +44,7 @@ from itertools import product
 from math import comb, lcm
 from typing import Iterable, Mapping, TypeVar
 
-from .scalars import ONE, ZERO, Scalar, _reduced, format_scalar, intpow
+from .scalars import ONE, ZERO, Scalar, _reduced, format_scalar
 
 NEG_INF = float("-inf")
 INDEX_BITS = 12  # see BiPoly.index_var
@@ -378,26 +378,24 @@ class Undecided(ValueError):
 class Index:
     """A symbolic integer index on one zero pattern of a few affine forms:
     a polynomial in the index variables (:meth:`BiPoly.index_var`) m, n
-    (1, 2) and k (5).
+    and k (1, 2, 3).
 
-    It adds, subtracts and multiplies as an int does, and ``lam ** k`` is
-    lam^c * u^d * v^e for k = c + d*m + e*n, u and v (index variables 3, 4)
-    standing for lam^m and lam^n; ``lam`` is None where no power is taken.
-    A zero test is answered only where the pattern decides it: zero when
-    the polynomial is, nonzero when it is one term whose variables are all
-    nonzero (u and v, since lam != 0, and each variable the pattern lists
-    among its ``nonzero`` forms) or a multiple of a ``nonzero`` form.  Any
-    other test or power raises Undecided or TypeError: code run at an Index
-    computes its value at every index tuple of the pattern, or refuses."""
+    It adds, subtracts and multiplies as an int does, and ``1 ** k`` is 1
+    (:func:`virab.repmod._symbols_vanish` decides at lambda = 1).  A zero
+    test is answered only where the pattern decides it: zero when the
+    polynomial is, nonzero when it is one term whose variables are all
+    among the pattern's ``nonzero`` forms or a multiple of a ``nonzero``
+    form.  Any other test or power raises Undecided or TypeError: code run
+    at an Index computes its value at every index tuple of the pattern, or
+    refuses."""
 
-    __slots__ = ("poly", "nonzero", "lam")
+    __slots__ = ("poly", "nonzero")
 
-    def __init__(self, poly: BiPoly, nonzero: tuple[BiPoly, ...],
-                 lam: Scalar | None):
-        self.poly, self.nonzero, self.lam = poly, nonzero, lam
+    def __init__(self, poly: BiPoly, nonzero: tuple[BiPoly, ...]):
+        self.poly, self.nonzero = poly, nonzero
 
     def _of(self, poly: BiPoly) -> Index:
-        return Index(poly, self.nonzero, self.lam)
+        return Index(poly, self.nonzero)
 
     def __add__(self, k) -> Index:
         return self._of(self.poly + _index_poly(k))
@@ -415,17 +413,10 @@ class Index:
     def __neg__(self) -> Index:
         return self._of(-self.poly)
 
-    def __rpow__(self, lam: Scalar) -> Index:
-        key, c = 0, ONE
-        for (i, j), e in self.poly.terms.items():
-            if (lam != self.lam or j or i not in (0, _M, _N) or e.im
-                    or e.re.denominator != 1):
-                raise Undecided("a power the index pattern does not take")
-            if i:
-                key += (i << 2 * INDEX_BITS) * int(e.re)
-            else:
-                c = intpow(lam, int(e.re))
-        return self._of(BiPoly({(key, 0): c}))
+    def __rpow__(self, lam: Scalar) -> Scalar:
+        if lam != ONE:
+            raise Undecided("a power of lambda != 1 at a symbolic index")
+        return ONE
 
     def __eq__(self, k) -> bool:
         if isinstance(k, Index) and k.poly == self.poly:
@@ -435,7 +426,7 @@ class Index:
             return True
         if len(d.terms) == 1:
             (key, _), = d.terms
-            if all(v in _LAMBDA_POWERS or BiPoly.index_var(v) in self.nonzero
+            if all(BiPoly.index_var(v) in self.nonzero
                    for v in _index_vars(key)):
                 return False
         for u in self.nonzero:
@@ -486,10 +477,6 @@ def zero_patterns(variables: tuple[int, ...], forms: list[BiPoly]) -> tuple:
         groups.setdefault(None if shares else zero, []).append(
             (tuple(ps[:n]), tuple(nonzero)))
     return tuple(map(tuple, groups.values()))
-
-
-_M, _N = 1 << INDEX_BITS, 1 << 2 * INDEX_BITS  # the keys' s exponent of m, n
-_LAMBDA_POWERS = (3, 4)  # u and v of Index, nonzero on every pattern
 
 
 def _index_vars(key: int) -> list[int]:

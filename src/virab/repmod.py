@@ -263,8 +263,8 @@ class ModuleSpec:
 
     def data(self, m: int | Index) -> tuple[BiPoly, BiPoly]:
         """(a_m, g_m) = (W_m . 1, L_m . 1): a_m = lambda^m * w_m (theta: t
-        at m = 0, else 0) and g_m = lambda^m * (s + h_m), at an int or at
-        an :class:`Index`."""
+        at m = 0, else 0) and g_m = lambda^m * (s + h_m), at an int, or at
+        an :class:`Index` where lambda = 1."""
         lp = self.lam ** m
         if self.family is Family.THETA:
             a_m = BiPoly.t_var() if m == 0 else BiPoly.zero()
@@ -468,18 +468,27 @@ _PATTERNS = zero_patterns((1, 2), [BiPoly.index_var(1), BiPoly.index_var(2),
 
 def _symbols_vanish(spec: ModuleSpec) -> bool:
     """Whether every pair kind's symbol vanishes at symbolic m and n on
-    every zero pattern (see :func:`verify_module`); False where the op is
-    not :func:`_op`, a term is off the pair's shift or a test undecided."""
-    if type(spec).op is not _op:
+    every zero pattern (see :func:`verify_module`), computed at lambda = 1;
+    False where the spec is not a plain ModuleSpec acting by :func:`_op`, a
+    term is off the pair's shift or a test undecided.
+
+    ``data(m)`` is lambda^m times its value at lambda = 1 (theta's a_m =
+    [m == 0] * t too), so every Op at m is: p and q scale, the shift does
+    not.  Each of dA, dB and dC of (x_m, y_n), its bracket terms at index
+    m + n, is then lambda^(m+n) times its value at 1, and vanishes exactly
+    when that does.  This holds only while ``data`` scales both a_m and g_m
+    by lambda^m."""
+    if type(spec) is not ModuleSpec or ModuleSpec.op is not _op:
         return False
+    twin = ModuleSpec(spec.family, spec.b, ONE, spec.alpha, spec.coeffs)
     # central symbols act by zero: the table without them is what counts
     algebra = classify_case(spec.a, spec.b, want_extension=False)
     try:
         for group in _PATTERNS:
-            op = cache(partial(_op, spec))
+            op = cache(partial(_op, twin))
             tau = cache(lambda sigma, y: _tau(op(y), _index_poly(sigma)))
             for values, nonzero in group:
-                i, j = (Index(v, nonzero, spec.lam) for v in values)
+                i, j = (Index(v, nonzero) for v in values)
                 for x, y in product((L(i), W(i)), (L(j), W(j))):
                     terms = [(sym, _index_poly(c)) for sym, c in
                              bracket(x, y, algebra).terms.items()]
@@ -505,8 +514,8 @@ def verify_module(
     every one vanishes, the axioms hold at all indices, and the report is
     the sweep's pass report, its ``checks`` counted from the window and
     the degree.  A symbol that does not vanish, a bracket term off index
-    m + n, an undecided test and an op other than :func:`_op` leave the
-    spec to the sweep.
+    m + n, an undecided test and a subclass or an op other than
+    :func:`_op` leave the spec to the sweep.
 
     A GenericFamily is swept over W(a,b), skipping the pairs whose bracket
     leaves the window.  Every action is f -> F*p + F'*q with F = f(s -

@@ -245,10 +245,9 @@ def scan_scalar_atom(text: str, i: int) -> tuple[Scalar, int]:
         den, j = _scan_nat(text, j + 1)
         if den == 0:
             raise ParseError("zero denominator", j - 1)
-    value = Fraction(num, den)
     if j < n and text[j] == "i":
-        return Scalar(0, value), j + 1
-    return Scalar(value), j
+        return _reduced(0, num, den), j + 1
+    return _reduced(num, 0, den), j
 
 
 SPACE = " \t"

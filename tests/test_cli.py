@@ -364,12 +364,61 @@ def test_negative_window_or_bounds_is_usage_error(capsys, phi_spec_path, argv):
     assert "negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bounds", ["a,b", "8", "8,x", "8,8,8", "8.5,8"])
+@pytest.mark.parametrize("bounds", ["a,b", "8", "8,x", "8,8,8", "8.5,8",
+                                    "\u0663,1_0", "8,1_0", "\u0668,8", "+8,8",
+                                    "8,\u20038"])
 def test_bad_bounds_is_usage_error(capsys, phi_spec_path, bounds):
     assert main(["orbit", "--spec", phi_spec_path, "--invariant", "t>=1",
                  "--bounds", bounds]) == 2
     assert capsys.readouterr().err == (
         "error: --bounds expects two comma-separated integers, e.g. 8,8\n")
+
+
+def test_bounds_take_spaces_around_each_integer(capsys, phi_spec_path):
+    assert main(["orbit", "--spec", phi_spec_path, "--invariant", "t>=1",
+                 "--window", "2", "--bounds", " 4,\t4 "]) == 0
+    assert capsys.readouterr().out == "false\n"
+
+
+@pytest.mark.parametrize("flag", ["--window", "--deg"])
+@pytest.mark.parametrize("value", ["1_0", "\u0662", "+2", "2\u2003", "2.0"])
+def test_integer_arguments_are_ascii_digits(capsys, phi_spec_path, flag,
+                                            value):
+    # as --bounds and --invariant: an optional minus and digits 0-9 only
+    assert main(["verify-module", "--spec", phi_spec_path, flag, value]) == 2
+    assert (f"argument {flag}: invalid integer value: {value!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, text, key", [
+    (["verify-module", "--spec"], '{"family": "phi", "a": "0", "b": "0", '
+     '"b": "1", "lambda": "2", "alpha": "1", "coeffs": [], '
+     '"extension": true}', "b"),
+    (["isom", "--b", "1", "--q", "good.json", "--p"], '{"family": "phi", '
+     '"lambda": "2", "alpha": "0", "coeffs": ["1"], "lambda": "3"}', "lambda"),
+], ids=["spec", "canonical-params"])
+def test_a_repeated_json_key_is_usage_error(capsys, tmp_path, monkeypatch,
+                                            command, text, key):
+    # the last value would otherwise win silently: b = 1 would pass
+    (tmp_path / "good.json").write_text(json.dumps(
+        {"family": "phi", "lambda": "2", "alpha": "0", "coeffs": ["1"]}))
+    (tmp_path / "doc.json").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["doc.json"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: JSON object repeats the key {key!r}\n")
+
+
+def test_a_candidate_repeating_an_index_is_usage_error(capsys, tmp_path):
+    # a nested a_m listing index 1 twice, with either value
+    spec = ModuleSpec.phi(b=sc(2), lam=sc(3), coeffs=(ONE,))
+    path = write_candidate(tmp_path, spec)
+    text = (tmp_path / "candidate.json").read_text()
+    (tmp_path / "candidate.json").write_text(
+        text.replace('"a_m": {', '"a_m": {"1": "3*t", ', 1))
+    assert main(["classify", "--candidate", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: JSON object repeats the key '1'\n")
 
 
 @pytest.mark.parametrize("predicate", [

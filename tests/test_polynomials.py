@@ -330,7 +330,7 @@ def _sites():
         pattern for group in repmod._PATTERNS for pattern in group]
     for case, rows in COCYCLES.items():
         planes = sorted({row[2] for row in rows})
-        for variables in ((1, 2), (1, 2, 5)):
+        for variables in ((1, 2), (1, 2, 3)):
             total = sum(map(BiPoly.index_var, variables), BiPoly.zero())
             yield (f"{case.value}-{len(variables)}", variables,
                    [total - BiPoly.const(sc(c)) for c in planes],

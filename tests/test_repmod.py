@@ -461,21 +461,24 @@ def test_symbols_decide_a_spec_as_the_sweep_does(spec, monkeypatch):
     assert decided.checks == swept.checks
 
 
-def _specialize(p: BiPoly, values: tuple[int, ...], lam: Scalar) -> BiPoly:
-    """p with index variables 1-4 (:meth:`BiPoly.index_var`), m, n, lam^m
-    and lam^n, set from values = (m, n): each key's s exponent is read as
-    base-2^INDEX_BITS digits, the power of s and then one signed exponent
-    per variable."""
-    m, n = (Scalar.from_int(v) for v in values)
-    at = (m, n, intpow(lam, values[0]), intpow(lam, values[1]))
+def _twin(spec: ModuleSpec) -> ModuleSpec:
+    """spec at lambda = 1."""
+    return ModuleSpec(spec.family, spec.b, ONE, spec.alpha, spec.coeffs,
+                      spec.extension)
+
+
+def _specialize(p: BiPoly, values: tuple[int, ...]) -> BiPoly:
+    """p with index variables 1, 2, ... (:meth:`BiPoly.index_var`) set
+    from ``values``: each key's s exponent is read as base-2^INDEX_BITS
+    digits, the power of s and then one signed exponent per variable."""
     mask, half = (1 << INDEX_BITS) - 1, 1 << INDEX_BITS - 1
     pairs = []
     for (key, j), c in p.terms.items():
         i, key = key & mask, key >> INDEX_BITS
-        for v in at:
+        for v in values:
             e = ((key + half) & mask) - half
             key = (key - e) >> INDEX_BITS
-            c = c * intpow(v, e)
+            c = c * intpow(Scalar.from_int(v), e)
         assert key == 0, p
         pairs.append((BiPoly.monomial(i, j), c))
     return BiPoly.zero().combine(pairs)
@@ -485,38 +488,50 @@ def _specialize(p: BiPoly, values: tuple[int, ...], lam: Scalar) -> BiPoly:
                          ids=lambda s: f"{s.family.value}-b{s.b}"
                          f"-alpha{s.alpha}-lam{s.lam}")
 def test_an_index_specializes_to_its_int_value(spec):
-    # data and ops at a symbolic m where none of m, n, m + n is zero read,
-    # with m, n, lam^m and lam^n set, as those at the int m: the int and
-    # Index readings of each formula agree, not only their verdicts
+    # data and ops of the lambda = 1 twin at a symbolic m where none of m,
+    # n, m + n is zero read, with m and n set, as those at the int m: the
+    # int and Index readings of each formula agree, not only their verdicts
+    twin = _twin(spec)
     m_var, n_var = BiPoly.index_var(1), BiPoly.index_var(2)
-    i = repmod.Index(m_var, (m_var + n_var, m_var, n_var), spec.lam)
-    symbolic = [spec.data(i)] + [
-        (op.shift.poly, op.p, op.q) for op in (spec.op(L(i)), spec.op(W(i)))]
+    i = repmod.Index(m_var, (m_var + n_var, m_var, n_var))
+    symbolic = [twin.data(i)] + [
+        (op.shift.poly, op.p, op.q) for op in (twin.op(L(i)), twin.op(W(i)))]
     for m in (-3, -2, -1, 1, 2, 3):
-        ints = [spec.data(m)] + [(BiPoly.const(op.shift), op.p, op.q)
-                                 for op in (spec.op(L(m)), spec.op(W(m)))]
-        got = [tuple(_specialize(p, (m, 5), spec.lam) for p in ps)
-               for ps in symbolic]
+        ints = [twin.data(m)] + [(BiPoly.const(op.shift), op.p, op.q)
+                                 for op in (twin.op(L(m)), twin.op(W(m)))]
+        got = [tuple(_specialize(p, (m, 5)) for p in ps) for ps in symbolic]
         assert got == ints, m
+
+
+@pytest.mark.parametrize("spec", _SYMBOLIC_SPECS,
+                         ids=lambda s: f"{s.family.value}-b{s.b}"
+                         f"-alpha{s.alpha}-lam{s.lam}")
+def test_ops_scale_by_lambda_to_the_m(spec):
+    # what lets _symbols_vanish decide at lambda = 1: every op is lambda^m
+    # times its twin's, p and q scaled and the shift kept
+    twin = _twin(spec)
+    for m in range(-4, 5):
+        lam_m = intpow(spec.lam, m)
+        for sym in (L(m), W(m)):
+            op, op1 = spec.op(sym), twin.op(sym)
+            assert op.shift == op1.shift, sym
+            assert op.p == op1.p.scale(lam_m), sym
+            assert op.q == op1.q.scale(lam_m), sym
 
 
 def test_index_answers_only_the_tests_its_pattern_decides():
     m_var, n_var = BiPoly.index_var(1), BiPoly.index_var(2)
     nonzero = (m_var + n_var, m_var, n_var)
-    m, n = (repmod.Index(v, nonzero, sc(2)) for v in (m_var, n_var))
+    m, n = (repmod.Index(v, nonzero) for v in (m_var, n_var))
     assert m != 0 and n != 0 and m + n != 0 and m * n != 0 and m * 0 == 0
     assert (m + n) * sc(3) != 0 and m - m == 0 and m + n == n + m
     # m = 0: only n is left
-    zero, n0 = (repmod.Index(v, (n_var,), sc(2))
-                for v in (BiPoly.zero(), n_var))
+    zero, n0 = (repmod.Index(v, (n_var,)) for v in (BiPoly.zero(), n_var))
     assert zero == 0 and n0 != 0 and zero + n0 != 0
-    # a one-term test is decided only by variables declared nonzero, and
-    # lam^m and lam^n, which lam != 0 makes nonzero on every pattern
-    bare_m, bare_n = (repmod.Index(v, (m_var + n_var,), sc(2))
+    # a one-term test is decided only by variables declared nonzero
+    bare_m, bare_n = (repmod.Index(v, (m_var + n_var,))
                       for v in (m_var, n_var))
-    assert sc(2) ** bare_m != 0 and sc(2) ** (bare_m - bare_n) != 0
-    for undecided in (lambda: bare_m == 0, lambda: bool(bare_m * bare_n),
-                      lambda: bool(bare_m * (sc(2) ** bare_n))):
+    for undecided in (lambda: bare_m == 0, lambda: bool(bare_m * bare_n)):
         with pytest.raises(repmod.Undecided):
             undecided()
     for undecided in (lambda: m == n, lambda: m - 1 == 0,
@@ -525,10 +540,10 @@ def test_index_answers_only_the_tests_its_pattern_decides():
                       lambda: sc(2) ** (m * m)):
         with pytest.raises((repmod.Undecided, TypeError)):
             undecided()
-    # lam ** k is lam^c * u^d * v^e, u and v standing for lam^m and lam^n
-    u, v = BiPoly.index_var(3), BiPoly.index_var(4)
-    assert (sc(2) ** (m + n - 1)).poly == (u * v).scale(sc("1/2"))
-    assert (sc(2) ** -n).poly * v == BiPoly.one()
+    # lambda ** k is taken only at lambda = 1
+    assert ONE ** (m * m - n) == ONE
+    with pytest.raises(repmod.Undecided):
+        sc(2) ** m
 
 
 def _twist_plus_m_alpha(b, m, weights=repmod._alpha_weights):
@@ -566,9 +581,23 @@ def test_symbols_refuse_or_fail_what_the_sweep_fails(name, where, attr, value,
         assert not verify_module(spec, window=2, degree=0).passed
 
 
+class _UnscaledTail(ModuleSpec):
+    """g_m = lambda^m * s + h_m: data that do not scale by lambda^m, which
+    the lambda = 1 twin of :func:`repmod._symbols_vanish` cannot see."""
+
+    __slots__ = ()
+
+    def data(self, m):
+        h_m = _tail(self.b, self.alpha, self._P, self._Q, m)
+        return super().data(m)[0], S.scale(intpow(self.lam, m)) + h_m
+
+
 def test_symbols_leave_overridden_actions_and_windows_to_the_sweep(
         monkeypatch):
     spec = _DerivativeOnly(Family.PHI, ZERO, ONE, extension=False)
+    assert not repmod._symbols_vanish(spec)
+    assert not verify_module(spec, window=1, degree=1).passed
+    spec = _UnscaledTail(Family.PHI, ZERO, sc(2), ZERO, (ONE, sc("-1/3")))
     assert not repmod._symbols_vanish(spec)
     assert not verify_module(spec, window=1, degree=1).passed
 
