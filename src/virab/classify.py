@@ -27,7 +27,10 @@ Pair indices (m, n) read as in the bracket they replay: lw-compat at
 (m, n) comes from [L_m, W_n] . 1 and runs over every pair with |m|, |n|,
 |m + n| <= N; ll-compat takes the pairs with m < n, and W-commutation
 every m < n in the window.  check_constraints records every failing
-instance.
+instance.  It evaluates W-commutation only at the pairs where a_m or a_n
+has an L0 term (a-in-W0 fails there): elsewhere both shifts by L0 leave
+a_m and a_n as they are, so the residue is a_n a_m - a_m a_n = 0.  Its
+``checks`` count every pair all the same.
 
 solve_candidate reads the parameters off the seeds at m = 1 and certifies
 nothing while it reads: lambda is g_1's L0 coefficient, the family is
@@ -191,6 +194,7 @@ def _a_in_W0(a_m: dict[int, BiPoly], m: int) -> InfeasibilityCertificate | None:
 
 
 _SHAPES = ("deg-g", "b-scalar", "a-in-W0")
+_L0 = BiPoly.s_var()  # ll-compat's L0 factor
 
 
 class _Parts(NamedTuple):
@@ -227,8 +231,8 @@ def _lw_compat(p: _Parts, m: int, n: int) -> InfeasibilityCertificate | None:
     # g_m = b_m L0 + d_m hold
     c = p.a.add_int(n)
     return _cert("lw-compat", (m, n), BiPoly.sum_of_products(
-        ((BiPoly.const(c + p.bm[m]), p.a_m[m + n]),),
-        ((BiPoly.const(c * p.b_m[m]), p.a_m[n]), (p.wa[m], p.da[n]))))
+        ((c + p.bm[m], p.a_m[m + n]),),
+        ((c * p.b_m[m], p.a_m[n]), (p.wa[m], p.da[n]))))
 
 
 def _ll_compat(p: _Parts, m: int, n: int) -> InfeasibilityCertificate | None:
@@ -237,17 +241,17 @@ def _ll_compat(p: _Parts, m: int, n: int) -> InfeasibilityCertificate | None:
     #   + d_m' (a + b*n) a_n - d_n' (a + b*m) a_m
     b_m, d_m = p.b_m, p.d_m
     return _cert("ll-compat", (m, n), BiPoly.sum_of_products((
-        (BiPoly.const((b_m[m + n] - b_m[m] * b_m[n]).mul_int(n - m)),
-         BiPoly.s_var()),
-        (BiPoly.const(Scalar.from_int(n - m)), d_m[m + n]),
-        (BiPoly.const(b_m[n].mul_int(m)), d_m[m]),
+        ((b_m[m + n] - b_m[m] * b_m[n]).mul_int(n - m), _L0),
+        (Scalar.from_int(n - m), d_m[m + n]),
+        (b_m[n].mul_int(m), d_m[m]),
         (p.wa[n], p.dd[m]),
-    ), ((BiPoly.const(b_m[m].mul_int(n)), d_m[n]), (p.wa[m], p.dd[n]))))
+    ), ((b_m[m].mul_int(n), d_m[n]), (p.wa[m], p.dd[n]))))
 
 
 def _w_commutation(a: Scalar, a_m: dict[int, BiPoly], m: int,
                    n: int) -> InfeasibilityCertificate | None:
-    # [W_m, W_n] . 1 = a_n(L0 - a - m, W0) a_m - a_m(L0 - a - n, W0) a_n
+    # [W_m, W_n] . 1 = a_n(L0 - a - m, W0) a_m - a_m(L0 - a - n, W0) a_n,
+    # zero where shift_s returns a_m and a_n as they are (no L0 term)
     am, an = a_m[m], a_m[n]
     return _cert("W-commutation", (m, n), BiPoly.sum_of_products(
         ((an.shift_s(a.add_int(m)), am),), ((am.shift_s(a.add_int(n)), an),)))
@@ -271,10 +275,11 @@ def _failures(instances, check):
 def _window_failures(fam: GenericFamily, at: int | None = None):
     """The certificates of the failing window identities, in the order
     check_constraints records them: the shapes (g_m = b_m L0 + d_m with
-    scalar b_m, a_m in C[W0]), then W-commutation, and only when the
-    shapes hold the [L, W] and [L, L] replays, which read g_m - g_m(L0 - c)
-    as c*b_m.  Given ``at``, only the instances that read index ``at``:
-    every shape check, and the pairs with ``at`` among m, n and m + n."""
+    scalar b_m, a_m in C[W0]), then W-commutation at the pairs that touch
+    an a-in-W0 failure (the others are zero), and only when the shapes hold
+    the [L, W] and [L, L] replays, which read g_m - g_m(L0 - c) as c*b_m.
+    Given ``at``, only the instances that read index ``at``: every shape
+    check, and the pairs with ``at`` among m, n and m + n."""
     singles, commuting, pairs, ordered = _instances(fam.window)
     if at is not None:
         commuting, pairs, ordered = (
@@ -283,7 +288,9 @@ def _window_failures(fam: GenericFamily, at: int | None = None):
     shapes = [*_failures(singles, partial(_g_shape, fam.g_m)),
               *_failures(singles, partial(_a_in_W0, fam.a_m))]
     yield from shapes
-    yield from _failures(commuting, partial(_w_commutation, fam.a, fam.a_m))
+    with_s = {c.indices[0] for c in shapes if c.constraint == "a-in-W0"}
+    yield from _failures([i for i in commuting if with_s.intersection(i)],
+                         partial(_w_commutation, fam.a, fam.a_m))
     if shapes:
         return
     p = _parts(fam)

@@ -135,7 +135,9 @@ def _parse_bounds(text: str) -> tuple[int, int]:
 
 
 def _parse_predicate(text: str):
-    found = re.fullmatch("([st])>=(-?[0-9]+)", re.sub(f"[{SPACE}]", "", text))
+    # spaces and tabs between and around the tokens, never inside K
+    found = re.fullmatch(f"[{SPACE}]*([st])[{SPACE}]*>=[{SPACE}]*(-?[0-9]+)"
+                         f"[{SPACE}]*", text)
     if found is None:
         raise ValueError("--invariant expects 's>=K' or 't>=K'")
     k = int(found[2])

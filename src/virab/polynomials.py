@@ -237,15 +237,21 @@ class BiPoly(Terms):
         return BiPoly.sum_of_products(((self, other),))
 
     @staticmethod
-    def sum_of_products(plus: Iterable[tuple[BiPoly, BiPoly]],
-                        minus: Iterable[tuple[BiPoly, BiPoly]] = ()) -> BiPoly:
+    def sum_of_products(plus: Iterable[tuple[BiPoly | Scalar, BiPoly]],
+                        minus: Iterable[tuple[BiPoly | Scalar, BiPoly]] = ()
+                        ) -> BiPoly:
         """The sum of a*b over the (a, b) in ``plus`` minus the sum of a*b
-        over the (a, b) in ``minus``, by :meth:`_product_sum`.  A scaled
-        term c*p is the product of p with ``BiPoly.const(c)``."""
+        over the (a, b) in ``minus``, by :meth:`_product_sum`.  A first
+        factor a Scalar c makes the scaled term c*b, read as the integer
+        form of ``BiPoly.const(c)`` without building it."""
         work = []
         for pairs, sign in ((plus, 1), (minus, -1)):
             for a, b in pairs:
-                if a.terms and b.terms:
+                if type(a) is Scalar:
+                    if a and b.terms:
+                        work.append((sign, (a._d, [((0, 0), a._a, a._b)]),
+                                     b._numerators()))
+                elif a.terms and b.terms:
                     work.append((sign, a._numerators(), b._numerators()))
         return BiPoly._from_numerators(*BiPoly._product_sum(work))
 
@@ -324,7 +330,7 @@ class BiPoly(Terms):
         out, step = BiPoly._raw(powers[top]), BiPoly.s_var() - c
         for e in range(top - 1, -1, -1):
             out = BiPoly.sum_of_products(
-                ((out, step), (BiPoly._raw(powers.get(e, {})), BiPoly.one())))
+                ((out, step), (ONE, BiPoly._raw(powers.get(e, {})))))
         return out
 
     def coeff(self, i: int, j: int) -> Scalar:

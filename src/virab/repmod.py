@@ -47,7 +47,7 @@ from enum import Enum
 from functools import cache, partial
 from itertools import product
 from time import perf_counter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .algebra import (
     AlgElement,
@@ -436,7 +436,7 @@ def _tau(op: Op, sigma: Scalar | BiPoly) -> tuple[BiPoly, ...]:
 
 
 def _pair_symbol(x: BasisSymbol, y: BasisSymbol, op, tau,
-                 terms: list[tuple[BasisSymbol, BiPoly]]
+                 terms: Iterable[tuple[BasisSymbol, Scalar | BiPoly]]
                  ) -> tuple[BiPoly, BiPoly, BiPoly]:
     """(dA, dB, dC) of :func:`verify_module` for the pair (x, y), from
     op(z) = z's Op, tau(sigma, z) = :func:`_tau` of op(z), and ``terms``,
@@ -454,8 +454,8 @@ def _pair_symbol(x: BasisSymbol, y: BasisSymbol, op, tau,
             raise ValueError(
                 f"bracket [{x}, {y}] has the term {sym} with shift {shift}, "
                 f"not the pair's total shift {total}")
-        minus_a.append((p, c))
-        minus_b.append((q, c))
+        minus_a.append((c, p))
+        minus_b.append((c, q))
     sop = BiPoly.sum_of_products
     return (sop(((yp, px), (dyp, qx)), minus_a),
             sop(((yq, px), (yp, qx), (dyq, qx)), minus_b),
@@ -582,7 +582,6 @@ def verify_module(
              for d in range(degree + 1) for i in range(d + 1)]
     mono_text = cache(lambda n: format_bipoly(monos[n]))
     op = cache(target.op)  # each call builds the Op afresh
-    const = cache(BiPoly.const)
     sop = BiPoly.sum_of_products
     tau = cache(lambda sigma, y: _tau(op(y), sigma))
     # (x, y) -> [x, y] and the nonzero residues of (x, y), kept until
@@ -593,8 +592,7 @@ def verify_module(
     def residues(x: BasisSymbol, y: BasisSymbol,
                  br: AlgElement) -> list[tuple[int, BiPoly]]:
         """The nonzero residues of (x, y), by monomial position."""
-        da, db, dc = _pair_symbol(x, y, op, tau, [
-            (sym, const(c)) for sym, c in br.terms.items()])
+        da, db, dc = _pair_symbol(x, y, op, tau, br.terms.items())
         if not (da or db or dc):
             return []  # the symbol vanishes: every monomial passes
         total = op(x).shift + op(y).shift

@@ -597,20 +597,30 @@ def _gaussian(rng):
             return x
 
 
+_FAMILIES = ("-1", "0", "1/2", "1", "3", "theta")
+
+
+def _random_candidate(rng, family):
+    """The window of a random module of the family ("theta" or phi's b),
+    at a random N in 2..6."""
+    N = rng.randint(2, 6)
+    coeffs = [_gaussian(rng) for _ in range(rng.randint(0, 4))]
+    if family == "theta":
+        spec = ModuleSpec.theta(lam=_gaussian(rng), coeffs=coeffs)
+    else:
+        spec = ModuleSpec.phi(b=sc(family), lam=_gaussian(rng),
+                              alpha=sc(Fraction(rng.randint(-3, 3),
+                                                rng.randint(1, 2))),
+                              coeffs=coeffs)
+    return candidate_for(spec, N)
+
+
 @pytest.mark.parametrize("kind", _KINDS)
 def test_check_constraints_matches_the_reference_sweep(kind):
     rng = random.Random(f"check-constraints/{kind}")
-    for family in ("-1", "0", "1/2", "1", "3", "theta"):
-        N = rng.randint(2, 6)
-        coeffs = [_gaussian(rng) for _ in range(rng.randint(0, 4))]
-        if family == "theta":
-            spec = ModuleSpec.theta(lam=_gaussian(rng), coeffs=coeffs)
-        else:
-            spec = ModuleSpec.phi(b=sc(family), lam=_gaussian(rng),
-                                  alpha=sc(Fraction(rng.randint(-3, 3),
-                                                    rng.randint(1, 2))),
-                                  coeffs=coeffs)
-        fam = candidate_for(spec, N)
+    for family in _FAMILIES:
+        fam = _random_candidate(rng, family)
+        N = fam.window
         c = _gaussian(rng)
         if kind == "translation":
             fam = GenericFamily(c, fam.b, N, fam.a_m, fam.g_m)
@@ -622,6 +632,54 @@ def test_check_constraints_matches_the_reference_sweep(kind):
             fam = perturbed(fam, **{f"{entry[0]}_m": delta})
         assert _bodies(check_constraints(fam)) == _bodies(
             _ref_check_constraints(fam)), (family, N)
+
+
+@pytest.mark.parametrize("where", ["seed", "other", "two-indices",
+                                   "two-terms"])
+def test_w_commutation_skips_only_zero_pairs(monkeypatch, where):
+    # W-commutation is evaluated only at the pairs where a_m or a_n has an
+    # L0 term, every pair it skips has a zero residue, and each pass at an
+    # index lists the full pass's entries that read it.  The windows carry
+    # L0 terms in their a_m: one at a seed m = +-1 or at another m, one at
+    # each of two indices, or two in one a_m; each at a = 0 and a != 0.
+    rng = random.Random(f"w-commutation-locality/{where}")
+    w_commutation, evaluated = classify._w_commutation, []
+
+    def spy(a, a_m, m, n):
+        evaluated.append((m, n))
+        return w_commutation(a, a_m, m, n)
+
+    monkeypatch.setattr(classify, "_w_commutation", spy)
+    for family in _FAMILIES:
+        base = _random_candidate(rng, family)
+        window = range(-base.window, base.window + 1)
+        if where == "seed":
+            at = [rng.choice([1, -1])]
+        elif where == "other":
+            at = [rng.choice([m for m in window if abs(m) > 1])]
+        else:
+            at = rng.sample([m for m in window if m],
+                            1 if where == "two-terms" else 2)
+        terms = ([(1, 0), (1, 1)] if where == "two-terms"
+                 else [(1, rng.randint(0, 1))])
+        a_m = {m: BiPoly({k: _gaussian(rng) for k in terms}) for m in at}
+        for a in (ZERO, _gaussian(rng)):
+            fam = perturbed(base, a_m=a_m)
+            fam = GenericFamily(a, fam.b, fam.window, fam.a_m, fam.g_m)
+            evaluated.clear()
+            full = list(classify._window_failures(fam))
+            assert set(evaluated) == {(m, n) for m in window for n in window
+                                      if m < n and {m, n} & set(at)}
+            for m in window:
+                for n in window:
+                    if m < n and (m, n) not in evaluated:
+                        assert _ref_w_commutation(a, fam.a_m, m, n) is None
+            for m in window:
+                assert list(classify._window_failures(fam, m)) == [
+                    c for c in full if len(c.indices) == 1
+                    or m in (*c.indices, sum(c.indices))]
+            assert _bodies(check_constraints(fam)) == _bodies(
+                _ref_check_constraints(fam)), (family, at, a)
 
 
 def test_check_constraints_passes_on_genuine_family():

@@ -423,10 +423,12 @@ def test_a_candidate_repeating_an_index_is_usage_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("predicate", [
     "t>=\u0661", "t>=\u00b2", "s>=1\u0663", "t>=--1", "t>=", "u>=1",
-    "t\u2003>=1", "t>=\u30001", "t>=1\n"])
+    "t\u2003>=1", "t>=\u30001", "t>=1\n", "t>=1 2", "t >= 1\t2", "t> =1",
+    "t>=- 1"])
 def test_bad_invariant_is_usage_error(capsys, phi_spec_path, predicate):
     # K is written in ASCII digits 0-9 with an optional minus sign, and
-    # the only whitespace is the ASCII space and tab, as in every grammar
+    # the only whitespace is the ASCII space and tab, as in every grammar,
+    # between and around the tokens s or t, >= and K, never inside one
     assert main(["orbit", "--spec", phi_spec_path, "--invariant",
                  predicate]) == 2
     assert capsys.readouterr().err == (

@@ -3,7 +3,7 @@ from itertools import product
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import sc, sci
@@ -138,8 +138,11 @@ def _add_products(acc, a, b, sign):
 
 
 @given(plus=products, minus=products,
-       scaled=st.lists(st.tuples(bipolys, gaussians), max_size=2),
+       scaled=st.lists(st.tuples(bipolys, gaussians), max_size=3),
        cancel=st.booleans())
+@example(plus=[(BiPoly.s_var(), BiPoly.t_var())], minus=[],
+         scaled=[(BiPoly.zero(), sc(2)), (BiPoly.t_var(), ZERO),
+                 (BiPoly({(1, 1): sc("1/2")}), sci(1, -3))], cancel=True)
 def test_sum_of_products_matches_chained_arithmetic(plus, minus, scaled,
                                                     cancel):
     if cancel:
@@ -147,8 +150,12 @@ def test_sum_of_products_matches_chained_arithmetic(plus, minus, scaled,
         # term as a product with one: everything cancels
         minus = ([(b, a) for a, b in reversed(plus)]
                  + [(p.scale(c), BiPoly.one()) for p, c in scaled])
-    got = BiPoly.sum_of_products(
-        plus + [(p, BiPoly.const(c)) for p, c in scaled], minus)
+    # each scaled term c*p with the Scalar c as its factor, among the
+    # BiPoly products of the same call, and with BiPoly.const(c) in its
+    # place: the same value
+    got = BiPoly.sum_of_products(plus + [(c, p) for p, c in scaled], minus)
+    assert got == BiPoly.sum_of_products(
+        plus + [(BiPoly.const(c), p) for p, c in scaled], minus)
     chained = {}
     for a, b in plus:
         _add_products(chained, a, b, ONE)
