@@ -1,43 +1,54 @@
 """Text forms for polynomials and algebra elements.
 
-The grammar mirrors what the formatters emit, so parse(format(x)) == x:
+The parsers accept this language, a superset of what the formatters emit,
+so parse(format(x)) == x:
 
-    poly    := term (('+'|'-') term)*
-    term    := ['-'] factor ('*' factor)*
-    factor  := '(' scalar ')' | scalar-atom | var ('^' nat)?
-    element := '0' | eterm (('+'|'-') eterm)*
-    eterm   := ['-'] [factor '*'] symbol
-    symbol  := ('L'|'W'|'C') ':' int
+    poly    := [sign] term (sign term)*
+    term    := factor ('*' factor)*
+    factor  := var ['^' nat] | coeff
+    coeff   := '(' scalar ')' | atom
+    element := '0' | [sign] eterm (sign eterm)*
+    eterm   := (coeff '*')* symbol
+    symbol  := ('L'|'W'|'C') ':' ['-'] nat
+    sign    := '+' | '-'
 
-Variables are ``s`` and ``t``; ``L0`` and ``W0`` are accepted as aliases
-since the polynomial ring doubles as the enveloping algebra of their span.
+``scalar``, ``atom`` and ``nat`` are those of :mod:`virab.scalars`, so a
+mixed coefficient is parenthesized, as in ``(3/4-2i)*s``, a number may
+have leading zeros and a power may be 0.  A term's coefficient
+is the product of its coefficient factors, its monomial the product of its
+variables, and repeated monomials or symbols add up.  Spaces and tabs may
+stand between any two tokens, never inside a number or a name.  Variables
+are ``s`` and ``t``; ``L0`` and ``W0`` are accepted as aliases since the
+polynomial ring doubles as the enveloping algebra of their span.
 :func:`parse_unipoly` reads ``t`` (or ``W0``) alone and refuses ``s``;
-both polynomial parsers return a BiPoly.  Polynomials and elements are
-read by one loop over ``poly`` or ``element`` (:func:`_parse_sum`), which
-adds like terms in one dict, with a term scanner for each; a symbol alone
-is read by the element's symbol scanner.
-Mixed complex coefficients must be parenthesized, e.g. ``(3/4-2i)*s``;
-bare atoms are single components like ``2``, ``-1/2`` or ``3i``.
-Multiplication and powers are always explicit, and digits are ASCII 0-9
-only.  Syntax errors carry the offending position.
+both polynomial parsers return a BiPoly.
+
+Each factor, with the spaces around it and the ``*`` after it, is read by
+one match of one compiled pattern, whose groups give its value or its
+error.  A term's coefficient is kept as Gaussian-integer numerators over a
+denominator, and :func:`_parse_sum` adds the terms into one accumulator
+over a common denominator, so the value is built once, with one gcd per
+coefficient.  Syntax errors carry the offending position.
 """
 
 from __future__ import annotations
 
+import re
 from functools import partial
+from math import gcd
 
 from .algebra import AlgElement, BasisSymbol, format_element
 from .polynomials import _T, BiPoly, format_bipoly, format_unipoly
 from .scalars import (
-    MINUS_ONE,
-    ONE,
+    ATOM,
+    SCALAR,
     ParseError,
-    Scalar,
-    _scan_nat,
+    _atom,
+    _nat,
+    _scalar,
     _skip_space,
     format_scalar,
     parse_scalar,
-    scan_scalar_atom,
 )
 
 __all__ = [
@@ -52,104 +63,112 @@ __all__ = [
     "parse_scalar",
 ]
 
-# each declared longest alias first, the order _scan_var tries them in;
-# each name maps to its position in a monomial key (s_exp, t_exp)
+# One factor with the spaces around it and the '*' after it: a variable
+# (group 1) with its power's digits (2), a parenthesized SCALAR with its
+# ')' (empty when none follows), or a bare ATOM.  Each branch is
+# permissive, so a match always succeeds and the groups decide the value,
+# or the error and its position.
+_FACTOR = re.compile(r"[ \t]*(?:(L0|W0|s|t)[ \t]*(?:\^[ \t]*([0-9]*))?"
+                     r"|\(" + SCALAR + r"(\)?)|" + ATOM + r")[ \t]*(\*?)[ \t]*")
+_CLOSE = 3 + re.compile(SCALAR).groups  # groups 3 to _CLOSE - 1: SCALAR's
+_NUM = _CLOSE + 1  # the ATOM's three groups start here; the '*' is last
+_SYMBOL = re.compile(r"([LWC]?)(:?)(-?)([0-9]*)[ \t]*")
+
+# each variable name maps to its position in a monomial key (s_exp, t_exp)
 _BI_VARS = {"L0": 0, "W0": 1, "s": 0, "t": 1}
 _UNI_VARS = {"W0": 1, "t": 1}
 
 
-def _scan_var(text: str, pos: int, names: dict[str, int]) -> tuple[int, int] | None:
-    for name, var in names.items():
-        if text.startswith(name, pos):
-            return var, pos + len(name)
-    return None
+def _coefficient(text: str, m: re.Match, groups: tuple) -> tuple[int, int, int]:
+    """The scalar factor of a _FACTOR match, as (re, im, den); ``groups``
+    is ``m.groups()``."""
+    if groups[0] is not None:  # a variable the grammar does not take here
+        raise ParseError("expected digits", m.start(1))
+    if groups[2] is None:
+        return _atom(m, groups, _NUM)
+    end = text.find(")", m.start(_CLOSE))  # the ')', or a later one
+    if end < 0:
+        raise ParseError("unbalanced parenthesis", m.start(3) - 1)
+    return _scalar(m, groups, 3, end)
 
 
-def _scan_coeff(text: str, pos: int) -> tuple[Scalar, int]:
-    """One coefficient factor: a parenthesized scalar or a bare atom."""
-    if pos >= len(text) or text[pos] != "(":
-        return scan_scalar_atom(text, pos)
-    close = text.find(")", pos + 1)
-    if close < 0:
-        raise ParseError("unbalanced parenthesis", pos)
-    inner = text[pos + 1 : close]
-    try:
-        value = parse_scalar(inner)
-    except ParseError as exc:
-        raise ParseError(exc.message, pos + 1 + exc.pos) from None
-    return value, close + 1
-
-
-def _scan_power(text: str, pos: int) -> tuple[int, int]:
-    pos = _skip_space(text, pos)
-    if pos < len(text) and text[pos] == "^":
-        return _scan_nat(text, _skip_space(text, pos + 1))
-    return 1, pos
+def _times(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    a, b, d = x
+    c, e, f = y
+    return a * c - b * e, a * e + b * c, d * f
 
 
 def _scan_term(names: dict[str, int], text: str, pos: int):
-    """One product of factors.  Returns (coefficient, (s_exp, t_exp), pos)."""
-    coeff = ONE
+    """One product of factors.  Returns (re, im, den, (s_exp, t_exp), pos)
+    with pos past the spaces after the term."""
+    coeff = None
     powers = [0, 0]
     while True:
-        pos = _skip_space(text, pos)
-        found = _scan_var(text, pos, names)
-        if found is not None:
-            var, pos = found
-            exp, pos = _scan_power(text, pos)
-            powers[var] += exp
+        m = _FACTOR.match(text, pos)
+        groups = m.groups()
+        var = names.get(groups[0])
+        if var is None:
+            value = _coefficient(text, m, groups)
+            coeff = value if coeff is None else _times(coeff, value)
         else:
-            value, pos = _scan_coeff(text, pos)
-            coeff = coeff * value
-        pos = _skip_space(text, pos)
-        if pos < len(text) and text[pos] == "*":
-            pos += 1
-            continue
-        return coeff, tuple(powers), pos
+            exp = groups[1]
+            powers[var] += 1 if exp is None else _nat(exp, m, 2)
+        if not groups[-1]:
+            a, b, d = coeff or (1, 0, 1)
+            return a, b, d, (powers[0], powers[1]), m.end()
+        pos = m.end()
 
 
-def _scan_eterm(text: str, pos: int) -> tuple[Scalar, BasisSymbol, int]:
-    """Coefficient factors, each followed by '*', then one basis symbol."""
-    coeff = ONE
+def _scan_eterm(text: str, pos: int):
+    """Coefficient factors, each followed by '*', then one basis symbol.
+    Returns (re, im, den, symbol, pos) with pos past the spaces after it."""
+    coeff = (1, 0, 1)
     pos = _skip_space(text, pos)
     while pos < len(text) and text[pos] not in "LWC":
-        value, pos = _scan_coeff(text, pos)
-        coeff = coeff * value
-        pos = _skip_space(text, pos)
-        if pos < len(text) and text[pos] == "*":
-            pos = _skip_space(text, pos + 1)
-        else:
-            raise ParseError("expected '*' before basis symbol", pos)
+        m = _FACTOR.match(text, pos)
+        groups = m.groups()
+        coeff = _times(coeff, _coefficient(text, m, groups))
+        if not groups[-1]:
+            raise ParseError("expected '*' before basis symbol", m.end())
+        pos = m.end()
     sym, pos = _scan_symbol(text, pos)
-    return coeff, sym, pos
+    return (*coeff, sym, pos)
 
 
 def _parse_sum(text: str, scan_term, cls: type[_T]) -> _T:
     """term (('+'|'-') term)* with an optional leading sign.  scan_term
-    returns (coefficient, key, pos); like keys add up in one dict, and
-    the value is built once."""
+    returns (re, im, den, key, pos); each term adds into one accumulator
+    (D, {key: [re, im]}) over a common denominator D, and the value is
+    built once, with one gcd per coefficient."""
     pos = _skip_space(text, 0)
-    if pos == len(text):
+    n = len(text)
+    if pos == n:
         raise ParseError("empty input", pos)
+    d = 1
     acc: dict = {}
-    sign = ONE
-    if text[pos] in "+-":
-        if text[pos] == "-":
-            sign = MINUS_ONE
+    minus = text[pos] == "-"
+    if minus or text[pos] == "+":
         pos += 1
     while True:
-        coeff, key, pos = scan_term(text, pos)
-        prev = acc.get(key)
-        acc[key] = sign * coeff if prev is None else prev + sign * coeff
-        pos = _skip_space(text, pos)
-        if pos == len(text):
-            return cls(acc)  # drops what cancelled
-        if text[pos] == "+":
-            sign = ONE
-        elif text[pos] == "-":
-            sign = MINUS_ONE
+        a, b, den, key, pos = scan_term(text, pos)
+        if d % den:
+            f = den // gcd(d, den)
+            for num in acc.values():
+                num[0] *= f
+                num[1] *= f
+            d *= f
+        f = -(d // den) if minus else d // den
+        num = acc.get(key)
+        if num is None:
+            acc[key] = [a * f, b * f]
         else:
+            num[0] += a * f
+            num[1] += b * f
+        if pos == n:
+            return cls._from_numerators(d, acc)  # drops what cancelled
+        if text[pos] not in "+-":
             raise ParseError("expected '+', '-' or end of input", pos)
+        minus = text[pos] == "-"
         pos += 1
 
 
@@ -168,7 +187,6 @@ def parse_symbol(text: str) -> BasisSymbol:
     position of the offending character in ``text``."""
     try:
         sym, pos = _scan_symbol(text, _skip_space(text, 0))
-        pos = _skip_space(text, pos)
         if pos == len(text):
             return sym
     except ParseError as exc:
@@ -177,19 +195,16 @@ def parse_symbol(text: str) -> BasisSymbol:
 
 
 def _scan_symbol(text: str, pos: int) -> tuple[BasisSymbol, int]:
-    if pos >= len(text) or text[pos] not in "LWC":
+    """One basis symbol at ``pos``, and the position past the spaces after
+    it."""
+    m = _SYMBOL.match(text, pos)
+    kind, colon, minus, digits = m.groups()
+    if not kind:
         raise ParseError("expected a basis symbol", pos)
-    kind = text[pos]
-    pos += 1
-    if pos >= len(text) or text[pos] != ":":
-        raise ParseError("expected ':' after symbol kind", pos)
-    pos += 1
-    neg = False
-    if pos < len(text) and text[pos] == "-":
-        neg = True
-        pos += 1
-    value, pos = _scan_nat(text, pos)
-    return BasisSymbol(kind, -value if neg else value), pos
+    if not colon:
+        raise ParseError("expected ':' after symbol kind", pos + 1)
+    value = _nat(digits, m, 4)
+    return BasisSymbol(kind, -value if minus else value), m.end()
 
 
 def parse_element(text: str) -> AlgElement:

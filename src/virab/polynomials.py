@@ -44,7 +44,7 @@ from itertools import product
 from math import comb, lcm
 from typing import Iterable, Mapping, TypeVar
 
-from .scalars import ONE, ZERO, Scalar, _reduced, format_scalar
+from .scalars import ONE, ZERO, Scalar, _make, _reduced, format_scalar
 
 NEG_INF = float("-inf")
 INDEX_BITS = 12  # see BiPoly.index_var
@@ -521,19 +521,19 @@ def _monomial_text(parts: list[tuple[str, int]]) -> str:
 
 
 def _term_text(c: Scalar, monom: str) -> tuple[str, str]:
-    """Split a term into (sign, body) for joining with ' + ' / ' - '."""
+    """Split a term into (sign, body) for joining with ' + ' / ' - ': the
+    minus of a pure-real or pure-imaginary negative goes to the sign, and
+    a mixed coefficient is parenthesized."""
+    a, b, d = c._a, c._b, c._d
     sign = "+"
-    if c.is_negative_like:
+    if a < 0 if b == 0 else a == 0 and b < 0:
         sign = "-"
-        c = -c
-    if not monom:
-        body = f"({format_scalar(c)})" if c.is_mixed else format_scalar(c)
-    elif c == ONE:
-        body = monom
-    else:
-        cs = format_scalar(c)
-        body = f"({cs})*{monom}" if c.is_mixed else f"{cs}*{monom}"
-    return sign, body
+        a, b = -a, -b
+        c = _make(a, b, d)
+    if monom and a == d and b == 0:
+        return sign, monom
+    cs = f"({format_scalar(c)})" if a and b else format_scalar(c)
+    return sign, f"{cs}*{monom}" if monom else cs
 
 
 def _join_terms(terms: list[tuple[str, str]]) -> str:

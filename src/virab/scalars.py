@@ -9,20 +9,25 @@ canonical form, and there is no floating point anywhere.
 
 Text form (used in JSON documents, CLI arguments and reports):
 
-    scalar := real | imag | real ('+'|'-') imagAbs
-    real   := sign? nat ('/' nat)?
-    imag   := sign? (nat ('/' nat)?)? 'i'
+    scalar := [sign] atom [sign atom]
+    atom   := nat ['/' nat] ['i'] | 'i'
     nat    := [0-9]+
+    sign   := '+' | '-'
 
-Examples: ``2``, ``-1/2``, ``i``, ``2i``, ``-1/2i`` (meaning -(1/2)i),
-``3/4-2i``.  Fractions are reduced with a positive denominator, so
-parse and format are mutually inverse on canonical strings.  Whitespace,
-here and in every text form of the package, is :data:`SPACE`: the ASCII
-space and tab, nothing else.
+No denominator is 0.  When there are two atoms, the second is imaginary
+and nonzero, and the first is not a nonzero imaginary.  ``-1/2i`` means
+-(1/2)i.  Examples: ``2``, ``-1/2``, ``i``, ``2i``, ``3/4-2i``.  The
+formatter reduces fractions over a positive denominator, so parse and
+format are mutually inverse on canonical strings.  Whitespace, here and in every text form of
+the package, is :data:`SPACE`: the ASCII space and tab, nothing else, and
+it may stand before, between and after the signs and atoms.  The scanner
+reads a scalar with one match of one compiled pattern, straight into the
+integer form (a, b, d).
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -152,24 +157,6 @@ class Scalar:
     def conj(self) -> Scalar:
         return _make(self._a, -self._b, self._d)
 
-    @property
-    def is_mixed(self) -> bool:
-        """True when both the real and imaginary parts are nonzero."""
-        return self._a != 0 and self._b != 0
-
-    @property
-    def is_negative_like(self) -> bool:
-        """True for pure-real negatives and pure-imaginary negatives.
-
-        Used by the formatters to pull a leading minus out of a term;
-        mixed scalars are never split this way.
-        """
-        if self._b == 0:
-            return self._a < 0
-        if self._a == 0:
-            return self._b < 0
-        return False
-
     def __str__(self) -> str:
         return format_scalar(self)
 
@@ -216,41 +203,68 @@ def intpow(x: Scalar, m: int) -> Scalar:
 
 # --- text form ---------------------------------------------------------
 
-def _scan_nat(text: str, i: int) -> tuple[int, int]:
-    j = i
-    n = len(text)
-    while j < n and "0" <= text[j] <= "9":
-        j += 1
-    if j == i:
-        raise ParseError("expected digits", i)
-    try:
-        return int(text[i:j]), j
-    except ValueError:  # more digits than the interpreter's limit
-        raise ParseError(f"{j - i} digits exceed the interpreter's limit on "
-                         f"integer conversion", i) from None
-
-
-def scan_scalar_atom(text: str, i: int) -> tuple[Scalar, int]:
-    """Scan one unsigned scalar component at ``i``: nat('/'nat)?'i'? or 'i'.
-
-    Returns the value and the index just past it.  Signs and the composite
-    real+imag form are handled by the callers.
-    """
-    n = len(text)
-    if i < n and text[i] == "i":
-        return I, i + 1
-    num, j = _scan_nat(text, i)
-    den = 1
-    if j < n and text[j] == "/":
-        den, j = _scan_nat(text, j + 1)
-        if den == 0:
-            raise ParseError("zero denominator", j - 1)
-    if j < n and text[j] == "i":
-        return _reduced(0, num, den), j + 1
-    return _reduced(num, 0, den), j
-
-
 SPACE = " \t"
+
+# One unsigned component, nat('/'nat)?'i'? or 'i', as three groups: the
+# numerator's digits, the denominator's (None without a '/') and the 'i'.
+# The full scalar, as one group holding it with the spaces around it, then
+# the sign, the first component, the operator and the second component.
+# Every part may be empty, so a match always succeeds, and _atom and
+# _scalar read the value, or the error and its position, from the groups.
+ATOM = r"([0-9]*)(?:/([0-9]*))?(i?)"
+SCALAR = (r"([ \t]*([+-]?)[ \t]*" + ATOM + r"[ \t]*(?:([+-])[ \t]*" + ATOM
+          + r")?[ \t]*)")
+_SCALAR = re.compile(SCALAR)
+
+
+def _nat(digits: str, m: re.Match, g: int) -> int:
+    """The value of ``digits``, the ASCII digits of group ``g`` of ``m``."""
+    try:
+        return int(digits)
+    except ValueError:  # none, or more than the interpreter's limit
+        message = (f"{len(digits)} digits exceed the interpreter's limit on "
+                   f"integer conversion" if digits else "expected digits")
+        raise ParseError(message, m.start(g)) from None
+
+
+def _atom(m: re.Match, groups: tuple, g: int) -> tuple[int, int, int]:
+    """The component of an ``ATOM`` whose first group is ``g`` of ``m``
+    (``groups`` is ``m.groups()``), as the integer form (re, im, den) with
+    den > 0, not reduced."""
+    num, den, imag = groups[g - 1 : g + 2]
+    if not num and imag and den is None:
+        return 0, 1, 1
+    try:
+        n = int(num)
+        d = 1 if den is None else int(den)
+    except ValueError:  # no digits, or more than the interpreter's limit
+        n = _nat(num, m, g)
+        d = _nat(den, m, g + 1)  # raises if the numerator did not
+    if d == 0:
+        raise ParseError("zero denominator", m.end(g + 1) - 1)
+    return (0, n, d) if imag else (n, 0, d)
+
+
+def _scalar(m: re.Match, groups: tuple, g: int, end: int) -> tuple[int, int, int]:
+    """The scalar of a ``SCALAR`` whose first group is ``g`` of ``m`` and
+    which must end at ``end``, as the integer form (re, im, den)."""
+    a, b, d = _atom(m, groups, g + 2)
+    if groups[g] == "-":
+        a, b = -a, -b
+    op = groups[g + 4]
+    if op is None:
+        if m.end(g) != end:
+            raise ParseError("unexpected character in scalar", m.end(g))
+        return a, b, d
+    if b:
+        raise ParseError("imaginary part must come last", m.start(g + 5))
+    _, b2, d2 = _atom(m, groups, g + 6)
+    if not b2:
+        raise ParseError("second component must be imaginary",
+                         m.end(g + 8) - 1)
+    if m.end(g) != end:
+        raise ParseError("trailing characters after scalar", m.end(g))
+    return a * d2, (-b2 if op == "-" else b2) * d, d * d2
 
 
 def _skip_space(text: str, i: int) -> int:
@@ -262,39 +276,8 @@ def _skip_space(text: str, i: int) -> int:
 def parse_scalar(text: str) -> Scalar:
     """Parse the full scalar grammar; the whole string must be consumed.
     Whitespace is allowed around components but not inside them."""
-    n = len(text)
-    i = _skip_space(text, 0)
-    sign = 1
-    if i < n and text[i] in "+-":
-        sign = -1 if text[i] == "-" else 1
-        i = _skip_space(text, i + 1)
-    first, i = scan_scalar_atom(text, i)
-    if sign < 0:
-        first = -first
-    i = _skip_space(text, i)
-    if i == n:
-        return first
-    if text[i] not in "+-":
-        raise ParseError("unexpected character in scalar", i)
-    if first._b != 0:
-        raise ParseError("imaginary part must come last", i)
-    sign2 = -1 if text[i] == "-" else 1
-    i = _skip_space(text, i + 1)
-    second, i = scan_scalar_atom(text, i)
-    if second._b == 0:
-        raise ParseError("second component must be imaginary", i - 1)
-    i = _skip_space(text, i)
-    if i != n:
-        raise ParseError("trailing characters after scalar", i)
-    return first + (-second if sign2 < 0 else second)
-
-
-def _imag_str(x: Fraction) -> str:
-    if x == 1:
-        return "i"
-    if x == -1:
-        return "-i"
-    return f"{x}i"
+    m = _SCALAR.match(text)
+    return _reduced(*_scalar(m, m.groups(), 1, len(text)))
 
 
 @contextmanager
@@ -314,17 +297,21 @@ def _any_integer_length():
 
 def format_scalar(x: Scalar) -> str:
     try:
-        return _format_scalar(x)
+        return _format_scalar(x._a, x._b, x._d)
     except ValueError:  # past the int-string limit: format it all the same
         with _any_integer_length():
-            return _format_scalar(x)
+            return _format_scalar(x._a, x._b, x._d)
 
 
-def _format_scalar(x: Scalar) -> str:
-    a, b, d = x._a, x._b, x._d
+def _ratio(n: int, d: int) -> str:
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _format_scalar(a: int, b: int, d: int) -> str:
     if b == 0:
-        return str(Fraction(a, d))
-    im = _imag_str(Fraction(b, d))
+        return _ratio(a, d)
+    im = "i" if b == d else "-i" if b == -d else f"{_ratio(b, d)}i"
     if a == 0:
         return im
-    return f"{Fraction(a, d)}{'+' if b > 0 else ''}{im}"
+    return f"{_ratio(a, d)}{'+' if b > 0 else ''}{im}"

@@ -1,3 +1,6 @@
+import re
+from functools import partial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +20,9 @@ from virab.scalars import (
     I,
     MINUS_ONE,
     ONE,
+    ZERO,
     ParseError,
+    Scalar,
     format_scalar,
     parse_scalar,
 )
@@ -121,6 +126,24 @@ def test_parse_merges_repeated_monomials():
     assert parse_bipoly("s - s + t - t").is_zero
 
 
+def test_parse_accepts_more_than_the_formatters_emit():
+    # forms no formatter prints, which the grammar reads all the same: a
+    # power of zero or with a leading zero, leading zeros in a number,
+    # repeated factors, a parenthesized real, a leading '+'
+    for text, value in [
+        ("t^01", BiPoly({(0, 1): ONE})),
+        ("007", BiPoly({(0, 0): sc(7)})),
+        ("2*3*s", BiPoly({(1, 0): sc(6)})),
+        ("s*s", BiPoly({(2, 0): ONE})),
+        ("(1)", BiPoly({(0, 0): ONE})),
+        ("+ s", BiPoly({(1, 0): ONE})),
+        ("s^0", BiPoly({(0, 0): ONE})),
+        ("L0*W0", BiPoly({(1, 1): ONE})),
+    ]:
+        assert parse_bipoly(text) == value, text
+    assert parse_element("2*3*L:1") == AlgElement({L(1): sc(6)})
+
+
 def test_parse_symbol():
     assert parse_symbol("L:2") == L(2)
     assert parse_symbol("W:-1") == W(-1)
@@ -183,3 +206,230 @@ def test_parse_inverts_format(kind, data):
         # a polynomial in t alone prints the same through either formatter
         assert format_bipoly(x) == text
     assert parse(text) == x
+
+
+# --- a reference scanner ------------------------------------------------
+
+# The scanner the grammar had before it read each factor with one compiled
+# pattern: a character loop per token, a Scalar per factor and Scalar
+# arithmetic for every product and sum.  Its values and its errors, message
+# and position, are the specification the compiled scanner is held to.
+
+def _ref_skip(text, i):
+    while i < len(text) and text[i] in " \t":
+        i += 1
+    return i
+
+
+def _ref_nat(text, i):
+    j = i
+    while j < len(text) and "0" <= text[j] <= "9":
+        j += 1
+    if j == i:
+        raise ParseError("expected digits", i)
+    return int(text[i:j]), j
+
+
+def _ref_atom(text, i):
+    n = len(text)
+    if i < n and text[i] == "i":
+        return I, i + 1
+    num, j = _ref_nat(text, i)
+    den = 1
+    if j < n and text[j] == "/":
+        den, j = _ref_nat(text, j + 1)
+        if den == 0:
+            raise ParseError("zero denominator", j - 1)
+    if j < n and text[j] == "i":
+        return Scalar.rational(num, den) * I, j + 1
+    return Scalar.rational(num, den), j
+
+
+def _ref_parse_scalar(text):
+    n = len(text)
+    i = _ref_skip(text, 0)
+    negative = i < n and text[i] == "-"
+    if i < n and text[i] in "+-":
+        i = _ref_skip(text, i + 1)
+    first, i = _ref_atom(text, i)
+    if negative:
+        first = -first
+    i = _ref_skip(text, i)
+    if i == n:
+        return first
+    if text[i] not in "+-":
+        raise ParseError("unexpected character in scalar", i)
+    if first.im != 0:
+        raise ParseError("imaginary part must come last", i)
+    sign2 = -1 if text[i] == "-" else 1
+    i = _ref_skip(text, i + 1)
+    second, i = _ref_atom(text, i)
+    if second.im == 0:
+        raise ParseError("second component must be imaginary", i - 1)
+    i = _ref_skip(text, i)
+    if i != n:
+        raise ParseError("trailing characters after scalar", i)
+    return first + (-second if sign2 < 0 else second)
+
+
+def _ref_coeff(text, pos):
+    if pos >= len(text) or text[pos] != "(":
+        return _ref_atom(text, pos)
+    close = text.find(")", pos + 1)
+    if close < 0:
+        raise ParseError("unbalanced parenthesis", pos)
+    try:
+        value = _ref_parse_scalar(text[pos + 1 : close])
+    except ParseError as exc:
+        raise ParseError(exc.message, pos + 1 + exc.pos) from None
+    return value, close + 1
+
+
+def _ref_term(names, text, pos):
+    coeff = ONE
+    powers = [0, 0]
+    while True:
+        pos = _ref_skip(text, pos)
+        var = next((name for name in names if text.startswith(name, pos)), None)
+        if var is not None:
+            pos = _ref_skip(text, pos + len(var))
+            exp = 1
+            if pos < len(text) and text[pos] == "^":
+                exp, pos = _ref_nat(text, _ref_skip(text, pos + 1))
+            powers[names[var]] += exp
+        else:
+            value, pos = _ref_coeff(text, pos)
+            coeff = coeff * value
+        pos = _ref_skip(text, pos)
+        if pos < len(text) and text[pos] == "*":
+            pos += 1
+            continue
+        return coeff, tuple(powers), pos
+
+
+def _ref_symbol(text, pos):
+    if pos >= len(text) or text[pos] not in "LWC":
+        raise ParseError("expected a basis symbol", pos)
+    kind = text[pos]
+    pos += 1
+    if pos >= len(text) or text[pos] != ":":
+        raise ParseError("expected ':' after symbol kind", pos)
+    pos += 1
+    negative = pos < len(text) and text[pos] == "-"
+    value, pos = _ref_nat(text, pos + negative)
+    return BasisSymbol(kind, -value if negative else value), pos
+
+
+def _ref_eterm(text, pos):
+    coeff = ONE
+    pos = _ref_skip(text, pos)
+    while pos < len(text) and text[pos] not in "LWC":
+        value, pos = _ref_coeff(text, pos)
+        coeff = coeff * value
+        pos = _ref_skip(text, pos)
+        if pos < len(text) and text[pos] == "*":
+            pos = _ref_skip(text, pos + 1)
+        else:
+            raise ParseError("expected '*' before basis symbol", pos)
+    sym, pos = _ref_symbol(text, pos)
+    return coeff, sym, pos
+
+
+def _ref_sum(text, scan_term, cls):
+    pos = _ref_skip(text, 0)
+    if pos == len(text):
+        raise ParseError("empty input", pos)
+    acc = {}
+    sign = ONE
+    if text[pos] in "+-":
+        sign = MINUS_ONE if text[pos] == "-" else ONE
+        pos += 1
+    while True:
+        coeff, key, pos = scan_term(text, pos)
+        acc[key] = acc.get(key, ZERO) + sign * coeff
+        pos = _ref_skip(text, pos)
+        if pos == len(text):
+            return cls(acc)
+        if text[pos] not in "+-":
+            raise ParseError("expected '+', '-' or end of input", pos)
+        sign = MINUS_ONE if text[pos] == "-" else ONE
+        pos += 1
+
+
+def _ref_parse_element(text):
+    pos = _ref_skip(text, 0)
+    if text[pos : pos + 1] == "0" and _ref_skip(text, pos + 1) == len(text):
+        return AlgElement.zero()
+    return _ref_sum(text, _ref_eterm, AlgElement)
+
+
+_REFERENCE = {
+    parse_scalar: _ref_parse_scalar,
+    parse_bipoly: partial(_ref_sum, scan_term=partial(
+        _ref_term, {"L0": 0, "W0": 1, "s": 0, "t": 1}), cls=BiPoly),
+    parse_unipoly: partial(_ref_sum, scan_term=partial(
+        _ref_term, {"W0": 1, "t": 1}), cls=BiPoly),
+    parse_element: _ref_parse_element,
+}
+
+
+def _outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except ParseError as err:
+        return "error", err.message, err.pos
+
+
+# a token of the formatters' output: an atom, a variable, a basis symbol or
+# one character; spaces may stand between any two of them
+_TOKEN = re.compile(r"[0-9]+(?:/[0-9]+)?i?|i|L0|W0|[LWC]:-?[0-9]+|\S")
+# the characters of the grammars, and a digit of another script, a
+# superscript digit and an em space, none of which the grammars accept
+_EDITS = " \t0123456789/i()+-*^stLW:\u0663\u00b2\u2003"
+
+
+@st.composite
+def _edited_text(draw, kind):
+    values, fmt, _ = _TEXT_FORMS[kind]
+    tokens = _TOKEN.findall(fmt(draw(values)))
+    space = st.sampled_from(["", "", " ", "\t", "  ", " \t "])
+    text = draw(space) + "".join(tok + draw(space) for tok in tokens)
+    for _ in range(draw(st.integers(0, 2))):
+        pos = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(_EDITS))
+        cut = draw(st.sampled_from([0, 1]))  # insert, or replace or delete
+        if cut and draw(st.booleans()):
+            char = ""
+        text = text[:pos] + char + text[pos + cut:]
+    return text
+
+
+@pytest.mark.parametrize("kind", _TEXT_FORMS)
+@given(data=st.data())
+def test_scanner_matches_the_reference_scanner(kind, data):
+    # every input gives the reference's value, or its error message and
+    # position
+    text = data.draw(_edited_text(kind))
+    parse = _TEXT_FORMS[kind][2]
+    assert _outcome(parse, text) == _outcome(_REFERENCE[parse], text), text
+
+
+# texts that single-character edits of formatted values seldom reach: zero
+# denominators, components out of order, parentheses, symbols and the forms
+# the formatters never emit
+_RARE_TEXTS = {
+    "scalar": ["1/0", "-3/00i", "2i+1", "1+0i", "0i+2i", "i+i", "+ - 1",
+               "(1)", "", "1/2/3", "i2", "1i/2"],
+    "bipoly": ["2*(1/0)*t", "(1/2i+1)*s", "(1+2i", "s^", "1/0*s + t",
+               "( )*s", "t^01 + 007", "(1) * s*s", "L0 * W0 - s*t", "+ s^0"],
+    "unipoly": ["t + 1/0", "L0", "s^2", "W0^2*t", "-(i)*t"],
+    "element": ["1/0*L:1", "(1/0)*W:2", "L:1 + X:2", "L1", "0*L:1", "0",
+                " 0 ", "L:-", "2*3*L:1", "s*L:1", "L:1 - -W:2", "C:1 C:2"],
+}
+
+
+@pytest.mark.parametrize("kind, text", [
+    (kind, text) for kind, texts in _RARE_TEXTS.items() for text in texts])
+def test_scanner_matches_the_reference_scanner_on_rare_texts(kind, text):
+    parse = _TEXT_FORMS[kind][2]
+    assert _outcome(parse, text) == _outcome(_REFERENCE[parse], text)

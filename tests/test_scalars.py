@@ -3,8 +3,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import sc, sci
+from virab.grammar import parse_bipoly, parse_element
 from virab.polynomials import format_bipoly
 from virab.repmod import q_poly
 from virab.scalars import (
@@ -173,6 +176,49 @@ def test_parse_refuses_numbers_past_the_digit_limit(digit_limit):
     with pytest.raises(ParseError) as err:
         parse_scalar("1/" + "3" * (digit_limit + 700))
     assert err.value.pos == 2
+    # and at its digits in a polynomial or an element: a coefficient, a
+    # parenthesized denominator, a power or a symbol's index
+    digits = "7" * (digit_limit + 700)
+    for parse, text, pos in [(parse_bipoly, f"s + {digits}*t", 4),
+                             (parse_bipoly, f"(1/{digits}+i)*s", 3),
+                             (parse_bipoly, f"t^{digits}", 2),
+                             (parse_element, f"L:-{digits}", 3)]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.pos == pos
+        assert err.value.message.startswith(f"{digit_limit + 700} digits")
+
+
+def _ref_format_scalar(x):
+    # the formatter as it was written on Fractions
+    def imag(f):
+        return "i" if f == 1 else "-i" if f == -1 else f"{f}i"
+
+    if x.im == 0:
+        return str(x.re)
+    if x.re == 0:
+        return imag(x.im)
+    return f"{x.re}{'+' if x.im > 0 else ''}{imag(x.im)}"
+
+
+# zero, +-1 and +-1/2 (b = +-d, and b = +-d over a denominator) are drawn
+# as often as any other part
+_format_parts = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                     Fraction(-1, 2)]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30))
+
+
+@given(re=_format_parts, im=_format_parts)
+@example(re=Fraction(0), im=Fraction(0))
+@example(re=Fraction(0), im=Fraction(1))
+@example(re=Fraction(0), im=Fraction(-1))
+@example(re=Fraction(-7, 3), im=Fraction(1))
+@example(re=Fraction(5, 6), im=Fraction(-1))
+@example(re=Fraction(0), im=Fraction(-4, 9))
+def test_format_matches_fraction_reference(re, im):
+    x = Scalar(re, im)
+    assert format_scalar(x) == _ref_format_scalar(x)
 
 
 def test_format_numbers_past_the_digit_limit(digit_limit):
