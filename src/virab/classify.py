@@ -27,10 +27,22 @@ Pair indices (m, n) read as in the bracket they replay: lw-compat at
 (m, n) comes from [L_m, W_n] . 1 and runs over every pair with |m|, |n|,
 |m + n| <= N; ll-compat takes the pairs with m < n, and W-commutation
 every m < n in the window.  check_constraints records every failing
-instance.  It evaluates W-commutation only at the pairs where a_m or a_n
-has an L0 term (a-in-W0 fails there): elsewhere both shifts by L0 leave
-a_m and a_n as they are, so the residue is a_n a_m - a_m a_n = 0.  Its
-``checks`` count every pair all the same.
+instance, and its ``checks`` count every instance, but it evaluates only
+those that can fail.  W-commutation: the pairs where a_m or a_n has an L0
+term (a-in-W0 fails there); elsewhere both shifts by L0 leave a_m and a_n
+as they are, so the residue is a_n a_m - a_m a_n = 0.  lw-compat and
+ll-compat, once the shapes hold and the seeds give a read (see below):
+the pairs where {m, n, m + n} meets S, the set of indices where the
+window differs from the module read.  An instance reads the data at m, n
+and m + n alone, so every other one has that module's value, which is 0:
+each instance of the (lambda, alpha, c) module is lambda^(m+n) times that
+of its lambda = 1 twin (a_m and g_m scale by lambda^m); lw-compat reads
+no tail h_m; ll-compat's L0 term vanishes as b_m = lambda^m, and its other
+terms are linear in d_m = lambda^m h_m, which is linear in c.  So it
+suffices that both hold on the coefficient-free twin, and ll-compat on
+each twin whose only coefficient is t^k, for every c_k != 0.  Each such
+base is evaluated over the window once per process (:func:`_base_holds`);
+with no read, or where a base fails, every pair is evaluated.
 
 solve_candidate reads the parameters off the seeds at m = 1 and certifies
 nothing while it reads: lambda is g_1's L0 coefficient, the family is
@@ -42,12 +54,12 @@ the answer.  Otherwise let m0 be the first index (m = -N..N, a_m before
 g_m) where the rebuilt data differ.  The answer is the first failing
 identity among the instances that read m0 (the shape checks at every m,
 and the pairs with m0 among m, n and m + n), else the first failing one
-anywhere, else Undetermined at m0.  Reading m0 first puts the
-certificate at the datum that differs and, on a large window, spares
-most of its instances.  The read needs a = 0 and lambda != 0; once the
-shapes hold, lw-compat (0, 0) reads -a*t and ll-compat (-1, 1) reads
-2*L0 where lambda = 0, so there the first failing identity is the
-answer.
+anywhere (evaluated as check_constraints evaluates it), else
+Undetermined at m0.  Reading m0 first puts the certificate at the datum
+that differs and, on a large window, spares most of its instances.  The
+read needs a = 0 and lambda != 0; once the shapes hold, lw-compat (0, 0)
+reads -a*t and ll-compat (-1, 1) reads 2*L0 where lambda = 0, so there
+the first failing identity is the answer.
 
 Undetermined is the window identities' blind spot: at b = 2/3 and N = 1,
 a_{+-1} = t/2, g_1 = L0 + t^3 and g_{-1} = L0 satisfy every identity (and
@@ -57,7 +69,7 @@ verify_module passes), yet no module of the two families has this data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from time import perf_counter
 from typing import NamedTuple
 
@@ -272,19 +284,24 @@ def _failures(instances, check):
     return (cert for idx in instances if (cert := check(*idx)) is not None)
 
 
+def _touching(indices: set[int], *groups):
+    """Each group's instances with one of ``indices`` among m, n, m + n."""
+    return ([idx for idx in group if indices.intersection((*idx, sum(idx)))]
+            for group in groups)
+
+
 def _window_failures(fam: GenericFamily, at: int | None = None):
     """The certificates of the failing window identities, in the order
     check_constraints records them: the shapes (g_m = b_m L0 + d_m with
     scalar b_m, a_m in C[W0]), then W-commutation at the pairs that touch
     an a-in-W0 failure (the others are zero), and only when the shapes hold
-    the [L, W] and [L, L] replays, which read g_m - g_m(L0 - c) as c*b_m.
-    Given ``at``, only the instances that read index ``at``: every shape
-    check, and the pairs with ``at`` among m, n and m + n."""
+    the [L, W] and [L, L] replays, which read g_m - g_m(L0 - c) as c*b_m,
+    at the pairs that touch S where :func:`_differing` finds it (the others
+    are zero).  Given ``at``, only the instances that read index ``at``:
+    every shape check, and the pairs with ``at`` among m, n and m + n."""
     singles, commuting, pairs, ordered = _instances(fam.window)
     if at is not None:
-        commuting, pairs, ordered = (
-            [idx for idx in group if at in (*idx, sum(idx))]
-            for group in (commuting, pairs, ordered))
+        commuting, pairs, ordered = _touching({at}, commuting, pairs, ordered)
     shapes = [*_failures(singles, partial(_g_shape, fam.g_m)),
               *_failures(singles, partial(_a_in_W0, fam.a_m))]
     yield from shapes
@@ -293,6 +310,8 @@ def _window_failures(fam: GenericFamily, at: int | None = None):
                          partial(_w_commutation, fam.a, fam.a_m))
     if shapes:
         return
+    if at is None and (differing := _differing(fam)) is not None:
+        pairs, ordered = _touching(differing, pairs, ordered)
     p = _parts(fam)
     yield from _failures(pairs, partial(_lw_compat, p))
     yield from _failures(ordered, partial(_ll_compat, p))
@@ -348,6 +367,39 @@ def _read(fam: GenericFamily) -> CanonicalParams | None:
     coeffs[0] = F.coeff(0, 0)
     return CanonicalParams(Family.THETA if theta else Family.PHI, lam, alpha,
                            tuple(coeffs))
+
+
+def _differing(fam: GenericFamily) -> set[int] | None:
+    """S, the indices where the window differs from the module read off
+    its seeds, where the bases prove that module (see the module
+    docstring); else None."""
+    read = _read(fam)
+    if read is None:
+        return None
+    alpha = read.alpha if any(_alpha_weights(fam.b, 1)) else ZERO
+    if not all(_base_holds(read.family, fam.b, alpha, k, fam.window)
+               for k in (None, *(k for k, c in enumerate(read.coeffs) if c))):
+        return None
+    spec = ModuleSpec(read.family, fam.b, read.lam, read.alpha, read.coeffs)
+    return {m for m in range(-fam.window, fam.window + 1)
+            if fam.data(m) != spec.data(m)}
+
+
+@lru_cache(maxsize=4096)  # bounded: 64 classify-mix blocks fill 178 keys
+def _base_holds(family: Family, b: Scalar, alpha: Scalar, k: int | None,
+                window: int) -> bool:
+    """Whether the lambda = 1 module of (family, b, alpha) whose only
+    coefficient is t^k passes every ll-compat instance over the window;
+    with k None, the coefficient-free one, and every lw-compat instance
+    too.  alpha is a key only where :func:`_alpha_weights` lets it enter
+    the data.  The argument holds only while ``ModuleSpec.data`` scales
+    a_m and g_m by lambda^m and its tail h_m is linear in c."""
+    spec = ModuleSpec(family, b, ONE, alpha,
+                      () if k is None else (ZERO,) * k + (ONE,))
+    p = _parts(GenericFamily.from_spec(spec, window))
+    _, _, pairs, ordered = _instances(window)
+    lw = _failures(pairs if k is None else (), partial(_lw_compat, p))
+    return not any(lw) and not any(_failures(ordered, partial(_ll_compat, p)))
 
 
 def solve_candidate(

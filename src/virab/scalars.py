@@ -9,14 +9,17 @@ canonical form, and there is no floating point anywhere.
 
 Text form (used in JSON documents, CLI arguments and reports):
 
-    scalar := [sign] atom [sign atom]
-    atom   := nat ['/' nat] ['i'] | 'i'
+    scalar := [sign] atom | [sign] real sign imag
+    atom   := real | imag
+    real   := nat ['/' nat]
+    imag   := real 'i' | 'i'
     nat    := [0-9]+
     sign   := '+' | '-'
 
-No denominator is 0.  When there are two atoms, the second is imaginary
-and nonzero, and the first is not a nonzero imaginary.  ``-1/2i`` means
--(1/2)i.  Examples: ``2``, ``-1/2``, ``i``, ``2i``, ``3/4-2i``.  The
+No denominator is 0, and the imaginary atom of a two-atom scalar is
+nonzero: ``0i+2i`` (its first atom imaginary) and ``1+0i`` are refused.
+``-1/2i`` means -(1/2)i.  Examples: ``2``, ``-1/2``, ``i``, ``2i``,
+``3/4-2i``.  The
 formatter reduces fractions over a positive denominator, so parse and
 format are mutually inverse on canonical strings.  Whitespace, here and in every text form of
 the package, is :data:`SPACE`: the ASCII space and tab, nothing else, and
@@ -256,7 +259,7 @@ def _scalar(m: re.Match, groups: tuple, g: int, end: int) -> tuple[int, int, int
         if m.end(g) != end:
             raise ParseError("unexpected character in scalar", m.end(g))
         return a, b, d
-    if b:
+    if groups[g + 3]:  # the first component carries an 'i'
         raise ParseError("imaginary part must come last", m.start(g + 5))
     _, b2, d2 = _atom(m, groups, g + 6)
     if not b2:

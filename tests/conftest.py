@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from virab import classify
 from virab.repmod import ModuleSpec
 from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
 
@@ -14,7 +15,7 @@ from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
 settings.register_profile("virab", derandomize=True, deadline=None,
                           max_examples=100, database=None)
 # the same with twenty times the examples, for the reference-scanner test
-# in CI: pytest --hypothesis-profile=virab-long
+# and the local window checks in CI: pytest --hypothesis-profile=virab-long
 settings.register_profile("virab-long", settings.get_profile("virab"),
                           max_examples=2000)
 settings.load_profile("virab")
@@ -34,6 +35,16 @@ def sci(re, im) -> Scalar:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def fresh_bases():
+    """An empty memo of the classifier's base modules before and after the
+    test, so that no base evaluated under patched data formulas serves
+    another test."""
+    classify._base_holds.cache_clear()
+    yield
+    classify._base_holds.cache_clear()
 
 
 @pytest.fixture

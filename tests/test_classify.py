@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import sc, sci
@@ -682,6 +682,167 @@ def test_w_commutation_skips_only_zero_pairs(monkeypatch, where):
                 _ref_check_constraints(fam)), (family, at, a)
 
 
+# --- lw-compat and ll-compat by locality ------------------------------------
+
+def _assert_agrees(fam):
+    """check_constraints lists what the reference sweep lists, with its
+    checks, and solve_candidate answers what it answers when every
+    instance is evaluated."""
+    assert _bodies(check_constraints(fam)) == _bodies(
+        _ref_check_constraints(fam)), fam
+    local = solve_candidate(fam)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "_differing", lambda fam: None)
+        assert solve_candidate(fam) == local, fam
+    assert_sound(fam, local)
+
+
+# a term added to a_m or g_m: those the shapes allow first, then an L0 or
+# t^2 term in a_m and an L0^2 or L0*t term in g_m
+_TERMS = (("a_m", (0, 0)), ("a_m", (0, 1)), ("g_m", (0, 0)), ("g_m", (0, 1)),
+          ("g_m", (0, 3)), ("g_m", (1, 0)), ("a_m", (0, 2)), ("a_m", (1, 0)),
+          ("g_m", (2, 0)), ("g_m", (1, 1)))
+
+
+@st.composite
+def perturbed_windows(draw):
+    """The window at N 1-6 of a module of a family of _FAMILIES (phi with
+    a Gaussian alpha, which is seldom 0, so b = +-1 comes with alpha != 0)
+    unchanged, with a != 0, or with a term added at one index, at two, or
+    at m, n and m + n."""
+    family = draw(st.sampled_from(_FAMILIES))
+    lam, coeffs = draw(gaussians.filter(bool)), draw(st.lists(gaussians,
+                                                             max_size=3))
+    if family == "theta":
+        spec = ModuleSpec.theta(lam=lam, coeffs=coeffs)
+    else:
+        spec = ModuleSpec.phi(b=sc(family), lam=lam, alpha=draw(gaussians),
+                              coeffs=coeffs)
+    base = candidate_for(spec, draw(st.integers(1, 6)))
+    N, nonzero = base.window, [m for m in base.a_m if m]
+    where = draw(st.sampled_from(("one", "two", "sum", "none", "a")))
+    if where == "a":
+        return GenericFamily(draw(gaussians.filter(bool)), base.b, N,
+                             base.a_m, base.g_m)
+    sums = [(m, n, m + n) for m in nonzero for n in nonzero
+            if m + n in nonzero]
+    at = {"none": [], "one": [draw(st.sampled_from(nonzero))],
+          "two": draw(st.lists(st.sampled_from(nonzero), min_size=2,
+                               max_size=2, unique=True)),
+          "sum": list(draw(st.sampled_from(sums))) if sums else []}[where]
+    terms = {"a_m": {}, "g_m": {}}
+    for m in at:
+        table, (i, j) = draw(st.sampled_from(_TERMS))
+        terms[table][m] = BiPoly.monomial(i, j, draw(gaussians.filter(bool)))
+    return perturbed(base, **terms)
+
+
+# the two N = 1 windows every identity holds on, which no module has
+_UNDETERMINED = (
+    GenericFamily(ZERO, sc("2/3"), 1, {
+        -1: BiPoly.monomial(0, 1, sc("1/2")), 0: BiPoly.t_var(),
+        1: BiPoly.monomial(0, 1, sc("1/2"))}, {
+        -1: BiPoly.s_var(), 0: BiPoly.s_var(),
+        1: BiPoly.s_var() + BiPoly.monomial(0, 3)}),
+    perturbed(candidate_for(ModuleSpec.phi(b=sc("1/2"), lam=sc("1/3"),
+                                           alpha=sc("3/2")), 1),
+              g_m={1: BiPoly.monomial(0, 2, sci(-3, -3))}))
+
+
+@given(fam=perturbed_windows())
+@example(fam=_UNDETERMINED[0])
+@example(fam=_UNDETERMINED[1])
+def test_local_checks_agree_with_the_full_pass(fam):
+    # lw-compat and ll-compat evaluated only where S meets {m, n, m + n}
+    # list what the reference lists, and the solver's fallback with them
+    # answers what it answers evaluating everything
+    _assert_agrees(fam)
+
+
+def test_lw_and_ll_compat_evaluate_only_the_pairs_that_touch_s(monkeypatch):
+    # with the bases proved, a window that differs from its read module at
+    # m = 3 alone evaluates the pairs with 3 among m, n and m + n, and a
+    # module's window evaluates none
+    spec = ModuleSpec.phi(b=MINUS_ONE, lam=sc(2), alpha=sc("3/2"),
+                          coeffs=(ONE, sc("-1/3"), sc(2)))
+    base = candidate_for(spec, 6)
+    check_constraints(base)
+    evaluated = []
+    for name in ("_lw_compat", "_ll_compat"):
+        monkeypatch.setattr(classify, name, partial(
+            lambda check, p, m, n: evaluated.append((check, m, n))
+            or check(p, m, n), getattr(classify, name)))
+    fam = perturbed(base, g_m={3: BiPoly.monomial(0, 1, sc(5))})
+    assert classify._differing(fam) == {3}
+    failures = list(classify._window_failures(fam))
+    assert failures
+    _, _, pairs, ordered = classify._instances(6)
+    assert [(m, n) for _, m, n in evaluated] == [
+        (m, n) for m, n in pairs + ordered if 3 in (m, n, m + n)]
+    evaluated.clear()
+    assert not list(classify._window_failures(base))
+    assert evaluated == []
+
+
+def _tail_n_squared(b, alpha, P, Q, n, tail=repmod._tail):
+    # n^2 * P for n * P in h_n: the same at n = 1, so the read takes it
+    return tail(b, alpha, P, Q, n) + P.scale(sc(n * n - n))
+
+
+def _twist_alpha_m_m_minus_1(b, alpha, m, twist=repmod.twist_poly):
+    # alpha * (m^2 - m + 1) for alpha in w_m: the same at m = 0 and m = 1,
+    # and at every m where alpha does not enter
+    return twist(b, alpha.mul_int(m * m - m + 1), m)
+
+
+# a wrong data formula, and the b values and coefficients of the windows
+# it makes no module's: the tail moves only with a coefficient, and the
+# twist only where alpha enters, so a coefficient-free window leaves the
+# twist to the lw-compat base alone
+_DATA_MUTATIONS = {
+    "tail": ("_tail", _tail_n_squared, ("-1", "1/2", "1", "3"),
+             (ONE, sc("-1/3"), sc(2))),
+    "twist": ("twist_poly", _twist_alpha_m_m_minus_1, ("-1", "1"), ()),
+}
+
+
+def _mutated_windows(mutation):
+    # at N = 3 and after the mutation: no module's data, though the
+    # parameters read off their seeds rebuild every index
+    *_, bs, coeffs = _DATA_MUTATIONS[mutation]
+    for b in bs:
+        yield candidate_for(ModuleSpec.phi(b=sc(b), lam=sc(2),
+                                           alpha=sc("3/2"), coeffs=coeffs), 3)
+
+
+@pytest.mark.usefixtures("fresh_bases")
+@pytest.mark.parametrize("mutation", _DATA_MUTATIONS)
+def test_a_lying_base_breaks_the_agreement(monkeypatch, mutation):
+    # a memo that claims every base holds while the data formula is wrong
+    # skips every pair of a window its read rebuilds, and the agreement
+    # with the reference sweep fails
+    monkeypatch.setattr(repmod, *_DATA_MUTATIONS[mutation][:2])
+    monkeypatch.setattr(classify, "_base_holds", lambda *key: True)
+    windows = list(_mutated_windows(mutation))
+    assert all(classify._differing(fam) == set() for fam in windows)
+    assert all(check_constraints(fam).passed for fam in windows)
+    with pytest.raises(AssertionError):
+        for fam in windows:
+            _assert_agrees(fam)
+
+
+@pytest.mark.usefixtures("fresh_bases")
+@pytest.mark.parametrize("mutation", _DATA_MUTATIONS)
+def test_a_failing_base_forces_the_full_pass(monkeypatch, mutation):
+    # evaluated under the same wrong formula, a base fails, so every pair
+    # is evaluated and the failures are listed
+    monkeypatch.setattr(repmod, *_DATA_MUTATIONS[mutation][:2])
+    for fam in _mutated_windows(mutation):
+        assert classify._differing(fam) is None
+        assert not check_constraints(fam).passed
+        _assert_agrees(fam)
+
+
 def test_check_constraints_passes_on_genuine_family():
     spec = ModuleSpec.phi(b=sc(3), lam=sc(2), alpha=ZERO, coeffs=(ONE, ZERO, sc(2)))
     report = check_constraints(candidate_for(spec))
@@ -727,6 +888,7 @@ def test_extract_h_coeffs_with_corrections():
             Family.PHI, sc(-3), alpha, (sc(3), ZERO, ONE)), b
 
 
+@pytest.mark.usefixtures("fresh_bases")
 def test_extract_h_coeffs_builds_one_divided_difference_per_level(monkeypatch):
     # top degree 3: the read builds each level's divided difference once,
     # and no module

@@ -566,6 +566,7 @@ def _tail_weight_n_n_plus_1(b, m, weights=repmod._alpha_weights):
         ("twist", repmod, "_alpha_weights", _twist_plus_m_alpha),
         ("tail-weight", repmod, "_alpha_weights", _tail_weight_n_n_plus_1))
 ])
+@pytest.mark.usefixtures("fresh_bases")
 def test_symbols_refuse_or_fail_what_the_sweep_fails(name, where, attr, value,
                                                      monkeypatch):
     # a pointwise bracket refuses its symbolic indices, and a wrong datum

@@ -167,6 +167,16 @@ def test_parse_errors_carry_position():
         assert err.value.pos == pos
 
 
+@pytest.mark.parametrize("text, pos", [
+    ("0i+2i", 2), ("0i-1/2i", 2), (" -0/3i + i", 7), ("2i+1", 2)])
+def test_parse_refuses_an_imaginary_first_component(text, pos):
+    # the 'i' decides, not the value: a zero imaginary first is refused too
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text)
+    assert (err.value.message, err.value.pos) == (
+        "imaginary part must come last", pos)
+
+
 def test_parse_refuses_numbers_past_the_digit_limit(digit_limit):
     # int() raises a bare ValueError past the limit; the scanner reports it
     # as a ParseError at the digits
