@@ -244,13 +244,24 @@ def _cmd_orbit(args) -> tuple[int, str]:
     return (0 if report.passed else 1), _render_report(report, args.format)
 
 
+class _TopFormatter(argparse.HelpFormatter):
+    """Help from column 24: 3.13 measures subcommand names with their
+    indent and earlier versions without, so a measured column differs."""
+
+    def __init__(self, prog):
+        super().__init__(prog)
+        self._action_max_length = 22
+
+
 @cache  # parsing reads the tree and never changes it
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="virab",
         description="Exact computations with W(a,b) and Vir(a,b) modules",
+        formatter_class=_TopFormatter,
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    # a short metavar keeps the usage line on one line on every interpreter
+    sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
     cases = [c.value for c in Case]
 
     def common(p):

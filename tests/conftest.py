@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from virab import classify
+from virab import classify, repmod
 from virab.repmod import ModuleSpec
 from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
 
@@ -14,8 +14,9 @@ from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
 # bounded example count, so tier-1 stays reproducible and quick
 settings.register_profile("virab", derandomize=True, deadline=None,
                           max_examples=100, database=None)
-# the same with twenty times the examples, for the reference-scanner test
-# and the local window checks in CI: pytest --hypothesis-profile=virab-long
+# the same with twenty times the examples, for the reference-scanner test,
+# the local window checks and the spec base memo in CI:
+# pytest --hypothesis-profile=virab-long
 settings.register_profile("virab-long", settings.get_profile("virab"),
                           max_examples=2000)
 settings.load_profile("virab")
@@ -39,12 +40,15 @@ def rng():
 
 @pytest.fixture
 def fresh_bases():
-    """An empty memo of the classifier's base modules before and after the
-    test, so that no base evaluated under patched data formulas serves
-    another test."""
-    classify._base_holds.cache_clear()
+    """Empty memos of base modules, the classifier's and repmod's, before
+    and after the test, so that no base evaluated under patched data
+    formulas or bracket tables serves another test."""
+    memos = (classify._base_holds, repmod._base_vanishes)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    classify._base_holds.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import sc, sci
-from test_repmod import _family_with_a
+from test_repmod import _family_with_a, _naive_sweep
 from virab import classify, repmod
 from virab.algebra import L, W
 from virab.classify import (
@@ -26,7 +26,12 @@ from virab.classify import (
     _report,
 )
 from virab.grammar import parse_bipoly
-from virab.polynomials import BiPoly, divided_difference, format_bipoly
+from virab.polynomials import (
+    BiPoly,
+    _index_poly,
+    divided_difference,
+    format_bipoly,
+)
 from virab.repmod import (
     Family,
     GenericFamily,
@@ -675,7 +680,7 @@ def test_w_commutation_skips_only_zero_pairs(monkeypatch, where):
                     if m < n and (m, n) not in evaluated:
                         assert _ref_w_commutation(a, fam.a_m, m, n) is None
             for m in window:
-                assert list(classify._window_failures(fam, m)) == [
+                assert list(classify._window_failures(fam, {m})) == [
                     c for c in full if len(c.indices) == 1
                     or m in (*c.indices, sum(c.indices))]
             assert _bodies(check_constraints(fam)) == _bodies(
@@ -692,7 +697,7 @@ def _assert_agrees(fam):
         _ref_check_constraints(fam)), fam
     local = solve_candidate(fam)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "_differing", lambda fam: None)
+        mp.setattr(classify, "_differing", lambda *args: None)
         assert solve_candidate(fam) == local, fam
     assert_sound(fam, local)
 
@@ -705,20 +710,23 @@ _TERMS = (("a_m", (0, 0)), ("a_m", (0, 1)), ("g_m", (0, 0)), ("g_m", (0, 1)),
 
 
 @st.composite
-def perturbed_windows(draw):
-    """The window at N 1-6 of a module of a family of _FAMILIES (phi with
-    a Gaussian alpha, which is seldom 0, so b = +-1 comes with alpha != 0)
-    unchanged, with a != 0, or with a term added at one index, at two, or
-    at m, n and m + n."""
+def family_specs(draw, coeffs=st.lists(gaussians, max_size=3)):
+    """A module of a family of _FAMILIES (phi with a Gaussian alpha, which
+    is seldom 0, so b = +-1 comes with alpha != 0) with ``coeffs``."""
     family = draw(st.sampled_from(_FAMILIES))
-    lam, coeffs = draw(gaussians.filter(bool)), draw(st.lists(gaussians,
-                                                             max_size=3))
+    lam, coeffs = draw(gaussians.filter(bool)), draw(coeffs)
     if family == "theta":
-        spec = ModuleSpec.theta(lam=lam, coeffs=coeffs)
-    else:
-        spec = ModuleSpec.phi(b=sc(family), lam=lam, alpha=draw(gaussians),
-                              coeffs=coeffs)
-    base = candidate_for(spec, draw(st.integers(1, 6)))
+        return ModuleSpec.theta(lam=lam, coeffs=coeffs)
+    return ModuleSpec.phi(b=sc(family), lam=lam, alpha=draw(gaussians),
+                          coeffs=coeffs)
+
+
+@st.composite
+def perturbed_windows(draw):
+    """The window at N 1-6 of a module of :func:`family_specs` unchanged,
+    with a != 0, or with a term added at one index, at two, or at m, n and
+    m + n."""
+    base = candidate_for(draw(family_specs()), draw(st.integers(1, 6)))
     N, nonzero = base.window, [m for m in base.a_m if m]
     where = draw(st.sampled_from(("one", "two", "sum", "none", "a")))
     if where == "a":
@@ -785,14 +793,17 @@ def test_lw_and_ll_compat_evaluate_only_the_pairs_that_touch_s(monkeypatch):
 
 
 def _tail_n_squared(b, alpha, P, Q, n, tail=repmod._tail):
-    # n^2 * P for n * P in h_n: the same at n = 1, so the read takes it
-    return tail(b, alpha, P, Q, n) + P.scale(sc(n * n - n))
+    # n^2 * P for n * P in h_n: the same at n = 1, so the read takes it;
+    # at an int n or a symbolic one
+    return tail(b, alpha, P, Q, n) + repmod._times(P, (n * n - n) * ONE)
 
 
 def _twist_alpha_m_m_minus_1(b, alpha, m, twist=repmod.twist_poly):
     # alpha * (m^2 - m + 1) for alpha in w_m: the same at m = 0 and m = 1,
-    # and at every m where alpha does not enter
-    return twist(b, alpha.mul_int(m * m - m + 1), m)
+    # and at every m where alpha does not enter; at an int m or a symbolic
+    # one
+    shift = repmod._alpha_weights(b, m)[1] * (m * m - m) * alpha
+    return twist(b, alpha, m) - _index_poly(shift)
 
 
 # a wrong data formula, and the b values and coefficients of the windows
@@ -806,13 +817,19 @@ _DATA_MUTATIONS = {
 }
 
 
+def _mutated_specs(mutation):
+    # after the mutation no module's: phi at lambda = 2, alpha = 3/2
+    *_, bs, coeffs = _DATA_MUTATIONS[mutation]
+    for b in bs:
+        yield ModuleSpec.phi(b=sc(b), lam=sc(2), alpha=sc("3/2"),
+                             coeffs=coeffs)
+
+
 def _mutated_windows(mutation):
     # at N = 3 and after the mutation: no module's data, though the
     # parameters read off their seeds rebuild every index
-    *_, bs, coeffs = _DATA_MUTATIONS[mutation]
-    for b in bs:
-        yield candidate_for(ModuleSpec.phi(b=sc(b), lam=sc(2),
-                                           alpha=sc("3/2"), coeffs=coeffs), 3)
+    for spec in _mutated_specs(mutation):
+        yield candidate_for(spec, 3)
 
 
 @pytest.mark.usefixtures("fresh_bases")
@@ -841,6 +858,88 @@ def test_a_failing_base_forces_the_full_pass(monkeypatch, mutation):
         assert classify._differing(fam) is None
         assert not check_constraints(fam).passed
         _assert_agrees(fam)
+
+
+# --- decided module specs from repmod's base memo ---------------------------
+
+def _memo_verdict(spec):
+    """Whether every base of spec in repmod's memo vanishes."""
+    return all(repmod._base_vanishes(*key)
+               for key in repmod._base_keys(spec))
+
+
+def _per_spec_proof(spec):
+    """The per-spec proof of spec's lambda = 1 twin, without the memo."""
+    return repmod._pairs_vanish(ModuleSpec(spec.family, spec.b, ONE,
+                                           spec.alpha, spec.coeffs))
+
+
+def _assert_spec_agrees(spec):
+    """The memo's verdict on spec is the per-spec proof's, and
+    verify_module reports what a naive sweep finds, checks included."""
+    assert _memo_verdict(spec) == _per_spec_proof(spec), spec.to_dict()
+    report = verify_module(spec, window=1, degree=2)
+    assert (report.checks, [(f.indices, f.residue) for f in report.failures]
+            ) == _naive_sweep(spec, window=1, degree=2), spec.to_dict()
+
+
+@given(spec=family_specs(st.lists(st.one_of(st.just(ZERO), gaussians),
+                                  max_size=4)),
+       mutation=st.sampled_from((None, *_DATA_MUTATIONS)))
+def test_the_base_memo_agrees_with_the_per_spec_proof(spec, mutation):
+    # the bases vanish exactly where the spec's lambda = 1 twin does, with
+    # up to four coefficients, zeros among them, under the module's data
+    # formula and under a wrong one; a memo filled under a wrong formula
+    # serves no other example
+    with pytest.MonkeyPatch.context() as mp:
+        if mutation is not None:
+            mp.setattr(repmod, *_DATA_MUTATIONS[mutation][:2])
+            repmod._base_vanishes.cache_clear()
+        try:
+            assert _memo_verdict(spec) == _per_spec_proof(spec), (
+                spec.to_dict(), mutation)
+        finally:
+            if mutation is not None:
+                repmod._base_vanishes.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_bases")
+@pytest.mark.parametrize("mutation", _DATA_MUTATIONS)
+def test_a_lying_spec_memo_breaks_the_agreement(monkeypatch, mutation):
+    # a memo that claims every base vanishes while the data formula is
+    # wrong decides every spec, and the agreement with the per-spec proof
+    # and the sweep fails
+    monkeypatch.setattr(repmod, *_DATA_MUTATIONS[mutation][:2])
+    monkeypatch.setattr(repmod, "_base_vanishes", lambda *key: True)
+    specs = list(_mutated_specs(mutation))
+    assert all(repmod._symbols_vanish(spec) for spec in specs)
+    assert all(verify_module(spec, window=1, degree=2).passed
+               for spec in specs)
+    with pytest.raises(AssertionError):
+        for spec in specs:
+            _assert_spec_agrees(spec)
+
+
+@pytest.mark.usefixtures("fresh_bases")
+@pytest.mark.parametrize("mutation", _DATA_MUTATIONS)
+def test_a_failing_spec_base_forces_the_proof_and_the_sweep(monkeypatch,
+                                                            mutation):
+    # evaluated under the same wrong formula, a base fails, so the spec's
+    # twin is proved by itself, last, and fails; the sweep then reports
+    # what a naive sweep finds
+    monkeypatch.setattr(repmod, *_DATA_MUTATIONS[mutation][:2])
+    proved = []
+    monkeypatch.setattr(repmod, "_pairs_vanish", partial(
+        lambda prove, twin, ll_only=False: proved.append(
+            (twin.b, twin.alpha, twin.coeffs, ll_only))
+        or prove(twin, ll_only), repmod._pairs_vanish))
+    for spec in _mutated_specs(mutation):
+        assert not _memo_verdict(spec)
+        proved.clear()
+        assert not repmod._symbols_vanish(spec)
+        assert proved[-1] == (spec.b, spec.alpha, spec.coeffs, False)
+        assert not verify_module(spec, window=1, degree=2).passed
+        _assert_spec_agrees(spec)
 
 
 def test_check_constraints_passes_on_genuine_family():

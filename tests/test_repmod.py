@@ -282,6 +282,7 @@ def test_spec_from_dict_rejects_inexact_scalars(field, value):
 _LL = algebra._ll
 
 
+@pytest.mark.usefixtures("fresh_bases")
 def test_verify_module_rejects_bracket_term_with_another_shift(monkeypatch):
     # [L_1, L_2] answers L_4 instead of L_3: the sweep refuses to fold the
     # action of L_4 (shift 4) into the symbol of a pair of total shift 3
@@ -420,6 +421,7 @@ _TABLE_PATCHES = {"broken-antisymmetry": ("_ll", _ll_not_antisymmetric)}
                  id=name if degree == 2 else f"{name}-deg{degree}")
     for name, make, low, *window in _REPLAY_TARGETS for degree in (0, 1, 2)
 ])
+@pytest.mark.usefixtures("fresh_bases")
 def test_verify_module_matches_naive_replay(name, make, degree, fails,
                                             window, monkeypatch):
     if name in _TABLE_PATCHES:
