@@ -79,7 +79,6 @@ from .repmod import (
     GenericFamily,
     ModuleSpec,
     _alpha_weights,
-    _base_keys,
     _check_params,
     _require_fields,
     _scalar_field,
@@ -291,19 +290,18 @@ def _touching(indices: set[int], *groups):
             for group in groups)
 
 
-def _window_failures(fam: GenericFamily, at: set[int] | None = None):
+def _window_failures(fam: GenericFamily, at: int | None = None):
     """The certificates of the failing window identities, in the order
     check_constraints records them: the shapes (g_m = b_m L0 + d_m with
     scalar b_m, a_m in C[W0]), then W-commutation at the pairs that touch
     an a-in-W0 failure (the others are zero), and only when the shapes hold
     the [L, W] and [L, L] replays, which read g_m - g_m(L0 - c) as c*b_m,
     at the pairs that touch S where :func:`_differing` finds it (the others
-    are zero).  Given ``at``, a set of indices, only the instances that
-    read one of them: every shape check, and the pairs with one of ``at``
-    among m, n and m + n."""
+    are zero).  Given ``at``, only the instances that read index ``at``:
+    every shape check, and the pairs with ``at`` among m, n and m + n."""
     singles, commuting, pairs, ordered = _instances(fam.window)
     if at is not None:
-        commuting, pairs, ordered = _touching(at, commuting, pairs, ordered)
+        commuting, pairs, ordered = _touching({at}, commuting, pairs, ordered)
     shapes = [*_failures(singles, partial(_g_shape, fam.g_m)),
               *_failures(singles, partial(_a_in_W0, fam.a_m))]
     yield from shapes
@@ -371,21 +369,19 @@ def _read(fam: GenericFamily) -> CanonicalParams | None:
                            tuple(coeffs))
 
 
-def _differing(fam: GenericFamily, spec: ModuleSpec | None = None,
-               start: int | None = None) -> set[int] | None:
-    """S, the indices where the window differs from spec's module (by
-    default the module read off its seeds), where the bases prove that
-    module (see the module docstring); else None.  Given ``start``, the
-    indices below it are taken to agree."""
-    if spec is None:
-        if (read := _read(fam)) is None:
-            return None
-        spec = ModuleSpec(read.family, fam.b, read.lam, read.alpha,
-                          read.coeffs)
-    N = fam.window
-    if not all(_base_holds(*key, N) for key in _base_keys(spec)):
+def _differing(fam: GenericFamily) -> set[int] | None:
+    """S, the indices where the window differs from the module read off
+    its seeds, where the bases prove that module (see the module
+    docstring); else None."""
+    read = _read(fam)
+    if read is None:
         return None
-    return {m for m in range(-N if start is None else start, N + 1)
+    alpha = read.alpha if any(_alpha_weights(fam.b, 1)) else ZERO
+    if not all(_base_holds(read.family, fam.b, alpha, k, fam.window)
+               for k in (None, *(k for k, c in enumerate(read.coeffs) if c))):
+        return None
+    spec = ModuleSpec(read.family, fam.b, read.lam, read.alpha, read.coeffs)
+    return {m for m in range(-fam.window, fam.window + 1)
             if fam.data(m) != spec.data(m)}
 
 
@@ -399,9 +395,10 @@ def _base_holds(family: Family, b: Scalar, alpha: Scalar, k: int | None,
     the data.  The argument holds only while ``ModuleSpec.data`` scales
     a_m and g_m by lambda^m and its tail h_m is linear in c.
 
-    :func:`virab.repmod._base_vanishes` keeps these bases at symbolic
-    indices, without N.  Both memos stay: a symbolic base costs 1.16 ms
-    against 0.78 ms over an N = 6 window, in classify's latency tail."""
+    :func:`virab.repmod._base_vanishes` keeps a second memo: one base per
+    support, with symbolic coefficients, proved at symbolic indices.  These
+    keys are per coefficient and serve windows of every support, and
+    classify-mix has not been measured on the symbolic bases."""
     spec = ModuleSpec(family, b, ONE, alpha,
                       () if k is None else (ZERO,) * k + (ONE,))
     p = _parts(GenericFamily.from_spec(spec, window))
@@ -424,11 +421,8 @@ def solve_candidate(
     for m in range(-fam.window, fam.window + 1):
         for given, rebuilt in zip(fam.data(m), spec.data(m)):
             if given != rebuilt:
-                # the shapes hold once the pass at m finds nothing, so the
-                # full pass evaluates only the pairs that touch S
-                return (next(_window_failures(fam, {m}), None)
-                        or next(_window_failures(
-                            fam, _differing(fam, spec, m)), None)
+                return (next(_window_failures(fam, m), None)
+                        or next(_window_failures(fam), None)
                         or Undetermined(m, given - rebuilt))
     return read
 

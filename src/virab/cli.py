@@ -246,7 +246,11 @@ def _cmd_orbit(args) -> tuple[int, str]:
 
 class _TopFormatter(argparse.HelpFormatter):
     """Help from column 24: 3.13 measures subcommand names with their
-    indent and earlier versions without, so a measured column differs."""
+    indent and earlier versions without, so a measured column differs.
+    This sets argparse's private ``_action_max_length`` and holds only
+    while add_argument never lowers it; a CPython that renames or resets
+    it is seen by the golden corpus check alone, on the interpreters CI
+    runs."""
 
     def __init__(self, prog):
         super().__init__(prog)

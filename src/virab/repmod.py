@@ -466,10 +466,10 @@ _PATTERNS = zero_patterns((1, 2), [BiPoly.index_var(1), BiPoly.index_var(2),
                                    BiPoly.index_var(1) + BiPoly.index_var(2)])
 
 
-def _pairs_vanish(twin: ModuleSpec, ll_only: bool = False) -> bool:
-    """Whether the symbols of every pair kind, with ``ll_only`` of (L_m,
-    L_n) alone, vanish for a lambda = 1 spec at symbolic m and n on every
-    zero pattern; False where a term is off the shift or a test undecided."""
+def _pairs_vanish(twin: ModuleSpec) -> bool:
+    """Whether the symbols of every pair kind vanish for a lambda = 1 spec
+    at symbolic m and n on every zero pattern; False where a term is off
+    the shift or a test undecided."""
     # central symbols act by zero: the table without them is what counts
     algebra = classify_case(twin.a, twin.b, want_extension=False)
     try:
@@ -478,8 +478,7 @@ def _pairs_vanish(twin: ModuleSpec, ll_only: bool = False) -> bool:
             tau = cache(lambda sigma, y: _tau(op(y), _index_poly(sigma)))
             for values, nonzero in group:
                 i, j = (Index(v, nonzero) for v in values)
-                for x, y in ([(L(i), L(j))] if ll_only else
-                             product((L(i), W(i)), (L(j), W(j)))):
+                for x, y in product((L(i), W(i)), (L(j), W(j))):
                     terms = [(sym, _index_poly(c)) for sym, c in
                              bracket(x, y, algebra).terms.items()]
                     if any(_pair_symbol(x, y, op, tau, terms)):
@@ -489,24 +488,29 @@ def _pairs_vanish(twin: ModuleSpec, ll_only: bool = False) -> bool:
     return True
 
 
-def _base_keys(spec: ModuleSpec) -> list[tuple]:
-    """The keys (family, b, alpha, k) of spec's bases (see
-    :func:`_symbols_vanish`): k None and every k with c_k != 0, alpha 0
-    where :func:`_alpha_weights` keeps it out of the data."""
+def _base_key(spec: ModuleSpec) -> tuple:
+    """(family, b, alpha, support) of spec's base (see
+    :func:`_symbols_vanish`): alpha 0 where :func:`_alpha_weights` keeps it
+    out of the data, and the k with c_k != 0."""
     alpha = spec.alpha if any(_alpha_weights(spec.b, 1)) else ZERO
-    return [(spec.family, spec.b, alpha, k)
-            for k in (None, *(k for k, c in enumerate(spec.coeffs) if c))]
+    return (spec.family, spec.b, alpha,
+            tuple(k for k, c in enumerate(spec.coeffs) if c))
 
 
-@lru_cache(maxsize=4096)  # bounded: 64 module-sweep specs need 34-39
+@lru_cache(maxsize=4096)  # bounded: 64 module-sweep specs need 25-27
 def _base_vanishes(family: Family, b: Scalar, alpha: Scalar,
-                   k: int | None) -> bool:
-    """Whether the lambda = 1 spec of (family, b, alpha) whose only
-    coefficient is t^k has vanishing (L_m, L_n) symbols; with k None, the
-    coefficient-free one, and the symbols of every pair kind."""
-    coeffs = () if k is None else (ZERO,) * k + (ONE,)
-    return _pairs_vanish(ModuleSpec(family, b, ONE, alpha, coeffs),
-                         k is not None)
+                   support: tuple[int, ...]) -> bool:
+    """Whether the symbols vanish for the lambda = 1 spec of (family, b,
+    alpha) whose c_k is a fresh index variable u_k for each k in support,
+    and 0 for every other k."""
+    base = ModuleSpec(family, b, ONE, alpha)
+    # m and n are index variables 1 and 2, so u_k is 3 + k
+    us = [(k, BiPoly.index_var(3 + k)) for k in support]
+    base._P = BiPoly.zero().combine(
+        (BiPoly.monomial(0, k) * u, ONE) for k, u in us)
+    base._Q = BiPoly.zero().combine(
+        (divided_difference(k, alpha) * u, ONE) for k, u in us)
+    return _pairs_vanish(base)
 
 
 def _symbols_vanish(spec: ModuleSpec) -> bool:
@@ -519,20 +523,18 @@ def _symbols_vanish(spec: ModuleSpec) -> bool:
     [m == 0] * t too), so every Op at m is: p and q scale, the shift does
     not.  Each of dA, dB and dC of (x_m, y_n), its bracket terms at index
     m + n, is then lambda^(m+n) times its value at 1, and vanishes exactly
-    when that does.  In (L_m, W_n), (W_m, L_n) and (W_m, W_n) the tail h_m
-    cancels from dA, dB and dC; in (L_m, L_n) the h_m * h_n terms cancel,
-    so that symbol is affine in the tails, which are linear in c.  So the
-    symbols vanish when the bases do (:func:`_base_keys`, kept once per
-    process by :func:`_base_vanishes`): the coefficient-free lambda = 1
-    twin on every pair kind, and on (L_m, L_n) each twin whose only
-    coefficient is t^k, c_k != 0.  Where a base fails, the lambda = 1 twin
-    is proved by itself.  All this holds only while ``data`` scales a_m
-    and g_m by lambda^m and its tail h_m is linear in c."""
+    when that does.  At lambda = 1 the symbols are built from the
+    coefficients by sums, products, d/dt and shifts of s alone, so spec's
+    are those of its base (:func:`_base_key`), whose nonzero coefficients
+    are fresh variables u_k, with c_k put in for each u_k: where the base's
+    vanish, so do spec's.  The base decides every spec of its (family, b,
+    alpha) and support, whatever the coefficients, and is proved once per
+    process (:func:`_base_vanishes`).  A base that does not vanish leaves
+    the spec to the sweep.  All this holds only while ``data`` scales a_m
+    and g_m by lambda^m."""
     if type(spec) is not ModuleSpec or ModuleSpec.op is not _op:
         return False
-    return (all(_base_vanishes(*key) for key in _base_keys(spec))
-            or _pairs_vanish(ModuleSpec(spec.family, spec.b, ONE,
-                                        spec.alpha, spec.coeffs)))
+    return _base_vanishes(*_base_key(spec))
 
 
 def verify_module(

@@ -680,7 +680,7 @@ def test_w_commutation_skips_only_zero_pairs(monkeypatch, where):
                     if m < n and (m, n) not in evaluated:
                         assert _ref_w_commutation(a, fam.a_m, m, n) is None
             for m in window:
-                assert list(classify._window_failures(fam, {m})) == [
+                assert list(classify._window_failures(fam, m)) == [
                     c for c in full if len(c.indices) == 1
                     or m in (*c.indices, sum(c.indices))]
             assert _bodies(check_constraints(fam)) == _bodies(
@@ -697,7 +697,7 @@ def _assert_agrees(fam):
         _ref_check_constraints(fam)), fam
     local = solve_candidate(fam)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "_differing", lambda *args: None)
+        mp.setattr(classify, "_differing", lambda fam: None)
         assert solve_candidate(fam) == local, fam
     assert_sound(fam, local)
 
@@ -863,9 +863,8 @@ def test_a_failing_base_forces_the_full_pass(monkeypatch, mutation):
 # --- decided module specs from repmod's base memo ---------------------------
 
 def _memo_verdict(spec):
-    """Whether every base of spec in repmod's memo vanishes."""
-    return all(repmod._base_vanishes(*key)
-               for key in repmod._base_keys(spec))
+    """Whether spec's base in repmod's memo vanishes."""
+    return repmod._base_vanishes(*repmod._base_key(spec))
 
 
 def _per_spec_proof(spec):
@@ -874,23 +873,29 @@ def _per_spec_proof(spec):
                                            spec.alpha, spec.coeffs))
 
 
-def _assert_spec_agrees(spec):
-    """The memo's verdict on spec is the per-spec proof's, and
-    verify_module reports what a naive sweep finds, checks included."""
-    assert _memo_verdict(spec) == _per_spec_proof(spec), spec.to_dict()
+def _assert_sweep_agrees(spec):
+    """verify_module reports what a naive sweep finds, checks included."""
     report = verify_module(spec, window=1, degree=2)
     assert (report.checks, [(f.indices, f.residue) for f in report.failures]
             ) == _naive_sweep(spec, window=1, degree=2), spec.to_dict()
+
+
+def _assert_spec_agrees(spec):
+    """The memo's verdict on spec is the per-spec proof's, and
+    verify_module reports what a naive sweep finds."""
+    assert _memo_verdict(spec) == _per_spec_proof(spec), spec.to_dict()
+    _assert_sweep_agrees(spec)
 
 
 @given(spec=family_specs(st.lists(st.one_of(st.just(ZERO), gaussians),
                                   max_size=4)),
        mutation=st.sampled_from((None, *_DATA_MUTATIONS)))
 def test_the_base_memo_agrees_with_the_per_spec_proof(spec, mutation):
-    # the bases vanish exactly where the spec's lambda = 1 twin does, with
-    # up to four coefficients, zeros among them, under the module's data
-    # formula and under a wrong one; a memo filled under a wrong formula
-    # serves no other example
+    # the base, with symbolic coefficients on spec's support, vanishes
+    # exactly where the spec's lambda = 1 twin does, with up to four
+    # coefficients, zeros among them, under the module's data formula and
+    # under a wrong one; a memo filled under a wrong formula serves no
+    # other example
     with pytest.MonkeyPatch.context() as mp:
         if mutation is not None:
             mp.setattr(repmod, *_DATA_MUTATIONS[mutation][:2])
@@ -901,6 +906,56 @@ def test_the_base_memo_agrees_with_the_per_spec_proof(spec, mutation):
         finally:
             if mutation is not None:
                 repmod._base_vanishes.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_bases")
+def test_one_base_decides_every_spec_of_its_support(monkeypatch):
+    # specs that differ in lambda and in their nonzero coefficients, and in
+    # alpha where it enters no data, share one base, proved once; another
+    # support, or another alpha where it enters, is another base
+    proved = []
+    monkeypatch.setattr(repmod, "_pairs_vanish", partial(
+        lambda prove, twin: proved.append(twin) or prove(twin),
+        repmod._pairs_vanish))
+    shared = [ModuleSpec.phi(b=b, lam=lam, alpha=alpha, coeffs=coeffs)
+              for b, alpha in ((sc("1/2"), ZERO), (sc("1/2"), sc(3)))
+              for lam, coeffs in ((sc(2), (ONE, ZERO, sc(5))),
+                                  (I, (sc("-1/3"), ZERO, sc("2/7"))))]
+    others = [ModuleSpec.phi(b=sc("1/2"), lam=sc(2), coeffs=(ONE, ONE)),
+              ModuleSpec.phi(b=ONE, lam=sc(2), alpha=ONE, coeffs=(ONE,)),
+              ModuleSpec.phi(b=ONE, lam=sc(2), alpha=sc(3), coeffs=(ONE,))]
+    for spec in shared + others:
+        assert verify_module(spec, window=1, degree=2).passed
+    assert len(proved) == 1 + len(others)
+    assert all(verify_module(spec, window=1, degree=2).passed
+               for spec in shared + others)
+    assert len(proved) == 1 + len(others)
+
+
+def _tail_c0_minus_c1(b, alpha, P, Q, n, tail=repmod._tail):
+    # (n^2 - n) * (c_0 - c_1) added to h_n, read off P's t^0 and t^1
+    # terms, so with symbolic coefficients too: a module's data where
+    # c_0 = c_1, and no module's elsewhere
+    ends = [BiPoly({(i, 0): c for (i, j), c in P.terms.items() if j == k})
+            for k in (0, 1)]
+    return tail(b, alpha, P, Q, n) + repmod._times(ends[0] - ends[1],
+                                                   (n * n - n) * ONE)
+
+
+@pytest.mark.usefixtures("fresh_bases")
+def test_a_base_decides_only_what_holds_for_every_coefficient(monkeypatch):
+    # under a data formula that makes a module exactly where c_0 = c_1,
+    # the base of support {0, 1} fails, so a spec with c_0 = c_1 goes to
+    # the sweep, which passes it, and one with c_0 != c_1 fails there
+    monkeypatch.setattr(repmod, "_tail", _tail_c0_minus_c1)
+    for b in ("1/2", "2"):
+        for coeffs, holds in (((sc(2), sc(2)), True), ((ONE, sc(2)), False)):
+            spec = ModuleSpec.phi(b=sc(b), lam=sc(2), coeffs=coeffs)
+            assert not _memo_verdict(spec)
+            assert not repmod._symbols_vanish(spec)
+            assert _per_spec_proof(spec) is holds
+            assert verify_module(spec, window=1, degree=2).passed is holds
+            _assert_sweep_agrees(spec)
 
 
 @pytest.mark.usefixtures("fresh_bases")
@@ -922,22 +977,13 @@ def test_a_lying_spec_memo_breaks_the_agreement(monkeypatch, mutation):
 
 @pytest.mark.usefixtures("fresh_bases")
 @pytest.mark.parametrize("mutation", _DATA_MUTATIONS)
-def test_a_failing_spec_base_forces_the_proof_and_the_sweep(monkeypatch,
-                                                            mutation):
-    # evaluated under the same wrong formula, a base fails, so the spec's
-    # twin is proved by itself, last, and fails; the sweep then reports
-    # what a naive sweep finds
+def test_a_failing_spec_base_forces_the_sweep(monkeypatch, mutation):
+    # evaluated under the same wrong formula, the spec's base fails, and
+    # the sweep reports what a naive sweep finds
     monkeypatch.setattr(repmod, *_DATA_MUTATIONS[mutation][:2])
-    proved = []
-    monkeypatch.setattr(repmod, "_pairs_vanish", partial(
-        lambda prove, twin, ll_only=False: proved.append(
-            (twin.b, twin.alpha, twin.coeffs, ll_only))
-        or prove(twin, ll_only), repmod._pairs_vanish))
     for spec in _mutated_specs(mutation):
         assert not _memo_verdict(spec)
-        proved.clear()
         assert not repmod._symbols_vanish(spec)
-        assert proved[-1] == (spec.b, spec.alpha, spec.coeffs, False)
         assert not verify_module(spec, window=1, degree=2).passed
         _assert_spec_agrees(spec)
 
