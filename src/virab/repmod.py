@@ -47,6 +47,7 @@ from enum import Enum
 from functools import cache, lru_cache, partial
 from itertools import product
 from time import perf_counter
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
 from .algebra import (
@@ -474,7 +475,10 @@ def _pairs_vanish(twin: ModuleSpec) -> bool:
     algebra = classify_case(twin.a, twin.b, want_extension=False)
     try:
         for group in _PATTERNS:
-            op = cache(partial(_op, twin))
+            # L_m and W_m read one data(m), kept per group: data at an
+            # Index reads the group's zero pattern
+            op = cache(partial(_op, SimpleNamespace(
+                a=twin.a, b=twin.b, data=cache(twin.data))))
             tau = cache(lambda sigma, y: _tau(op(y), _index_poly(sigma)))
             for values, nonzero in group:
                 i, j = (Index(v, nonzero) for v in values)
@@ -504,12 +508,10 @@ def _base_vanishes(family: Family, b: Scalar, alpha: Scalar,
     alpha) whose c_k is a fresh index variable u_k for each k in support,
     and 0 for every other k."""
     base = ModuleSpec(family, b, ONE, alpha)
-    # m and n are index variables 1 and 2, so u_k is 3 + k
-    us = [(k, BiPoly.index_var(3 + k)) for k in support]
-    base._P = BiPoly.zero().combine(
-        (BiPoly.monomial(0, k) * u, ONE) for k, u in us)
-    base._Q = BiPoly.zero().combine(
-        (divided_difference(k, alpha) * u, ONE) for k, u in us)
+    for k in support:  # m and n are index variables 1 and 2
+        u = BiPoly.index_var(3 + k)
+        base._P += BiPoly.monomial(0, k) * u
+        base._Q += divided_difference(k, alpha) * u
     return _pairs_vanish(base)
 
 
