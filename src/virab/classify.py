@@ -45,10 +45,11 @@ base is evaluated over the window once per process (:func:`_base_holds`);
 with no read, or where a base fails, every pair is evaluated.
 
 solve_candidate reads the parameters off the seeds at m = 1 and certifies
-nothing while it reads: lambda is g_1's L0 coefficient, the family is
-theta when b = 1 and a_1 = 0 and phi otherwise, alpha = -B_1 / lambda for
-a_1 = A_1 t + B_1, and the coefficients are peeled top-down out of
-F_1 = d_1 / lambda, which a module has as its tail h_1.  When the module
+nothing while it reads (:func:`virab.repmod._read`, which verify_module
+shares): lambda is g_1's L0 coefficient, the family is theta when b = 1
+and a_1 = 0 and phi otherwise, alpha = -B_1 / lambda for a_1 = A_1 t +
+B_1, and the coefficients are peeled top-down out of F_1 = d_1 / lambda,
+which a module has as its tail h_1.  When the module
 with these parameters rebuilds every (a_m, g_m) of the window, they are
 the answer.  Otherwise let m0 be the first index (m = -N..N, a_m before
 g_m) where the rebuilt data differ.  The answer is the first failing
@@ -73,17 +74,20 @@ from functools import lru_cache, partial
 from time import perf_counter
 from typing import NamedTuple
 
-from .polynomials import BiPoly, divided_difference, format_bipoly
+from .polynomials import BiPoly, format_bipoly
 from .repmod import (
     Family,
     GenericFamily,
     ModuleSpec,
     _alpha_weights,
+    _base_key,
     _check_params,
+    _differs_at,
+    _read,
     _require_fields,
     _scalar_field,
     _scalar_value,
-    _tail,
+    _without_L0,
 )
 from .report import Report
 from .scalars import ONE, ZERO, Scalar, format_scalar
@@ -222,10 +226,6 @@ class _Parts(NamedTuple):
     dd: dict[int, BiPoly]   # d_m'
 
 
-def _without_L0(g: BiPoly) -> BiPoly:
-    return BiPoly({k: c for k, c in g.terms.items() if not k[0]})
-
-
 def _parts(fam: GenericFamily) -> _Parts:
     a, a_m, g_m = fam.a, fam.a_m, fam.g_m
     bm = {m: fam.b.mul_int(m) for m in a_m}
@@ -345,44 +345,18 @@ def check_constraints(fam: GenericFamily) -> Report:
 
 # --- the solver ----------------------------------------------------------
 
-def _read(fam: GenericFamily) -> CanonicalParams | None:
-    """The parameters a module with this window's seeds at m = 1 has,
-    checking nothing (see the module docstring); None where a != 0 or
-    lambda = 0, which no module has."""
-    a_1, g_1 = fam.a_m[1], fam.g_m[1]
-    lam = g_1.coeff(1, 0)
-    if fam.a or not lam:
-        return None
-    theta = fam.b == ONE and not a_1
-    alpha = ZERO if theta else -(a_1.coeff(0, 0) / lam)
-    # the t^k coefficient of h_1 is c_k plus what the levels above put there
-    F = _without_L0(g_1).scale(lam.inv())
-    top = max(F.deg_t, 0)
-    coeffs = [ZERO] * (top + 1)
-    for k in range(top, 0, -1):
-        coeffs[k] = F.coeff(0, k)
-        if coeffs[k]:
-            F -= _tail(fam.b, alpha, BiPoly.monomial(0, k),
-                       divided_difference(k, alpha), 1).scale(coeffs[k])
-    coeffs[0] = F.coeff(0, 0)
-    return CanonicalParams(Family.THETA if theta else Family.PHI, lam, alpha,
-                           tuple(coeffs))
-
-
 def _differing(fam: GenericFamily) -> set[int] | None:
     """S, the indices where the window differs from the module read off
     its seeds, where the bases prove that module (see the module
     docstring); else None."""
-    read = _read(fam)
-    if read is None:
+    spec = _read(fam)
+    if spec is None:
         return None
-    alpha = read.alpha if any(_alpha_weights(fam.b, 1)) else ZERO
-    if not all(_base_holds(read.family, fam.b, alpha, k, fam.window)
-               for k in (None, *(k for k, c in enumerate(read.coeffs) if c))):
+    family, b, alpha, support = _base_key(spec)
+    if not all(_base_holds(family, b, alpha, k, fam.window)
+               for k in (None, *support)):
         return None
-    spec = ModuleSpec(read.family, fam.b, read.lam, read.alpha, read.coeffs)
-    return {m for m in range(-fam.window, fam.window + 1)
-            if fam.data(m) != spec.data(m)}
+    return _differs_at(fam, spec, fam.window)
 
 
 @lru_cache(maxsize=4096)  # bounded: 64 classify-mix blocks fill 178 keys
@@ -397,8 +371,10 @@ def _base_holds(family: Family, b: Scalar, alpha: Scalar, k: int | None,
 
     :func:`virab.repmod._base_vanishes` keeps a second memo: one base per
     support, with symbolic coefficients, proved at symbolic indices.  These
-    keys are per coefficient and serve windows of every support, and
-    classify-mix has not been measured on the symbolic bases."""
+    keys are per coefficient and serve windows of every support, and they
+    cost classify-mix less: taking S's proof from
+    :func:`virab.repmod._symbols_vanish` instead lowered its items/s by
+    about 5% and raised its p50 by about 8% (seed 777, three pairs)."""
     spec = ModuleSpec(family, b, ONE, alpha,
                       () if k is None else (ZERO,) * k + (ONE,))
     p = _parts(GenericFamily.from_spec(spec, window))
@@ -414,17 +390,16 @@ def solve_candidate(
     rebuilds the whole window, else the first failing window identity
     that reads the first index where it differs, else the first failing
     one, else Undetermined there (see the module docstring)."""
-    read = _read(fam)
-    if read is None:
+    spec = _read(fam)
+    if spec is None:
         return next(_window_failures(fam))
-    spec = ModuleSpec(read.family, fam.b, read.lam, read.alpha, read.coeffs)
     for m in range(-fam.window, fam.window + 1):
         for given, rebuilt in zip(fam.data(m), spec.data(m)):
             if given != rebuilt:
                 return (next(_window_failures(fam, m), None)
                         or next(_window_failures(fam), None)
                         or Undetermined(m, given - rebuilt))
-    return read
+    return CanonicalParams(spec.family, spec.lam, spec.alpha, spec.coeffs)
 
 
 def isom_decide(p: CanonicalParams, q: CanonicalParams, b: Scalar) -> bool:

@@ -15,8 +15,8 @@ from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
 settings.register_profile("virab", derandomize=True, deadline=None,
                           max_examples=100, database=None)
 # the same with twenty times the examples, for the reference-scanner test,
-# the local window checks and the spec base memo in CI:
-# pytest --hypothesis-profile=virab-long
+# the local window checks, the spec base memo and the local window sweep
+# in CI: pytest --hypothesis-profile=virab-long
 settings.register_profile("virab-long", settings.get_profile("virab"),
                           max_examples=2000)
 settings.load_profile("virab")
@@ -40,15 +40,18 @@ def rng():
 
 @pytest.fixture
 def fresh_bases():
-    """Empty memos of base modules, the classifier's and repmod's, before
-    and after the test, so that no base evaluated under patched data
-    formulas or bracket tables serves another test."""
+    """Empty memos of base modules, the classifier's and repmod's (its
+    record of supports too), before and after the test, so that no base
+    evaluated under patched data formulas or bracket tables serves another
+    test."""
     memos = (classify._base_holds, repmod._base_vanishes)
     for memo in memos:
         memo.cache_clear()
+    repmod._VANISHED.clear()
     yield
     for memo in memos:
         memo.cache_clear()
+    repmod._VANISHED.clear()
 
 
 @pytest.fixture

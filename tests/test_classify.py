@@ -767,6 +767,20 @@ def test_local_checks_agree_with_the_full_pass(fam):
     _assert_agrees(fam)
 
 
+@given(fam=perturbed_windows())
+@example(fam=_UNDETERMINED[0])
+@example(fam=_UNDETERMINED[1])
+def test_the_window_sweep_agrees_with_the_full_sweep(fam):
+    # verify_module sweeps a window only at the pairs that touch S once its
+    # read module is proved, and reports what it reports sweeping every
+    # pair: text, JSON and checks
+    window = min(fam.window, 2)
+    local = _bodies(verify_module(fam, window=window, degree=2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repmod, "_read", lambda fam: None)
+        assert _bodies(verify_module(fam, window=window, degree=2)) == local
+
+
 def test_lw_and_ll_compat_evaluate_only_the_pairs_that_touch_s(monkeypatch):
     # with the bases proved, a window that differs from its read module at
     # m = 3 alone evaluates the pairs with 3 among m, n and m + n, and a
@@ -908,15 +922,22 @@ def test_the_base_memo_agrees_with_the_per_spec_proof(spec, mutation):
                 repmod._base_vanishes.cache_clear()
 
 
+def _counted_proofs(monkeypatch):
+    """The list of the lambda = 1 twins repmod proves, filled as it proves
+    them."""
+    proved = []
+    monkeypatch.setattr(repmod, "_pairs_vanish", partial(
+        lambda prove, twin: proved.append(twin) or prove(twin),
+        repmod._pairs_vanish))
+    return proved
+
+
 @pytest.mark.usefixtures("fresh_bases")
 def test_one_base_decides_every_spec_of_its_support(monkeypatch):
     # specs that differ in lambda and in their nonzero coefficients, and in
     # alpha where it enters no data, share one base, proved once; another
     # support, or another alpha where it enters, is another base
-    proved = []
-    monkeypatch.setattr(repmod, "_pairs_vanish", partial(
-        lambda prove, twin: proved.append(twin) or prove(twin),
-        repmod._pairs_vanish))
+    proved = _counted_proofs(monkeypatch)
     shared = [ModuleSpec.phi(b=b, lam=lam, alpha=alpha, coeffs=coeffs)
               for b, alpha in ((sc("1/2"), ZERO), (sc("1/2"), sc(3)))
               for lam, coeffs in ((sc(2), (ONE, ZERO, sc(5))),
@@ -988,6 +1009,58 @@ def test_a_failing_spec_base_forces_the_sweep(monkeypatch, mutation):
         _assert_spec_agrees(spec)
 
 
+@pytest.mark.usefixtures("fresh_bases")
+@pytest.mark.parametrize("mutation", _DATA_MUTATIONS)
+def test_a_lying_spec_memo_hides_a_window_failure(monkeypatch, mutation):
+    # under a wrong data formula the windows it builds fail pair by pair;
+    # a memo that claims every base vanishes proves their read modules, so
+    # the sweep skips every pair and passes them: the skip rests on the
+    # proof
+    monkeypatch.setattr(repmod, *_DATA_MUTATIONS[mutation][:2])
+    windows = list(_mutated_windows(mutation))
+    assert not any(verify_module(fam, window=2, degree=2).passed
+                   for fam in windows)
+    monkeypatch.setattr(repmod, "_base_vanishes", lambda *key: True)
+    assert all(verify_module(fam, window=2, degree=2).passed
+               for fam in windows)
+
+
+@pytest.mark.usefixtures("fresh_bases")
+def test_a_vanished_base_decides_every_spec_within_its_support(monkeypatch):
+    # the base of support {0, 1, 2} decides specs of its sub-supports, the
+    # empty one too, without a proof of their own; another b or support
+    # outside it is proved anew
+    proved = _counted_proofs(monkeypatch)
+    half = sc("1/2")
+    assert repmod._symbols_vanish(ModuleSpec.phi(b=half, lam=sc(2), coeffs=(
+        ONE, sc(3), sc(-2))))
+    assert len(proved) == 1
+    assert all(repmod._symbols_vanish(ModuleSpec.phi(
+        b=half, lam=lam, alpha=alpha, coeffs=coeffs)) for lam, alpha, coeffs
+        in ((I, ZERO, (ZERO, sc(5))), (sc(3), sc(2), (sc(7), ZERO, ONE)),
+            (sc(-1), ZERO, ())))
+    assert len(proved) == 1
+    for spec in (ModuleSpec.phi(b=sc(2), lam=sc(2), coeffs=(ONE,)),
+                 ModuleSpec.phi(b=half, lam=sc(2), coeffs=(ONE,) * 4)):
+        assert repmod._symbols_vanish(spec)
+    assert len(proved) == 3
+
+
+@pytest.mark.usefixtures("fresh_bases")
+def test_a_failing_base_decides_no_spec_within_its_support(monkeypatch):
+    # under a data formula that makes a module exactly where c_0 = c_1,
+    # the base of support {0, 1, 2} fails; each spec of a smaller support
+    # is proved by its own base, which vanishes for {2} and fails for {0}
+    monkeypatch.setattr(repmod, "_tail", _tail_c0_minus_c1)
+    proved = _counted_proofs(monkeypatch)
+    for coeffs, holds in (((ONE, sc(2), sc(3)), False),
+                          ((ZERO, ZERO, sc(3)), True), ((ONE,), False)):
+        spec = ModuleSpec.phi(b=sc("1/2"), lam=sc(2), coeffs=coeffs)
+        assert repmod._symbols_vanish(spec) is holds
+        _assert_sweep_agrees(spec)
+    assert len(proved) == 3
+
+
 def test_check_constraints_passes_on_genuine_family():
     spec = ModuleSpec.phi(b=sc(3), lam=sc(2), alpha=ZERO, coeffs=(ONE, ZERO, sc(2)))
     report = check_constraints(candidate_for(spec))
@@ -1011,7 +1084,8 @@ def test_check_constraints_fails_at_m_zero_for_nonzero_a():
 
 
 def _read_seeds(spec):
-    return _read(candidate_for(spec, 1))
+    read = _read(candidate_for(spec, 1))
+    return CanonicalParams(read.family, read.lam, read.alpha, read.coeffs)
 
 
 def test_extract_h_coeffs():

@@ -604,12 +604,49 @@ def test_symbols_leave_overridden_actions_and_windows_to_the_sweep(
     assert not repmod._symbols_vanish(spec)
     assert not verify_module(spec, window=1, degree=1).passed
 
-    def refuse(spec):
-        raise AssertionError("a window went to the symbols")
-
-    monkeypatch.setattr(repmod, "_symbols_vanish", refuse)
+    # a module's window skips every pair once its read module is proved;
+    # with the proof refused, a subclass or another op, it sweeps them all
     window = GenericFamily.from_spec(REPLAY_SPECS[0], 2)
     assert verify_module(window, window=2, degree=2).passed
+    swept = _swept_pairs(monkeypatch)
+    assert verify_module(window, window=2, degree=2).passed
+    assert swept == []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repmod, "_read", lambda fam: None)
+        assert verify_module(window, window=2, degree=2).passed
+    every = list(swept)
+    assert every
+    swept.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repmod, "_symbols_vanish", lambda spec: False)
+        assert verify_module(window, window=2, degree=2).passed
+    assert swept == every
+
+    class Window(GenericFamily):
+        pass
+
+    for target, op in ((Window(window.a, window.b, 2, window.a_m,
+                               window.g_m), repmod._op),
+                       (window, lambda fam, sym: repmod._op(fam, sym))):
+        swept.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(GenericFamily, "op", op)
+            assert verify_module(target, window=2, degree=2).passed
+        assert swept == every
+
+
+def _swept_pairs(monkeypatch):
+    """The list of the pairs at int indices whose symbol verify_module
+    computes, filled as it computes them."""
+    swept, symbol = [], repmod._pair_symbol
+
+    def counted(x, y, *rest):
+        if type(x.index) is int:
+            swept.append((x, y))
+        return symbol(x, y, *rest)
+
+    monkeypatch.setattr(repmod, "_pair_symbol", counted)
+    return swept
 
 
 # --- module-action oracle: sympy over QQ_I, sharing no code with repmod ---
