@@ -31,18 +31,14 @@ instance, and its ``checks`` count every instance, but it evaluates only
 those that can fail.  W-commutation: the pairs where a_m or a_n has an L0
 term (a-in-W0 fails there); elsewhere both shifts by L0 leave a_m and a_n
 as they are, so the residue is a_n a_m - a_m a_n = 0.  lw-compat and
-ll-compat, once the shapes hold and the seeds give a read (see below):
-the pairs where {m, n, m + n} meets S, the set of indices where the
-window differs from the module read.  An instance reads the data at m, n
-and m + n alone, so every other one has that module's value, which is 0:
-each instance of the (lambda, alpha, c) module is lambda^(m+n) times that
-of its lambda = 1 twin (a_m and g_m scale by lambda^m); lw-compat reads
-no tail h_m; ll-compat's L0 term vanishes as b_m = lambda^m, and its other
-terms are linear in d_m = lambda^m h_m, which is linear in c.  So it
-suffices that both hold on the coefficient-free twin, and ll-compat on
-each twin whose only coefficient is t^k, for every c_k != 0.  Each such
-base is evaluated over the window once per process (:func:`_base_holds`);
-with no read, or where a base fails, every pair is evaluated.
+ll-compat, once the shapes hold: the pairs where {m, n, m + n} meets S,
+the set of indices where the window differs from the module read off its
+seeds, once that module is proved (:func:`virab.repmod._near`, which
+verify_module shares).  An instance reads a, b and the data at m, n and
+m + n alone, so every other one is that module's.  The read module's pair
+symbols vanish at every index, so every lw-compat and ll-compat instance
+on its data, which replays [L_m, W_n] . 1 or [L_m, L_n] . 1, is zero.
+Every pair is evaluated where _near gives no S.
 
 solve_candidate reads the parameters off the seeds at m = 1 and certifies
 nothing while it reads (:func:`virab.repmod._read`, which verify_module
@@ -70,7 +66,7 @@ verify_module passes), yet no module of the two families has this data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from time import perf_counter
 from typing import NamedTuple
 
@@ -78,11 +74,9 @@ from .polynomials import BiPoly, format_bipoly
 from .repmod import (
     Family,
     GenericFamily,
-    ModuleSpec,
     _alpha_weights,
-    _base_key,
     _check_params,
-    _differs_at,
+    _near,
     _read,
     _require_fields,
     _scalar_field,
@@ -90,7 +84,7 @@ from .repmod import (
     _without_L0,
 )
 from .report import Report
-from .scalars import ONE, ZERO, Scalar, format_scalar
+from .scalars import Scalar, format_scalar
 
 
 @dataclass(frozen=True)
@@ -296,9 +290,10 @@ def _window_failures(fam: GenericFamily, at: int | None = None):
     scalar b_m, a_m in C[W0]), then W-commutation at the pairs that touch
     an a-in-W0 failure (the others are zero), and only when the shapes hold
     the [L, W] and [L, L] replays, which read g_m - g_m(L0 - c) as c*b_m,
-    at the pairs that touch S where :func:`_differing` finds it (the others
-    are zero).  Given ``at``, only the instances that read index ``at``:
-    every shape check, and the pairs with ``at`` among m, n and m + n."""
+    at the pairs that touch S where :func:`virab.repmod._near` gives it
+    (the others are zero).  Given ``at``, only the instances that read
+    index ``at``: every shape check, and the pairs with ``at`` among m, n
+    and m + n."""
     singles, commuting, pairs, ordered = _instances(fam.window)
     if at is not None:
         commuting, pairs, ordered = _touching({at}, commuting, pairs, ordered)
@@ -310,8 +305,8 @@ def _window_failures(fam: GenericFamily, at: int | None = None):
                          partial(_w_commutation, fam.a, fam.a_m))
     if shapes:
         return
-    if at is None and (differing := _differing(fam)) is not None:
-        pairs, ordered = _touching(differing, pairs, ordered)
+    if at is None and (near := _near(fam, fam.window)) is not None:
+        pairs, ordered = _touching(near, pairs, ordered)
     p = _parts(fam)
     yield from _failures(pairs, partial(_lw_compat, p))
     yield from _failures(ordered, partial(_ll_compat, p))
@@ -344,44 +339,6 @@ def check_constraints(fam: GenericFamily) -> Report:
 
 
 # --- the solver ----------------------------------------------------------
-
-def _differing(fam: GenericFamily) -> set[int] | None:
-    """S, the indices where the window differs from the module read off
-    its seeds, where the bases prove that module (see the module
-    docstring); else None."""
-    spec = _read(fam)
-    if spec is None:
-        return None
-    family, b, alpha, support = _base_key(spec)
-    if not all(_base_holds(family, b, alpha, k, fam.window)
-               for k in (None, *support)):
-        return None
-    return _differs_at(fam, spec, fam.window)
-
-
-@lru_cache(maxsize=4096)  # bounded: 64 classify-mix blocks fill 178 keys
-def _base_holds(family: Family, b: Scalar, alpha: Scalar, k: int | None,
-                window: int) -> bool:
-    """Whether the lambda = 1 module of (family, b, alpha) whose only
-    coefficient is t^k passes every ll-compat instance over the window;
-    with k None, the coefficient-free one, and every lw-compat instance
-    too.  alpha is a key only where :func:`_alpha_weights` lets it enter
-    the data.  The argument holds only while ``ModuleSpec.data`` scales
-    a_m and g_m by lambda^m and its tail h_m is linear in c.
-
-    :func:`virab.repmod._base_vanishes` keeps a second memo: one base per
-    support, with symbolic coefficients, proved at symbolic indices.  These
-    keys are per coefficient and serve windows of every support, and they
-    cost classify-mix less: taking S's proof from
-    :func:`virab.repmod._symbols_vanish` instead lowered its items/s by
-    about 5% and raised its p50 by about 8% (seed 777, three pairs)."""
-    spec = ModuleSpec(family, b, ONE, alpha,
-                      () if k is None else (ZERO,) * k + (ONE,))
-    p = _parts(GenericFamily.from_spec(spec, window))
-    _, _, pairs, ordered = _instances(window)
-    lw = _failures(pairs if k is None else (), partial(_lw_compat, p))
-    return not any(lw) and not any(_failures(ordered, partial(_ll_compat, p)))
-
 
 def solve_candidate(
     fam: GenericFamily,

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from itertools import product
 from time import perf_counter
 from types import SimpleNamespace
@@ -451,12 +451,6 @@ def _read(fam: GenericFamily) -> ModuleSpec | None:
     return spec
 
 
-def _differs_at(fam: GenericFamily, spec: ModuleSpec, window: int) -> set[int]:
-    """The indices of -window..window where fam's data are not spec's."""
-    return {m for m in range(-window, window + 1)
-            if fam.data(m) != spec.data(m)}
-
-
 # the names bench/ binds; nothing here calls them
 def generic_act_L(fam: GenericFamily, m: int, u: BiPoly) -> BiPoly:
     return fam.op(L(m)).apply(u)
@@ -537,7 +531,6 @@ def _base_key(spec: ModuleSpec) -> tuple:
             tuple(k for k, c in enumerate(spec.coeffs) if c))
 
 
-@lru_cache(maxsize=4096)  # bounded: 64 module-sweep specs need 25-27
 def _base_vanishes(family: Family, b: Scalar, alpha: Scalar,
                    support: tuple[int, ...]) -> bool:
     """Whether the symbols vanish for the lambda = 1 spec of (family, b,
@@ -551,7 +544,8 @@ def _base_vanishes(family: Family, b: Scalar, alpha: Scalar,
     return _pairs_vanish(base)
 
 
-# (family, b, alpha) -> the supports whose base vanished
+# (family, b, alpha) -> the supports whose base vanished: the one memo of
+# proved modules, for specs and for the modules read off windows
 _VANISHED: dict[tuple, list[frozenset[int]]] = {}
 
 
@@ -570,12 +564,12 @@ def _symbols_vanish(spec: ModuleSpec) -> bool:
     are those of its base (:func:`_base_key`), whose nonzero coefficients
     are fresh variables u_k, with c_k put in for each u_k: where the base's
     vanish, so do spec's.  The base decides every spec of its (family, b,
-    alpha) and support, whatever the coefficients, and is proved once per
-    process (:func:`_base_vanishes`).  A base that does not vanish leaves
-    the spec to the sweep.  With u_k = 0 for k outside a smaller support, a
-    base is that support's, so one that vanishes decides its subsets too
-    (:data:`_VANISHED`); a failing one decides none.  All this holds only
-    while ``data`` scales a_m and g_m by lambda^m."""
+    alpha) and support, whatever the coefficients (:func:`_base_vanishes`).
+    With u_k = 0 for k outside a smaller support, a base is that support's,
+    so one that vanishes decides its subsets too: :data:`_VANISHED` keeps
+    it, and it is proved once per process.  A base that does not vanish
+    decides none, is kept nowhere and leaves the spec to the sweep.  All
+    this holds only while ``data`` scales a_m and g_m by lambda^m."""
     if type(spec) is not ModuleSpec or ModuleSpec.op is not _op:
         return False
     *where, support = _base_key(spec)
@@ -584,10 +578,25 @@ def _symbols_vanish(spec: ModuleSpec) -> bool:
         return True
     if not _base_vanishes(*where, support):
         return False
-    if sum(map(len, _VANISHED.values())) >= 4096:  # bounded as the lru_cache
+    # bounded: 64 classify-mix blocks keep 60 supports
+    if sum(map(len, _VANISHED.values())) >= 4096:
         _VANISHED.clear()
     _VANISHED.setdefault(where, []).append(frozenset(support))
     return True
+
+
+def _near(fam: GenericFamily, window: int) -> set[int] | None:
+    """S, the indices of -window..window where fam's data differ from the
+    module read off its seeds (:func:`_read`), once :func:`_symbols_vanish`
+    proves that module; None with no read, no proof, or where S holds
+    every nonzero index (S never holds 0: a_0 = W0 and g_0 = L0), as then
+    only instances at (0, 0) avoid it, which cost less than the proof."""
+    read = _read(fam)
+    if read is None:
+        return None
+    S = {m for m in range(-window, window + 1)
+         if fam.data(m) != read.data(m)}
+    return S if len(S) < 2 * window and _symbols_vanish(read) else None
 
 
 def verify_module(
@@ -631,14 +640,13 @@ def verify_module(
 
     A window is swept only at the pairs (x_m, y_n) where {m, n, m + n}
     meets S, the indices where its data differ from the module read off
-    its seeds (:func:`_read`), once :func:`_symbols_vanish` proves that
-    module.  The pair symbol reads data(m), data(n), data(m + n) (every
-    bracket term sits at m + n), a and b, which the read shares.  So off S
-    it is the module's, which vanishes: no failure is lost, and ``checks``
-    counts every pair.  The rule is symmetric in x and y, as the reverse
-    pair memo needs.  Every pair is swept with no read, no proof, a
-    subclass or another op, and where S holds every nonzero index: only
-    the four pairs at (0, 0) avoid it, which cost less than the proof.
+    its seeds, once that module is proved (:func:`_near`, which
+    check_constraints shares).  The pair symbol reads data(m), data(n),
+    data(m + n) (every bracket term sits at m + n), a and b, which the
+    read shares.  So off S it is the module's, which vanishes: no failure
+    is lost, and ``checks`` counts every pair.  The rule is symmetric in x
+    and y, as the reverse pair memo needs.  Every pair is swept where
+    :func:`_near` gives no S, and for a subclass or another op.
 
     A vanishing symbol proves the pair on all of C[s, t] at once.  A
     nonvanishing one fails on one of 1, t, t^2, whose residues are dA, t*dA
@@ -678,11 +686,8 @@ def verify_module(
         report.elapsed = perf_counter() - t0
         return report
     near = None  # S of a window whose read module is proved, see above
-    if (type(target) is GenericFamily and GenericFamily.op is _op
-            and (read := _read(target)) is not None):
-        S = _differs_at(target, read, window)  # never 0: a_0 = W0, g_0 = L0
-        if len(S) < 2 * window and _symbols_vanish(read):
-            near = S
+    if type(target) is GenericFamily and GenericFamily.op is _op:
+        near = _near(target, window)
     algebra = classify_case(target.a, target.b, want_extension=False)
     syms = [L(n) for n in range(-window, window + 1)]
     syms += [W(n) for n in range(-window, window + 1)]

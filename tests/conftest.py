@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from virab import classify, repmod
+from virab import repmod
 from virab.repmod import ModuleSpec
 from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
 
@@ -40,17 +40,11 @@ def rng():
 
 @pytest.fixture
 def fresh_bases():
-    """Empty memos of base modules, the classifier's and repmod's (its
-    record of supports too), before and after the test, so that no base
-    evaluated under patched data formulas or bracket tables serves another
-    test."""
-    memos = (classify._base_holds, repmod._base_vanishes)
-    for memo in memos:
-        memo.cache_clear()
+    """An empty memo of proved base modules (``repmod._VANISHED``) before
+    and after the test, so that no base proved under patched data formulas
+    or bracket tables serves another test."""
     repmod._VANISHED.clear()
     yield
-    for memo in memos:
-        memo.cache_clear()
     repmod._VANISHED.clear()
 
 

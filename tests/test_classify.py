@@ -697,7 +697,7 @@ def _assert_agrees(fam):
         _ref_check_constraints(fam)), fam
     local = solve_candidate(fam)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "_differing", lambda fam: None)
+        mp.setattr(classify, "_near", lambda fam, window: None)
         assert solve_candidate(fam) == local, fam
     assert_sound(fam, local)
 
@@ -795,7 +795,7 @@ def test_lw_and_ll_compat_evaluate_only_the_pairs_that_touch_s(monkeypatch):
             lambda check, p, m, n: evaluated.append((check, m, n))
             or check(p, m, n), getattr(classify, name)))
     fam = perturbed(base, g_m={3: BiPoly.monomial(0, 1, sc(5))})
-    assert classify._differing(fam) == {3}
+    assert repmod._near(fam, 6) == {3}
     failures = list(classify._window_failures(fam))
     assert failures
     _, _, pairs, ordered = classify._instances(6)
@@ -853,9 +853,9 @@ def test_a_lying_base_breaks_the_agreement(monkeypatch, mutation):
     # skips every pair of a window its read rebuilds, and the agreement
     # with the reference sweep fails
     monkeypatch.setattr(repmod, *_DATA_MUTATIONS[mutation][:2])
-    monkeypatch.setattr(classify, "_base_holds", lambda *key: True)
+    monkeypatch.setattr(repmod, "_base_vanishes", lambda *key: True)
     windows = list(_mutated_windows(mutation))
-    assert all(classify._differing(fam) == set() for fam in windows)
+    assert all(repmod._near(fam, fam.window) == set() for fam in windows)
     assert all(check_constraints(fam).passed for fam in windows)
     with pytest.raises(AssertionError):
         for fam in windows:
@@ -869,7 +869,7 @@ def test_a_failing_base_forces_the_full_pass(monkeypatch, mutation):
     # is evaluated and the failures are listed
     monkeypatch.setattr(repmod, *_DATA_MUTATIONS[mutation][:2])
     for fam in _mutated_windows(mutation):
-        assert classify._differing(fam) is None
+        assert repmod._near(fam, fam.window) is None
         assert not check_constraints(fam).passed
         _assert_agrees(fam)
 
@@ -877,7 +877,8 @@ def test_a_failing_base_forces_the_full_pass(monkeypatch, mutation):
 # --- decided module specs from repmod's base memo ---------------------------
 
 def _memo_verdict(spec):
-    """Whether spec's base in repmod's memo vanishes."""
+    """Whether spec's base vanishes, proved afresh (repmod keeps the
+    supports whose base vanished in ``_VANISHED``)."""
     return repmod._base_vanishes(*repmod._base_key(spec))
 
 
@@ -906,20 +907,21 @@ def _assert_spec_agrees(spec):
        mutation=st.sampled_from((None, *_DATA_MUTATIONS)))
 def test_the_base_memo_agrees_with_the_per_spec_proof(spec, mutation):
     # the base, with symbolic coefficients on spec's support, vanishes
-    # exactly where the spec's lambda = 1 twin does, with up to four
-    # coefficients, zeros among them, under the module's data formula and
-    # under a wrong one; a memo filled under a wrong formula serves no
-    # other example
+    # exactly where the spec's lambda = 1 twin does, and the memo, which
+    # answers from the vanished bases of earlier examples' supports too,
+    # agrees, with up to four coefficients, zeros among them, under the
+    # module's data formula and under a wrong one; a memo filled under a
+    # wrong formula serves no other example
     with pytest.MonkeyPatch.context() as mp:
         if mutation is not None:
             mp.setattr(repmod, *_DATA_MUTATIONS[mutation][:2])
-            repmod._base_vanishes.cache_clear()
+            repmod._VANISHED.clear()
         try:
-            assert _memo_verdict(spec) == _per_spec_proof(spec), (
-                spec.to_dict(), mutation)
+            assert repmod._symbols_vanish(spec) == _memo_verdict(spec) == (
+                _per_spec_proof(spec)), (spec.to_dict(), mutation)
         finally:
             if mutation is not None:
-                repmod._base_vanishes.cache_clear()
+                repmod._VANISHED.clear()
 
 
 def _counted_proofs(monkeypatch):
@@ -1051,14 +1053,60 @@ def test_a_failing_base_decides_no_spec_within_its_support(monkeypatch):
     # under a data formula that makes a module exactly where c_0 = c_1,
     # the base of support {0, 1, 2} fails; each spec of a smaller support
     # is proved by its own base, which vanishes for {2} and fails for {0}
+    # (the sweep asks again for the failing ones, which are kept nowhere,
+    # so the proofs are counted before it runs)
     monkeypatch.setattr(repmod, "_tail", _tail_c0_minus_c1)
     proved = _counted_proofs(monkeypatch)
-    for coeffs, holds in (((ONE, sc(2), sc(3)), False),
-                          ((ZERO, ZERO, sc(3)), True), ((ONE,), False)):
-        spec = ModuleSpec.phi(b=sc("1/2"), lam=sc(2), coeffs=coeffs)
+    specs = [(ModuleSpec.phi(b=sc("1/2"), lam=sc(2), coeffs=coeffs), holds)
+             for coeffs, holds in (((ONE, sc(2), sc(3)), False),
+                                   ((ZERO, ZERO, sc(3)), True),
+                                   ((ONE,), False))]
+    for spec, holds in specs:
         assert repmod._symbols_vanish(spec) is holds
-        _assert_sweep_agrees(spec)
     assert len(proved) == 3
+    for spec, _ in specs:
+        _assert_sweep_agrees(spec)
+
+
+@pytest.mark.usefixtures("fresh_bases")
+def test_one_proof_serves_the_classifier_and_the_sweep(monkeypatch):
+    # every identity holds on this perturbed phi window, so solve_candidate
+    # evaluates it whole and proves its read module; verify_module then
+    # proves nothing new, on the window nor on the module it was made from,
+    # whose support lies within the read's
+    proved = _counted_proofs(monkeypatch)
+    fam = _UNDETERMINED[1]
+    assert isinstance(solve_candidate(fam), Undetermined)
+    assert len(proved) == 1
+    assert verify_module(fam, window=1, degree=2).passed
+    assert verify_module(ModuleSpec.phi(b=sc("1/2"), lam=sc("1/3"),
+                                        alpha=sc("3/2")),
+                         window=1, degree=2).passed
+    assert len(proved) == 1
+
+
+@pytest.mark.usefixtures("fresh_bases")
+@pytest.mark.parametrize("N", (1, 3))
+def test_a_window_off_its_read_at_every_nonzero_index_proves_nothing(
+        monkeypatch, N):
+    # g_1 plus an L0 term, which the read takes into lambda, or plus a t^2
+    # term, which it takes into its coefficients, with a t term on a_1: the
+    # window differs from its read module at every nonzero index, so
+    # check_constraints proves no base and evaluates every pair, listing
+    # what the reference lists
+    proved = _counted_proofs(monkeypatch)
+    base = candidate_for(ModuleSpec.phi(b=ONE, lam=sc(2), alpha=sc("3/2"),
+                                        coeffs=(ZERO, ONE)), N)
+    for fam in (perturbed(base, g_m={1: BiPoly.monomial(1, 0, sc(5))}),
+                perturbed(base, a_m={1: BiPoly.monomial(0, 1, sc(3))},
+                          g_m={1: BiPoly.monomial(0, 2, sc(5))})):
+        read = _read(fam)
+        assert {m for m in fam.a_m if fam.data(m) != read.data(m)} == {
+            m for m in fam.a_m if m}
+        assert repmod._near(fam, N) is None
+        assert _bodies(check_constraints(fam)) == _bodies(
+            _ref_check_constraints(fam))
+    assert proved == []
 
 
 def test_check_constraints_passes_on_genuine_family():
