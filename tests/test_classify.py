@@ -1092,8 +1092,8 @@ def test_a_window_off_its_read_at_every_nonzero_index_proves_nothing(
     # g_1 plus an L0 term, which the read takes into lambda, or plus a t^2
     # term, which it takes into its coefficients, with a t term on a_1: the
     # window differs from its read module at every nonzero index, so
-    # check_constraints proves no base and evaluates every pair, listing
-    # what the reference lists
+    # _near gives no S: check_constraints proves no base, evaluates every
+    # pair and lists what the reference lists
     proved = _counted_proofs(monkeypatch)
     base = candidate_for(ModuleSpec.phi(b=ONE, lam=sc(2), alpha=sc("3/2"),
                                         coeffs=(ZERO, ONE)), N)
