@@ -39,8 +39,7 @@ from .polynomials import (
     Index,
     Terms,
     _index_poly,
-    _join_terms,
-    _term_text,
+    format_terms,
     zero_patterns,
 )
 from .report import Report
@@ -164,7 +163,7 @@ _KIND_ORDER = {"L": 0, "W": 1, "C": 2}
 def format_element(e: AlgElement) -> str:
     """Canonical text: kinds in order L, W, C, indices ascending."""
     keys = sorted(e.terms, key=lambda s: (_KIND_ORDER[s.kind], s.index))
-    return _join_terms([_term_text(e.terms[k], str(k)) for k in keys])
+    return format_terms(e.terms, keys, str)
 
 
 _GENERATORS = ("L", "W")

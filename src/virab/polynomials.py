@@ -29,8 +29,9 @@ variables, is the one value that :mod:`virab.repmod` and
 :mod:`virab.algebra` run their index formulas at to decide at all indices.
 
 The canonical text form ("2*s^2*t - 1/2", graded-lex with s before t,
-descending) lives in :func:`format_bipoly`.  Parsers are in
-:mod:`virab.grammar`.
+descending) lives in :func:`format_bipoly`, which shares the one term
+writer :func:`format_terms` with :func:`virab.algebra.format_element`.
+Parsers are in :mod:`virab.grammar`.
 
 The benchmark in ``bench/`` still binds a few names of the retired
 t-polynomial type: :class:`UniPoly` (``monomial`` and ``__mul__``),
@@ -40,11 +41,12 @@ code here calls them.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
-from math import comb, lcm
-from typing import Iterable, Mapping, TypeVar
+from math import comb, gcd, lcm
+from typing import Callable, Iterable, Mapping, TypeVar
 
-from .scalars import ONE, ZERO, Scalar, _make, _reduced, format_scalar
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar, _format_scalar, _reduced
 
 NEG_INF = float("-inf")
 INDEX_BITS = 12  # see BiPoly.index_var
@@ -452,12 +454,13 @@ def zero_patterns(variables: tuple[int, ...], forms: list[BiPoly]) -> tuple:
     """Every zero pattern of the affine ``forms`` in the index variables
     numbered ``variables``, in groups that may share caches.  A pattern
     sets a set Z of the forms to zero, solved one form at a time for its
-    first variable with coefficient +-1 (none: ValueError), and is (values,
+    first variable with coefficient +-1, an integer form without one
+    divided by its content first (still none: ValueError), and is (values,
     nonzero): the variables' values and the other forms there, each once
-    and scaled to lead with 1.  Z is skipped where it has no solution or
-    makes another form zero, so every integer tuple lies on exactly one
-    pattern.  Patterns whose nonzero forms are exactly their free variables
-    share one group; every other pattern is a group of its own."""
+    and scaled to lead with 1.  Z is skipped where it has no integer
+    solution or makes another form zero, so every integer tuple lies on
+    exactly one pattern.  Patterns whose nonzero forms are exactly their
+    free variables share one group; every other pattern is its own."""
     xs = [BiPoly.index_var(v) for v in variables]
     keys, n = [next(iter(x.terms)) for x in xs], len(xs)
     groups: dict = {}
@@ -465,14 +468,22 @@ def zero_patterns(variables: tuple[int, ...], forms: list[BiPoly]) -> tuple:
         ps = xs + forms  # the variables' values, then the forms
         for z in (z for z, on in enumerate(zero) if on):
             g = ps[n + z]
-            units = [k for k in keys if g.coeff(*k) in (ONE, -ONE)]
+            cs = [g.coeff(*k) for k in keys]
+            if not (ONE in cs or MINUS_ONE in cs) and all(
+                    c._d == 1 and not c._b for c in cs) and (
+                    e := gcd(*(c._a for c in cs))):  # divide by the content
+                if (c0 := g.coeff(0, 0))._b or c0._d != 1 or c0._a % e:
+                    ps = None  # no integer point
+                    break
+                g = g.scale(Scalar.rational(1, e))
+            units = [k for k in keys if g.coeff(*k) in (ONE, MINUS_ONE)]
             if units:  # x_k -> x_k - c*g, c = +-1 its coefficient in g
                 k = units[0]
                 ps = [p - g.scale(p.coeff(*k) * g.coeff(*k)) for p in ps]
             elif g.terms.keys() - {(0, 0)}:
                 raise ValueError(f"no unit pivot in the form {g!r}")
-        if any(bool(g) == on for g, on in zip(ps[n:], zero)):
-            continue  # no solution, or another form made zero
+        if ps is None or any(bool(g) == on for g, on in zip(ps[n:], zero)):
+            continue  # no integer solution, or another form made zero
         nonzero = []
         for g in ps[n:]:
             lead = next((g.coeff(*k) for k in keys if g.coeff(*k)), None)
@@ -511,39 +522,35 @@ def _index_poly(k: int | Scalar | Index) -> BiPoly:
 
 # --- canonical text form ------------------------------------------------
 
-def _monomial_text(parts: list[tuple[str, int]]) -> str:
-    bits = []
-    for name, e in parts:
-        if e == 0:
+def format_terms(terms: Mapping, keys: Iterable, monomial: Callable) -> str:
+    """The one term writer: ``terms`` at ``keys`` in order, joined by ' + '
+    and ' - ', key k's monomial ``monomial(k)``, each coefficient read from
+    its (a, b, d).  The minus of a pure-real or pure-imaginary negative goes
+    to the sign, a coefficient 1 before a monomial is left out, and a mixed
+    one is parenthesized."""
+    out = []
+    for k in keys:
+        c, monom = terms[k], monomial(k)
+        a, b, d = c._a, c._b, c._d
+        if a < 0 if b == 0 else a == 0 and b < 0:
+            out.append(" - ")
+            a, b = -a, -b
+        else:
+            out.append(" + ")
+        if monom and a == d and b == 0:
+            out.append(monom)
             continue
-        bits.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(bits)
+        body = _format_scalar(a, b, d)
+        body = f"({body})" if a and b else body
+        out.append(f"{body}*{monom}" if monom else body)
+    out[:1] = ["-"] if out[:1] == [" - "] else []  # the first term's sign
+    return "".join(out) or "0"
 
 
-def _term_text(c: Scalar, monom: str) -> tuple[str, str]:
-    """Split a term into (sign, body) for joining with ' + ' / ' - ': the
-    minus of a pure-real or pure-imaginary negative goes to the sign, and
-    a mixed coefficient is parenthesized."""
-    a, b, d = c._a, c._b, c._d
-    sign = "+"
-    if a < 0 if b == 0 else a == 0 and b < 0:
-        sign = "-"
-        a, b = -a, -b
-        c = _make(a, b, d)
-    if monom and a == d and b == 0:
-        return sign, monom
-    cs = f"({format_scalar(c)})" if a and b else format_scalar(c)
-    return sign, f"{cs}*{monom}" if monom else cs
-
-
-def _join_terms(terms: list[tuple[str, str]]) -> str:
-    if not terms:
-        return "0"
-    first_sign, first_body = terms[0]
-    out = [first_body if first_sign == "+" else f"-{first_body}"]
-    for sign, body in terms[1:]:
-        out.append(f" {sign} {body}")
-    return "".join(out)
+@lru_cache(4096)  # a BiPoly key's monomial text, "s^2*t", built once
+def _monomial(key: tuple[int, int]) -> str:
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip("st", key) if e)
 
 
 def format_unipoly(p: BiPoly) -> str:
@@ -554,9 +561,4 @@ def format_unipoly(p: BiPoly) -> str:
 def format_bipoly(p: BiPoly) -> str:
     # graded lex, s before t, descending
     keys = sorted(p.terms, key=lambda ij: (ij[0] + ij[1], ij[0]), reverse=True)
-    return _join_terms(
-        [
-            _term_text(p.terms[(i, j)], _monomial_text([("s", i), ("t", j)]))
-            for i, j in keys
-        ]
-    )
+    return format_terms(p.terms, keys, _monomial)

@@ -9,7 +9,10 @@ exactly when it has no failures.  Every params value is a string:
 :func:`echo_params` echoes a non-string field as its JSON text.
 
 Reports serialize to a stable JSON document; ``from_dict(to_dict(r))``
-round-trips and re-serializes to identical JSON.
+round-trips and re-serializes to identical JSON: ``to_json`` writes
+``json.dumps(r.to_dict(), indent=2)``'s bytes.  An indent makes ``json``
+drop its C encoder, so the failures, most of a failing report, are written
+from one template of that layout, and only the rest through json.dumps.
 """
 
 from __future__ import annotations
@@ -17,6 +20,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any
+
+
+# a failure and its indices (ints and strings), laid out as in to_json's
+# failures list; values as json.dumps writes them (encode_basestring_ascii)
+_FAILURE = ('{\n      "constraint": %s,\n      "indices": %s,'
+            '\n      "residue": %s\n    }')
+_INDICES = "[\n        %s\n      ]"
+_json_value = json.JSONEncoder().encode
 
 
 def echo_params(doc: dict[str, Any]) -> dict[str, str]:
@@ -64,11 +75,14 @@ class Report:
         self.failures.append(Failure(constraint, indices, residue))
 
     def to_dict(self) -> dict[str, Any]:
+        return self._doc([f.to_dict() for f in self.failures])
+
+    def _doc(self, failures: list) -> dict[str, Any]:
         return {
             "suite": self.suite,
             "params": dict(self.params),
             "checks": self.checks,
-            "failures": [f.to_dict() for f in self.failures],
+            "failures": failures,
             "status": "pass" if self.passed else "fail",
             "elapsed_s": self.elapsed,
             "data": self.data,
@@ -90,7 +104,16 @@ class Report:
         return report
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+        text = json.dumps(self._doc([]), indent=2)
+        if not self.failures:
+            return text
+        failures = ",\n    ".join(_FAILURE % (
+            _json_value(f.constraint),
+            _INDICES % ",\n        ".join(map(_json_value, f.indices))
+            if f.indices else "[]",
+            _json_value(f.residue)) for f in self.failures)
+        return text.replace('\n  "failures": []',
+                            f'\n  "failures": [\n    {failures}\n  ]', 1)
 
     def to_text(self) -> str:
         lines = [f"suite: {self.suite}"]

@@ -299,11 +299,7 @@ def _any_integer_length():
 
 
 def format_scalar(x: Scalar) -> str:
-    try:
-        return _format_scalar(x._a, x._b, x._d)
-    except ValueError:  # past the int-string limit: format it all the same
-        with _any_integer_length():
-            return _format_scalar(x._a, x._b, x._d)
+    return _format_scalar(x._a, x._b, x._d)
 
 
 def _ratio(n: int, d: int) -> str:
@@ -312,9 +308,14 @@ def _ratio(n: int, d: int) -> str:
 
 
 def _format_scalar(a: int, b: int, d: int) -> str:
-    if b == 0:
-        return _ratio(a, d)
-    im = "i" if b == d else "-i" if b == -d else f"{_ratio(b, d)}i"
-    if a == 0:
-        return im
-    return f"{_ratio(a, d)}{'+' if b > 0 else ''}{im}"
+    """The text of (a + b*i)/d, d > 0, of any number of digits."""
+    try:
+        if b == 0:
+            return _ratio(a, d)
+        im = "i" if b == d else "-i" if b == -d else f"{_ratio(b, d)}i"
+        if a == 0:
+            return im
+        return f"{_ratio(a, d)}{'+' if b > 0 else ''}{im}"
+    except ValueError:  # past the int-string limit: format it all the same
+        with _any_integer_length():
+            return _format_scalar(a, b, d)

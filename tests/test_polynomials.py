@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import sc, sci
 from virab import algebra, repmod
-from virab.algebra import COCYCLES, AlgElement, BasisSymbol, L, W
+from virab.algebra import COCYCLES, AlgElement, BasisSymbol, L, W, format_element
 from virab.polynomials import (
     INDEX_BITS,
     BiPoly,
@@ -17,7 +18,7 @@ from virab.polynomials import (
     format_unipoly,
     zero_patterns,
 )
-from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
+from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar, _make, format_scalar
 
 
 def rand_t_poly(rng, deg=4):
@@ -309,6 +310,104 @@ def test_format_bipoly_graded_lex():
     assert format_bipoly(BiPoly.zero()) == "0"
 
 
+# --- a reference formatter ----------------------------------------------
+
+# The formatters before they shared one term writer: a (sign, body) pair
+# per term, a negated Scalar for each negative coefficient, the monomial
+# text built afresh for every term, and a join of the pairs.  Their text
+# is the specification the term writer is held to.
+
+def _ref_monomial_text(parts):
+    bits = []
+    for name, e in parts:
+        if e == 0:
+            continue
+        bits.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(bits)
+
+
+def _ref_term_text(c, monom):
+    a, b, d = c._a, c._b, c._d
+    sign = "+"
+    if a < 0 if b == 0 else a == 0 and b < 0:
+        sign = "-"
+        a, b = -a, -b
+        c = _make(a, b, d)
+    if monom and a == d and b == 0:
+        return sign, monom
+    cs = f"({format_scalar(c)})" if a and b else format_scalar(c)
+    return sign, f"{cs}*{monom}" if monom else cs
+
+
+def _ref_join_terms(terms):
+    if not terms:
+        return "0"
+    first_sign, first_body = terms[0]
+    out = [first_body if first_sign == "+" else f"-{first_body}"]
+    for sign, body in terms[1:]:
+        out.append(f" {sign} {body}")
+    return "".join(out)
+
+
+def _ref_format_bipoly(p):
+    keys = sorted(p.terms, key=lambda ij: (ij[0] + ij[1], ij[0]), reverse=True)
+    return _ref_join_terms([
+        _ref_term_text(p.terms[(i, j)], _ref_monomial_text([("s", i), ("t", j)]))
+        for i, j in keys])
+
+
+def _ref_format_element(e):
+    order = {"L": 0, "W": 1, "C": 2}
+    keys = sorted(e.terms, key=lambda s: (order[s.kind], s.index))
+    return _ref_join_terms([_ref_term_text(e.terms[k], str(k)) for k in keys])
+
+
+# coefficients of every shape the writer tells apart: zero, units (+-1,
+# +-i), integers, fractions, pure imaginary and mixed, either sign on
+# either part, and a few past a machine word
+_parts = st.one_of(st.sampled_from([0, 1, -1]),
+                   st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                   st.integers(-10 ** 30, 10 ** 30))
+_coeffs = st.builds(lambda re, im: sc(re) + sc(im) * I, _parts, _parts)
+# exponents: the constant term, low and high powers, and the s exponents
+# of the index variables, negative ones too (BiPoly.index_var)
+_exponents = st.one_of(st.integers(0, 3), st.integers(0, 500),
+                       st.sampled_from([1 << INDEX_BITS, -(1 << INDEX_BITS),
+                                        (1 << 2 * INDEX_BITS) - 3]))
+
+
+@given(st.dictionaries(st.tuples(_exponents, st.integers(0, 500) | st.integers(0, 3)),
+                       _coeffs, max_size=8),
+       st.dictionaries(st.builds(BasisSymbol, st.sampled_from("LWC"),
+                                 st.integers(-10 ** 6, 10 ** 6)),
+                       _coeffs, max_size=8))
+@example({(0, 0): sci(-1, 0), (1, 0): sci(0, -1), (0, 1): sci(-2, 3)},
+         {L(0): MINUS_ONE, W(-1): sci(0, 1), BasisSymbol("C", 1): sci(-1, -1)})
+def test_the_formatters_agree_with_the_reference_formatter(poly, element):
+    # each text twice, so the second reads the monomials the first wrote
+    p, e = BiPoly(poly), AlgElement(element)
+    for _ in range(2):
+        assert format_bipoly(p) == _ref_format_bipoly(p)
+        assert format_unipoly(p) == _ref_format_bipoly(p)
+        assert format_element(e) == _ref_format_element(e)
+
+
+def test_the_term_writer_formats_past_the_digit_limit(digit_limit):
+    # a coefficient of more digits than the limit, negative and mixed, in
+    # a polynomial and in an element; the caller's limit is put back
+    big = 10 ** (digit_limit + 700)
+    p = BiPoly({(2, 1): sci(-big, 0), (0, 0): Scalar.rational(big, 3) - I,
+                (1, 0): sci(0, -big)})
+    e = AlgElement({L(1): sci(-big, big), W(2): Scalar.rational(-1, big)})
+    digits = "1" + "0" * (digit_limit + 700)
+    assert format_bipoly(p) == (f"-{digits}*s^2*t - {digits}i*s"
+                                f" + ({digits}/3-i)")
+    assert format_bipoly(p) == _ref_format_bipoly(p)
+    assert format_element(e) == f"(-{digits}+{digits}i)*L:1 - 1/{digits}*W:2"
+    assert format_element(e) == _ref_format_element(e)
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
 def _at(p, point):
     """p, a polynomial in the index variables with no s or t, at
     ``point`` ({variable number: Scalar}): each key's s exponent read as
@@ -331,10 +430,17 @@ def _at(p, point):
 def _sites():
     """(name, variables, forms, patterns): the forms each site decides
     and the patterns it reads, repmod's of (m, n, m + n) and algebra's of
-    "index sum - c" over each case's planes c, for pairs and triples."""
+    "index sum - c" over each case's planes c, for pairs and triples, and
+    a set of forms with non-unit pivots."""
     m, n = BiPoly.index_var(1), BiPoly.index_var(2)
     yield "repmod", (1, 2), [m, n, m + n], [
         pattern for group in repmod._PATTERNS for pattern in group]
+    # forms whose pivots need their content divided out, one of them with
+    # no integer point (test_zero_patterns_of_m_n_and_their_sum)
+    one, two = BiPoly.one(), BiPoly.const(sc(2))
+    forms = [m + n, n - m, two * (m + n - two), two * (n - m) + one]
+    yield "content", (1, 2), forms, [
+        pattern for group in zero_patterns((1, 2), forms) for pattern in group]
     for case, rows in COCYCLES.items():
         planes = sorted({row[2] for row in rows})
         for variables in ((1, 2), (1, 2, 3)):
@@ -384,5 +490,19 @@ def test_zero_patterns_of_m_n_and_their_sum():
         (((-n, n), (n,)), ((one - n, n), (n,)), ((zero, zero), ()),
          ((one, zero), ())),
         (((m, zero), (m, m - one)),))
+    # once m = -n, n - m is 2n, which has no unit pivot: divided by its
+    # content 2 it is n, so m = n = 0; m = n makes m + n 2n, led by n
+    assert zero_patterns((1, 2), [m + n, n - m]) == (
+        (((m, n), (m + n, m - n)),),
+        (((-n, n), (n,)), ((n, n), (n,)), ((zero, zero), ())))
+    # 2m + 2n - 4 is m + n - 2; 2n - 2m + 1 has content 2, which does not
+    # divide 1, so every pattern where it is zero has no integer point
+    two = BiPoly.const(sc(2))
+    assert zero_patterns((1, 2), [two * (m + n) - two - two,
+                                  two * (n - m) + one]) == (
+        (((m, n), (m + n - two, m - n - BiPoly.const(sc("1/2")))),),
+        (((two - n, n), (n - BiPoly.const(sc("3/4")),)),))
+    # 2m + 3n has content 1 and no unit: its integer points m = 3k,
+    # n = -2k need a new variable
     with pytest.raises(ValueError, match="no unit pivot"):
-        zero_patterns((1, 2), [m + n, n - m])  # -2n once m = -n
+        zero_patterns((1, 2), [two * m + two * n + n])
