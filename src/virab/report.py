@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-# a failure and its indices (ints and strings), laid out as in to_json's
-# failures list; values as json.dumps writes them (encode_basestring_ascii)
+# a failure and its indices (ints and strings) as to_json lays them out;
+# values by json.dumps' default encoder (strings: encode_basestring_ascii)
 _FAILURE = ('{\n      "constraint": %s,\n      "indices": %s,'
             '\n      "residue": %s\n    }')
 _INDICES = "[\n        %s\n      ]"

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import sc, sci
 from virab import algebra, repmod
-from virab.algebra import COCYCLES, AlgElement, BasisSymbol, L, W, format_element
+from virab.algebra import (COCYCLES, AlgElement, BasisSymbol, L, W,
+                           format_element)
 from virab.polynomials import (
     INDEX_BITS,
     BiPoly,
@@ -352,7 +353,7 @@ def _ref_join_terms(terms):
 def _ref_format_bipoly(p):
     keys = sorted(p.terms, key=lambda ij: (ij[0] + ij[1], ij[0]), reverse=True)
     return _ref_join_terms([
-        _ref_term_text(p.terms[(i, j)], _ref_monomial_text([("s", i), ("t", j)]))
+        _ref_term_text(p.terms[i, j], _ref_monomial_text([("s", i), ("t", j)]))
         for i, j in keys])
 
 
@@ -376,7 +377,8 @@ _exponents = st.one_of(st.integers(0, 3), st.integers(0, 500),
                                         (1 << 2 * INDEX_BITS) - 3]))
 
 
-@given(st.dictionaries(st.tuples(_exponents, st.integers(0, 500) | st.integers(0, 3)),
+@given(st.dictionaries(st.tuples(_exponents,
+                                 st.integers(0, 3) | st.integers(0, 500)),
                        _coeffs, max_size=8),
        st.dictionaries(st.builds(BasisSymbol, st.sampled_from("LWC"),
                                  st.integers(-10 ** 6, 10 ** 6)),
