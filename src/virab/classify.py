@@ -44,15 +44,15 @@ solve_candidate reads the parameters off the seeds at m = 1 and certifies
 nothing while it reads (:func:`virab.repmod._read`, which verify_module
 shares): lambda is g_1's L0 coefficient, the family is theta when b = 1
 and a_1 = 0 and phi otherwise, alpha = -B_1 / lambda for a_1 = A_1 t +
-B_1, and the coefficients are peeled top-down out of F_1 = d_1 / lambda,
-which a module has as its tail h_1.  When the module
-with these parameters rebuilds every (a_m, g_m) of the window, they are
-the answer.  Otherwise let m0 be the first index (m = -N..N, a_m before
-g_m) where the rebuilt data differ.  The answer is the first failing
-identity among the instances that read m0 (the shape checks at every m,
-and the pairs with m0 among m, n and m + n), else the first failing one
-anywhere (evaluated as check_constraints evaluates it), else
-Undetermined at m0.  Reading m0 first puts the certificate at the datum
+B_1, and the coefficients are read top-down out of F_1 = d_1 / lambda,
+which a module has as its tail h_1, in closed form over scalars.  When
+the module with these parameters rebuilds every (a_m, g_m) of the
+window, they are the answer.  Otherwise let m0 be the first index (m =
+-N..N, a_m before g_m) where the rebuilt data differ.  The answer is the
+first failing identity among the instances that read m0 (the shape
+checks at every m, and the pairs with m0 among m, n and m + n), else the
+first failing one anywhere (evaluated as check_constraints evaluates
+it), else Undetermined at m0.  Reading m0 first puts the certificate at the datum
 that differs and, on a large window, spares most of its instances.  The
 read needs a = 0 and lambda != 0; once the shapes hold, lw-compat (0, 0)
 reads -a*t and ll-compat (-1, 1) reads 2*L0 where lambda = 0, so there
@@ -81,7 +81,6 @@ from .repmod import (
     _require_fields,
     _scalar_field,
     _scalar_value,
-    _without_L0,
 )
 from .report import Report
 from .scalars import Scalar, format_scalar
@@ -225,7 +224,8 @@ def _parts(fam: GenericFamily) -> _Parts:
     bm = {m: fam.b.mul_int(m) for m in a_m}
     b_m = {m: g_m[m].coeff(1, 0) for m in a_m}
     # d_m, the part of g_m = b_m L0 + d_m without L0
-    d_m = {m: _without_L0(g_m[m]) for m in a_m}
+    d_m = {m: BiPoly({k: c for k, c in g_m[m].terms.items() if not k[0]})
+           for m in a_m}
     return _Parts(a, bm, b_m, a_m, {m: p.partial_t() for m, p in a_m.items()},
                   {m: p.scale(a + bm[m]) for m, p in a_m.items()},
                   d_m, {m: p.partial_t() for m, p in d_m.items()})

@@ -106,8 +106,7 @@ def _tail(b: Scalar, alpha: Scalar, P: BiPoly, Q: BiPoly,
 
 def q_poly(n: int, k: int, alpha: Scalar, b: Scalar) -> BiPoly:
     """h_n at P = t^k, Q = (t^k - alpha^k) / (t - alpha) (:func:`_tail`):
-    the degree-k generating polynomial, with leading t^k coefficient n,
-    which is what makes coefficient extraction triangular."""
+    the degree-k generating polynomial, with leading t^k coefficient n."""
     if k < 0:
         raise ValueError("negative degree")
     return _tail(b, alpha, BiPoly.monomial(0, k),
@@ -219,10 +218,13 @@ def _check_params(family: Family, lam: Scalar, alpha: Scalar,
 
 
 class ModuleSpec:
-    """Full parameter set for one module over a = 0.  P and Q of the module
-    docstring are computed once, at construction, and ``data(m)`` builds
-    the window data from them at each call; treat instances as
-    immutable."""
+    """Full parameter set for one module over a = 0, and the one place a
+    module is built.  P and Q of the module docstring are computed once,
+    here, each by one sum of products over the nonzero c_k, and
+    ``data(m)`` builds the window data from them at each call; treat
+    instances as immutable.  A c_k may be a Scalar or a polynomial in the
+    index variables (:meth:`BiPoly.index_var`), as in the bases of
+    :func:`_base_vanishes`; such a base has no ``to_dict``."""
 
     __slots__ = ("family", "algebra", "lam", "alpha", "coeffs", "_P", "_Q")
     a = ZERO
@@ -233,7 +235,7 @@ class ModuleSpec:
         b: Scalar,
         lam: Scalar,
         alpha: Scalar = ZERO,
-        coeffs: tuple[Scalar, ...] = (),
+        coeffs: tuple[Scalar | BiPoly, ...] = (),
         extension: bool = True,
     ):
         _check_params(family, lam, alpha, b)
@@ -242,9 +244,10 @@ class ModuleSpec:
         self.lam = lam
         self.alpha = alpha
         self.coeffs = tuple(coeffs)
-        self._P = BiPoly({(0, k): c for k, c in enumerate(self.coeffs)})
-        self._Q = BiPoly.zero().combine(
-            (divided_difference(k, alpha), c) for k, c in enumerate(self.coeffs))
+        levels = [(k, c) for k, c in enumerate(self.coeffs) if c]
+        sop = BiPoly.sum_of_products
+        self._P = sop((c, BiPoly.monomial(0, k)) for k, c in levels)
+        self._Q = sop((c, divided_difference(k, alpha)) for k, c in levels)
 
     @property
     def b(self) -> Scalar:
@@ -421,34 +424,29 @@ class GenericFamily:
     op = _op
 
 
-def _without_L0(g: BiPoly) -> BiPoly:
-    return BiPoly({k: c for k, c in g.terms.items() if not k[0]})
-
-
 def _read(fam: GenericFamily) -> ModuleSpec | None:
     """The module a window's seeds at m = 1 name, checking nothing (see
     :mod:`virab.classify`); None where a != 0 or lambda = 0, which no
-    module has."""
+    module has.  A module's g_1 is lambda * (s + h_1) with h_1 = P - alpha *
+    f(1) * Q (f from :func:`_alpha_weights`: 1 at b = 1, else 0), and Q's
+    t^k coefficient is S_k = sum over j > k of c_j * alpha^(j-1-k).  So,
+    from the top degree of F = d_1 / lambda (d_1 the part of g_1 without
+    L0) down, c_k = F_k + alpha * f(1) * S_k and S_(k-1) = c_k + alpha *
+    S_k, with S = 0 at the top: scalars alone, and one ModuleSpec."""
     a_1, g_1 = fam.a_m[1], fam.g_m[1]
     lam = g_1.coeff(1, 0)
     if fam.a or not lam:
         return None
     theta = fam.b == ONE and not a_1
     alpha = ZERO if theta else -(a_1.coeff(0, 0) / lam)
-    spec = ModuleSpec(Family.THETA if theta else Family.PHI, fam.b, lam, alpha)
-    # the t^k coefficient of h_1 is c_k plus what the levels above put
-    # there; P and Q are summed per level, each divided difference once
-    F = _without_L0(g_1).scale(lam.inv())
-    coeffs = [ZERO] * (max(F.deg_t, 0) + 1)
+    F = {j: c for (i, j), c in g_1.terms.items() if not i}
+    inv, twist = lam.inv(), alpha.mul_int(_alpha_weights(fam.b, 1)[0])
+    coeffs, S = [ZERO] * (max(F, default=0) + 1), ZERO
     for k in reversed(range(len(coeffs))):
-        coeffs[k] = c = F.coeff(0, k)
-        if c:
-            P = BiPoly.monomial(0, k, c)
-            Q = divided_difference(k, alpha).scale(c)
-            spec._P, spec._Q = spec._P + P, spec._Q + Q
-            F -= _tail(fam.b, alpha, P, Q, 1)
-    spec.coeffs = tuple(coeffs)
-    return spec
+        coeffs[k] = c = F.get(k, ZERO) * inv + twist * S
+        S = c + alpha * S
+    return ModuleSpec(Family.THETA if theta else Family.PHI, fam.b, lam,
+                      alpha, coeffs)
 
 
 # the names bench/ binds; nothing here calls them
@@ -533,15 +531,13 @@ def _base_key(spec: ModuleSpec) -> tuple:
 
 def _base_vanishes(family: Family, b: Scalar, alpha: Scalar,
                    support: tuple[int, ...]) -> bool:
-    """Whether the symbols vanish for the lambda = 1 spec of (family, b,
-    alpha) whose c_k is a fresh index variable u_k for each k in support,
-    and 0 for every other k."""
-    base = ModuleSpec(family, b, ONE, alpha)
-    for k in support:  # m and n are index variables 1 and 2
-        u = BiPoly.index_var(3 + k)
-        base._P += BiPoly.monomial(0, k) * u
-        base._Q += divided_difference(k, alpha) * u
-    return _pairs_vanish(base)
+    """Whether the symbols vanish (:func:`_pairs_vanish`) for the base of
+    (family, b, alpha, support): the lambda = 1 ModuleSpec whose c_k is the
+    index variable u_k = ``BiPoly.index_var(3 + k)`` for each k in support
+    (m and n are variables 1 and 2), and 0 for every other k."""
+    coeffs = [BiPoly.index_var(3 + k) if k in support else ZERO
+              for k in range(max(support, default=-1) + 1)]
+    return _pairs_vanish(ModuleSpec(family, b, ONE, alpha, coeffs))
 
 
 # (family, b, alpha) -> the supports whose base vanished: the one memo of

@@ -14,10 +14,8 @@ from virab.scalars import I, MINUS_ONE, ONE, ZERO, Scalar
 # bounded example count, so tier-1 stays reproducible and quick
 settings.register_profile("virab", derandomize=True, deadline=None,
                           max_examples=100, database=None)
-# the same with twenty times the examples, for the reference-scanner and
-# reference-formatter tests, the report JSON template, the local window
-# checks, the spec base memo and the local window sweep in CI:
-# pytest --hypothesis-profile=virab-long
+# the same with twenty times the examples, for the tests marked oracle in
+# CI: pytest --hypothesis-profile=virab-long -m oracle
 settings.register_profile("virab-long", settings.get_profile("virab"),
                           max_examples=2000)
 settings.load_profile("virab")

@@ -2,7 +2,8 @@ import random
 from collections import Counter
 from collections.abc import Hashable
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import sc, sci
 from test_repmod import _family_with_a, _naive_sweep
 from virab import classify, repmod
-from virab.algebra import L, W
+from virab.algebra import L, W, bracket, classify_case
 from virab.classify import (
     CandidateFamily,
     CanonicalParams,
@@ -419,6 +420,65 @@ def test_lw_compat_replays_the_action(make):
     assert want and got == want
 
 
+# --- the window identities are the pair symbols -------------------------------
+
+@st.composite
+def shaped_windows(draw):
+    """The window at N 1-3 of a module of :func:`family_specs` with a in
+    {0, 1/2, -1} and up to three terms added at nonzero indices that keep
+    the shapes (g_m = b_m L0 + d_m with scalar b_m, a_m in C[W0]), and in
+    about one window of three one or two L0 terms added to a_m as well."""
+    base = candidate_for(draw(family_specs()), draw(st.integers(1, 3)))
+    a = draw(st.sampled_from((ZERO, sc("1/2"), MINUS_ONE)))
+    terms = [draw(st.sampled_from(_TERMS[:6]))
+             for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.sampled_from((False, False, True))):
+        terms += [("a_m", (1, draw(st.integers(0, 1))))
+                  for _ in range(draw(st.integers(1, 2)))]
+    added = {"a_m": {}, "g_m": {}}
+    for table, (i, j) in terms:
+        m = draw(st.sampled_from([m for m in base.a_m if m]))
+        term = BiPoly.monomial(i, j, draw(gaussians.filter(bool)))
+        added[table][m] = added[table].get(m, BiPoly.zero()) + term
+    fam = perturbed(base, **added)
+    return GenericFamily(a, fam.b, fam.window, fam.a_m, fam.g_m)
+
+
+@pytest.mark.oracle
+@given(fam=shaped_windows())
+def test_the_window_identities_are_the_pair_symbols(fam):
+    # dA(x, y) = x . (y . 1) - y . (x . 1) - [x, y] . 1 of verify_module,
+    # built by the window's op over W(a, b), is each window identity's
+    # residue: lw-compat (m, n) is dA(W_n, L_m) = -dA(L_m, W_n), ll-compat
+    # (m, n) is -dA(L_m, L_n), and W-commutation (m, n) is dA(W_m, W_n),
+    # L0 terms in a_m too; None stands for a zero residue
+    algebra = classify_case(fam.a, fam.b, want_extension=False)
+    op = cache(fam.op)
+    tau = cache(lambda sigma, y: repmod._tau(op(y), sigma))
+
+    def dA(x, y):
+        terms = bracket(x, y, algebra).terms.items()
+        return repmod._pair_symbol(x, y, op, tau, terms)[0]
+
+    def residue(cert):
+        return BiPoly.zero() if cert is None else cert.residue
+
+    _, commuting, pairs, ordered = classify._instances(fam.window)
+    for m, n in commuting:
+        assert residue(classify._w_commutation(fam.a, fam.a_m, m, n)) == dA(
+            W(m), W(n)), (m, n)
+    if any(p.deg_s > 0 for p in fam.a_m.values()):
+        return  # the shapes fail: lw-compat and ll-compat are not run
+    p = classify._parts(fam)
+    for m, n in pairs:
+        lw = dA(W(n), L(m))
+        assert lw == -dA(L(m), W(n))
+        assert residue(classify._lw_compat(p, m, n)) == lw, (m, n)
+    for m, n in ordered:
+        assert residue(classify._ll_compat(p, m, n)) == -dA(L(m), L(n)), (
+            m, n)
+
+
 def test_the_normalized_cocycle_is_no_window_identity():
     # the spurious root k = 1/2 of b*k^2 - k - (b-1) at b = 2/3 on both
     # seeds, a_{+-1} = k t, and g_1 = L0 + t^3: ll-compat (-1, 1) reads
@@ -757,6 +817,7 @@ _UNDETERMINED = (
               g_m={1: BiPoly.monomial(0, 2, sci(-3, -3))}))
 
 
+@pytest.mark.oracle
 @given(fam=perturbed_windows())
 @example(fam=_UNDETERMINED[0])
 @example(fam=_UNDETERMINED[1])
@@ -767,6 +828,7 @@ def test_local_checks_agree_with_the_full_pass(fam):
     _assert_agrees(fam)
 
 
+@pytest.mark.oracle
 @given(fam=perturbed_windows())
 @example(fam=_UNDETERMINED[0])
 @example(fam=_UNDETERMINED[1])
@@ -902,6 +964,7 @@ def _assert_spec_agrees(spec):
     _assert_sweep_agrees(spec)
 
 
+@pytest.mark.oracle
 @given(spec=family_specs(st.lists(st.one_of(st.just(ZERO), gaussians),
                                   max_size=4)),
        mutation=st.sampled_from((None, *_DATA_MUTATIONS)))
@@ -1172,6 +1235,95 @@ def test_extract_h_coeffs_builds_one_divided_difference_per_level(monkeypatch):
         monkeypatch.setattr(module, "divided_difference", counted, raising=False)
     assert _read(fam).coeffs == (ZERO, sc(5), sc(-1), ONE)
     assert sorted(built) == [1, 2, 3]
+
+
+def _ref_read(fam):
+    """The read as a peel, kept as an oracle for its closed form: the t^k
+    coefficient of h_1 is c_k plus what the levels above put there, so P
+    and Q are summed per level, each divided difference once, and each
+    level's h_1 is taken off F on the way down."""
+    a_1, g_1 = fam.a_m[1], fam.g_m[1]
+    lam = g_1.coeff(1, 0)
+    if fam.a or not lam:
+        return None
+    theta = fam.b == ONE and not a_1
+    alpha = ZERO if theta else -(a_1.coeff(0, 0) / lam)
+    spec = ModuleSpec(Family.THETA if theta else Family.PHI, fam.b, lam, alpha)
+    F = BiPoly({k: c for k, c in g_1.terms.items() if not k[0]}).scale(
+        lam.inv())
+    coeffs = [ZERO] * (max(F.deg_t, 0) + 1)
+    for k in reversed(range(len(coeffs))):
+        coeffs[k] = c = F.coeff(0, k)
+        if c:
+            P = BiPoly.monomial(0, k, c)
+            Q = divided_difference(k, alpha).scale(c)
+            spec._P, spec._Q = spec._P + P, spec._Q + Q
+            F -= repmod._tail(fam.b, alpha, P, Q, 1)
+    spec.coeffs = tuple(coeffs)
+    return spec
+
+
+@st.composite
+def read_windows(draw):
+    """The window at N 1-3 of phi at b in {-1, 1, 0, 2/3, 3} or of theta,
+    with a Gaussian lambda and alpha and up to seven coefficients, zeros
+    among them; in about half of them g_1 gets a term added: a t^j, an L0
+    term (which may cancel lambda), or an L0*t or L0^2 term (which the read
+    does not look at)."""
+    b = draw(st.sampled_from(("-1", "1", "0", "2/3", "3", "theta")))
+    lam = draw(gaussians.filter(bool))
+    coeffs = draw(st.lists(st.one_of(st.just(ZERO), gaussians), max_size=7))
+    if b == "theta":
+        spec = ModuleSpec.theta(lam=lam, coeffs=coeffs)
+    else:
+        spec = ModuleSpec.phi(b=sc(b), lam=lam, alpha=draw(gaussians),
+                              coeffs=coeffs)
+    fam = candidate_for(spec, draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        i, j = draw(st.sampled_from([(0, j) for j in range(8)]
+                                    + [(1, 0), (1, 1), (2, 0)]))
+        c = draw(st.one_of(gaussians.filter(bool), st.just(-lam)))
+        fam = perturbed(fam, g_m={1: BiPoly.monomial(i, j, c)})
+    return fam
+
+
+@pytest.mark.oracle
+@given(fam=read_windows())
+def test_the_read_agrees_with_the_reference_peel(fam):
+    # the closed form and the peel read the same module off the seeds, or
+    # both none: family, lambda, alpha, coefficients, P, Q and the data
+    read, ref = _read(fam), _ref_read(fam)
+    assert (read is None) == (ref is None)
+    if ref is None:
+        return
+    assert (read.family, read.lam, read.alpha, read.coeffs) == (
+        ref.family, ref.lam, ref.alpha, ref.coeffs)
+    assert (read._P, read._Q) == (ref._P, ref._Q)
+    for m in range(-fam.window, fam.window + 1):
+        assert read.data(m) == ref.data(m), m
+
+
+def test_a_constructed_base_is_the_summed_base(monkeypatch):
+    # the base _base_vanishes builds through ModuleSpec, with c_k = u_k on
+    # the support, has the P and Q of the base summed term by term, for
+    # every support within {0, ..., 4}
+    built = []
+    monkeypatch.setattr(repmod, "_pairs_vanish",
+                        lambda base: built.append(base) or True)
+    for b, alpha in (("-1", sci("3/2", -1)), ("1", sc(2)), ("0", ZERO),
+                     ("2/3", sc(-1)), ("theta", ZERO)):
+        family = Family.THETA if b == "theta" else Family.PHI
+        b = ONE if b == "theta" else sc(b)
+        for size in range(6):
+            for support in combinations(range(5), size):
+                repmod._base_vanishes(family, b, alpha, support)
+                summed = ModuleSpec(family, b, ONE, alpha)
+                for k in support:
+                    u = BiPoly.index_var(3 + k)
+                    summed._P += BiPoly.monomial(0, k) * u
+                    summed._Q += divided_difference(k, alpha) * u
+                assert (built[-1]._P, built[-1]._Q) == (
+                    summed._P, summed._Q), (b, alpha, support)
 
 
 def test_canonical_params_trim_trailing_zeros():

@@ -405,6 +405,7 @@ def _edited_text(draw, kind):
     return text
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("kind", _TEXT_FORMS)
 @given(data=st.data())
 def test_scanner_matches_the_reference_scanner(kind, data):

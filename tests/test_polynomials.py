@@ -377,6 +377,7 @@ _exponents = st.one_of(st.integers(0, 3), st.integers(0, 500),
                                         (1 << 2 * INDEX_BITS) - 3]))
 
 
+@pytest.mark.oracle
 @given(st.dictionaries(st.tuples(_exponents,
                                  st.integers(0, 3) | st.integers(0, 500)),
                        _coeffs, max_size=8),

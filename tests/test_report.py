@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ _reports = st.builds(
     data=_data)
 
 
+@pytest.mark.oracle
 @given(_reports)
 # a key "failures" with an empty list inside data, and the template's own
 # text in params, with no failures (json.dumps writes it all) and with one
